@@ -13,8 +13,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from seqgames.core import (
     FiniteGame,

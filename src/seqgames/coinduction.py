@@ -13,9 +13,9 @@ rejected as not admissible rather than compared.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
 
 from seqgames.core import (
     CapExceededError,
@@ -32,9 +32,7 @@ from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
     AnyGraph,
-    Decision,
     GameGraph,
-    ParamDecision,
     ParamGraph,
     ParamTerminal,
     StageReachability,
@@ -141,7 +139,7 @@ class Diverges:
         return False
 
 
-PlayResult = Union[Converges, Diverges]
+PlayResult = Converges | Diverges
 
 
 @dataclass(frozen=True)
@@ -195,7 +193,7 @@ class Refuted:
         )
 
 
-SpeVerdict = Union[SpeOk, NotAdmissible, Refuted]
+SpeVerdict = SpeOk | NotAdmissible | Refuted
 
 
 def _walk_states(
@@ -257,6 +255,124 @@ def play_param(
     return Converges(state.payoffs.shifted(total_delta), steps=len(path))
 
 
+class _ProfileChecker:
+    """Checks stationary profiles against one graph the caller has validated.
+
+    The graph is indexed once: each decision state's mover and its moves by
+    action label, and each terminal's payoffs.  Stage reachability, needed
+    only for the admissible profiles of a parametrized graph, is built on
+    first use.
+    """
+
+    __slots__ = ("graph", "movers", "moves", "terminals", "_reach")
+
+    def __init__(self, graph: AnyGraph) -> None:
+        self.graph = graph
+        self.movers: dict[str, str] = {}
+        self.moves: dict[str, dict[str, tuple[str, int]]] = {}
+        self.terminals: dict[str, PayoffVector | AffinePayoffs] = {}
+        for sid, state in graph.states.items():
+            if isinstance(state, (Terminal, ParamTerminal)):
+                self.terminals[sid] = state.payoffs
+            else:
+                self.movers[sid] = state.mover
+                self.moves[sid] = {
+                    action: (target, delta) for action, target, delta in _edge_views(state)
+                }
+        self._reach: StageReachability | None = None
+
+    @property
+    def reach(self) -> StageReachability:
+        if self._reach is None:
+            self._reach = StageReachability(self.graph)
+        return self._reach
+
+    def choices(self, profile: StationaryProfile) -> dict[str, str]:
+        """The profile's choices; raises ProfileError unless it is total."""
+        choices = dict(profile._choices)
+        if choices.keys() != self.moves.keys() or any(
+            choices[sid] not in moves for sid, moves in self.moves.items()
+        ):
+            check_stationary_total(self.graph, profile)  # raises the first fault
+        return choices
+
+    def play_values(
+        self, choices: dict[str, str]
+    ) -> dict[str, PayoffVector | AffinePayoffs] | NotAdmissible:
+        """Every state's play value under ``choices``, in one memoized pass.
+
+        Walks start from the decision states in definition order and stop at
+        the first state that already has a value; each state on the path
+        gets that value shifted by the stage deltas after it.  The first
+        walk that revisits a state makes its origin not admissible.
+        """
+        values = dict(self.terminals)
+        for origin in self.moves:
+            if origin in values:
+                continue
+            path: list[tuple[str, int]] = []
+            position: dict[str, int] = {}
+            sid = origin
+            while sid not in values:
+                if sid in position:
+                    return NotAdmissible(origin, tuple(s for s, _ in path[position[sid]:]))
+                position[sid] = len(path)
+                target, delta = self.moves[sid][choices[sid]]
+                path.append((sid, delta))
+                sid = target
+            value = values[sid]
+            for sid, delta in reversed(path):
+                if delta:
+                    value = value.shifted(delta)
+                values[sid] = value
+        return values
+
+    def check(
+        self, profile: StationaryProfile, cross_check_depth: int | None = None
+    ) -> SpeVerdict:
+        """Admissibility, then every one-shot deviation; parametrized
+        verdicts are cross-checked at ``cross_check_depth`` unless None."""
+        choices = self.choices(profile)
+        values = self.play_values(choices)
+        if isinstance(values, NotAdmissible):
+            return values
+        verdict = self._one_shot(choices, values)
+        if cross_check_depth is not None and isinstance(self.graph, ParamGraph):
+            _cross_check(self.graph, profile, values, verdict, cross_check_depth)
+        return verdict
+
+    def _one_shot(self, choices: dict[str, str], values) -> SpeOk | Refuted:
+        """The first profitable one-shot deviation in state and branch order;
+        on a parametrized graph, at the least stage its state is entered with."""
+        reach = self.reach if isinstance(self.graph, ParamGraph) else None
+        for sid, moves in self.moves.items():
+            if reach is not None and reach.min_offset(sid) is None:
+                continue  # never entered; no subgame constrains it
+            chosen, mover, current = choices[sid], self.movers[sid], values[sid]
+            for action, (target, delta) in moves.items():
+                if action == chosen:
+                    continue
+                if reach is None:
+                    deviation = values[target]
+                    if deviation[mover] > current[mover]:
+                        return Refuted(sid, None, mover, action, current, deviation)
+                    continue
+                deviation = values[target].shifted(delta)
+                witness = _least_reachable_violation(
+                    reach, sid, deviation[mover], current[mover]
+                )
+                if witness is not None:
+                    return Refuted(
+                        sid,
+                        witness,
+                        mover,
+                        action,
+                        current.at_stage(witness),
+                        deviation.at_stage(witness),
+                    )
+        return SpeOk()
+
+
 def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
     """One-shot deviation check over every decision state of a cyclic graph.
 
@@ -265,29 +381,7 @@ def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
     profile from its target must not strictly improve the mover.
     """
     require_valid_graph(graph)
-    check_stationary_total(graph, profile)
-    values: dict[str, PayoffVector] = {}
-    for sid, state in graph.states.items():
-        if isinstance(state, Terminal):
-            values[sid] = state.payoffs
-            continue
-        result = play_graph(graph, profile, sid)
-        if isinstance(result, Diverges):
-            return NotAdmissible(sid, result.cycle)
-        assert isinstance(result.payoffs, PayoffVector)
-        values[sid] = result.payoffs
-    for sid, state in graph.states.items():
-        if not isinstance(state, Decision):
-            continue
-        chosen = profile[sid]
-        current = values[sid]
-        for action, target in state.edges:
-            if action == chosen:
-                continue
-            deviation = values[target]
-            if deviation[state.mover] > current[state.mover]:
-                return Refuted(sid, None, state.mover, action, current, deviation)
-    return SpeOk()
+    return _ProfileChecker(graph).check(profile)
 
 
 def affine_leq_all(a: AffineExpr, b: AffineExpr) -> int | None:
@@ -327,22 +421,6 @@ def _violation_interval(a: AffineExpr, b: AffineExpr) -> tuple[int, int | None] 
     return (first, None)
 
 
-def _param_values(
-    graph: ParamGraph, profile: StationaryProfile
-) -> dict[str, AffinePayoffs] | NotAdmissible:
-    values: dict[str, AffinePayoffs] = {}
-    for sid, state in graph.states.items():
-        if isinstance(state, ParamTerminal):
-            values[sid] = state.payoffs
-            continue
-        result = play_param(graph, profile, sid)
-        if isinstance(result, Diverges):
-            return NotAdmissible(sid, result.cycle)
-        assert isinstance(result.payoffs, AffinePayoffs)
-        values[sid] = result.payoffs
-    return values
-
-
 def check_spe_param(
     graph: ParamGraph,
     profile: StationaryProfile,
@@ -358,43 +436,7 @@ def check_spe_param(
     ``cross_check_depth`` rounds solved by the finite checker.
     """
     require_valid_graph(graph)
-    check_stationary_total(graph, profile)
-    values = _param_values(graph, profile)
-    if isinstance(values, NotAdmissible):
-        return values
-    reach = StageReachability(graph)
-    verdict: SpeVerdict = SpeOk()
-    for sid, state in graph.states.items():
-        if not isinstance(state, ParamDecision):
-            continue
-        if reach.min_offset(sid) is None:
-            continue  # never entered; no subgame constrains it
-        chosen = profile[sid]
-        current = values[sid]
-        found: Refuted | None = None
-        for action, target, delta in state.edges:
-            if action == chosen:
-                continue
-            deviation = values[target].shifted(delta)
-            witness = _least_reachable_violation(
-                reach, sid, deviation[state.mover], current[state.mover]
-            )
-            if witness is not None:
-                found = Refuted(
-                    sid,
-                    witness,
-                    state.mover,
-                    action,
-                    current.at_stage(witness),
-                    deviation.at_stage(witness),
-                )
-                break
-        if found is not None:
-            verdict = found
-            break
-    if cross_check_depth is not None:
-        _cross_check(graph, profile, values, verdict, cross_check_depth)
-    return verdict
+    return _ProfileChecker(graph).check(profile, cross_check_depth)
 
 
 def _least_reachable_violation(
@@ -423,8 +465,8 @@ def concrete_unfolding_check(
     the profile's play.  Raises if play diverges anywhere.
     """
     require_valid_graph(graph)
-    check_stationary_total(graph, profile)
-    values = _param_values(graph, profile)
+    checker = _ProfileChecker(graph)
+    values = checker.play_values(checker.choices(profile))
     if isinstance(values, NotAdmissible):
         raise GameError(values.describe())
     tree, induced, _ = _concrete_unfolding(graph, profile, values, depth)
@@ -520,8 +562,9 @@ def enumerate_stationary_spe(
     total = stationary_profile_count(graph)
     if total > cap:
         raise CapExceededError(f"stationary profile space {total} exceeds cap {cap}")
+    checker = _ProfileChecker(graph)
     return [
-        (profile, check_spe(graph, profile, cross_check_depth))
+        (profile, checker.check(profile, cross_check_depth))
         for profile in stationary_profiles(graph)
     ]
 
@@ -532,20 +575,13 @@ def stationary_closure(
     """Closure payoffs for truncation: each state's play value under the
     profile.  Raises when play diverges from any state."""
     require_valid_graph(graph)
-    check_stationary_total(graph, profile)
-    closure: dict[str, PayoffVector] = {}
-    for sid, state in graph.states.items():
-        if isinstance(state, Terminal):
-            closure[sid] = state.payoffs
-            continue
-        result = play_graph(graph, profile, sid)
-        if isinstance(result, Diverges):
-            raise GameError(
-                f"no closure payoff: play from {sid} diverges under the profile"
-            )
-        assert isinstance(result.payoffs, PayoffVector)
-        closure[sid] = result.payoffs
-    return closure
+    checker = _ProfileChecker(graph)
+    values = checker.play_values(checker.choices(profile))
+    if isinstance(values, NotAdmissible):
+        raise GameError(
+            f"no closure payoff: play from {values.state} diverges under the profile"
+        )
+    return {sid: values[sid] for sid in graph.states}
 
 
 def induced_tree_profile(
@@ -593,19 +629,17 @@ def multi_shot_audit(
     Deviations whose play diverges carry no payoff and never count as gains.
     """
     require_valid_graph(graph)
-    check_stationary_total(graph, profile)
+    checker = _ProfileChecker(graph)
+    choices = checker.choices(profile)
     param = isinstance(graph, ParamGraph)
-    reach = StageReachability(graph) if param else None
-    base_values = _param_values(graph, profile) if param else None
+    reach = checker.reach if param else None
+    base_values = checker.play_values(choices)
     if isinstance(base_values, NotAdmissible):
-        raise GameError(f"cannot audit a divergent profile: {base_values.describe()}")
-    if not param:
-        for sid in graph.internal_ids():
-            result = play_graph(graph, profile, sid)  # type: ignore[arg-type]
-            if isinstance(result, Diverges):
-                raise GameError(
-                    f"cannot audit a divergent profile: play from {sid} cycles"
-                )
+        if param:
+            raise GameError(f"cannot audit a divergent profile: {base_values.describe()}")
+        raise GameError(
+            f"cannot audit a divergent profile: play from {base_values.state} cycles"
+        )
     findings: list[AuditFinding] = []
     movers = sorted(
         {graph.states[sid].mover for sid in graph.internal_ids()}  # type: ignore[union-attr]
@@ -631,14 +665,13 @@ def multi_shot_audit(
                     changed.update(zip(combo, picks))
                     deviant = StationaryProfile(changed)
                     findings.extend(
-                        _audit_one(graph, profile, deviant, player, tuple(zip(combo, picks)), reach, base_values)
+                        _audit_one(graph, deviant, player, tuple(zip(combo, picks)), reach, base_values)
                     )
     return tuple(findings)
 
 
 def _audit_one(
     graph: AnyGraph,
-    profile: StationaryProfile,
     deviant: StationaryProfile,
     player: str,
     changes: tuple[tuple[str, str], ...],
@@ -648,7 +681,7 @@ def _audit_one(
     found: list[AuditFinding] = []
     for sid in graph.internal_ids():
         if isinstance(graph, ParamGraph):
-            assert reach is not None and not isinstance(base_values, NotAdmissible)
+            assert reach is not None
             if reach.min_offset(sid) is None:
                 continue
             after = play_param(graph, deviant, sid)
@@ -670,20 +703,19 @@ def _audit_one(
                     )
                 )
         else:
-            before = play_graph(graph, profile, sid)
+            before = base_values[sid]
             after = play_graph(graph, deviant, sid)
-            if isinstance(before, Diverges) or isinstance(after, Diverges):
+            if isinstance(after, Diverges):
                 continue
-            assert isinstance(before.payoffs, PayoffVector)
             assert isinstance(after.payoffs, PayoffVector)
-            if after.payoffs[player] > before.payoffs[player]:
+            if after.payoffs[player] > before[player]:
                 found.append(
                     AuditFinding(
                         player,
                         changes,
                         sid,
                         None,
-                        before.payoffs[player],
+                        before[player],
                         after.payoffs[player],
                     )
                 )

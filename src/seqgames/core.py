@@ -8,10 +8,10 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
 
 
 class GameError(Exception):
@@ -33,7 +33,7 @@ class CapExceededError(GameError):
     """An exhaustive enumeration would exceed the configured cap."""
 
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Fraction | int | str
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -132,7 +132,7 @@ class Node:
     branches: tuple[tuple[str, "FiniteGame"], ...]
 
 
-FiniteGame = Union[Leaf, Node]
+FiniteGame = Leaf | Node
 
 # A node address is the path of action labels leading to it from the root.
 Address = tuple[str, ...]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from seqgames.core import (
     FiniteGame,
@@ -152,9 +151,6 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-Document = Union[FiniteGame, GameGraph, ParamGraph, "ProfileDoc"]
-
-
 @dataclass(frozen=True)
 class ProfileDoc:
     """A parsed profile: ordered (key path, action) pairs with their spans."""
@@ -172,6 +168,9 @@ class ProfileDoc:
 
     def as_tree(self) -> TreeProfile:
         return TreeProfile((key, action) for key, action in self.entries)
+
+
+Document = FiniteGame | GameGraph | ParamGraph | ProfileDoc
 
 
 class _Parser:

@@ -11,11 +11,11 @@ such a cycle.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from seqgames.core import GameError
-from seqgames.coinduction import StationaryProfile, check_spe
+from seqgames.coinduction import StationaryProfile, _ProfileChecker
 from seqgames.graphs import (
     AnyGraph,
     Decision,
@@ -68,8 +68,9 @@ def rationalizable_actions(
     require_valid_graph(graph)
     if not spes:
         raise GameError("rationalizable actions need at least one equilibrium")
+    checker = _ProfileChecker(graph)
     for i, profile in enumerate(spes, start=1):
-        verdict = check_spe(graph, profile)
+        verdict = checker.check(profile)
         if not verdict.ok:
             raise GameError(f"profile #{i} is not an equilibrium: {verdict.describe()}")
     actions: dict[str, dict[str, tuple[int, ...]]] = {}

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 from seqgames.core import (
     Address,

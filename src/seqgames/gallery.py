@@ -7,8 +7,8 @@ yields a structurally equal value.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Callable, Mapping
 
 from seqgames.core import FiniteGame, Leaf, Node, PayoffVector
 from seqgames.graphs import GameGraph, ParamGraph, dollar_auction, zero_one_graph

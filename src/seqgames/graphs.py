@@ -9,9 +9,9 @@ enough to express auctions whose stakes grow by a fixed step each round.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from seqgames.core import (
     GameError,
@@ -119,7 +119,7 @@ class Decision:
     edges: tuple[tuple[str, str], ...]  # (action, target state)
 
 
-GraphState = Union[Terminal, Decision]
+GraphState = Terminal | Decision
 
 
 @dataclass(frozen=True, eq=True)
@@ -151,7 +151,7 @@ class ParamDecision:
     edges: tuple[tuple[str, str, int], ...]  # (action, target state, stage delta)
 
 
-ParamState = Union[ParamTerminal, ParamDecision]
+ParamState = ParamTerminal | ParamDecision
 
 
 @dataclass(frozen=True, eq=True)
@@ -172,7 +172,7 @@ class ParamGraph:
         return [sid for sid, st in self.states.items() if isinstance(st, ParamDecision)]
 
 
-AnyGraph = Union[GameGraph, ParamGraph]
+AnyGraph = GameGraph | ParamGraph
 
 
 def _edge_views(state: GraphState | ParamState) -> tuple[tuple[str, str, int], ...]:
@@ -228,7 +228,7 @@ def require_valid_graph(graph: AnyGraph) -> None:
         raise GameError(f"invalid graph: {first} ({len(report.violations)} violation(s))")
 
 
-ClosureMap = Union[Mapping[str, PayoffVector], Callable[[str], PayoffVector]]
+ClosureMap = Mapping[str, PayoffVector] | Callable[[str], PayoffVector]
 
 
 def unfold(graph: GameGraph, depth: int, closure: ClosureMap) -> FiniteGame:

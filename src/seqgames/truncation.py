@@ -11,10 +11,10 @@ situation in which extrapolating from the finite games is unjustified.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from seqgames.core import Node, PayoffVector, walk
 from seqgames.coinduction import (

@@ -10,7 +10,16 @@ from fractions import Fraction
 
 from seqgames.core import FiniteGame, Leaf, Node, PayoffVector
 from seqgames.finite import profile_space_size
-from seqgames.graphs import Decision, GameGraph, Terminal
+from seqgames.graphs import (
+    AffineExpr,
+    AffinePayoffs,
+    Decision,
+    GameGraph,
+    ParamDecision,
+    ParamGraph,
+    ParamTerminal,
+    Terminal,
+)
 
 PLAYERS = ("A", "B")
 ACTION_NAMES = ("a", "b", "c")
@@ -91,3 +100,39 @@ def random_game_graph(
     for tid in terminal_ids:
         states[tid] = Terminal(random_payoffs(rng, low, high))
     return GameGraph(name="random", states=states, start=internal_ids[0])
+
+
+def random_param_graph(
+    rng: random.Random,
+    max_internal: int = 3,
+    max_terminals: int = 3,
+    low: int = -3,
+    high: int = 3,
+) -> ParamGraph:
+    """A random small stage-parametrized graph with binary choices.
+
+    Edges carry stage delta 0 or 1 and may loop back to their own state.
+    Terminal payoffs have slopes -1, -1/2, 0, 1/2 or 1.  States are listed
+    in shuffled order, so terminals may come before decisions, and the start
+    is any decision state, so some states may be unreachable from it.
+    """
+    n_internal = rng.randint(1, max_internal)
+    n_terminal = rng.randint(1, max_terminals)
+    internal_ids = [f"S{i}" for i in range(n_internal)]
+    terminal_ids = [f"T{i}" for i in range(n_terminal)]
+    slopes = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+    states: list[tuple[str, object]] = []
+    for sid in internal_ids:
+        width = rng.randint(1, 2)
+        edges = tuple(
+            (ACTION_NAMES[j], rng.choice(internal_ids + terminal_ids), rng.randint(0, 1))
+            for j in range(width)
+        )
+        states.append((sid, ParamDecision(rng.choice(PLAYERS), edges)))
+    for tid in terminal_ids:
+        payoffs = AffinePayoffs(
+            {p: AffineExpr(rng.randint(low, high), rng.choice(slopes)) for p in PLAYERS}
+        )
+        states.append((tid, ParamTerminal(payoffs)))
+    rng.shuffle(states)
+    return ParamGraph(name="random", states=dict(states), start=rng.choice(internal_ids))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,13 +28,16 @@ from seqgames.finite import is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
     GameGraph,
+    ParamGraph,
+    ParamTerminal,
+    StageReachability,
     Terminal,
     dollar_auction,
     unfold,
     validate_graph,
     zero_one_graph,
 )
-from tests.conftest import random_game_graph
+from tests.conftest import random_game_graph, random_param_graph
 
 ALICE_LEAVES = StationaryProfile(SA="l", SB="c")
 BOB_LEAVES = StationaryProfile(SA="c", SB="l")
@@ -248,3 +252,110 @@ def test_multi_shot_audit_finds_gains_on_refuted_profiles():
 def test_multi_shot_audit_rejects_divergent_base():
     with pytest.raises(GameError):
         multi_shot_audit(zero_one_graph(), BOTH_CONTINUE)
+
+
+def replay_verdict(graph, profile):
+    """Oracle for the memoized value pass: play replayed from every decision
+    state, then each one-shot deviation in state and branch order, with the
+    witness stage found by scanning stages one by one."""
+    param = isinstance(graph, ParamGraph)
+    play = play_param if param else play_graph
+    values = {}
+    for sid, state in graph.states.items():
+        if isinstance(state, (Terminal, ParamTerminal)):
+            values[sid] = state.payoffs
+            continue
+        result = play(graph, profile, sid)
+        if isinstance(result, Diverges):
+            return NotAdmissible(sid, result.cycle)
+        values[sid] = result.payoffs
+    reach = StageReachability(graph) if param else None
+    for sid, state in graph.states.items():
+        if isinstance(state, (Terminal, ParamTerminal)):
+            continue
+        mover, current = state.mover, values[sid]
+        for edge in state.edges:
+            action, target, delta = edge if param else (*edge, 0)
+            if action == profile[sid]:
+                continue
+            deviation = values[target]
+            if not param:
+                if deviation[mover] > current[mover]:
+                    return Refuted(sid, None, mover, action, current, deviation)
+                continue
+            deviation = deviation.shifted(delta)
+            # Past every stage layer and every crossing of the generator's
+            # payoffs (intercepts within 3 + 5 of zero, slopes at least 1/2 apart).
+            for k in range(len(reach.layers) + 64):
+                if reach.reachable_at(sid, k) and deviation[mover].at(k) > current[mover].at(k):
+                    return Refuted(
+                        sid, k, mover, action, current.at_stage(k), deviation.at_stage(k)
+                    )
+    return SpeOk()
+
+
+def param_graph_features(graph):
+    """Which shapes the differential test below is meant to cover."""
+    order = list(graph.states)
+    reach = StageReachability(graph)
+    edges = [(sid, e) for sid, st in graph.states.items() if not isinstance(st, ParamTerminal) for e in st.edges]
+    slopes = {
+        expr.slope
+        for st in graph.states.values()
+        if isinstance(st, ParamTerminal)
+        for expr in st.payoffs.values()
+    }
+    terminal_first = any(
+        isinstance(graph.states[a], ParamTerminal) and not isinstance(graph.states[b], ParamTerminal)
+        for a, b in zip(order, order[1:])
+    )
+    return {
+        "self-loop": any(sid == target for sid, (_, target, _) in edges),
+        "delta 0": any(delta == 0 for _, (_, _, delta) in edges),
+        "delta 1": any(delta == 1 for _, (_, _, delta) in edges),
+        "negative slope": any(s < 0 for s in slopes),
+        "positive slope": any(s > 0 for s in slopes),
+        "terminal before decision": terminal_first,
+        "unreachable state": any(reach.min_offset(sid) is None for sid in order),
+        "unbounded stages": reach.loop_start is not None,
+    }
+
+
+def test_value_pass_matches_per_state_replay():
+    rng = random.Random(3031)
+    graphs = [random_game_graph(rng, max_internal=4) for _ in range(200)]
+    graphs += [random_param_graph(rng, max_internal=4) for _ in range(300)]
+    verdicts: Counter = Counter()
+    features: Counter = Counter()
+    for graph in graphs:
+        assert validate_graph(graph).ok
+        param = isinstance(graph, ParamGraph)
+        if param:
+            features.update(name for name, present in param_graph_features(graph).items() if present)
+        results = enumerate_stationary_spe(graph, cross_check_depth=5 if param else None)
+        for profile, verdict in results:
+            assert verdict == replay_verdict(graph, profile), (graph, profile)
+            verdicts[param, type(verdict).__name__] += 1
+            if isinstance(verdict, Refuted) and verdict.stage:
+                verdicts[param, "refuted past stage 0"] += 1
+            if param:
+                continue
+            if isinstance(verdict, NotAdmissible):
+                with pytest.raises(GameError, match=f"play from {verdict.state} diverges"):
+                    stationary_closure(graph, profile)
+                continue
+            closure = stationary_closure(graph, profile)
+            assert list(closure) == list(graph.states)
+            for sid, value in closure.items():
+                state = graph.states[sid]
+                expected = state.payoffs if isinstance(state, Terminal) else play_graph(graph, profile, sid).payoffs
+                assert value == expected
+    for param in (False, True):
+        for kind in ("SpeOk", "NotAdmissible", "Refuted"):
+            assert verdicts[param, kind] >= 20, (param, kind, verdicts)
+    assert verdicts[True, "refuted past stage 0"] >= 10, verdicts
+    for name in (
+        "self-loop", "delta 0", "delta 1", "negative slope", "positive slope",
+        "terminal before decision", "unreachable state", "unbounded stages",
+    ):
+        assert features[name] >= 10, (name, features)

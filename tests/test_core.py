@@ -1,5 +1,9 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ from seqgames.core import (
     validate_game,
 )
 from tests.conftest import random_finite_game
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_validate_minimal_leaf():
@@ -141,3 +147,28 @@ def test_tree_profile_equality_is_order_insensitive():
     b = TreeProfile([(("c",), "l"), ((), "c")])
     assert a == b
     assert hash(a) == hash(b)
+
+
+def test_fresh_import_releases_the_previous_one():
+    # Typing caches keyed on package classes would keep every earlier import
+    # alive.  The child interpreter keeps this session's classes intact.
+    script = textwrap.dedent(
+        """
+        import gc, sys, weakref
+        import seqgames
+        old = weakref.ref(seqgames.core.Leaf)
+        for name in [n for n in sys.modules if n == "seqgames" or n.startswith("seqgames.")]:
+            del sys.modules[name]
+        import seqgames
+        gc.collect()
+        print("retained" if old() is not None else "released")
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "", "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "released"
