@@ -52,7 +52,7 @@ class PayoffVector(Mapping[str, Fraction]):
     content compare and hash equal regardless of construction order.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_hash")
 
     def __init__(
         self,
@@ -85,7 +85,13 @@ class PayoffVector(Mapping[str, Fraction]):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        # Hashing the Fractions is costly and vectors are hashed often as
+        # set and dict keys, so the hash is computed on first use and kept.
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash: int = hash(self._entries)
+            return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{pid}:{value}" for pid, value in self._entries)
@@ -257,9 +263,13 @@ def validate_game(game: FiniteGame, players: Iterable[str] | None = None) -> Val
 
 
 class TreeProfile(Mapping[Address, str]):
-    """One chosen action per decision node, keyed by node address."""
+    """One chosen action per decision node, keyed by node address.
 
-    __slots__ = ("_choices",)
+    The sorted choice tuple serves equality, hashing and repr; lookups and
+    iteration (in the same sorted order) go through a dict.
+    """
+
+    __slots__ = ("_choices", "_lookup")
 
     def __init__(
         self,
@@ -268,15 +278,13 @@ class TreeProfile(Mapping[Address, str]):
         pairs = choices.items() if isinstance(choices, Mapping) else choices
         items = {tuple(addr): action for addr, action in pairs}
         self._choices: tuple[tuple[Address, str], ...] = tuple(sorted(items.items()))
+        self._lookup: dict[Address, str] = dict(self._choices)
 
     def __getitem__(self, address: Address) -> str:
-        for addr, action in self._choices:
-            if addr == address:
-                return action
-        raise KeyError(address)
+        return self._lookup[address]
 
     def __iter__(self) -> Iterator[Address]:
-        return iter(addr for addr, _ in self._choices)
+        return iter(self._lookup)
 
     def __len__(self) -> int:
         return len(self._choices)
@@ -303,25 +311,38 @@ class TreeProfile(Mapping[Address, str]):
 
 
 def check_profile_total(game: FiniteGame, profile: TreeProfile) -> None:
-    """Raise ProfileError unless ``profile`` covers exactly the decision nodes."""
-    needed = set(internal_addresses(game))
+    """Raise ProfileError unless ``profile`` chooses one of the actions at
+    exactly the decision nodes.
+
+    Missing choices are reported first, then choices at non-decision
+    addresses, then unknown actions; each names the first offending address
+    in (length, address) order.
+    """
+    actions = {
+        address: {action for action, _ in sub.branches}
+        for address, sub in walk(game)
+        if isinstance(sub, Node)
+    }
     given = set(profile)
-    missing = needed - given
-    extra = given - needed
+    missing = actions.keys() - given
     if missing:
-        worst = _format_address(min(missing, key=lambda a: (len(a), a)))
-        raise ProfileError(f"profile not total: no choice at address {worst}")
+        first = _format_address(_first_address(missing))
+        raise ProfileError(f"profile not total: no choice at address {first}")
+    extra = given - actions.keys()
     if extra:
-        worst = _format_address(min(extra, key=lambda a: (len(a), a)))
-        raise ProfileError(f"profile has a choice at non-decision address {worst}")
-    for address in needed:
-        sub = subgame_at(game, address)
-        assert isinstance(sub, Node)
-        chosen = profile[address]
-        if chosen not in {action for action, _ in sub.branches}:
-            raise ProfileError(
-                f"profile chooses unknown action {chosen!r} at {_format_address(address)}"
-            )
+        first = _format_address(_first_address(extra))
+        raise ProfileError(f"profile has a choice at non-decision address {first}")
+    unknown = [address for address, known in actions.items() if profile[address] not in known]
+    if unknown:
+        first = _first_address(unknown)
+        raise ProfileError(
+            f"profile chooses unknown action {profile[first]!r} at {_format_address(first)}"
+        )
+
+
+def _first_address(addresses: Iterable[Address]) -> Address:
+    """The first address in (length, address) order."""
+    return min(addresses, key=lambda a: (len(a), a))
 
 
 def play_finite(game: FiniteGame, profile: TreeProfile) -> PayoffVector:

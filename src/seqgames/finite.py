@@ -29,7 +29,6 @@ from seqgames.core import (
     TreeProfile,
     check_profile_total,
     format_address,
-    internal_addresses,
     validate_game,
     walk,
 )
@@ -233,97 +232,182 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
     )
 
 
-def _profile_values(game: FiniteGame, profile: TreeProfile) -> dict[Address, PayoffVector]:
-    """Payoff at every position when both players follow the profile."""
-    values: dict[Address, PayoffVector] = {}
+class _Tree:
+    """A finite game compiled once into preorder arrays.
 
-    def visit(sub: FiniteGame, address: Address) -> PayoffVector:
-        if isinstance(sub, Leaf):
-            values[address] = sub.payoffs
-            return sub.payoffs
-        chosen = profile.action_at(address)
-        result: PayoffVector | None = None
-        for action, child in sub.branches:
-            value = visit(child, address + (action,))
-            if action == chosen:
-                result = value
-        if result is None:
-            raise GameError(f"unknown action {chosen!r} at {format_address(address)}")
-        values[address] = result
-        return result
+    Position 0 is the root and every position comes before its descendants.
+    For position ``i``: ``addresses[i]`` is its address, ``movers[i]`` its
+    mover (None at a leaf), ``children[i]`` the positions of its branches in
+    branch order and ``labels[i]`` their action labels (both empty at a
+    leaf), and ``payoffs[i]`` its leaf payoffs (None at a decision node).
+    ``post`` lists the decision nodes in post-order with children in branch
+    order, the order in which the one-shot deviation check visits them.
+    """
 
-    visit(game, ())
-    return values
+    __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "post")
+
+    def __init__(self, game: FiniteGame) -> None:
+        self.addresses: list[Address] = []
+        self.movers: list[str | None] = []
+        self.children: list[list[int]] = []
+        self.labels: list[tuple[str, ...]] = []
+        self.payoffs: list[PayoffVector | None] = []
+        stack: list[tuple[int, Address, FiniteGame]] = [(-1, (), game)]
+        while stack:
+            parent, address, sub = stack.pop()
+            position = len(self.addresses)
+            if parent >= 0:
+                self.children[parent].append(position)
+            self.addresses.append(address)
+            self.children.append([])
+            if isinstance(sub, Leaf):
+                self.movers.append(None)
+                self.labels.append(())
+                self.payoffs.append(sub.payoffs)
+                continue
+            self.movers.append(sub.mover)
+            self.labels.append(tuple(action for action, _ in sub.branches))
+            self.payoffs.append(None)
+            for action, child in reversed(sub.branches):
+                stack.append((position, address + (action,), child))
+        # A preorder that visits children last to first, reversed, is the
+        # post-order that visits them first to last.
+        order: list[int] = []
+        pending = [0]
+        while pending:
+            position = pending.pop()
+            order.append(position)
+            pending.extend(self.children[position])
+        self.post: list[int] = [i for i in reversed(order) if self.movers[i] is not None]
+
+    def rows(self) -> dict[str, list[Fraction | None]]:
+        """Each mover's payoff at every leaf, by position (None elsewhere).
+
+        Raises UnknownPlayerError if some leaf has no payoff for a mover.
+        """
+        return {
+            player: [None if p is None else p[player] for p in self.payoffs]
+            for player in self.players()
+        }
+
+    def picks(self, profile: TreeProfile) -> tuple[int, ...]:
+        """Branch index chosen by a total profile at each node of ``post``."""
+        return tuple(
+            self.labels[i].index(profile[self.addresses[i]]) for i in self.post
+        )
+
+    def checked_nodes(self, rows: Mapping[str, list]) -> list[tuple[int, list[int], list]]:
+        """(position, children, mover's row) for each node of ``post``."""
+        return [(i, self.children[i], rows[self.movers[i]]) for i in self.post]
+
+    def players(self) -> list[str]:
+        return sorted({m for m in self.movers if m is not None})
+
+
+def _first_deviation(
+    nodes: list[tuple[int, list[int], list]],
+    picks: tuple[int, ...],
+    reached: list[int],
+) -> tuple[int, int] | None:
+    """One post-order pass: the first profitable one-shot deviation.
+
+    ``nodes`` come from ``_Tree.checked_nodes`` and ``picks`` gives the chosen
+    branch at each.  ``reached`` maps every position to a leaf position: at
+    leaves it must map a leaf to itself, and at each node passed here it is
+    set to the leaf the profile reaches from there.  Returns (index into
+    ``nodes``, deviating branch) for the first node, in post-order, where a
+    branch (the first in branch order) beats the chosen one for the mover,
+    or None when there is no such node.
+    """
+    for n, (position, kids, row) in enumerate(nodes):
+        leaf = reached[kids[picks[n]]]
+        own = row[leaf]
+        for branch, kid in enumerate(kids):
+            if row[reached[kid]] > own:
+                return n, branch
+        reached[position] = leaf
+    return None
+
+
+def _reached(tree: _Tree, picks: tuple[int, ...]) -> list[int]:
+    """The leaf position each position leads to when the profile is followed."""
+    reached = list(range(len(tree.addresses)))
+    for i, pick in zip(tree.post, picks):
+        reached[i] = reached[tree.children[i][pick]]
+    return reached
+
+
+def _best_responses(
+    tree: _Tree, player: str, choose, start: int = 0
+) -> dict[int, Fraction]:
+    """Best payoff ``player`` can reach from each position reachable from
+    ``start`` when the others follow ``choose`` (position -> branch index).
+
+    ``choose`` is called only at the others' nodes on the way, in preorder.
+    """
+    order: list[int] = []
+    followed: dict[int, int] = {}
+    stack = [start]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if tree.movers[i] == player:
+            stack.extend(reversed(tree.children[i]))
+        elif tree.movers[i] is not None:
+            followed[i] = tree.children[i][choose(i)]
+            stack.append(followed[i])
+    best: dict[int, Fraction] = {}
+    for i in reversed(order):
+        if tree.movers[i] is None:
+            best[i] = tree.payoffs[i][player]
+        elif i in followed:
+            best[i] = best[followed[i]]
+        else:
+            best[i] = max(best[k] for k in tree.children[i])
+    return best
 
 
 def best_response_value(game: FiniteGame, profile: TreeProfile, player: str) -> Fraction:
-    """Best payoff ``player`` can reach against the others' profile choices."""
+    """Best payoff ``player`` can reach against the others' profile choices.
 
-    def visit(sub: FiniteGame, address: Address) -> Fraction:
-        if isinstance(sub, Leaf):
-            return sub.payoffs[player]
-        if sub.mover == player:
-            return max(
-                visit(child, address + (action,)) for action, child in sub.branches
-            )
+    Only the others' choices on positions ``player`` can reach are read.
+    """
+    tree = _Tree(game)
+
+    def choose(i: int) -> int:
+        address = tree.addresses[i]
         chosen = profile.action_at(address)
-        for action, child in sub.branches:
-            if action == chosen:
-                return visit(child, address + (action,))
-        raise GameError(f"unknown action {chosen!r} at {format_address(address)}")
+        if chosen not in tree.labels[i]:
+            raise GameError(f"unknown action {chosen!r} at {format_address(address)}")
+        return tree.labels[i].index(chosen)
 
-    return visit(game, ())
-
-
-def _best_response_choices(
-    game: FiniteGame, profile: TreeProfile, player: str
-) -> dict[Address, str]:
-    """Greedy best response for ``player``: first maximizer in branch order."""
-    choices: dict[Address, str] = {}
-
-    def visit(sub: FiniteGame, address: Address) -> Fraction:
-        if isinstance(sub, Leaf):
-            return sub.payoffs[player]
-        values = [
-            (action, visit(child, address + (action,)))
-            for action, child in sub.branches
-        ]
-        if sub.mover == player:
-            best_action, best = values[0]
-            for action, value in values[1:]:
-                if value > best:
-                    best_action, best = action, value
-            choices[address] = best_action
-            return best
-        chosen = profile.action_at(address)
-        for action, value in values:
-            if action == chosen:
-                return value
-        raise GameError(f"unknown action {chosen!r} at {format_address(address)}")
-
-    visit(game, ())
-    return choices
+    return _best_responses(tree, player, choose)[0]
 
 
 def _nash_counterexample(
-    game: FiniteGame, profile: TreeProfile, values: dict[Address, PayoffVector]
+    tree: _Tree, picks: tuple[int, ...], reached: list[int]
 ) -> Counterexample | None:
     """Root-payoff deviation check: can any player improve on the whole game?"""
-    for player in sorted({s.mover for _, s in walk(game) if isinstance(s, Node)}):
-        current = values[()][player]
-        best = best_response_value(game, profile, player)
-        if best <= current:
+    choose = dict(zip(tree.post, picks)).__getitem__
+    for player in tree.players():
+        current = tree.payoffs[reached[0]][player]
+        best = _best_responses(tree, player, choose)
+        if best[0] <= current:
             continue
-        # Witness: first node on the improved play path where the best
-        # response departs from the profile.
-        response = _best_response_choices(game, profile, player)
-        sub, address = game, ()
-        while isinstance(sub, Node):
-            chosen = response.get(address, profile.action_at(address))
-            if sub.mover == player and chosen != profile.action_at(address):
-                return Counterexample(address, player, chosen, current, best)
-            sub = dict(sub.branches)[chosen]
-            address = address + (chosen,)
+        # Witness: first node on the improved play path where the greedy
+        # best response (first maximizer in branch order) departs from the
+        # profile.
+        i = 0
+        while tree.movers[i] is not None:
+            kids = tree.children[i]
+            pick = choose(i)
+            if tree.movers[i] == player:
+                response = next(b for b, k in enumerate(kids) if best[k] == best[i])
+                if response != pick:
+                    return Counterexample(
+                        tree.addresses[i], player, tree.labels[i][response], current, best[0]
+                    )
+            i = kids[pick]
         raise AssertionError("improving best response with no deviation on path")
     return None
 
@@ -333,36 +417,39 @@ def is_spe_finite(
 ) -> SpeCheck:
     """One-shot deviation check for subgame perfection.
 
-    Deviations are evaluated bottom-up (deepest subgames first, branches in
-    order), so the returned counterexample is the first one in depth-first
-    order.  With ``root_only`` the profile is instead checked as a plain
-    equilibrium of the whole game: each player may re-plan all her choices
-    but only the payoff at the root counts, so non-credible threats off the
-    play path are not questioned.
+    The game is compiled once into preorder arrays and checked in one
+    iterative post-order pass (deepest subgames first, branches in order),
+    so the returned counterexample is the first one in depth-first order and
+    the depth of the tree is not limited by the recursion limit.  With
+    ``root_only`` the profile is instead checked as a plain equilibrium of
+    the whole game: each player may re-plan all her choices but only the
+    payoff at the root counts, so non-credible threats off the play path are
+    not questioned.
+
+    Raises ProfileError if the profile is not total (``check_profile_total``)
+    and UnknownPlayerError if a leaf lacks a mover's payoff.
     """
     check_profile_total(game, profile)
-    values = _profile_values(game, profile)
+    tree = _Tree(game)
+    picks = tree.picks(profile)
     if root_only:
-        return SpeCheck(_nash_counterexample(game, profile, values))
-
-    def visit(sub: FiniteGame, address: Address) -> Counterexample | None:
-        if isinstance(sub, Leaf):
-            return None
-        for action, child in sub.branches:
-            found = visit(child, address + (action,))
-            if found is not None:
-                return found
-        chosen = profile.action_at(address)
-        current = values[address][sub.mover]
-        for action, _ in sub.branches:
-            if action == chosen:
-                continue
-            deviation = values[address + (action,)][sub.mover]
-            if deviation > current:
-                return Counterexample(address, sub.mover, action, current, deviation)
-        return None
-
-    return SpeCheck(visit(game, ()))
+        return SpeCheck(_nash_counterexample(tree, picks, _reached(tree, picks)))
+    nodes = tree.checked_nodes(tree.rows())
+    reached = list(range(len(tree.addresses)))
+    found = _first_deviation(nodes, picks, reached)
+    if found is None:
+        return SpeCheck()
+    n, branch = found
+    i, kids, row = nodes[n]
+    return SpeCheck(
+        Counterexample(
+            tree.addresses[i],
+            tree.movers[i],
+            tree.labels[i][branch],
+            row[reached[kids[picks[n]]]],
+            row[reached[kids[branch]]],
+        )
+    )
 
 
 def is_spe_by_best_response(game: FiniteGame, profile: TreeProfile) -> bool:
@@ -373,25 +460,14 @@ def is_spe_by_best_response(game: FiniteGame, profile: TreeProfile) -> bool:
     confirm that one-shot deviations suffice on finite games.
     """
     check_profile_total(game, profile)
-    values = _profile_values(game, profile)
-    players = sorted({s.mover for _, s in walk(game) if isinstance(s, Node)})
-
-    def best(sub: FiniteGame, address: Address, player: str) -> Fraction:
-        if isinstance(sub, Leaf):
-            return sub.payoffs[player]
-        if sub.mover == player:
-            return max(
-                best(child, address + (action,), player)
-                for action, child in sub.branches
-            )
-        chosen = profile.action_at(address)
-        return best(dict(sub.branches)[chosen], address + (chosen,), player)
-
-    for address, sub in walk(game):
-        if isinstance(sub, Leaf):
-            continue
-        for player in players:
-            if best(sub, address, player) > values[address][player]:
+    tree = _Tree(game)
+    picks = tree.picks(profile)
+    reached = _reached(tree, picks)
+    choose = dict(zip(tree.post, picks)).__getitem__
+    for player in tree.players():
+        for i in tree.post:
+            best = _best_responses(tree, player, choose, i)[i]
+            if best > tree.payoffs[reached[i]][player]:
                 return False
     return True
 
@@ -405,34 +481,50 @@ def profile_space_size(game: FiniteGame) -> int:
 
 def all_profiles(game: FiniteGame) -> Iterator[TreeProfile]:
     """Every total profile, in lexicographic (address, branch order) order."""
-    addresses = sorted(internal_addresses(game))
-    options = [
-        [action for action, _ in _node_at(game, address).branches]
-        for address in addresses
-    ]
-    for combo in itertools.product(*options):
+    tree = _Tree(game)
+    nodes = sorted((tree.addresses[i], tree.labels[i]) for i in tree.post)
+    addresses = [address for address, _ in nodes]
+    for combo in itertools.product(*(labels for _, labels in nodes)):
         yield TreeProfile(zip(addresses, combo))
 
 
-def _node_at(game: FiniteGame, address: Address) -> Node:
-    current = game
-    for label in address:
-        assert isinstance(current, Node)
-        current = dict(current.branches)[label]
-    assert isinstance(current, Node)
-    return current
+def _ranks(row: list[Fraction | None]) -> list[int]:
+    """Each leaf payoff replaced by its rank among the row's distinct values."""
+    rank = {v: r for r, v in enumerate(sorted({v for v in row if v is not None}))}
+    return [-1 if v is None else rank[v] for v in row]
 
 
 def brute_force_spe(
     game: FiniteGame, cap: int = DEFAULT_PROFILE_CAP
 ) -> frozenset[TreeProfile]:
-    """Oracle: enumerate every total profile and filter with is_spe_finite."""
+    """Oracle: enumerate every total profile and keep those that pass the
+    one-shot deviation check.
+
+    Independent of the solver: it never calls ``_analyze``,
+    ``backward_induction`` or ``enumerate_spe_profiles``.  The game is
+    validated and compiled once; each profile is a tuple of branch indices,
+    total by construction, checked by one post-order pass of the check
+    ``is_spe_finite`` makes (``_first_deviation``) on payoff ranks, which
+    order the leaves exactly as the payoffs do.  A ``TreeProfile`` is built
+    only for accepted profiles.
+    """
     _require_valid(game)
     size = profile_space_size(game)
     if size > cap:
         raise CapExceededError(f"profile space {size} exceeds cap {cap}")
+    tree = _Tree(game)
+    nodes = tree.checked_nodes({p: _ranks(row) for p, row in tree.rows().items()})
+    reached = list(range(len(tree.addresses)))
+    accepted = [
+        picks
+        for picks in itertools.product(*(range(len(kids)) for _, kids, _ in nodes))
+        if _first_deviation(nodes, picks, reached) is None
+    ]
+    addresses = [tree.addresses[i] for i in tree.post]
+    labels = [tree.labels[i] for i in tree.post]
     return frozenset(
-        profile for profile in all_profiles(game) if is_spe_finite(game, profile).ok
+        TreeProfile(zip(addresses, map(tuple.__getitem__, labels, picks)))
+        for picks in accepted
     )
 
 

@@ -25,8 +25,10 @@ PLAYERS = ("A", "B")
 ACTION_NAMES = ("a", "b", "c")
 
 
-def random_payoffs(rng: random.Random, low: int = 0, high: int = 5) -> PayoffVector:
-    return PayoffVector({p: rng.randint(low, high) for p in PLAYERS})
+def random_payoffs(
+    rng: random.Random, low: int = 0, high: int = 5, players: tuple[str, ...] = PLAYERS
+) -> PayoffVector:
+    return PayoffVector({p: rng.randint(low, high) for p in players})
 
 
 def random_finite_game(
@@ -36,17 +38,18 @@ def random_finite_game(
     low: int = 0,
     high: int = 5,
     max_profiles: int = 2048,
+    players: tuple[str, ...] = PLAYERS,
 ) -> FiniteGame:
     """A random small game whose profile space stays enumerable."""
 
     def build(depth_left: int) -> FiniteGame:
         if depth_left == 0 or rng.random() < 0.3:
-            return Leaf(random_payoffs(rng, low, high))
+            return Leaf(random_payoffs(rng, low, high, players))
         width = rng.randint(1, max_branching)
         branches = tuple(
             (ACTION_NAMES[i], build(depth_left - 1)) for i in range(width)
         )
-        return Node(rng.choice(PLAYERS), branches)
+        return Node(rng.choice(players), branches)
 
     while True:
         game = build(max_depth)

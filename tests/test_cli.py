@@ -15,15 +15,18 @@ CHILD_CRASH_MARKERS = (
 )
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, hash_seed=None):
     # The child runs the CLI of this tree's src/, whether or not a copy of
     # seqgames is installed and whatever directory pytest runs from.
+    env = {"PATH": "", "NO_COLOR": "1", "PYTHONPATH": str(SRC)}
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     result = subprocess.run(
         [sys.executable, "-m", "seqgames.cli", *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env={"PATH": "", "NO_COLOR": "1", "PYTHONPATH": str(SRC)},
+        env=env,
     )
     if any(marker in result.stderr for marker in CHILD_CRASH_MARKERS):
         pytest.fail(result.stderr, pytrace=False)
@@ -132,6 +135,21 @@ def test_check_profile_mismatch_is_input_error(tmp_path):
     partial.write_text("profile { SA: l }")
     result = run_cli("check", game("zero_one.ggraph"), "--profile", str(partial))
     assert result.returncode == 2
+
+
+def test_unknown_action_error_does_not_depend_on_hash_seed(tmp_path):
+    # Six unknown actions; the first in (length, address) order is reported.
+    bad = tmp_path / "bad.profile"
+    choices = ["  .: c"] + [
+        f"  {'.'.join('c' * k)}: x{k}" for k in range(1, 7)
+    ]
+    bad.write_text("profile {\n" + "\n".join(choices) + "\n}\n")
+    argv = ("check", game("zero_one_7.game"), "--profile", str(bad))
+    first = run_cli(*argv, hash_seed=0)
+    second = run_cli(*argv, hash_seed=1)
+    assert first.returncode == second.returncode == 2
+    assert first.stderr == second.stderr
+    assert "profile chooses unknown action 'x1' at c\n" in first.stderr
 
 
 def test_enumerate_table():
