@@ -13,7 +13,7 @@ rejected as not admissible rather than compared.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +26,7 @@ from seqgames.core import (
     PayoffVector,
     ProfileError,
     TreeProfile,
+    _FrozenMap,
 )
 from seqgames.finite import SpeCheck, is_spe_finite
 from seqgames.graphs import (
@@ -49,47 +50,14 @@ class CrossCheckError(GameError):
     """The symbolic verdict disagreed with its concrete unfolding check."""
 
 
-class StationaryProfile(Mapping[str, str]):
-    """One chosen action per decision state; history-independent."""
+class StationaryProfile(_FrozenMap):
+    """One chosen action per decision state; history-independent.
 
-    __slots__ = ("_choices",)
+    Enumeration holds tens of thousands of these at once, so lookups scan
+    the sorted tuple and no per-instance dict is kept.
+    """
 
-    def __init__(
-        self,
-        choices: Mapping[str, str] | Iterable[tuple[str, str]] = (),
-        **named: str,
-    ) -> None:
-        items: dict[str, str] = {}
-        pairs = choices.items() if isinstance(choices, Mapping) else choices
-        for sid, action in pairs:
-            items[sid] = action
-        for sid, action in named.items():
-            items[sid] = action
-        self._choices: tuple[tuple[str, str], ...] = tuple(sorted(items.items()))
-
-    def __getitem__(self, sid: str) -> str:
-        for state, action in self._choices:
-            if state == sid:
-                return action
-        raise KeyError(sid)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sid for sid, _ in self._choices)
-
-    def __len__(self) -> int:
-        return len(self._choices)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, StationaryProfile):
-            return self._choices == other._choices
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._choices)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{sid}:{action}" for sid, action in self._choices)
-        return f"StationaryProfile({inner})"
+    __slots__ = ()
 
     def action_at(self, sid: str) -> str:
         try:
@@ -289,7 +257,7 @@ class _ProfileChecker:
 
     def choices(self, profile: StationaryProfile) -> dict[str, str]:
         """The profile's choices; raises ProfileError unless it is total."""
-        choices = dict(profile._choices)
+        choices = dict(profile._entries)
         if choices.keys() != self.moves.keys() or any(
             choices[sid] not in moves for sid, moves in self.moves.items()
         ):

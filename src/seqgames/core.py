@@ -45,57 +45,78 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-class PayoffVector(Mapping[str, Fraction]):
-    """Immutable map from player id to an exact rational payoff.
+class _FrozenMap(Mapping):
+    """Immutable mapping stored as a tuple of entries sorted by key.
 
-    Entries are stored sorted by player id, so two vectors with the same
-    content compare and hash equal regardless of construction order.
+    Two maps of the same class with the same content compare and hash equal
+    whatever the construction order; maps of different classes never do.
+    Lookups scan the tuple, which beats a dict or bisection at the handful
+    of entries most maps hold.  The hash is computed on first use and kept,
+    because maps are hashed often as set members and dict keys.
     """
 
     __slots__ = ("_entries", "_hash")
 
-    def __init__(
-        self,
-        entries: Mapping[str, RationalLike] | Iterable[tuple[str, RationalLike]] = (),
-        **named: RationalLike,
-    ) -> None:
-        items: dict[str, Fraction] = {}
-        pairs = entries.items() if isinstance(entries, Mapping) else entries
-        for player, value in pairs:
-            items[player] = as_fraction(value)
-        for player, value in named.items():
-            items[player] = as_fraction(value)
-        self._entries: tuple[tuple[str, Fraction], ...] = tuple(sorted(items.items()))
+    def __init__(self, entries: Mapping | Iterable[tuple] = (), **named: object) -> None:
+        items = dict(entries)
+        items.update(named)
+        self._entries: tuple[tuple, ...] = tuple(sorted(items.items()))
 
-    def __getitem__(self, player: str) -> Fraction:
-        for pid, value in self._entries:
-            if pid == player:
+    def __getitem__(self, key):
+        for k, value in self._entries:
+            if k == key:
                 return value
-        raise UnknownPlayerError(f"no payoff entry for player {player!r}")
+        raise self._missing(key)
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(pid for pid, _ in self._entries)
+    def _missing(self, key) -> KeyError:
+        return KeyError(key)
+
+    def __iter__(self) -> Iterator:
+        return iter([k for k, _ in self._entries])
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, PayoffVector):
-            return self._entries == other._entries
+        if other.__class__ is self.__class__:
+            return self._entries == other._entries  # type: ignore[attr-defined]
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Hashing the Fractions is costly and vectors are hashed often as
-        # set and dict keys, so the hash is computed on first use and kept.
         try:
             return self._hash
         except AttributeError:
             self._hash: int = hash(self._entries)
             return self._hash
 
+    def _format_key(self, key) -> str:
+        return str(key)
+
     def __repr__(self) -> str:
-        inner = ", ".join(f"{pid}:{value}" for pid, value in self._entries)
-        return f"PayoffVector({inner})"
+        inner = ", ".join(f"{self._format_key(k)}:{v}" for k, v in self._entries)
+        return f"{type(self).__name__}({inner})"
+
+
+class PayoffVector(_FrozenMap):
+    """Immutable map from player id to an exact rational payoff.
+
+    Values are coerced with ``as_fraction``; looking up a player the vector
+    does not cover raises UnknownPlayerError.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        entries: Mapping[str, RationalLike] | Iterable[tuple[str, RationalLike]] = (),
+        **named: RationalLike,
+    ) -> None:
+        items = dict(entries)
+        items.update(named)
+        self._entries = tuple(sorted((pid, as_fraction(v)) for pid, v in items.items()))
+
+    def _missing(self, player: str) -> KeyError:
+        return UnknownPlayerError(f"no payoff entry for player {player!r}")
 
     @property
     def players(self) -> frozenset[str]:
@@ -262,44 +283,29 @@ def validate_game(game: FiniteGame, players: Iterable[str] | None = None) -> Val
     return ValidationReport(tuple(found))
 
 
-class TreeProfile(Mapping[Address, str]):
+class TreeProfile(_FrozenMap):
     """One chosen action per decision node, keyed by node address.
 
-    The sorted choice tuple serves equality, hashing and repr; lookups and
-    iteration (in the same sorted order) go through a dict.
+    Profiles on deep trees reach hundreds of addresses, so lookups go
+    through a dict; the sorted tuple still serves iteration, equality,
+    hashing and repr, which prints the root as ``.`` and others as ``c.l``.
     """
 
-    __slots__ = ("_choices", "_lookup")
+    __slots__ = ("_lookup",)
 
     def __init__(
         self,
         choices: Mapping[Address, str] | Iterable[tuple[Address, str]] = (),
     ) -> None:
         pairs = choices.items() if isinstance(choices, Mapping) else choices
-        items = {tuple(addr): action for addr, action in pairs}
-        self._choices: tuple[tuple[Address, str], ...] = tuple(sorted(items.items()))
-        self._lookup: dict[Address, str] = dict(self._choices)
+        self._lookup: dict[Address, str] = {tuple(addr): action for addr, action in pairs}
+        self._entries = tuple(sorted(self._lookup.items()))
 
     def __getitem__(self, address: Address) -> str:
         return self._lookup[address]
 
-    def __iter__(self) -> Iterator[Address]:
-        return iter(self._lookup)
-
-    def __len__(self) -> int:
-        return len(self._choices)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TreeProfile):
-            return self._choices == other._choices
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._choices)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{_format_address(a)}:{act}" for a, act in self._choices)
-        return f"TreeProfile({inner})"
+    def _format_key(self, address: Address) -> str:
+        return _format_address(address)
 
     def action_at(self, address: Address) -> str:
         try:

@@ -21,6 +21,7 @@ from seqgames.core import (
     Node,
     PayoffVector,
     TreeProfile,
+    format_address,
 )
 from seqgames.coinduction import StationaryProfile
 from seqgames.graphs import (
@@ -32,6 +33,7 @@ from seqgames.graphs import (
     ParamGraph,
     ParamTerminal,
     Terminal,
+    _edge_views,
 )
 
 KEYWORDS = frozenset({"leaf", "node", "graph", "pgraph", "state", "start", "profile"})
@@ -472,37 +474,31 @@ def parse(text: str) -> Document:
 # --- serialization ----------------------------------------------------------
 
 
-def _fmt_rational(value: Fraction) -> str:
-    return str(value)
+def _fmt_payoffs(payoffs: PayoffVector | AffinePayoffs) -> str:
+    return " ".join(f"({pid}:{v})" for pid, v in payoffs.items())
 
 
-def _fmt_payoffs(payoffs: PayoffVector) -> str:
-    return " ".join(f"({pid}:{_fmt_rational(v)})" for pid, v in payoffs.items())
-
-
-def _fmt_affine(expr: AffineExpr) -> str:
-    if expr.slope == 0:
-        return _fmt_rational(expr.intercept)
-    sign = "+" if expr.slope > 0 else "-"
-    return f"{_fmt_rational(expr.intercept)} {sign} {_fmt_rational(abs(expr.slope))}*k"
-
-
-def _fmt_affine_payoffs(payoffs: AffinePayoffs) -> str:
-    return " ".join(f"({pid}:{_fmt_affine(v)})" for pid, v in payoffs.items())
-
-
-def _fmt_finite(game: FiniteGame, indent: int) -> str:
-    if isinstance(game, Leaf):
-        return f"(leaf {_fmt_payoffs(game.payoffs)})"
-    pad = "  " * (indent + 1)
-    lines = [f"(node {game.mover}"]
-    for action, child in game.branches:
-        lines.append(f"{pad}({action} {_fmt_finite(child, indent + 1)})")
-    return "\n".join(lines) + ")"
-
-
-def _fmt_profile_key(key: tuple[str, ...]) -> str:
-    return ".".join(key) if key else "."
+def _fmt_finite(game: FiniteGame) -> str:
+    """Render a tree with an explicit stack, so depth is not bounded by the
+    recursion limit.  The stack holds subtrees with their indent, and the
+    literal text to emit between them."""
+    parts: list[str] = []
+    stack: list[str | tuple[FiniteGame, int]] = [(game, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        sub, indent = item
+        if isinstance(sub, Leaf):
+            parts.append(f"(leaf {_fmt_payoffs(sub.payoffs)})")
+            continue
+        parts.append(f"(node {sub.mover}")
+        stack.append(")")
+        pad = "\n" + "  " * (indent + 1)
+        for action, child in reversed(sub.branches):
+            stack.extend((")", (child, indent + 1), f"{pad}({action} "))
+    return "".join(parts)
 
 
 def serialize(value: Document | StationaryProfile | TreeProfile) -> str:
@@ -513,52 +509,28 @@ def serialize(value: Document | StationaryProfile | TreeProfile) -> str:
     terms.  Output uses two-space indentation and LF newlines.
     """
     if isinstance(value, (Leaf, Node)):
-        return _fmt_finite(value, 0) + "\n"
-    if isinstance(value, GameGraph):
-        lines = [f"graph {value.name} {{"]
+        return _fmt_finite(value) + "\n"
+    if isinstance(value, (GameGraph, ParamGraph)):
+        keyword = "pgraph" if isinstance(value, ParamGraph) else "graph"
+        lines = [f"{keyword} {value.name} {{"]
         for sid, state in value.states.items():
-            if isinstance(state, Terminal):
+            if isinstance(state, (Terminal, ParamTerminal)):
                 lines.append(f"  state {sid} = leaf {_fmt_payoffs(state.payoffs)}")
             else:
-                edges = ", ".join(f"{a} -> {t}" for a, t in state.edges)
+                edges = ", ".join(
+                    f"{action} -> {target}{' @ k+1' if delta else ''}"
+                    for action, target, delta in _edge_views(state)
+                )
                 lines.append(f"  state {sid} = node {state.mover} {{ {edges} }}")
         lines.append(f"  start {value.start}")
         lines.append("}")
         return "\n".join(lines) + "\n"
-    if isinstance(value, ParamGraph):
-        lines = [f"pgraph {value.name} {{"]
-        for sid, state in value.states.items():
-            if isinstance(state, ParamTerminal):
-                lines.append(
-                    f"  state {sid} = leaf {_fmt_affine_payoffs(state.payoffs)}"
-                )
-            else:
-                rendered = []
-                for action, target, delta in state.edges:
-                    suffix = " @ k+1" if delta else ""
-                    rendered.append(f"{action} -> {target}{suffix}")
-                lines.append(
-                    f"  state {sid} = node {state.mover} {{ {', '.join(rendered)} }}"
-                )
-        lines.append(f"  start {value.start}")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if isinstance(value, StationaryProfile):
+    if isinstance(value, (StationaryProfile, TreeProfile, ProfileDoc)):
+        pairs = value.entries if isinstance(value, ProfileDoc) else value.items()
         lines = ["profile {"]
-        for sid in value:
-            lines.append(f"  {sid}: {value[sid]}")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if isinstance(value, TreeProfile):
-        lines = ["profile {"]
-        for address in value:
-            lines.append(f"  {_fmt_profile_key(address)}: {value[address]}")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if isinstance(value, ProfileDoc):
-        lines = ["profile {"]
-        for key, action in value.entries:
-            lines.append(f"  {_fmt_profile_key(key)}: {action}")
+        for key, action in pairs:
+            shown = key if isinstance(key, str) else format_address(key)
+            lines.append(f"  {shown}: {action}")
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise TypeError(f"cannot serialize {type(value).__name__}")

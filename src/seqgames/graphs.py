@@ -9,7 +9,7 @@ enough to express auctions whose stakes grow by a fixed step each round.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +23,7 @@ from seqgames.core import (
     Violation,
     as_fraction,
     FiniteGame,
+    _FrozenMap,
 )
 
 
@@ -59,47 +60,10 @@ class AffineExpr:
         return f"{self.intercept} {sign} {abs(self.slope)}*k"
 
 
-class AffinePayoffs(Mapping[str, AffineExpr]):
-    """Immutable map from player id to an affine payoff expression."""
+class AffinePayoffs(_FrozenMap):
+    """Immutable map from player id to a payoff affine in the stage counter k."""
 
-    __slots__ = ("_entries",)
-
-    def __init__(
-        self,
-        entries: Mapping[str, AffineExpr] | Iterable[tuple[str, AffineExpr]] = (),
-        **named: AffineExpr,
-    ) -> None:
-        items: dict[str, AffineExpr] = {}
-        pairs = entries.items() if isinstance(entries, Mapping) else entries
-        for player, expr in pairs:
-            items[player] = expr
-        for player, expr in named.items():
-            items[player] = expr
-        self._entries: tuple[tuple[str, AffineExpr], ...] = tuple(sorted(items.items()))
-
-    def __getitem__(self, player: str) -> AffineExpr:
-        for pid, expr in self._entries:
-            if pid == player:
-                return expr
-        raise KeyError(player)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(pid for pid, _ in self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, AffinePayoffs):
-            return self._entries == other._entries
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._entries)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{pid}:{expr}" for pid, expr in self._entries)
-        return f"AffinePayoffs({inner})"
+    __slots__ = ()
 
     def at_stage(self, k: int) -> PayoffVector:
         return PayoffVector({pid: expr.at(k) for pid, expr in self._entries})

@@ -25,13 +25,12 @@ from seqgames.coinduction import (
 from seqgames.finite import backward_induction
 from seqgames.graphs import (
     AnyGraph,
-    Decision,
     MissingClosureError,
-    ParamDecision,
     ParamGraph,
     ParamTerminal,
     Terminal,
     _edge_views,
+    graph_players,
     unfold,
     unfold_param,
 )
@@ -170,16 +169,6 @@ def _characterize_summary(tree, summary) -> dict[str, Characterization]:
     return result
 
 
-def _graph_players(graph: AnyGraph) -> list[str]:
-    players: set[str] = set()
-    for state in graph.states.values():
-        if isinstance(state, (Decision, ParamDecision)):
-            players.add(state.mover)
-        else:
-            players.update(state.payoffs)
-    return sorted(players)
-
-
 def summarize_depth(graph: AnyGraph, depth: int, rule: ClosureRule) -> DepthSummary:
     """Solve the depth-``depth`` truncation and characterize each player.
 
@@ -190,7 +179,7 @@ def summarize_depth(graph: AnyGraph, depth: int, rule: ClosureRule) -> DepthSumm
     tree = truncate(graph, depth, rule)
     summary = backward_induction(tree)
     characterization = _characterize_summary(tree, summary)
-    for player in _graph_players(graph):
+    for player in sorted(graph_players(graph)):
         characterization.setdefault(player, Characterization(CharKind.ABSENT))
     return DepthSummary(
         depth=depth,
@@ -293,7 +282,7 @@ def _profile_characterization(
     graph: AnyGraph, profile: StationaryProfile
 ) -> dict[str, Characterization]:
     result: dict[str, Characterization] = {}
-    for player in _graph_players(graph):
+    for player in sorted(graph_players(graph)):
         own = [
             sid
             for sid in graph.internal_ids()
@@ -314,7 +303,7 @@ def _spe_set_characterization(
     graph: AnyGraph, spes: Sequence[StationaryProfile]
 ) -> dict[str, Characterization]:
     result: dict[str, Characterization] = {}
-    for player in _graph_players(graph):
+    for player in sorted(graph_players(graph)):
         own = [
             sid
             for sid in graph.internal_ids()

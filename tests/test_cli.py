@@ -262,6 +262,16 @@ def test_preset_round_trips_against_shipped_files(tmp_path):
         assert result.stdout == (GAMES / filename).read_text()
 
 
+def test_preset_serializes_trees_deeper_than_the_recursion_limit():
+    result = run_cli("preset", "zero_one_finite", "--turns", "1500")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith("(node A\n  (c (node B\n")
+    assert result.stdout.count("(node ") == 1500
+    assert result.stdout.count("(leaf ") == 1501
+    assert result.stdout.count("(") == result.stdout.count(")")
+
+
 def test_usage_errors_exit_four():
     result = run_cli("solve", game("zero_one.ggraph"))
     assert result.returncode == 4

@@ -172,3 +172,68 @@ def test_fresh_import_releases_the_previous_one():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "released"
+
+
+def _four_maps():
+    """One sample of each frozen map, with a key it lacks and its error type."""
+    from seqgames.coinduction import StationaryProfile
+    from seqgames.graphs import AffineExpr, AffinePayoffs
+
+    return [
+        (PayoffVector, {"A": Fraction(1, 2), "B": Fraction(0)}, "C", UnknownPlayerError),
+        (TreeProfile, {(): "c", ("c",): "l"}, ("l",), KeyError),
+        (StationaryProfile, {"SA": "l", "SB": "c"}, "SC", KeyError),
+        (AffinePayoffs, {"A": AffineExpr(99, -1), "B": AffineExpr(0)}, "C", KeyError),
+    ]
+
+
+def test_frozen_map_contract():
+    from seqgames.coinduction import StationaryProfile
+    from seqgames.graphs import AffineExpr, AffinePayoffs
+
+    assert repr(PayoffVector(B=0, A="1/2")) == "PayoffVector(A:1/2, B:0)"
+    assert repr(TreeProfile({("c",): "l", (): "c"})) == "TreeProfile(.:c, c:l)"
+    assert repr(StationaryProfile(SB="c", SA="l")) == "StationaryProfile(SA:l, SB:c)"
+    assert (
+        repr(AffinePayoffs(B=AffineExpr(0), A=AffineExpr(99, -1)))
+        == "AffinePayoffs(A:99 - 1*k, B:0)"
+    )
+
+    built = []
+    for cls, content, absent, error in _four_maps():
+        pairs = list(content.items())
+        forms = [cls(content), cls(pairs), cls(reversed(pairs)), cls(dict(reversed(pairs)))]
+        if cls is not TreeProfile:  # tree addresses are tuples, not keywords
+            forms.append(cls(**content))
+            forms.append(cls(pairs[:1], **dict(pairs[1:])))
+        for value in forms:
+            assert value == forms[0] and hash(value) == hash(forms[0])
+            assert not value != forms[0]
+        value = forms[0]
+        assert list(value) == sorted(content)
+        assert len(value) == len(content)
+        assert dict(value) == content
+        assert value != content and content != value
+        assert value != cls(pairs[:1])
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(error) as raised:
+            value[absent]
+        assert isinstance(raised.value, KeyError)
+        if error is KeyError:
+            assert type(raised.value) is KeyError
+        assert absent not in value and pairs[0][0] in value
+        assert value.get(absent) is None and value.get(pairs[0][0]) == pairs[0][1]
+        built.append(value)
+    for i, one in enumerate(built):
+        for other in built[i + 1 :]:
+            assert one != other
+    # Equal contents in different classes still differ.
+    assert StationaryProfile(A="x") != AffinePayoffs(A="x")  # type: ignore[arg-type]
+
+    # Payoff vectors coerce their values and accept exact rationals only.
+    assert PayoffVector(A="1/2")["A"] == Fraction(1, 2)
+    assert PayoffVector([("A", 3)])["A"] == Fraction(3)
+    with pytest.raises(TypeError):
+        PayoffVector(A=1.5)  # type: ignore[arg-type]
+    with pytest.raises(UnknownPlayerError, match="no payoff entry for player 'B'"):
+        PayoffVector(A=1)["B"]

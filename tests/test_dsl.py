@@ -255,3 +255,24 @@ def test_tokenize_spans():
     assert kinds[:3] == ["LPAREN", "KEYWORD", "LPAREN"]
     second_line = [t for t in tokens if t.span.line == 2]
     assert second_line[0].span.column == 3
+
+
+def _recursive_fmt_finite(game, indent=0):
+    # The recursive serializer the iterative one replaced, kept as reference.
+    if isinstance(game, Leaf):
+        shown = " ".join(f"({pid}:{v})" for pid, v in game.payoffs.items())
+        return f"(leaf {shown})"
+    pad = "  " * (indent + 1)
+    lines = [f"(node {game.mover}"]
+    for action, child in game.branches:
+        lines.append(f"{pad}({action} {_recursive_fmt_finite(child, indent + 1)})")
+    return "\n".join(lines) + ")"
+
+
+def test_tree_serializer_matches_recursive_reference():
+    rng = random.Random(41)
+    games = [matching_pennies_sequential(), zero_one_finite(1), zero_one_finite(50)]
+    games += [random_finite_game(rng, max_profiles=256) for _ in range(60)]
+    games.append(Leaf(PayoffVector(A=Fraction(-3, 7), B=Fraction(5, 2))))
+    for game in games:
+        assert serialize(game) == _recursive_fmt_finite(game) + "\n"
