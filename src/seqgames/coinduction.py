@@ -22,7 +22,6 @@ from seqgames.core import (
     FiniteGame,
     GameError,
     Leaf,
-    Node,
     PayoffVector,
     ProfileError,
     TreeProfile,
@@ -39,6 +38,7 @@ from seqgames.graphs import (
     StageReachability,
     Terminal,
     _edge_views,
+    _unfold_tree,
     require_valid_graph,
 )
 
@@ -400,8 +400,12 @@ def check_spe_param(
     quotient.  Each deviation inequality is affine in the entry stage k of
     its state and must hold at every k the state is reachable with; the
     refutation witness is the least reachable violating stage.  Unless
-    disabled, the verdict is re-validated against a concrete unfolding of
-    ``cross_check_depth`` rounds solved by the finite checker.
+    ``cross_check_depth`` is None, the verdict is re-validated against the
+    concrete unfolding of that many rounds.  That check values each distinct
+    (state, stage, remaining depth) subgame once, at most
+    |states|*(depth+1)**2 of them, instead of every position of the tree
+    (up to 3**depth on 3-edge states); the tree is built only to word a
+    ``CrossCheckError``.
     """
     require_valid_graph(graph)
     return _ProfileChecker(graph).check(profile, cross_check_depth)
@@ -437,8 +441,7 @@ def concrete_unfolding_check(
     values = checker.play_values(checker.choices(profile))
     if isinstance(values, NotAdmissible):
         raise GameError(values.describe())
-    tree, induced, _ = _concrete_unfolding(graph, profile, values, depth)
-    return is_spe_finite(tree, induced)
+    return is_spe_finite(*_concrete_unfolding(graph, profile, values, depth))
 
 
 def _concrete_unfolding(
@@ -446,28 +449,20 @@ def _concrete_unfolding(
     profile: StationaryProfile,
     values: dict[str, AffinePayoffs],
     depth: int,
-) -> tuple[FiniteGame, TreeProfile, set[tuple[str, int]]]:
+) -> tuple[FiniteGame, TreeProfile]:
+    """The depth-``depth`` unfolding, cut states closed with their play
+    values, and the profile's choices copied onto it."""
+    tree = _unfold_tree(graph, depth, lambda sid, stage: values[sid].at_stage(stage))
     choices: dict[tuple[str, ...], str] = {}
-    seen: set[tuple[str, int]] = set()
-
-    def build(sid: str, stage: int, d: int, address: tuple[str, ...]) -> FiniteGame:
-        state = graph.state(sid)
-        if isinstance(state, ParamTerminal):
-            return Leaf(state.payoffs.at_stage(stage))
-        if d == depth:
-            return Leaf(values[sid].at_stage(stage))
-        seen.add((sid, stage))
+    stack = [(tree, graph.start, ())]
+    while stack:
+        node, sid, address = stack.pop()
+        if isinstance(node, Leaf):
+            continue
         choices[address] = profile[sid]
-        return Node(
-            state.mover,
-            tuple(
-                (action, build(target, stage + delta, d + 1, address + (action,)))
-                for action, target, delta in state.edges
-            ),
-        )
-
-    tree = build(graph.start, 0, 0, ())
-    return tree, TreeProfile(choices), seen
+        for (action, child), (_, target, _) in zip(node.branches, graph.states[sid].edges):
+            stack.append((child, target, address + (action,)))
+    return tree, TreeProfile(choices)
 
 
 def _cross_check(
@@ -477,15 +472,62 @@ def _cross_check(
     verdict: SpeVerdict,
     depth: int,
 ) -> None:
-    tree, induced, seen = _concrete_unfolding(graph, profile, values, depth)
-    concrete = is_spe_finite(tree, induced)
-    if isinstance(verdict, SpeOk) and not concrete.ok:
+    """Re-check a symbolic verdict on the depth-``depth`` concrete unfolding.
+
+    A position's subgame depends only on its key (state, stage, remaining
+    depth), so one post-order walk over the distinct keys, at most
+    |states|*(depth+1)**2 of them, gives each the payoff the profile reaches
+    from it: a terminal's payoffs or, at the cut, the state's play value, at
+    that stage.  The unfolding refutes the profile when some decision key has
+    a branch that beats the chosen one for its mover.  The tree itself is
+    built only to word a disagreement.
+    """
+    states = graph.states
+    choices = dict(profile._entries)
+    picks = {
+        sid: [action for action, _, _ in states[sid].edges].index(choice)
+        for sid, choice in choices.items()
+    }
+    reached: dict[tuple[str, int, int], PayoffVector] = {}
+    seen: set[tuple[str, int]] = set()
+    refuted = False
+
+    def key(sid: str, stage: int, remaining: int) -> tuple[str, int, int]:
+        return (sid, stage, 0 if isinstance(states[sid], ParamTerminal) else remaining)
+
+    stack = [key(graph.start, 0, depth)]
+    while stack:
+        here = stack[-1]
+        if here in reached:
+            stack.pop()
+            continue
+        sid, stage, remaining = here
+        state = states[sid]
+        if remaining == 0:
+            payoffs = state.payoffs if isinstance(state, ParamTerminal) else values[sid]
+            reached[here] = payoffs.at_stage(stage)
+            stack.pop()
+            continue
+        kids = [key(target, stage + delta, remaining - 1) for _, target, delta in state.edges]
+        missing = [kid for kid in kids if kid not in reached]
+        if missing:
+            stack.extend(reversed(missing))
+            continue
+        stack.pop()
+        seen.add((sid, stage))
+        mover = state.mover
+        own = reached[kids[picks[sid]]]
+        reached[here] = own
+        if not refuted:
+            refuted = any(reached[kid][mover] > own[mover] for kid in kids)
+    if isinstance(verdict, SpeOk) and refuted:
+        concrete = is_spe_finite(*_concrete_unfolding(graph, profile, values, depth))
         raise CrossCheckError(
             f"symbolic check accepts but depth-{depth} unfolding refutes: "
             f"{concrete.counterexample}"
         )
     if isinstance(verdict, Refuted) and (verdict.state, verdict.stage) in seen:
-        if concrete.ok:
+        if not refuted:
             raise CrossCheckError(
                 f"symbolic check refutes at {verdict.state} (stage {verdict.stage}) "
                 f"but the depth-{depth} unfolding accepts"

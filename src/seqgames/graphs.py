@@ -206,7 +206,7 @@ def unfold(graph: GameGraph, depth: int, closure: ClosureMap) -> FiniteGame:
     require_valid_graph(graph)
     lookup = closure if callable(closure) else None
 
-    def closure_for(sid: str) -> PayoffVector:
+    def closure_for(sid: str, stage: int) -> PayoffVector:
         if lookup is not None:
             return lookup(sid)
         try:
@@ -214,18 +214,7 @@ def unfold(graph: GameGraph, depth: int, closure: ClosureMap) -> FiniteGame:
         except KeyError:
             raise MissingClosureError(f"no closure payoff for cut state {sid!r}") from None
 
-    def build(sid: str, d: int) -> FiniteGame:
-        state = graph.state(sid)
-        if isinstance(state, Terminal):
-            return Leaf(state.payoffs)
-        if d == depth:
-            return Leaf(closure_for(sid))
-        return Node(
-            state.mover,
-            tuple((action, build(target, d + 1)) for action, target in state.edges),
-        )
-
-    return build(graph.start, 0)
+    return _unfold_tree(graph, depth, closure_for)
 
 
 def unfold_param(
@@ -238,22 +227,51 @@ def unfold_param(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     require_valid_graph(graph)
+    return _unfold_tree(graph, depth, closure)
 
-    def build(sid: str, stage: int, d: int) -> FiniteGame:
-        state = graph.state(sid)
+
+def _unfold_tree(
+    graph: AnyGraph, depth: int, cut: Callable[[str, int], PayoffVector]
+) -> FiniteGame:
+    """The depth-``depth`` unfolding of a graph the caller has validated.
+
+    Built by one explicit-stack walk, so depth is not bounded by the
+    recursion limit.  Leaves are made in depth-first order, branches in
+    order: a terminal gets its payoffs at its stage, a cut state
+    ``cut(state, stage)``.
+    """
+    edges = {sid: _edge_views(state) for sid, state in graph.states.items()}
+
+    def leaf(sid: str, stage: int, d: int) -> Leaf | None:
+        state = graph.states[sid]
+        if isinstance(state, Terminal):
+            return Leaf(state.payoffs)
         if isinstance(state, ParamTerminal):
             return Leaf(state.payoffs.at_stage(stage))
-        if d == depth:
-            return Leaf(closure(sid, stage))
-        return Node(
-            state.mover,
-            tuple(
-                (action, build(target, stage + delta, d + 1))
-                for action, target, delta in state.edges
-            ),
-        )
+        return Leaf(cut(sid, stage)) if d == depth else None
 
-    return build(graph.start, 0, 0)
+    root = leaf(graph.start, 0, 0)
+    if root is not None:
+        return root
+    # Frames: (state id, stage, depth, branches built so far).
+    stack: list[tuple[str, int, int, list[tuple[str, FiniteGame]]]] = [(graph.start, 0, 0, [])]
+    while True:
+        sid, stage, d, branches = stack[-1]
+        moves = edges[sid]
+        if len(branches) < len(moves):
+            action, target, delta = moves[len(branches)]
+            child = leaf(target, stage + delta, d + 1)
+            if child is None:
+                stack.append((target, stage + delta, d + 1, []))
+            else:
+                branches.append((action, child))
+            continue
+        stack.pop()
+        node = Node(graph.states[sid].mover, tuple(branches))  # type: ignore[union-attr]
+        if not stack:
+            return node
+        parent, _, _, siblings = stack[-1]
+        siblings.append((edges[parent][len(siblings)][0], node))
 
 
 def zero_one_graph() -> GameGraph:
@@ -309,10 +327,12 @@ class StageReachability:
     The per-stage state sets are eventually periodic (there are finitely many
     subsets of states), so the whole structure is computed exactly: a finite
     prefix of layers plus an optional repeating cycle of layers.
+
+    The graph must already be valid: the class is private to the library
+    (not exported from ``seqgames``) and every caller validates first.
     """
 
     def __init__(self, graph: ParamGraph) -> None:
-        require_valid_graph(graph)
         self._graph = graph
         layers: list[frozenset[str]] = []
         seen: dict[frozenset[str], int] = {}

@@ -272,6 +272,26 @@ def test_preset_serializes_trees_deeper_than_the_recursion_limit():
     assert result.stdout.count("(") == result.stdout.count(")")
 
 
+@pytest.mark.parametrize(
+    "path, opening",
+    [
+        ("zero_one.ggraph", "(node A\n  (c (node B\n"),
+        ("dollar_auction_100.pgraph", "(node A\n  (pass (leaf (A:0) (B:0)))\n  (bid (node B\n"),
+    ],
+    ids=["zero_one", "dollar_auction"],
+)
+def test_truncate_deeper_than_the_recursion_limit(path, opening):
+    # Both shipped graphs have one continuing edge per decision, so the
+    # depth-1000 unfolding is a spine: 1,000 decisions, one exit leaf off
+    # each and the cut leaf at the bottom.
+    result = run_cli("truncate", game(path), "--depth", "1000", "--closure", "quit")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith(opening)
+    assert result.stdout.count("(node ") == 1000
+    assert result.stdout.count("(leaf ") == 1001
+
+
 def test_usage_errors_exit_four():
     result = run_cli("solve", game("zero_one.ggraph"))
     assert result.returncode == 4

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from seqgames import coinduction
 from seqgames.core import GameError, PayoffVector, ProfileError
 from seqgames.coinduction import (
     Converges,
+    CrossCheckError,
     Diverges,
     NotAdmissible,
     Refuted,
@@ -27,7 +29,9 @@ from seqgames.coinduction import (
 from seqgames.finite import is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
+    AffinePayoffs,
     GameGraph,
+    ParamDecision,
     ParamGraph,
     ParamTerminal,
     StageReachability,
@@ -359,3 +363,110 @@ def test_value_pass_matches_per_state_replay():
         "terminal before decision", "unreachable state", "unbounded stages",
     ):
         assert features[name] >= 10, (name, features)
+
+
+def cross_check_outcome(graph, profile, values, verdict, depth):
+    """The CrossCheckError text ``_cross_check`` raises, or None."""
+    try:
+        coinduction._cross_check(graph, profile, values, verdict, depth)
+    except CrossCheckError as error:
+        return str(error)
+    return None
+
+
+def test_cross_check_on_distinct_subgames_matches_the_tree_oracle():
+    # The cross-check walks (state, stage, remaining) keys; the oracle
+    # builds and solves the whole depth-d tree.  Fed an accepting verdict,
+    # the cross-check must object exactly when the tree refutes, with the
+    # tree's first counterexample; fed a refutation at the start state, it
+    # must object exactly when the tree accepts.
+    rng = random.Random(4242)
+    outcomes: Counter = Counter()
+    for _ in range(200):
+        graph = random_param_graph(rng, max_internal=4)
+        checker = coinduction._ProfileChecker(graph)
+        for profile in stationary_profiles(graph):
+            values = checker.play_values(checker.choices(profile))
+            if isinstance(values, NotAdmissible):
+                continue
+            for depth in range(9):
+                concrete = concrete_unfolding_check(graph, profile, depth)
+                accepted = cross_check_outcome(graph, profile, values, SpeOk(), depth)
+                if concrete.ok:
+                    assert accepted is None, (graph, profile, depth)
+                else:
+                    assert accepted == (
+                        f"symbolic check accepts but depth-{depth} unfolding refutes: "
+                        f"{concrete.counterexample}"
+                    ), (graph, profile, depth)
+                claim = Refuted(graph.start, 0, "A", "a", PayoffVector(A=0), PayoffVector(A=1))
+                refuted = cross_check_outcome(graph, profile, values, claim, depth)
+                if depth > 0 and concrete.ok:
+                    assert refuted == (
+                        f"symbolic check refutes at {graph.start} (stage 0) "
+                        f"but the depth-{depth} unfolding accepts"
+                    ), (graph, profile, depth)
+                else:
+                    assert refuted is None, (graph, profile, depth)
+                outcomes[depth > 0, concrete.ok] += 1
+    # At depth 0 the unfolding is one leaf, so only depths from 1 can refute.
+    for key in ((True, True), (True, False), (False, True)):
+        assert outcomes[key] >= 50, outcomes
+
+
+def test_cross_check_disagreements_keep_the_tree_wording():
+    d = dollar_auction(100)
+    checker = coinduction._ProfileChecker(d)
+    never = checker.play_values(checker.choices(NEVER_BID))
+    with pytest.raises(CrossCheckError) as raised:
+        coinduction._cross_check(d, NEVER_BID, never, SpeOk(), 5)
+    assert str(raised.value) == (
+        "symbolic check accepts but depth-5 unfolding refutes: "
+        "A gains 98 at bid.raise.raise.raise by deviating to 'raise' (95 over -3)"
+    )
+    alice = checker.play_values(checker.choices(ALICE_RAISES))
+    claim = Refuted("S0", 0, "A", "pass", PayoffVector(A=99, B=0), PayoffVector(A=0, B=0))
+    with pytest.raises(CrossCheckError) as raised:
+        coinduction._cross_check(d, ALICE_RAISES, alice, claim, 5)
+    assert str(raised.value) == (
+        "symbolic check refutes at S0 (stage 0) but the depth-5 unfolding accepts"
+    )
+    # No position of the depth-5 unfolding has stage 9, so a claim there is
+    # not checked against it.
+    unseen = Refuted("DA", 9, "A", "quit", PayoffVector(A=0, B=0), PayoffVector(A=1, B=0))
+    assert cross_check_outcome(d, ALICE_RAISES, alice, unseen, 5) is None
+
+
+def random_three_edge_graph(rng, n_states):
+    """Every state has an exit to its own terminal and two continue edges,
+    each advancing the stage with probability 1/2; the unfolding has up to
+    3**depth positions."""
+    slopes = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+    states = {}
+    for i in range(n_states):
+        moves = [("x", f"T{i}", 0)]
+        moves += [(f"m{j}", f"S{rng.randrange(n_states)}", rng.randint(0, 1)) for j in range(2)]
+        states[f"S{i}"] = ParamDecision(rng.choice(("A", "B")), tuple(moves))
+        states[f"T{i}"] = ParamTerminal(
+            AffinePayoffs({p: AffineExpr(rng.randint(-6, 6), rng.choice(slopes)) for p in "AB"})
+        )
+    return ParamGraph(name="three", states=states, start="S0")
+
+
+def test_default_depth_cross_check_needs_no_tree(monkeypatch):
+    # At depth 20 these unfoldings have up to 3**20 positions; the
+    # cross-check must reach its verdicts without building or solving one.
+    def no_tree(*args, **kwargs):
+        raise AssertionError("the cross-check built the unfolding tree")
+
+    monkeypatch.setattr(coinduction, "is_spe_finite", no_tree)
+    monkeypatch.setattr(coinduction, "_concrete_unfolding", no_tree)
+    rng = random.Random(26)
+    kinds: Counter = Counter()
+    for n_states in (2, 3, 3, 4, 4, 5):
+        graph = random_three_edge_graph(rng, n_states)
+        for profile in stationary_profiles(graph):
+            verdict = check_spe_param(graph, profile)
+            assert verdict == check_spe_param(graph, profile, cross_check_depth=None)
+            kinds[type(verdict).__name__] += 1
+    assert kinds["SpeOk"] >= 20 and kinds["Refuted"] >= 100, kinds

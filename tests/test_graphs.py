@@ -11,6 +11,7 @@ from seqgames.graphs import (
     GameGraph,
     MissingClosureError,
     ParamDecision,
+    ParamTerminal,
     StageReachability,
     Terminal,
     dollar_auction,
@@ -19,7 +20,7 @@ from seqgames.graphs import (
     validate_graph,
     zero_one_graph,
 )
-from tests.conftest import random_game_graph
+from tests.conftest import random_game_graph, random_param_graph
 
 QUIT_CLOSURE = {"SA": PayoffVector(A=0, B=1), "SB": PayoffVector(A=1, B=0)}
 
@@ -217,3 +218,51 @@ def ParamGraphFixture():
         },
         start="GO",
     )
+
+
+def recursive_unfolding(graph, depth, cut):
+    """Reference for the iterative builder: the recursive walk it replaced,
+    with ``cut(state, stage)`` called at cut states in the same order."""
+
+    def build(sid, stage, d):
+        state = graph.states[sid]
+        if isinstance(state, Terminal):
+            return Leaf(state.payoffs)
+        if isinstance(state, ParamTerminal):
+            return Leaf(state.payoffs.at_stage(stage))
+        if d == depth:
+            return Leaf(cut(sid, stage))
+        edges = state.edges if isinstance(state, ParamDecision) else [(*e, 0) for e in state.edges]
+        return Node(
+            state.mover,
+            tuple((action, build(target, stage + delta, d + 1)) for action, target, delta in edges),
+        )
+
+    return build(graph.start, 0, 0)
+
+
+def logging_cut(log):
+    """A cut payoff that records each call and depends on the call order."""
+
+    def cut(sid, stage):
+        log.append((sid, stage))
+        return PayoffVector(A=len(log), B=stage)
+
+    return cut
+
+
+def test_unfold_matches_recursive_reference():
+    rng = random.Random(77)
+    graphs = [random_game_graph(rng, max_internal=4) for _ in range(40)]
+    graphs += [random_param_graph(rng, max_internal=4) for _ in range(40)]
+    for graph in graphs:
+        for depth in range(7):
+            calls, expected_calls = [], []
+            cut = logging_cut(calls)
+            if isinstance(graph, GameGraph):
+                tree = unfold(graph, depth, lambda sid: cut(sid, 0))
+            else:
+                tree = unfold_param(graph, depth, cut)
+            expected = recursive_unfolding(graph, depth, logging_cut(expected_calls))
+            assert tree == expected, (graph, depth)
+            assert calls == expected_calls
