@@ -45,7 +45,7 @@ from seqgames.escalation import (
 )
 from seqgames.finite import backward_induction, is_spe_finite
 from seqgames.gallery import PRESETS, build_preset
-from seqgames.graphs import AnyGraph, GameGraph, ParamGraph, validate_graph
+from seqgames.graphs import GameGraph, ParamGraph, validate_graph
 from seqgames.truncation import (
     ClosureRule,
     extrapolation_report,
@@ -190,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_graph(doc, path: str) -> AnyGraph:
-    if not isinstance(doc, (GameGraph, ParamGraph)):
+def _require_graph(doc, path: str) -> GameGraph:
+    if not isinstance(doc, GameGraph):
         raise _UsageError(f"{path} does not hold a graph document")
     report = validate_graph(doc)
     if not report.ok:
@@ -210,7 +210,7 @@ def _require_finite(doc, path: str) -> FiniteGame:
 
 def _cmd_validate(args) -> int:
     doc = _load(args.file)
-    if isinstance(doc, (GameGraph, ParamGraph)):
+    if isinstance(doc, GameGraph):
         report = validate_graph(doc)
     elif isinstance(doc, (Leaf, Node)):
         report = validate_game(doc)
@@ -330,9 +330,9 @@ def _cmd_check(args) -> int:
         "command": "check",
         "input": args.file,
         "profile": args.profile,
-        "solver": "one_shot_deviations"
-        if isinstance(graph, GameGraph)
-        else "one_shot_deviations_staged",
+        "solver": "one_shot_deviations_staged"
+        if isinstance(graph, ParamGraph)
+        else "one_shot_deviations",
     }
     payload.update(_verdict_json(verdict))
     if args.format == "json":

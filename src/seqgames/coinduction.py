@@ -21,7 +21,6 @@ from seqgames.core import (
     CapExceededError,
     FiniteGame,
     GameError,
-    Leaf,
     PayoffVector,
     ProfileError,
     TreeProfile,
@@ -31,13 +30,10 @@ from seqgames.finite import SpeCheck, is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
-    AnyGraph,
     GameGraph,
     ParamGraph,
-    ParamTerminal,
     StageReachability,
     Terminal,
-    _edge_views,
     _unfold_tree,
     require_valid_graph,
 )
@@ -66,7 +62,7 @@ class StationaryProfile(_FrozenMap):
             raise ProfileError(f"profile not total: no choice at state {sid!r}") from None
 
 
-def check_stationary_total(graph: AnyGraph, profile: StationaryProfile) -> None:
+def check_stationary_total(graph: GameGraph, profile: StationaryProfile) -> None:
     internal = set(graph.internal_ids())
     given = set(profile)
     missing = sorted(internal - given)
@@ -76,7 +72,7 @@ def check_stationary_total(graph: AnyGraph, profile: StationaryProfile) -> None:
     if extra:
         raise ProfileError(f"profile has a choice at non-decision state {extra[0]!r}")
     for sid in sorted(internal):
-        labels = {action for action, _, _ in _edge_views(graph.states[sid])}
+        labels = {action for action, _, _ in graph.states[sid].edges}
         if profile[sid] not in labels:
             raise ProfileError(
                 f"profile chooses unknown action {profile[sid]!r} at state {sid!r}"
@@ -164,25 +160,28 @@ class Refuted:
 SpeVerdict = SpeOk | NotAdmissible | Refuted
 
 
-def _walk_states(
-    graph: AnyGraph, profile: StationaryProfile, start: str
-) -> tuple[list[tuple[str, int]], str | None]:
-    """Follow the profile from ``start``; returns the visited (state, delta)
-    path and the terminal id reached, or None when a state repeats."""
-    path: list[tuple[str, int]] = []
+def play_graph(
+    graph: GameGraph, profile: StationaryProfile, from_state: str | None = None
+) -> PlayResult:
+    """Follow chosen edges until a terminal or a repeated state.
+
+    Terminates within ``len(graph.states) + 1`` steps.  On a parametrized
+    graph the payoffs come back affine in the entry stage of the origin
+    state (edge deltas en route shift the terminal's expressions).
+    """
+    path: list[tuple[str, int]] = []  # (state, stage delta) per step taken
     seen: dict[str, int] = {}
-    sid = start
+    sid = graph.start if from_state is None else from_state
     while True:
-        state = graph.states.get(sid)
-        if state is None:
-            raise GameError(f"unknown state {sid!r}")
-        if isinstance(state, (Terminal, ParamTerminal)):
-            return path, sid
+        state = graph.state(sid)
+        if isinstance(state, Terminal):
+            total_delta = sum(delta for _, delta in path)
+            return Converges(state.payoffs.shifted(total_delta), steps=len(path))
         if sid in seen:
-            return path[seen[sid]:], None
+            return Diverges(tuple(s for s, _ in path[seen[sid]:]))
         seen[sid] = len(path)
         chosen = profile.action_at(sid)
-        for action, target, delta in _edge_views(state):
+        for action, target, delta in state.edges:
             if action == chosen:
                 path.append((sid, delta))
                 sid = target
@@ -191,36 +190,11 @@ def _walk_states(
             raise ProfileError(f"profile chooses unknown action {chosen!r} at state {sid!r}")
 
 
-def play_graph(
-    graph: GameGraph, profile: StationaryProfile, from_state: str | None = None
-) -> PlayResult:
-    """Follow chosen edges until a terminal or a repeated state.
-
-    Terminates within ``len(graph.states) + 1`` steps.
-    """
-    start = graph.start if from_state is None else from_state
-    path, terminal = _walk_states(graph, profile, start)
-    if terminal is None:
-        return Diverges(tuple(sid for sid, _ in path))
-    state = graph.state(terminal)
-    assert isinstance(state, Terminal)
-    return Converges(state.payoffs, steps=len(path))
-
-
 def play_param(
     graph: ParamGraph, profile: StationaryProfile, from_state: str | None = None
 ) -> PlayResult:
-    """Like ``play_graph``; payoffs come back affine in the entry stage of
-    the origin state (edge deltas en route shift the terminal's expressions).
-    """
-    start = graph.start if from_state is None else from_state
-    path, terminal = _walk_states(graph, profile, start)
-    if terminal is None:
-        return Diverges(tuple(sid for sid, _ in path))
-    state = graph.state(terminal)
-    assert isinstance(state, ParamTerminal)
-    total_delta = sum(delta for _, delta in path)
-    return Converges(state.payoffs.shifted(total_delta), steps=len(path))
+    """``play_graph`` on a parametrized graph."""
+    return play_graph(graph, profile, from_state)
 
 
 class _ProfileChecker:
@@ -234,19 +208,17 @@ class _ProfileChecker:
 
     __slots__ = ("graph", "movers", "moves", "terminals", "_reach")
 
-    def __init__(self, graph: AnyGraph) -> None:
+    def __init__(self, graph: GameGraph) -> None:
         self.graph = graph
         self.movers: dict[str, str] = {}
         self.moves: dict[str, dict[str, tuple[str, int]]] = {}
         self.terminals: dict[str, PayoffVector | AffinePayoffs] = {}
         for sid, state in graph.states.items():
-            if isinstance(state, (Terminal, ParamTerminal)):
+            if isinstance(state, Terminal):
                 self.terminals[sid] = state.payoffs
             else:
                 self.movers[sid] = state.mover
-                self.moves[sid] = {
-                    action: (target, delta) for action, target, delta in _edge_views(state)
-                }
+                self.moves[sid] = {action: (target, delta) for action, target, delta in state.edges}
         self._reach: StageReachability | None = None
 
     @property
@@ -453,16 +425,26 @@ def _concrete_unfolding(
     """The depth-``depth`` unfolding, cut states closed with their play
     values, and the profile's choices copied onto it."""
     tree = _unfold_tree(graph, depth, lambda sid, stage: values[sid].at_stage(stage))
+    return tree, _unfolded_choices(graph, profile, depth)
+
+
+def _unfolded_choices(
+    graph: GameGraph, profile: StationaryProfile, depth: int
+) -> TreeProfile:
+    """The profile's choice at every decision position of the depth-``depth``
+    unfolding, by one explicit-stack walk, so depth is not bounded by the
+    recursion limit."""
     choices: dict[tuple[str, ...], str] = {}
-    stack = [(tree, graph.start, ())]
+    stack: list[tuple[str, int, tuple[str, ...]]] = [(graph.start, 0, ())]
     while stack:
-        node, sid, address = stack.pop()
-        if isinstance(node, Leaf):
+        sid, d, address = stack.pop()
+        state = graph.states[sid]
+        if isinstance(state, Terminal) or d == depth:
             continue
         choices[address] = profile[sid]
-        for (action, child), (_, target, _) in zip(node.branches, graph.states[sid].edges):
-            stack.append((child, target, address + (action,)))
-    return tree, TreeProfile(choices)
+        for action, target, _ in state.edges:
+            stack.append((target, d + 1, address + (action,)))
+    return TreeProfile(choices)
 
 
 def _cross_check(
@@ -493,7 +475,7 @@ def _cross_check(
     refuted = False
 
     def key(sid: str, stage: int, remaining: int) -> tuple[str, int, int]:
-        return (sid, stage, 0 if isinstance(states[sid], ParamTerminal) else remaining)
+        return (sid, stage, 0 if isinstance(states[sid], Terminal) else remaining)
 
     stack = [key(graph.start, 0, depth)]
     while stack:
@@ -504,7 +486,7 @@ def _cross_check(
         sid, stage, remaining = here
         state = states[sid]
         if remaining == 0:
-            payoffs = state.payoffs if isinstance(state, ParamTerminal) else values[sid]
+            payoffs = state.payoffs if isinstance(state, Terminal) else values[sid]
             reached[here] = payoffs.at_stage(stage)
             stack.pop()
             continue
@@ -535,7 +517,7 @@ def _cross_check(
 
 
 def check_spe(
-    graph: AnyGraph,
+    graph: GameGraph,
     profile: StationaryProfile,
     cross_check_depth: int | None = None,
 ) -> SpeVerdict:
@@ -545,25 +527,23 @@ def check_spe(
     return check_spe_graph(graph, profile)
 
 
-def stationary_profiles(graph: AnyGraph) -> Iterator[StationaryProfile]:
+def stationary_profiles(graph: GameGraph) -> Iterator[StationaryProfile]:
     """All stationary profiles, lexicographic by state id, branch order."""
     internal = sorted(graph.internal_ids())
-    options = [
-        [action for action, _, _ in _edge_views(graph.states[sid])] for sid in internal
-    ]
+    options = [[action for action, _, _ in graph.states[sid].edges] for sid in internal]
     for combo in itertools.product(*options):
         yield StationaryProfile(zip(internal, combo))
 
 
-def stationary_profile_count(graph: AnyGraph) -> int:
+def stationary_profile_count(graph: GameGraph) -> int:
     count = 1
     for sid in graph.internal_ids():
-        count *= len(_edge_views(graph.states[sid]))
+        count *= len(graph.states[sid].edges)
     return count
 
 
 def enumerate_stationary_spe(
-    graph: AnyGraph,
+    graph: GameGraph,
     cap: int = DEFAULT_STATIONARY_CAP,
     cross_check_depth: int | None = None,
 ) -> list[tuple[StationaryProfile, SpeVerdict]]:
@@ -600,18 +580,7 @@ def induced_tree_profile(
     """The profile's choices copied onto the depth-limited unfolding."""
     require_valid_graph(graph)
     check_stationary_total(graph, profile)
-    choices: dict[tuple[str, ...], str] = {}
-
-    def visit(sid: str, d: int, address: tuple[str, ...]) -> None:
-        state = graph.state(sid)
-        if isinstance(state, Terminal) or d == depth:
-            return
-        choices[address] = profile[sid]
-        for action, target in state.edges:
-            visit(target, d + 1, address + (action,))
-
-    visit(graph.start, 0, ())
-    return TreeProfile(choices)
+    return _unfolded_choices(graph, profile, depth)
 
 
 @dataclass(frozen=True)
@@ -627,7 +596,7 @@ class AuditFinding:
 
 
 def multi_shot_audit(
-    graph: AnyGraph,
+    graph: GameGraph,
     profile: StationaryProfile,
     max_changes: int = 3,
 ) -> tuple[AuditFinding, ...]:
@@ -666,7 +635,7 @@ def multi_shot_audit(
                 for sid in combo:
                     labels = [
                         action
-                        for action, _, _ in _edge_views(graph.states[sid])
+                        for action, _, _ in graph.states[sid].edges
                         if action != profile[sid]
                     ]
                     alternative_lists.append(labels)
@@ -681,7 +650,7 @@ def multi_shot_audit(
 
 
 def _audit_one(
-    graph: AnyGraph,
+    graph: GameGraph,
     deviant: StationaryProfile,
     player: str,
     changes: tuple[tuple[str, str], ...],
@@ -694,7 +663,7 @@ def _audit_one(
             assert reach is not None
             if reach.min_offset(sid) is None:
                 continue
-            after = play_param(graph, deviant, sid)
+            after = play_graph(graph, deviant, sid)
             if isinstance(after, Diverges):
                 continue
             assert isinstance(after.payoffs, AffinePayoffs)

@@ -122,6 +122,14 @@ class PayoffVector(_FrozenMap):
     def players(self) -> frozenset[str]:
         return frozenset(pid for pid, _ in self._entries)
 
+    # A constant payoff is affine in the stage counter with slope 0, so it
+    # answers the stage-aware calls of ``graphs.AffinePayoffs`` unchanged.
+    def at_stage(self, k: int) -> "PayoffVector":
+        return self
+
+    def shifted(self, delta: int) -> "PayoffVector":
+        return self
+
 
 class Comparison(Enum):
     """Outcome of comparing two payoffs from one player's point of view."""

@@ -29,11 +29,8 @@ from seqgames.graphs import (
     AffinePayoffs,
     Decision,
     GameGraph,
-    ParamDecision,
     ParamGraph,
-    ParamTerminal,
     Terminal,
-    _edge_views,
 )
 
 KEYWORDS = frozenset({"leaf", "node", "graph", "pgraph", "state", "start", "profile"})
@@ -172,7 +169,7 @@ class ProfileDoc:
         return TreeProfile((key, action) for key, action in self.entries)
 
 
-Document = FiniteGame | GameGraph | ParamGraph | ProfileDoc
+Document = FiniteGame | GameGraph | ProfileDoc
 
 
 class _Parser:
@@ -288,7 +285,7 @@ class _Parser:
 
     # --- graphs -----------------------------------------------------------
 
-    def graph(self, parametrized: bool) -> GameGraph | ParamGraph:
+    def graph(self, parametrized: bool) -> GameGraph:
         self.take()  # 'graph' or 'pgraph'
         name = self.ident("graph name")
         self.expect("LBRACE", what="'{'")
@@ -369,10 +366,11 @@ class _Parser:
         declared: list[tuple[str, object]],
         start: Token,
         parametrized: bool,
-    ) -> GameGraph | ParamGraph:
+    ) -> GameGraph:
         known = {sid for sid, _ in declared}
         used = set(known)
         states: dict[str, object] = {}
+        payoff_type = AffinePayoffs if parametrized else PayoffVector
 
         def fresh(base: str) -> str:
             candidate = base
@@ -381,26 +379,19 @@ class _Parser:
             used.add(candidate)
             return candidate
 
-        def close(entries: list) -> object:
-            if parametrized:
-                return AffinePayoffs({p: v for p, v, _ in entries})
-            return PayoffVector({p: v for p, v, _ in entries})
+        def terminal(entries: list) -> Terminal:
+            return Terminal(payoff_type({p: v for p, v, _ in entries}))
 
         for sid, body in declared:
             if body[0] == "leaf":
-                payoffs = close(body[1])
-                states[sid] = ParamTerminal(payoffs) if parametrized else Terminal(payoffs)
+                states[sid] = terminal(body[1])
                 continue
             _, mover, raw_edges = body
             edges = []
             for label, target, delta, _, span in raw_edges:
                 if target[0] == "inline":
-                    terminal_id = fresh(f"{sid}_{label}")
-                    payoffs = close(target[1])
-                    states[terminal_id] = (
-                        ParamTerminal(payoffs) if parametrized else Terminal(payoffs)
-                    )
-                    resolved = terminal_id
+                    resolved = fresh(f"{sid}_{label}")
+                    states[resolved] = terminal(target[1])
                 else:
                     resolved = target[1]
                     if resolved not in known:
@@ -408,15 +399,11 @@ class _Parser:
                             f"edge targets undefined state {resolved!r}", span
                         )
                 edges.append((label, resolved, delta))
-            if parametrized:
-                states[sid] = ParamDecision(mover, tuple(edges))
-            else:
-                states[sid] = Decision(mover, tuple((a, t) for a, t, _ in edges))
+            states[sid] = Decision(mover, tuple(edges))
         if start.text not in known:
             raise ParseError(f"start names undefined state {start.text!r}", start.span)
-        if parametrized:
-            return ParamGraph(name=name, states=states, start=start.text)  # type: ignore[arg-type]
-        return GameGraph(name=name, states=states, start=start.text)  # type: ignore[arg-type]
+        graph_type = ParamGraph if parametrized else GameGraph
+        return graph_type(name=name, states=states, start=start.text)  # type: ignore[arg-type]
 
     # --- profiles ---------------------------------------------------------
 
@@ -510,16 +497,16 @@ def serialize(value: Document | StationaryProfile | TreeProfile) -> str:
     """
     if isinstance(value, (Leaf, Node)):
         return _fmt_finite(value) + "\n"
-    if isinstance(value, (GameGraph, ParamGraph)):
+    if isinstance(value, GameGraph):
         keyword = "pgraph" if isinstance(value, ParamGraph) else "graph"
         lines = [f"{keyword} {value.name} {{"]
         for sid, state in value.states.items():
-            if isinstance(state, (Terminal, ParamTerminal)):
+            if isinstance(state, Terminal):
                 lines.append(f"  state {sid} = leaf {_fmt_payoffs(state.payoffs)}")
             else:
                 edges = ", ".join(
                     f"{action} -> {target}{' @ k+1' if delta else ''}"
-                    for action, target, delta in _edge_views(state)
+                    for action, target, delta in state.edges
                 )
                 lines.append(f"  state {sid} = node {state.mover} {{ {edges} }}")
         lines.append(f"  start {value.start}")

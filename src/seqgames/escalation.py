@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 from seqgames.core import GameError
 from seqgames.coinduction import StationaryProfile, _ProfileChecker
-from seqgames.graphs import (
-    AnyGraph,
-    Decision,
-    ParamDecision,
-    _edge_views,
-    require_valid_graph,
-)
+from seqgames.graphs import Decision, GameGraph, require_valid_graph
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,7 @@ class EscalationWitness:
 
 
 def rationalizable_actions(
-    graph: AnyGraph, spes: Sequence[StationaryProfile]
+    graph: GameGraph, spes: Sequence[StationaryProfile]
 ) -> RationalizableMap:
     """Union of the equilibria's chosen actions, per state.
 
@@ -76,7 +70,7 @@ def rationalizable_actions(
     actions: dict[str, dict[str, tuple[int, ...]]] = {}
     for sid in graph.internal_ids():
         per_state: dict[str, tuple[int, ...]] = {}
-        for action, _, _ in _edge_views(graph.states[sid]):
+        for action, _, _ in graph.states[sid].edges:
             tags = tuple(
                 i for i, profile in enumerate(spes, start=1) if profile[sid] == action
             )
@@ -86,12 +80,12 @@ def rationalizable_actions(
     return RationalizableMap(actions)
 
 
-def _rational_edges(graph: AnyGraph, rmap: RationalizableMap) -> dict[str, list[tuple[str, str, int]]]:
+def _rational_edges(graph: GameGraph, rmap: RationalizableMap) -> dict[str, list[tuple[str, str, int]]]:
     """Per state: (action, target, first supporting equilibrium), branch order."""
     edges: dict[str, list[tuple[str, str, int]]] = {}
     for sid in graph.internal_ids():
         kept = []
-        for action, target, _ in _edge_views(graph.states[sid]):
+        for action, target, _ in graph.states[sid].edges:
             tags = rmap.supported(sid, action)
             if tags:
                 kept.append((action, target, tags[0]))
@@ -100,7 +94,7 @@ def _rational_edges(graph: AnyGraph, rmap: RationalizableMap) -> dict[str, list[
 
 
 def escalation_witness(
-    graph: AnyGraph, rmap: RationalizableMap
+    graph: GameGraph, rmap: RationalizableMap
 ) -> EscalationWitness | None:
     """Least lasso of rationalizable edges reachable from the start.
 
@@ -232,7 +226,7 @@ class ThreatReport:
 
 
 def credible_threat_report(
-    graph: AnyGraph, spes: Sequence[StationaryProfile]
+    graph: GameGraph, spes: Sequence[StationaryProfile]
 ) -> ThreatReport:
     rmap = rationalizable_actions(graph, spes)
     rows: list[ThreatRow] = []
@@ -241,12 +235,12 @@ def credible_threat_report(
     for sid in graph.internal_ids():
         state = graph.states[sid]
         mover = state.mover  # type: ignore[union-attr]
-        for action, target, _ in _edge_views(state):
+        for action, target, _ in state.edges:
             tags = rmap.supported(sid, action)
             if not tags:
                 continue
             target_state = graph.states[target]
-            continues = isinstance(target_state, (Decision, ParamDecision))
+            continues = isinstance(target_state, Decision)
             response = None
             if continues:
                 responder = spes[tags[0] - 1]

@@ -74,13 +74,17 @@ class AffinePayoffs(_FrozenMap):
 
 @dataclass(frozen=True)
 class Terminal:
-    payoffs: PayoffVector
+    """A terminal state: constant payoffs in a plain graph, affine in the
+    stage counter in a ``ParamGraph``."""
+
+    payoffs: PayoffVector | AffinePayoffs
+    edges = ()  # terminals have no moves; every state has ``.edges``
 
 
 @dataclass(frozen=True)
 class Decision:
     mover: str
-    edges: tuple[tuple[str, str], ...]  # (action, target state)
+    edges: tuple[tuple[str, str, int], ...]  # (action, target state, stage delta)
 
 
 GraphState = Terminal | Decision
@@ -88,7 +92,11 @@ GraphState = Terminal | Decision
 
 @dataclass(frozen=True, eq=True)
 class GameGraph:
-    """Named states with labelled edges; denotes its infinite unfolding."""
+    """Named states with labelled edges; denotes its infinite unfolding.
+
+    In a plain graph every edge has stage delta 0 and every terminal has
+    constant (``PayoffVector``) payoffs.
+    """
 
     name: str
     states: dict[str, GraphState]
@@ -104,88 +112,59 @@ class GameGraph:
         return [sid for sid, st in self.states.items() if isinstance(st, Decision)]
 
 
-@dataclass(frozen=True)
-class ParamTerminal:
-    payoffs: AffinePayoffs
+class ParamGraph(GameGraph):
+    """Game graph with a stage counter: edge deltas are 0 or 1 and terminal
+    payoffs are ``AffinePayoffs`` in the stage counter k.  A plain graph is
+    the special case with every delta 0 and constant payoffs; the class is
+    what tells the checkers to track stages."""
 
 
-@dataclass(frozen=True)
-class ParamDecision:
-    mover: str
-    edges: tuple[tuple[str, str, int], ...]  # (action, target state, stage delta)
-
-
-ParamState = ParamTerminal | ParamDecision
-
-
-@dataclass(frozen=True, eq=True)
-class ParamGraph:
-    """Game graph with a stage counter; deltas are 0 or 1 per edge."""
-
-    name: str
-    states: dict[str, ParamState]
-    start: str
-
-    def state(self, sid: str) -> ParamState:
-        try:
-            return self.states[sid]
-        except KeyError:
-            raise GameError(f"unknown state {sid!r}") from None
-
-    def internal_ids(self) -> list[str]:
-        return [sid for sid, st in self.states.items() if isinstance(st, ParamDecision)]
-
-
-AnyGraph = GameGraph | ParamGraph
-
-
-def _edge_views(state: GraphState | ParamState) -> tuple[tuple[str, str, int], ...]:
-    """Uniform (action, target, delta) view over both graph kinds."""
-    if isinstance(state, Decision):
-        return tuple((a, t, 0) for a, t in state.edges)
-    if isinstance(state, ParamDecision):
-        return state.edges
-    return ()
-
-
-def graph_players(graph: AnyGraph) -> frozenset[str]:
+def graph_players(graph: GameGraph) -> frozenset[str]:
     players: set[str] = set()
     for state in graph.states.values():
-        if isinstance(state, (Terminal, ParamTerminal)):
+        if isinstance(state, Terminal):
             players.update(state.payoffs)
         else:
             players.add(state.mover)
     return frozenset(players)
 
 
-def validate_graph(graph: AnyGraph) -> ValidationReport:
-    """Structural checks shared by plain and parametrized graphs."""
+def validate_graph(graph: GameGraph) -> ValidationReport:
+    """Structural checks shared by plain and parametrized graphs, plus the
+    payload each kind allows: payoff type and stage deltas."""
     found: list[Violation] = []
     if graph.start not in graph.states:
         found.append(Violation(graph.name, f"start state {graph.start!r} is not defined"))
+    if isinstance(graph, ParamGraph):
+        payoff_type, deltas = AffinePayoffs, (0, 1)
+    else:
+        payoff_type, deltas = PayoffVector, (0,)
     expected = graph_players(graph)
     for sid, state in graph.states.items():
-        if isinstance(state, (Terminal, ParamTerminal)):
+        if isinstance(state, Terminal):
+            if not isinstance(state.payoffs, payoff_type):
+                kind = type(state.payoffs).__name__
+                found.append(Violation(sid, f"payoffs are {kind}, expected {payoff_type.__name__}"))
             missing = expected - set(state.payoffs)
             for pid in sorted(missing):
                 found.append(Violation(sid, f"missing payoff for {pid}"))
             continue
-        edges = _edge_views(state)
-        if not edges:
+        if not state.edges:
             found.append(Violation(sid, "empty edge list"))
         seen: set[str] = set()
-        for action, target, delta in edges:
+        for action, target, delta in state.edges:
             if action in seen:
                 found.append(Violation(sid, f"duplicate action label {action!r}"))
             seen.add(action)
             if target not in graph.states:
                 found.append(Violation(sid, f"edge {action!r} targets unknown state {target!r}"))
-            if delta not in (0, 1):
-                found.append(Violation(sid, f"edge {action!r} has stage delta {delta}, expected 0 or 1"))
+            if delta not in deltas:
+                allowed = " or ".join(map(str, deltas))
+                found.append(Violation(sid, f"edge {action!r} has stage delta {delta}, expected {allowed}"))
     return ValidationReport(tuple(found))
 
 
-def require_valid_graph(graph: AnyGraph) -> None:
+def require_valid_graph(graph: GameGraph) -> None:
     report = validate_graph(graph)
     if not report.ok:
         first = report.violations[0]
@@ -218,7 +197,7 @@ def unfold(graph: GameGraph, depth: int, closure: ClosureMap) -> FiniteGame:
 
 
 def unfold_param(
-    graph: ParamGraph,
+    graph: GameGraph,
     depth: int,
     closure: Callable[[str, int], PayoffVector],
 ) -> FiniteGame:
@@ -231,7 +210,7 @@ def unfold_param(
 
 
 def _unfold_tree(
-    graph: AnyGraph, depth: int, cut: Callable[[str, int], PayoffVector]
+    graph: GameGraph, depth: int, cut: Callable[[str, int], PayoffVector]
 ) -> FiniteGame:
     """The depth-``depth`` unfolding of a graph the caller has validated.
 
@@ -240,13 +219,11 @@ def _unfold_tree(
     order: a terminal gets its payoffs at its stage, a cut state
     ``cut(state, stage)``.
     """
-    edges = {sid: _edge_views(state) for sid, state in graph.states.items()}
+    states = graph.states
 
     def leaf(sid: str, stage: int, d: int) -> Leaf | None:
-        state = graph.states[sid]
+        state = states[sid]
         if isinstance(state, Terminal):
-            return Leaf(state.payoffs)
-        if isinstance(state, ParamTerminal):
             return Leaf(state.payoffs.at_stage(stage))
         return Leaf(cut(sid, stage)) if d == depth else None
 
@@ -257,7 +234,7 @@ def _unfold_tree(
     stack: list[tuple[str, int, int, list[tuple[str, FiniteGame]]]] = [(graph.start, 0, 0, [])]
     while True:
         sid, stage, d, branches = stack[-1]
-        moves = edges[sid]
+        moves = states[sid].edges
         if len(branches) < len(moves):
             action, target, delta = moves[len(branches)]
             child = leaf(target, stage + delta, d + 1)
@@ -267,11 +244,11 @@ def _unfold_tree(
                 branches.append((action, child))
             continue
         stack.pop()
-        node = Node(graph.states[sid].mover, tuple(branches))  # type: ignore[union-attr]
+        node = Node(states[sid].mover, tuple(branches))  # type: ignore[union-attr]
         if not stack:
             return node
         parent, _, _, siblings = stack[-1]
-        siblings.append((edges[parent][len(siblings)][0], node))
+        siblings.append((states[parent].edges[len(siblings)][0], node))
 
 
 def zero_one_graph() -> GameGraph:
@@ -280,9 +257,9 @@ def zero_one_graph() -> GameGraph:
     return GameGraph(
         name="zero_one",
         states={
-            "SA": Decision("A", (("c", "SB"), ("l", "TA"))),
+            "SA": Decision("A", (("c", "SB", 0), ("l", "TA", 0))),
             "TA": Terminal(PayoffVector(A=0, B=1)),
-            "SB": Decision("B", (("c", "SA"), ("l", "TB"))),
+            "SB": Decision("B", (("c", "SA", 0), ("l", "TB", 0))),
             "TB": Terminal(PayoffVector(A=1, B=0)),
         },
         start="SA",
@@ -306,12 +283,12 @@ def dollar_auction(stake: RationalLike = 100) -> ParamGraph:
     return ParamGraph(
         name="dollar_auction",
         states={
-            "S0": ParamDecision("A", (("pass", "T0", 0), ("bid", "DB", 0))),
-            "T0": ParamTerminal(AffinePayoffs(A=zero, B=zero)),
-            "DB": ParamDecision("B", (("quit", "QB", 0), ("raise", "DA", 1))),
-            "QB": ParamTerminal(AffinePayoffs(A=winner, B=committed)),
-            "DA": ParamDecision("A", (("quit", "QA", 0), ("raise", "DB", 1))),
-            "QA": ParamTerminal(AffinePayoffs(A=committed, B=winner)),
+            "S0": Decision("A", (("pass", "T0", 0), ("bid", "DB", 0))),
+            "T0": Terminal(AffinePayoffs(A=zero, B=zero)),
+            "DB": Decision("B", (("quit", "QB", 0), ("raise", "DA", 1))),
+            "QB": Terminal(AffinePayoffs(A=winner, B=committed)),
+            "DA": Decision("A", (("quit", "QA", 0), ("raise", "DB", 1))),
+            "QA": Terminal(AffinePayoffs(A=committed, B=winner)),
         },
         start="S0",
     )
@@ -357,7 +334,7 @@ class StageReachability:
         queue = list(states)
         while queue:
             sid = queue.pop()
-            for _, target, delta in _edge_views(self._graph.states[sid]):
+            for _, target, delta in self._graph.states[sid].edges:
                 if delta == 0 and target not in result:
                     result.add(target)
                     queue.append(target)
@@ -368,7 +345,7 @@ class StageReachability:
         return frozenset(
             target
             for sid in states
-            for _, target, delta in _edge_views(self._graph.states[sid])
+            for _, target, delta in self._graph.states[sid].edges
             if delta == 1
         )
 

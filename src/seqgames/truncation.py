@@ -24,14 +24,10 @@ from seqgames.coinduction import (
 )
 from seqgames.finite import backward_induction
 from seqgames.graphs import (
-    AnyGraph,
+    GameGraph,
     MissingClosureError,
-    ParamGraph,
-    ParamTerminal,
     Terminal,
-    _edge_views,
     graph_players,
-    unfold,
     unfold_param,
 )
 
@@ -42,7 +38,7 @@ class ClosureRule:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def payoff(self, graph: AnyGraph, sid: str, stage: int) -> PayoffVector:
+    def payoff(self, graph: GameGraph, sid: str, stage: int) -> PayoffVector:
         raise NotImplementedError
 
 
@@ -54,7 +50,7 @@ class ConstantClosure(ClosureRule):
         inner = ",".join(f"{p}:{v}" for p, v in self.payoffs.items())
         return f"const:({inner})"
 
-    def payoff(self, graph: AnyGraph, sid: str, stage: int) -> PayoffVector:
+    def payoff(self, graph: GameGraph, sid: str, stage: int) -> PayoffVector:
         return self.payoffs
 
 
@@ -69,7 +65,7 @@ class StateClosure(ClosureRule):
             parts.append(f"{sid}=({inner})")
         return "map:" + ";".join(parts)
 
-    def payoff(self, graph: AnyGraph, sid: str, stage: int) -> PayoffVector:
+    def payoff(self, graph: GameGraph, sid: str, stage: int) -> PayoffVector:
         try:
             return self.mapping[sid]
         except KeyError:
@@ -84,24 +80,19 @@ class DeciderQuitsClosure(ClosureRule):
     def describe(self) -> str:
         return "quit"
 
-    def payoff(self, graph: AnyGraph, sid: str, stage: int) -> PayoffVector:
-        state = graph.states[sid]
-        for action, target, delta in _edge_views(state):
+    def payoff(self, graph: GameGraph, sid: str, stage: int) -> PayoffVector:
+        for action, target, delta in graph.states[sid].edges:
             target_state = graph.states[target]
             if isinstance(target_state, Terminal):
-                return target_state.payoffs
-            if isinstance(target_state, ParamTerminal):
                 return target_state.payoffs.at_stage(stage + delta)
         raise MissingClosureError(
             f"quit closure undefined: state {sid!r} has no edge to a terminal"
         )
 
 
-def truncate(graph: AnyGraph, depth: int, rule: ClosureRule):
+def truncate(graph: GameGraph, depth: int, rule: ClosureRule):
     """Unfold the graph to ``depth`` with the rule supplying cut payoffs."""
-    if isinstance(graph, ParamGraph):
-        return unfold_param(graph, depth, lambda sid, stage: rule.payoff(graph, sid, stage))
-    return unfold(graph, depth, lambda sid: rule.payoff(graph, sid, 0))
+    return unfold_param(graph, depth, lambda sid, stage: rule.payoff(graph, sid, stage))
 
 
 class CharKind(Enum):
@@ -169,7 +160,7 @@ def _characterize_summary(tree, summary) -> dict[str, Characterization]:
     return result
 
 
-def summarize_depth(graph: AnyGraph, depth: int, rule: ClosureRule) -> DepthSummary:
+def summarize_depth(graph: GameGraph, depth: int, rule: ClosureRule) -> DepthSummary:
     """Solve the depth-``depth`` truncation and characterize each player.
 
     A player is forced when her optimal-action set is the same singleton at
@@ -279,7 +270,7 @@ class ExtrapolationReport:
 
 
 def _profile_characterization(
-    graph: AnyGraph, profile: StationaryProfile
+    graph: GameGraph, profile: StationaryProfile
 ) -> dict[str, Characterization]:
     result: dict[str, Characterization] = {}
     for player in sorted(graph_players(graph)):
@@ -300,7 +291,7 @@ def _profile_characterization(
 
 
 def _spe_set_characterization(
-    graph: AnyGraph, spes: Sequence[StationaryProfile]
+    graph: GameGraph, spes: Sequence[StationaryProfile]
 ) -> dict[str, Characterization]:
     result: dict[str, Characterization] = {}
     for player in sorted(graph_players(graph)):
@@ -313,7 +304,7 @@ def _spe_set_characterization(
             result[player] = Characterization(CharKind.ABSENT)
             continue
         used = {sid: {p[sid] for p in spes} for sid in own}
-        counts = {sid: len(_edge_views(graph.states[sid])) for sid in own}
+        counts = {sid: len(graph.states[sid].edges) for sid in own}
         if all(len(used[sid]) == 1 for sid in own) and len({next(iter(used[sid])) for sid in own}) == 1:
             result[player] = Characterization(
                 CharKind.FORCED, next(iter(used[own[0]]))
@@ -342,7 +333,7 @@ def _describe_char(c: Mapping[str, Characterization]) -> str:
 
 
 def extrapolation_report(
-    graph: AnyGraph,
+    graph: GameGraph,
     depths: Sequence[int],
     rule: ClosureRule,
     cap: int = DEFAULT_STATIONARY_CAP,

@@ -15,9 +15,7 @@ from seqgames.graphs import (
     AffinePayoffs,
     Decision,
     GameGraph,
-    ParamDecision,
     ParamGraph,
-    ParamTerminal,
     Terminal,
 )
 
@@ -98,7 +96,7 @@ def random_game_graph(
         edges = []
         for j in range(width):
             target = rng.choice(internal_ids + terminal_ids)
-            edges.append((ACTION_NAMES[j], target))
+            edges.append((ACTION_NAMES[j], target, 0))
         states[sid] = Decision(rng.choice(PLAYERS), tuple(edges))
     for tid in terminal_ids:
         states[tid] = Terminal(random_payoffs(rng, low, high))
@@ -131,11 +129,11 @@ def random_param_graph(
             (ACTION_NAMES[j], rng.choice(internal_ids + terminal_ids), rng.randint(0, 1))
             for j in range(width)
         )
-        states.append((sid, ParamDecision(rng.choice(PLAYERS), edges)))
+        states.append((sid, Decision(rng.choice(PLAYERS), edges)))
     for tid in terminal_ids:
         payoffs = AffinePayoffs(
             {p: AffineExpr(rng.randint(low, high), rng.choice(slopes)) for p in PLAYERS}
         )
-        states.append((tid, ParamTerminal(payoffs)))
+        states.append((tid, Terminal(payoffs)))
     rng.shuffle(states)
     return ParamGraph(name="random", states=dict(states), start=rng.choice(internal_ids))

@@ -149,7 +149,7 @@ def test_criterion_3_infinite_zero_one_stationary_spes():
     ll = verdicts[(("SA", "l"), ("SB", "l"))]
     assert isinstance(ll, Refuted)
     # the witness re-validates: one-shot deviation then back to the profile
-    target = dict(graph.states[ll.state].edges)[ll.action]
+    target = {action: target for action, target, _ in graph.states[ll.state].edges}[ll.action]
     replay = play_graph(graph, StationaryProfile(SA="l", SB="l"), target)
     assert replay.payoffs == ll.deviation_payoffs
     assert replay.payoffs[ll.player] > ll.profile_payoffs[ll.player]

@@ -1,0 +1,105 @@
+"""The CLI's observable behaviour on every shipped document, pinned byte for byte.
+
+``tests/golden/cli_transcript.txt`` holds stdout, stderr and the exit code
+of each invocation in ``INVOCATIONS``, run in-process through
+``seqgames.cli.main`` from the repository root.  To re-record it after an
+intended output change, run ``PYTHONPATH=src python tests/test_cli_golden.py``
+from the repository root and review the diff.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+from seqgames.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "cli_transcript.txt"
+
+DOCUMENTS = tuple(
+    f"games/{path.name}"
+    for path in sorted((ROOT / "games").iterdir())
+    if path.suffix in (".game", ".ggraph", ".pgraph")
+)
+PROFILES = tuple(
+    f"games/{path.name}" for path in sorted((ROOT / "games").glob("*.profile"))
+)
+FORMATS = ("table", "json")
+CLOSURES = ("quit", "const:(A:1/2,B:0)")
+PRESET_RUNS = (
+    ("matching_pennies",),
+    ("zero_one_finite",),
+    ("zero_one_finite", "--turns", "4"),
+    ("zero_one_graph",),
+    ("dollar_auction",),
+    ("dollar_auction", "--stake", "7/2"),
+)
+
+
+def _invocations() -> list[tuple[str, ...]]:
+    runs: list[tuple[str, ...]] = []
+    for doc in DOCUMENTS:
+        runs.append(("validate", doc))
+        for fmt in FORMATS:
+            runs.append(("solve", doc, "--format", fmt))
+            for profile in PROFILES:
+                runs.append(("check", doc, "--profile", profile, "--format", fmt))
+            runs.append(("enumerate", doc, "--format", fmt))
+            runs.append(("enumerate", doc, "--cap", "2", "--format", fmt))
+            runs.append(("escalate", doc, "--format", fmt))
+            for closure in CLOSURES:
+                runs.append(("extrapolate", doc, "--depths", "1..12", "--closure", closure, "--format", fmt))
+        for depth in ("1", "3", "8"):
+            for closure in CLOSURES:
+                runs.append(("truncate", doc, "--depth", depth, "--closure", closure))
+    for preset in PRESET_RUNS:
+        runs.append(("preset", *preset))
+    return runs
+
+
+INVOCATIONS = tuple(_invocations())
+
+
+def _run(argv: tuple[str, ...]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def render_transcript() -> str:
+    """Every invocation with its exit code, stdout and stderr, run from the
+    repository root so the paths in messages stay relative."""
+    previous = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        parts = []
+        for argv in INVOCATIONS:
+            code, out, err = _run(argv)
+            parts.append(
+                f"$ seqgames {' '.join(argv)}\n"
+                f"exit: {code}\n"
+                f"--- stdout\n{out}"
+                f"--- stderr\n{err}"
+                "=== end\n"
+            )
+        return "".join(parts)
+    finally:
+        os.chdir(previous)
+
+
+def test_cli_transcript_matches_golden(monkeypatch):
+    monkeypatch.setenv("NO_COLOR", "1")
+    assert render_transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    os.environ["NO_COLOR"] = "1"
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with open(GOLDEN, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(render_transcript())
+    sys.stdout.write(f"wrote {len(INVOCATIONS)} invocations to {GOLDEN.relative_to(ROOT)}\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -30,10 +31,9 @@ from seqgames.finite import is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
+    Decision,
     GameGraph,
-    ParamDecision,
     ParamGraph,
-    ParamTerminal,
     StageReachability,
     Terminal,
     dollar_auction,
@@ -110,7 +110,7 @@ def test_refutation_witness_revalidates():
     deviant[verdict.state] = verdict.action
     # take the deviating edge once, then follow the original profile
     state = g.states[verdict.state]
-    target = dict(state.edges)[verdict.action]
+    target = {action: target for action, target, _ in state.edges}[verdict.action]
     after = play_graph(g, BOTH_LEAVE, target)
     assert isinstance(after, Converges)
     assert after.payoffs == verdict.deviation_payoffs
@@ -266,7 +266,7 @@ def replay_verdict(graph, profile):
     play = play_param if param else play_graph
     values = {}
     for sid, state in graph.states.items():
-        if isinstance(state, (Terminal, ParamTerminal)):
+        if isinstance(state, Terminal):
             values[sid] = state.payoffs
             continue
         result = play(graph, profile, sid)
@@ -275,11 +275,10 @@ def replay_verdict(graph, profile):
         values[sid] = result.payoffs
     reach = StageReachability(graph) if param else None
     for sid, state in graph.states.items():
-        if isinstance(state, (Terminal, ParamTerminal)):
+        if isinstance(state, Terminal):
             continue
         mover, current = state.mover, values[sid]
-        for edge in state.edges:
-            action, target, delta = edge if param else (*edge, 0)
+        for action, target, delta in state.edges:
             if action == profile[sid]:
                 continue
             deviation = values[target]
@@ -302,15 +301,15 @@ def param_graph_features(graph):
     """Which shapes the differential test below is meant to cover."""
     order = list(graph.states)
     reach = StageReachability(graph)
-    edges = [(sid, e) for sid, st in graph.states.items() if not isinstance(st, ParamTerminal) for e in st.edges]
+    edges = [(sid, e) for sid, st in graph.states.items() for e in st.edges]
     slopes = {
         expr.slope
         for st in graph.states.values()
-        if isinstance(st, ParamTerminal)
+        if isinstance(st, Terminal)
         for expr in st.payoffs.values()
     }
     terminal_first = any(
-        isinstance(graph.states[a], ParamTerminal) and not isinstance(graph.states[b], ParamTerminal)
+        isinstance(graph.states[a], Terminal) and not isinstance(graph.states[b], Terminal)
         for a, b in zip(order, order[1:])
     )
     return {
@@ -446,8 +445,8 @@ def random_three_edge_graph(rng, n_states):
     for i in range(n_states):
         moves = [("x", f"T{i}", 0)]
         moves += [(f"m{j}", f"S{rng.randrange(n_states)}", rng.randint(0, 1)) for j in range(2)]
-        states[f"S{i}"] = ParamDecision(rng.choice(("A", "B")), tuple(moves))
-        states[f"T{i}"] = ParamTerminal(
+        states[f"S{i}"] = Decision(rng.choice(("A", "B")), tuple(moves))
+        states[f"T{i}"] = Terminal(
             AffinePayoffs({p: AffineExpr(rng.randint(-6, 6), rng.choice(slopes)) for p in "AB"})
         )
     return ParamGraph(name="three", states=states, start="S0")
@@ -470,3 +469,71 @@ def test_default_depth_cross_check_needs_no_tree(monkeypatch):
             assert verdict == check_spe_param(graph, profile, cross_check_depth=None)
             kinds[type(verdict).__name__] += 1
     assert kinds["SpeOk"] >= 20 and kinds["Refuted"] >= 100, kinds
+
+
+def test_induced_tree_profile_is_not_bounded_by_the_recursion_limit():
+    induced = induced_tree_profile(zero_one_graph(), ALICE_LEAVES, 1500)
+    assert len(induced) == 1500
+    assert induced[("c",) * 1498] == "l" and induced[("c",) * 1499] == "c"
+
+
+def reachable_states(graph):
+    seen, stack = {graph.start}, [graph.start]
+    while stack:
+        for _, target, _ in graph.states[stack.pop()].edges:
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
+
+
+def as_param_graph(graph):
+    """The same plain graph as a ParamGraph with constant affine payoffs."""
+    states = {
+        sid: Terminal(AffinePayoffs({p: AffineExpr(v) for p, v in state.payoffs.items()}))
+        if isinstance(state, Terminal)
+        else state
+        for sid, state in graph.states.items()
+    }
+    return ParamGraph(name=graph.name, states=states, start=graph.start)
+
+
+def test_graph_kind_changes_only_the_stage_of_refutations():
+    rng = random.Random(4242)
+    graphs = [random_game_graph(rng, max_internal=4, max_terminals=2) for _ in range(800)]
+    graphs = [g for g in graphs if reachable_states(g) == set(g.states)]
+    assert len(graphs) >= 120
+    kinds: Counter = Counter()
+    for graph in graphs:
+        plain = enumerate_stationary_spe(graph)
+        staged = enumerate_stationary_spe(as_param_graph(graph))
+        assert [p for p, _ in staged] == [p for p, _ in plain]
+        for (_, verdict), (_, staged_verdict) in zip(plain, staged):
+            if isinstance(verdict, Refuted):
+                assert verdict.stage is None
+                assert staged_verdict == dataclasses.replace(verdict, stage=0)
+            else:
+                assert staged_verdict == verdict
+            kinds[type(verdict).__name__] += 1
+    assert min(kinds[k] for k in ("SpeOk", "NotAdmissible", "Refuted")) >= 25, kinds
+
+
+def test_graph_kind_decides_whether_unreachable_states_are_checked():
+    # S1 is never entered from the start, and B would gain there by
+    # deviating: a plain graph checks every state, a pgraph only the
+    # (state, stage) pairs play can reach.
+    plain = GameGraph(
+        name="island",
+        states={
+            "S0": Decision("A", (("stop", "T0", 0),)),
+            "S1": Decision("B", (("low", "T0", 0), ("high", "T1", 0))),
+            "T0": Terminal(PayoffVector(A=0, B=0)),
+            "T1": Terminal(PayoffVector(A=0, B=1)),
+        },
+        start="S0",
+    )
+    profile = StationaryProfile(S0="stop", S1="low")
+    assert check_spe_graph(plain, profile) == Refuted(
+        "S1", None, "B", "high", PayoffVector(A=0, B=0), PayoffVector(A=0, B=1)
+    )
+    assert check_spe_param(as_param_graph(plain), profile) == SpeOk()

@@ -12,9 +12,7 @@ from seqgames.graphs import (
     AffinePayoffs,
     Decision,
     GameGraph,
-    ParamDecision,
     ParamGraph,
-    ParamTerminal,
     Terminal,
     dollar_auction,
     zero_one_graph,
@@ -94,8 +92,8 @@ def test_undefined_start_is_semantic_error():
 def test_inline_leaf_edges_are_named_deterministically():
     text = "graph g { state S = node A { go -> leaf (A:1) (B:0), stay -> S } start S }"
     graph = parse(text)
-    assert isinstance(graph, GameGraph)
-    assert graph.states["S"] == Decision("A", (("go", "S_go"), ("stay", "S")))
+    assert type(graph) is GameGraph
+    assert graph.states["S"] == Decision("A", (("go", "S_go", 0), ("stay", "S", 0)))
     assert graph.states["S_go"] == Terminal(PayoffVector(A=1, B=0))
     assert parse(serialize(graph)) == graph
 
@@ -191,7 +189,7 @@ def _random_graph_doc(rng: random.Random) -> GameGraph:
     for i in range(n):
         edges = []
         for j in range(rng.randint(1, 3)):
-            edges.append((f"a{j}", rng.choice(ids)))
+            edges.append((f"a{j}", rng.choice(ids), 0))
         states[f"N{i}"] = Decision(rng.choice("AB"), tuple(edges))
     states["END"] = Terminal(
         PayoffVector(A=Fraction(rng.randint(-5, 5), rng.randint(1, 4)), B=rng.randint(0, 3))
@@ -201,11 +199,11 @@ def _random_graph_doc(rng: random.Random) -> GameGraph:
 
 def _random_pgraph_doc(rng: random.Random) -> ParamGraph:
     states: dict[str, object] = {
-        "D": ParamDecision(
+        "D": Decision(
             "A",
             (("quit", "Q", 0), ("go", "D", rng.randint(0, 1))),
         ),
-        "Q": ParamTerminal(
+        "Q": Terminal(
             AffinePayoffs(
                 A=AffineExpr(rng.randint(-3, 3), Fraction(rng.randint(-2, 2), 2)),
                 B=AffineExpr(Fraction(rng.randint(-4, 4), 3)),

@@ -16,7 +16,6 @@ from seqgames.graphs import (
     dollar_auction,
     validate_graph,
     zero_one_graph,
-    _edge_views,
 )
 from tests.conftest import random_game_graph
 
@@ -72,7 +71,7 @@ def test_escalation_witness_validates_against_map():
     # the path is valid and the cycle closes
     path = [s.state for s in steps]
     for i, step in enumerate(steps):
-        targets = {a: t for a, t, _ in _edge_views(g.states[step.state])}
+        targets = {a: t for a, t, _ in g.states[step.state].edges}
         nxt = path[i + 1] if i + 1 < len(path) else witness.cycle[0].state
         assert targets[step.action] == nxt
 
@@ -115,7 +114,7 @@ def _has_rationalizable_cycle(graph, rmap) -> bool:
     edges = {
         sid: [
             t
-            for a, t, _ in _edge_views(graph.states[sid])
+            for a, t, _ in graph.states[sid].edges
             if rmap.supported(sid, a) and t in set(graph.internal_ids())
         ]
         for sid in graph.internal_ids()

@@ -3,15 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from seqgames.core import Leaf, Node, PayoffVector
+from seqgames.coinduction import StationaryProfile, check_spe
+from seqgames.core import GameError, Leaf, Node, PayoffVector
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
     Decision,
     GameGraph,
     MissingClosureError,
-    ParamDecision,
-    ParamTerminal,
+    ParamGraph,
     StageReachability,
     Terminal,
     dollar_auction,
@@ -38,7 +38,7 @@ def test_zero_one_graph_terminals():
 def test_validate_reports_dangling_target():
     g = GameGraph(
         name="bad",
-        states={"S": Decision("A", (("go", "nowhere"),))},
+        states={"S": Decision("A", (("go", "nowhere", 0),))},
         start="S",
     )
     report = validate_graph(g)
@@ -162,7 +162,7 @@ def test_param_walk_accumulates_deltas():
         stages = [0]
         while hops < 12:
             state = d.states[sid]
-            if not isinstance(state, ParamDecision):
+            if not isinstance(state, Decision):
                 break
             action, target, delta = rng.choice(state.edges)
             stage += delta
@@ -208,13 +208,11 @@ def test_stage_reachability_acyclic():
 
 
 def ParamGraphFixture():
-    from seqgames.graphs import ParamGraph, ParamTerminal
-
     return ParamGraph(
         name="line",
         states={
-            "GO": ParamDecision("A", (("step", "END", 1),)),
-            "END": ParamTerminal(AffinePayoffs(A=AffineExpr(1), B=AffineExpr(0))),
+            "GO": Decision("A", (("step", "END", 1),)),
+            "END": Terminal(AffinePayoffs(A=AffineExpr(1), B=AffineExpr(0))),
         },
         start="GO",
     )
@@ -227,15 +225,13 @@ def recursive_unfolding(graph, depth, cut):
     def build(sid, stage, d):
         state = graph.states[sid]
         if isinstance(state, Terminal):
-            return Leaf(state.payoffs)
-        if isinstance(state, ParamTerminal):
-            return Leaf(state.payoffs.at_stage(stage))
+            payoffs = state.payoffs
+            return Leaf(payoffs.at_stage(stage) if isinstance(payoffs, AffinePayoffs) else payoffs)
         if d == depth:
             return Leaf(cut(sid, stage))
-        edges = state.edges if isinstance(state, ParamDecision) else [(*e, 0) for e in state.edges]
         return Node(
             state.mover,
-            tuple((action, build(target, stage + delta, d + 1)) for action, target, delta in edges),
+            tuple((action, build(target, stage + delta, d + 1)) for action, target, delta in state.edges),
         )
 
     return build(graph.start, 0, 0)
@@ -259,10 +255,35 @@ def test_unfold_matches_recursive_reference():
         for depth in range(7):
             calls, expected_calls = [], []
             cut = logging_cut(calls)
-            if isinstance(graph, GameGraph):
+            if not isinstance(graph, ParamGraph):
                 tree = unfold(graph, depth, lambda sid: cut(sid, 0))
             else:
                 tree = unfold_param(graph, depth, cut)
             expected = recursive_unfolding(graph, depth, logging_cut(expected_calls))
             assert tree == expected, (graph, depth)
             assert calls == expected_calls
+
+
+def test_validate_rejects_payload_of_the_other_graph_kind():
+    affine = Terminal(AffinePayoffs(A=AffineExpr(1, -1), B=AffineExpr(0)))
+    constant = Terminal(PayoffVector(A=1, B=0))
+    step = Decision("A", (("go", "T", 0),))
+
+    plain_with_affine = GameGraph(name="g", states={"S": step, "T": affine}, start="S")
+    messages = [str(v) for v in validate_graph(plain_with_affine).violations]
+    assert messages == ["T: payoffs are AffinePayoffs, expected PayoffVector"]
+
+    param_with_constant = ParamGraph(name="p", states={"S": step, "T": constant}, start="S")
+    messages = [str(v) for v in validate_graph(param_with_constant).violations]
+    assert messages == ["T: payoffs are PayoffVector, expected AffinePayoffs"]
+
+    staged = Decision("A", (("go", "T", 1),))
+    plain_with_delta = GameGraph(name="g", states={"S": staged, "T": constant}, start="S")
+    messages = [str(v) for v in validate_graph(plain_with_delta).violations]
+    assert messages == ["S: edge 'go' has stage delta 1, expected 0"]
+    assert validate_graph(ParamGraph(name="p", states={"S": staged, "T": affine}, start="S")).ok
+
+    # The checkers refuse such graphs with a typed error, not a traceback.
+    for graph in (plain_with_affine, param_with_constant, plain_with_delta):
+        with pytest.raises(GameError, match="invalid graph"):
+            check_spe(graph, StationaryProfile(S="go"))

@@ -1,0 +1,27 @@
+"""The benchmark tracer rebinds ``seqgames`` functions by name; every name
+it lists must exist, or a traced run would fail only when it is started."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_resolves():
+    targets = _load_tracing().TARGETS
+    assert targets
+    for name, home, attr, scope, _ in targets:
+        module = importlib.import_module(f"seqgames.{home}")
+        assert callable(getattr(module, attr, None)), f"{name}: seqgames.{home}.{attr} is missing"
+        for other in scope or ():
+            importlib.import_module(f"seqgames.{other}")

@@ -77,8 +77,8 @@ def test_finite_tree_graph_is_consistent():
     graph = GameGraph(
         name="tree",
         states={
-            "ROOT": Decision("A", (("go", "MID"), ("stop", "OUT"))),
-            "MID": Decision("B", (("x", "WIN"), ("y", "OUT"))),
+            "ROOT": Decision("A", (("go", "MID", 0), ("stop", "OUT", 0))),
+            "MID": Decision("B", (("x", "WIN", 0), ("y", "OUT", 0))),
             "OUT": Terminal(PayoffVector(A=0, B=0)),
             "WIN": Terminal(PayoffVector(A=2, B=2)),
         },
@@ -120,7 +120,7 @@ def test_quit_closure_requires_a_terminal_edge():
     graph = GameGraph(
         name="loop",
         states={
-            "S": Decision("A", (("go", "S"),)),
+            "S": Decision("A", (("go", "S", 0),)),
         },
         start="S",
     )
