@@ -187,10 +187,6 @@ def node(
     return Node(mover, branches)
 
 
-def is_leaf(game: FiniteGame) -> bool:
-    return isinstance(game, Leaf)
-
-
 def subgame_at(game: FiniteGame, address: Address) -> FiniteGame:
     """Return the subgame rooted at ``address``; raises on a bad path."""
     current = game
@@ -223,9 +219,7 @@ def internal_addresses(game: FiniteGame) -> list[Address]:
 
 
 def depth(game: FiniteGame) -> int:
-    if isinstance(game, Leaf):
-        return 0
-    return 1 + max(depth(child) for _, child in game.branches)
+    return max(len(address) for address, _ in walk(game))
 
 
 def declared_players(game: FiniteGame) -> frozenset[str]:

@@ -254,34 +254,43 @@ class _Parser:
     # --- finite games ---------------------------------------------------
 
     def finite(self) -> FiniteGame:
-        self.expect("LPAREN", what="'('")
-        head = self.peek()
-        if head.kind == "KEYWORD" and head.text == "leaf":
-            self.take()
-            entries = self.payoffs(affine=False)
-            self.expect("RPAREN", what="')'")
-            return Leaf(PayoffVector({p: v for p, v, _ in entries}))  # type: ignore[misc]
-        if head.kind == "KEYWORD" and head.text == "node":
-            self.take()
-            mover = self.ident("player id")
-            branches: list[tuple[str, FiniteGame]] = []
-            labels: set[str] = set()
-            while self.peek().kind == "LPAREN":
+        # Open nodes, innermost last: each is a mover and its branches so far
+        # by label, the last of them still open.  An explicit stack, so a
+        # document may nest deeper than the recursion limit.
+        stack: list[tuple[str, dict[str, FiniteGame | None]]] = []
+        while True:
+            self.expect("LPAREN", what="'('")
+            head = self.peek()
+            if head.kind == "KEYWORD" and head.text == "leaf":
                 self.take()
-                label = self.ident("action label")
-                if label.text in labels:
-                    raise ParseError(
-                        f"duplicate action label {label.text!r}", label.span
-                    )
-                labels.add(label.text)
-                child = self.finite()
+                entries = self.payoffs(affine=False)
                 self.expect("RPAREN", what="')'")
-                branches.append((label.text, child))
-            if not branches:
-                raise self.error(("branch",))
-            self.expect("RPAREN", what="')'")
-            return Node(mover.text, tuple(branches))
-        raise self.error(("leaf", "node"))
+                done: FiniteGame = Leaf(PayoffVector({p: v for p, v, _ in entries}))  # type: ignore[misc]
+                # Close the branch the leaf ends, and each node it completes.
+                while True:
+                    if not stack:
+                        return done
+                    self.expect("RPAREN", what="')'")
+                    mover, branches = stack[-1]
+                    branches[next(reversed(branches))] = done
+                    if self.peek().kind == "LPAREN":
+                        break
+                    self.expect("RPAREN", what="')'")
+                    stack.pop()
+                    done = Node(mover, tuple(branches.items()))
+            elif head.kind == "KEYWORD" and head.text == "node":
+                self.take()
+                stack.append((self.ident("player id").text, {}))
+                if self.peek().kind != "LPAREN":
+                    raise self.error(("branch",))
+            else:
+                raise self.error(("leaf", "node"))
+            self.take()  # the '(' of the innermost open node's next branch
+            label = self.ident("action label")
+            branches = stack[-1][1]
+            if label.text in branches:
+                raise ParseError(f"duplicate action label {label.text!r}", label.span)
+            branches[label.text] = None
 
     # --- graphs -----------------------------------------------------------
 

@@ -138,25 +138,36 @@ def escalation_witness(
         cycle_len[sid] for sid in cycle_len if from_start[sid] == prefix_len
     )
 
-    # Walk prefixes of the minimal length in branch order; first endpoint
-    # admitting a cycle of the minimal length wins.
-    def search(sid: str, remaining: int, path: list[WitnessStep]) -> EscalationWitness | None:
-        if remaining == 0:
-            if cycle_len.get(sid) == best_cycle:
-                return EscalationWitness(tuple(path), _least_cycle(edges, internal, sid, best_cycle))
-            return None
-        for action, target, tag in edges[sid]:
-            if target in internal and from_start.get(target) == len(path) + 1:
-                path.append(WitnessStep(sid, action, tag))
-                found = search(target, remaining - 1, path)
-                if found is not None:
-                    return found
-                path.pop()
-        return None
-
-    witness = search(graph.start, prefix_len, [])
-    assert witness is not None
-    return witness
+    # The least prefix is the first in branch order among paths that step
+    # one BFS layer at a time and end at a state with a least cycle.  Mark
+    # the states from which such a path goes on, from the last layer back
+    # to the start, then walk forward taking the first edge to a marked one.
+    good = {
+        sid
+        for sid, layer in from_start.items()
+        if layer == prefix_len and cycle_len.get(sid) == best_cycle
+    }
+    for layer in reversed(range(prefix_len)):
+        good |= {
+            sid
+            for sid, at in from_start.items()
+            if at == layer
+            and any(
+                target in good and from_start[target] == layer + 1
+                for _, target, _ in edges[sid]
+            )
+        }
+    path: list[WitnessStep] = []
+    sid = graph.start
+    while len(path) < prefix_len:
+        action, target, tag = next(
+            (action, target, tag)
+            for action, target, tag in edges[sid]
+            if target in good and from_start[target] == len(path) + 1
+        )
+        path.append(WitnessStep(sid, action, tag))
+        sid = target
+    return EscalationWitness(tuple(path), _least_cycle(edges, internal, sid, best_cycle))
 
 
 def dist_to(edges, internal, goal: str) -> dict[str, int]:

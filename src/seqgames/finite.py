@@ -111,31 +111,24 @@ class _Analysis:
     counts: dict[PayoffVector, int]
 
 
-def _analyze(game: FiniteGame) -> dict[Address, _Analysis]:
-    """Bottom-up pass: equilibrium value sets and counts for every subgame."""
-    analyses: dict[Address, _Analysis] = {}
-
-    def visit(sub: FiniteGame, address: Address) -> _Analysis:
-        if isinstance(sub, Leaf):
-            result = _Analysis((sub.payoffs,), {sub.payoffs: 1})
-            analyses[address] = result
-            return result
-        mover = sub.mover
-        children = [
-            visit(child, address + (action,)) for action, child in sub.branches
-        ]
+def _analyze(tree: _Tree) -> list[_Analysis]:
+    """Bottom-up pass: equilibrium value sets and counts for every position."""
+    analyses = [_Analysis((p,), {p: 1}) if p is not None else None for p in tree.payoffs]
+    for i in tree.post:
+        mover = tree.movers[i]
+        children = [analyses[k] for k in tree.children[i]]
         mins = [min(w[mover] for w in child.values) for child in children]
         values: list[PayoffVector] = []
         counts: dict[PayoffVector, int] = {}
-        for i, child in enumerate(children):
+        for b, child in enumerate(children):
             for v in child.values:
-                # Branch i can carry an equilibrium of value v as long as
+                # Branch b can carry an equilibrium of value v as long as
                 # every other branch offers some continuation it beats.
-                if any(mins[j] > v[mover] for j in range(len(children)) if j != i):
+                if any(mins[j] > v[mover] for j in range(len(children)) if j != b):
                     continue
                 ways = child.counts[v]
                 for j, other in enumerate(children):
-                    if j == i:
+                    if j == b:
                         continue
                     ways *= sum(
                         n for w, n in other.counts.items() if w[mover] <= v[mover]
@@ -143,32 +136,8 @@ def _analyze(game: FiniteGame) -> dict[Address, _Analysis]:
                 counts[v] = counts.get(v, 0) + ways
                 if v not in values:
                     values.append(v)
-        result = _Analysis(tuple(values), counts)
-        analyses[address] = result
-        return result
-
-    visit(game, ())
+        analyses[i] = _Analysis(tuple(values), counts)
     return analyses
-
-
-def _greedy_representative(game: FiniteGame) -> tuple[TreeProfile, PayoffVector]:
-    choices: dict[Address, str] = {}
-
-    def visit(sub: FiniteGame, address: Address) -> PayoffVector:
-        if isinstance(sub, Leaf):
-            return sub.payoffs
-        best_action: str | None = None
-        best_value: PayoffVector | None = None
-        for action, child in sub.branches:
-            value = visit(child, address + (action,))
-            if best_value is None or value[sub.mover] > best_value[sub.mover]:
-                best_action, best_value = action, value
-        assert best_action is not None and best_value is not None
-        choices[address] = best_action
-        return best_value
-
-    payoff = visit(game, ())
-    return TreeProfile(choices), payoff
 
 
 def backward_induction(game: FiniteGame) -> EquilibriumSummary:
@@ -180,54 +149,60 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
     by every alternative continuation of each sibling branch.
     """
     _require_valid(game)
-    analyses = _analyze(game)
+    tree = _Tree(game)
+    analyses = _analyze(tree)
 
-    # Top-down pass: which subgame equilibrium values survive inside a whole
-    # game equilibrium, and hence which actions are used at each node.
-    reachable: dict[Address, set[PayoffVector]] = {(): set(analyses[()].values)}
+    # Top-down pass, in preorder: which subgame equilibrium values survive
+    # inside a whole game equilibrium, and hence which actions are used at
+    # each node.
+    reachable: list[set[PayoffVector]] = [set() for _ in tree.movers]
+    reachable[0] = set(analyses[0].values)
     optimal: dict[Address, tuple[str, ...]] = {}
-
-    for address, sub in walk(game):
-        if isinstance(sub, Leaf):
+    for i, mover in enumerate(tree.movers):
+        if mover is None:
             continue
-        mover = sub.mover
-        live = reachable[address]
-        children = [
-            (action, analyses[address + (action,)]) for action, _ in sub.branches
-        ]
-        mins = [min(w[mover] for w in child.values) for _, child in children]
+        live = reachable[i]
+        kids = tree.children[i]
+        children = [analyses[k] for k in kids]
+        mins = [min(w[mover] for w in child.values) for child in children]
 
-        def feasible(i: int, v: PayoffVector) -> bool:
-            return v in children[i][1].values and all(
-                mins[j] <= v[mover] for j in range(len(children)) if j != i
+        def feasible(b: int, v: PayoffVector) -> bool:
+            return v in children[b].values and all(
+                mins[j] <= v[mover] for j in range(len(children)) if j != b
             )
 
-        realizers = {v: {i for i in range(len(children)) if feasible(i, v)} for v in live}
-        optimal[address] = tuple(
+        realizers = {v: {b for b in range(len(children)) if feasible(b, v)} for v in live}
+        optimal[tree.addresses[i]] = tuple(
             action
-            for i, (action, _) in enumerate(children)
-            if any(i in realizers[v] for v in live)
+            for b, action in enumerate(tree.labels[i])
+            if any(b in realizers[v] for v in live)
         )
-        for i, (action, child) in enumerate(children):
-            into_child: set[PayoffVector] = set()
+        for b, (k, child) in enumerate(zip(kids, children)):
+            into_child = reachable[k]
             for v in live:
-                if i in realizers[v]:
+                if b in realizers[v]:
                     into_child.add(v)
-                if realizers[v] - {i}:
+                if realizers[v] - {b}:
                     into_child.update(
                         w for w in child.values if w[mover] <= v[mover]
                     )
-            reachable[address + (action,)] = into_child
 
-    representative, payoff = _greedy_representative(game)
-    root = analyses[()]
+    # The representative takes the first maximizer in branch order.
+    best = list(tree.payoffs)
+    choices: dict[Address, str] = {}
+    for i in tree.post:
+        mover = tree.movers[i]
+        kids = tree.children[i]
+        b = max(range(len(kids)), key=lambda j: best[kids[j]][mover])
+        choices[tree.addresses[i]] = tree.labels[i][b]
+        best[i] = best[kids[b]]
     return EquilibriumSummary(
         optimal_actions=optimal,
-        count=sum(root.counts.values()),
-        representative=representative,
-        payoff=payoff,
+        count=sum(analyses[0].counts.values()),
+        representative=TreeProfile(choices),
+        payoff=best[0],
         subgame_values={
-            address: analysis.values for address, analysis in analyses.items()
+            tree.addresses[i]: analyses[i].values for i in tree.postorder
         },
     )
 
@@ -240,11 +215,13 @@ class _Tree:
     mover (None at a leaf), ``children[i]`` the positions of its branches in
     branch order and ``labels[i]`` their action labels (both empty at a
     leaf), and ``payoffs[i]`` its leaf payoffs (None at a decision node).
-    ``post`` lists the decision nodes in post-order with children in branch
-    order, the order in which the one-shot deviation check visits them.
+    ``postorder`` lists every position in post-order with children in branch
+    order, and ``post`` the decision nodes among them: the order in which
+    the solver fills in subgames and the one-shot deviation check visits
+    them.
     """
 
-    __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "post")
+    __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "postorder", "post")
 
     def __init__(self, game: FiniteGame) -> None:
         self.addresses: list[Address] = []
@@ -278,7 +255,8 @@ class _Tree:
             position = pending.pop()
             order.append(position)
             pending.extend(self.children[position])
-        self.post: list[int] = [i for i in reversed(order) if self.movers[i] is not None]
+        self.postorder: list[int] = order[::-1]
+        self.post: list[int] = [i for i in self.postorder if self.movers[i] is not None]
 
     def rows(self) -> dict[str, list[Fraction | None]]:
         """Each mover's payoff at every leaf, by position (None elsewhere).
@@ -538,25 +516,27 @@ def enumerate_spe_profiles(
     branch's value is not beaten by any sibling restriction's value.
     """
     _require_valid(game)
-    analyses = _analyze(game)
-    total = sum(analyses[()].counts.values())
+    tree = _Tree(game)
+    total = sum(_analyze(tree)[0].counts.values())
     if total > cap:
         raise CapExceededError(f"equilibrium count {total} exceeds cap {cap}")
 
-    def enum(sub: FiniteGame, address: Address) -> list[tuple[PayoffVector, dict[Address, str]]]:
-        if isinstance(sub, Leaf):
-            return [(sub.payoffs, {})]
-        mover = sub.mover
-        per_branch = [
-            (action, enum(child, address + (action,)))
-            for action, child in sub.branches
-        ]
-        results: list[tuple[PayoffVector, dict[Address, str]]] = []
-        for i, (action, mine) in enumerate(per_branch):
+    # Per position, each equilibrium of its subgame: (value, choices).
+    results: list[list[tuple[PayoffVector, dict[Address, str]]] | None] = [
+        None if p is None else [(p, {})] for p in tree.payoffs
+    ]
+    for i in tree.post:
+        mover = tree.movers[i]
+        address = tree.addresses[i]
+        per_branch = [results[k] for k in tree.children[i]]
+        for k in tree.children[i]:
+            results[k] = None  # released: the merged dicts copy what they need
+        found: list[tuple[PayoffVector, dict[Address, str]]] = []
+        for b, (action, mine) in enumerate(zip(tree.labels[i], per_branch)):
             for value, choices in mine:
                 pools = []
-                for j, (_, theirs) in enumerate(per_branch):
-                    if j == i:
+                for j, theirs in enumerate(per_branch):
+                    if j == b:
                         continue
                     pool = [
                         entry for entry in theirs if entry[0][mover] <= value[mover]
@@ -570,45 +550,6 @@ def enumerate_spe_profiles(
                         merged.update(choices)
                         for _, other_choices in combo:
                             merged.update(other_choices)
-                        results.append((value, merged))
-        return results
-
-    return tuple(TreeProfile(choices) for _, choices in enum(game, ()))
-
-
-def robust_action_sets(game: FiniteGame) -> dict[Address, tuple[str, ...]]:
-    """Strict tie rule, for experimentation: an action survives at a node only
-    when all of its equilibrium continuations achieve the node maximum.
-
-    Unlike ``backward_induction`` this rule can leave a node with no
-    surviving action (empty tuple); such nodes have no "robust" choice.
-    """
-    _require_valid(game)
-    sets: dict[Address, tuple[str, ...]] = {}
-
-    def visit(sub: FiniteGame, address: Address) -> tuple[PayoffVector, ...]:
-        if isinstance(sub, Leaf):
-            return (sub.payoffs,)
-        mover = sub.mover
-        child_values = [
-            (action, visit(child, address + (action,)))
-            for action, child in sub.branches
-        ]
-        candidates = [(a, vs) for a, vs in child_values if vs]
-        if not candidates:
-            sets[address] = ()
-            return ()
-        best = max(v[mover] for _, vs in candidates for v in vs)
-        surviving = [
-            (a, vs) for a, vs in candidates if all(v[mover] == best for v in vs)
-        ]
-        sets[address] = tuple(a for a, _ in surviving)
-        merged: list[PayoffVector] = []
-        for _, vs in surviving:
-            for v in vs:
-                if v not in merged:
-                    merged.append(v)
-        return tuple(merged)
-
-    visit(game, ())
-    return sets
+                        found.append((value, merged))
+        results[i] = found
+    return tuple(TreeProfile(choices) for _, choices in results[0])

@@ -11,7 +11,7 @@ situation in which extrapolating from the finite games is unjustified.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -136,28 +136,26 @@ class DepthSummary:
         }
 
 
+def _characterize(nodes: Sequence[tuple[Collection[str], int]]) -> Characterization:
+    """Forced / free / mixed from each of a player's nodes: the actions used
+    there and its branch count."""
+    used = [set(actions) for actions, _ in nodes]
+    if all(len(s) == 1 for s in used) and len(set().union(*used)) == 1:
+        return Characterization(CharKind.FORCED, next(iter(used[0])))
+    if all(len(s) == count for s, (_, count) in zip(used, nodes)):
+        return Characterization(CharKind.FREE)
+    return Characterization(CharKind.MIXED)
+
+
 def _characterize_summary(tree, summary) -> dict[str, Characterization]:
     """Forced / free / mixed per player, from the per-node optimal sets."""
-    per_player: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-    all_actions: dict[tuple[str, ...], int] = {}
-    movers: dict[tuple[str, ...], str] = {}
-    branch_counts: dict[tuple[str, ...], int] = {}
+    nodes: dict[str, list[tuple[tuple[str, ...], int]]] = {}
     for address, sub in walk(tree):
         if isinstance(sub, Node):
-            movers[address] = sub.mover
-            branch_counts[address] = len(sub.branches)
-    players = sorted(set(movers.values()))
-    result: dict[str, Characterization] = {}
-    for player in players:
-        addresses = [a for a, m in movers.items() if m == player]
-        sets = [summary.optimal_actions[a] for a in addresses]
-        if all(len(s) == 1 for s in sets) and len({s[0] for s in sets}) == 1:
-            result[player] = Characterization(CharKind.FORCED, sets[0][0])
-        elif all(len(s) == branch_counts[a] for a, s in zip(addresses, sets)):
-            result[player] = Characterization(CharKind.FREE)
-        else:
-            result[player] = Characterization(CharKind.MIXED)
-    return result
+            nodes.setdefault(sub.mover, []).append(
+                (summary.optimal_actions[address], len(sub.branches))
+            )
+    return {player: _characterize(nodes[player]) for player in sorted(nodes)}
 
 
 def summarize_depth(graph: GameGraph, depth: int, rule: ClosureRule) -> DepthSummary:
@@ -303,16 +301,9 @@ def _spe_set_characterization(
         if not own or not spes:
             result[player] = Characterization(CharKind.ABSENT)
             continue
-        used = {sid: {p[sid] for p in spes} for sid in own}
-        counts = {sid: len(graph.states[sid].edges) for sid in own}
-        if all(len(used[sid]) == 1 for sid in own) and len({next(iter(used[sid])) for sid in own}) == 1:
-            result[player] = Characterization(
-                CharKind.FORCED, next(iter(used[own[0]]))
-            )
-        elif all(len(used[sid]) == counts[sid] for sid in own):
-            result[player] = Characterization(CharKind.FREE)
-        else:
-            result[player] = Characterization(CharKind.MIXED)
+        result[player] = _characterize(
+            [({p[sid] for p in spes}, len(graph.states[sid].edges)) for sid in own]
+        )
     return result
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from seqgames.cli import main
+
 GAMES = Path(__file__).resolve().parent.parent / "games"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -270,6 +272,18 @@ def test_preset_serializes_trees_deeper_than_the_recursion_limit():
     assert result.stdout.count("(node ") == 1500
     assert result.stdout.count("(leaf ") == 1501
     assert result.stdout.count("(") == result.stdout.count(")")
+
+
+def test_deep_finite_documents_read_back(tmp_path, capsys):
+    path = str(tmp_path / "deep.game")
+    assert main(["preset", "zero_one_finite", "--turns", "1500", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["validate", path]) == 0
+    assert capsys.readouterr().out.strip() == "OK"
+    assert main(["solve", path, "--format", "json"]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    assert solved["payoff"] == {"A": "0", "B": "1"}
+    assert solved["equilibria"] == 2**750
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,13 @@ from seqgames.coinduction import (
     enumerate_stationary_spe,
 )
 from seqgames.escalation import (
+    EscalationWitness,
+    RationalizableMap,
+    WitnessStep,
+    _least_cycle,
+    _rational_edges,
     credible_threat_report,
+    dist_to,
     escalation_witness,
     rationalizable_actions,
 )
@@ -161,6 +167,85 @@ def test_witness_none_iff_acyclic_on_random_graphs():
         assert (witness is not None) == _has_rationalizable_cycle(g, rmap)
         tried += 1
     assert tried > 20
+
+
+def _reference_witness(graph, rmap):
+    """The least lasso found by depth-first search over minimal prefixes,
+    as ``escalation_witness`` did before it worked layer by layer."""
+    edges = _rational_edges(graph, rmap)
+    internal = set(edges)
+    if graph.start not in internal:
+        return None
+    from_start = {graph.start: 0}
+    queue = [graph.start]
+    while queue:
+        sid = queue.pop(0)
+        for _, target, _ in edges[sid]:
+            if target in internal and target not in from_start:
+                from_start[target] = from_start[sid] + 1
+                queue.append(target)
+    cycle_len = {}
+    for sid in sorted(from_start):
+        back = dist_to(edges, internal, sid)
+        lengths = [1 + back[t] for _, t, _ in edges[sid] if t in back]
+        if lengths:
+            cycle_len[sid] = min(lengths)
+    if not cycle_len:
+        return None
+    prefix_len = min(from_start[sid] for sid in cycle_len)
+    best_cycle = min(
+        cycle_len[sid] for sid in cycle_len if from_start[sid] == prefix_len
+    )
+
+    def search(sid, remaining, path):
+        if remaining == 0:
+            if cycle_len.get(sid) == best_cycle:
+                return EscalationWitness(
+                    tuple(path), _least_cycle(edges, internal, sid, best_cycle)
+                )
+            return None
+        for action, target, tag in edges[sid]:
+            if target in internal and from_start.get(target) == len(path) + 1:
+                path.append(WitnessStep(sid, action, tag))
+                found = search(target, remaining - 1, path)
+                if found is not None:
+                    return found
+                path.pop()
+        return None
+
+    return search(graph.start, prefix_len, [])
+
+
+def test_witness_matches_depth_first_reference_on_random_graphs():
+    # Besides the map of every stationary equilibrium, each graph gets a
+    # random map, which reaches deeper prefixes and more ties between them.
+    rng = random.Random(2718)
+    prefixes = set()
+    for _ in range(1000):
+        g = random_game_graph(rng, max_internal=7, max_terminals=2)
+        if not validate_graph(g).ok:
+            continue
+        rmaps = [
+            RationalizableMap(
+                {
+                    sid: {
+                        action: (rng.randint(1, 3),)
+                        for action, _, _ in g.states[sid].edges
+                        if rng.random() < 0.7
+                    }
+                    for sid in g.internal_ids()
+                }
+            )
+        ]
+        spes = [p for p, v in enumerate_stationary_spe(g) if v.ok]
+        if spes:
+            rmaps.append(rationalizable_actions(g, spes))
+        for rmap in rmaps:
+            witness = escalation_witness(g, rmap)
+            assert witness == _reference_witness(g, rmap), (g, rmap)
+            if witness is not None:
+                prefixes.add(len(witness.prefix))
+    assert len(prefixes) >= 4, prefixes
 
 
 def test_credible_threat_report_zero_one():

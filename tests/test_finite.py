@@ -11,6 +11,8 @@ from seqgames.core import (
     internal_addresses,
     leaf,
     node,
+    play_finite,
+    subgame_at,
     walk,
 )
 from seqgames.finite import (
@@ -22,7 +24,6 @@ from seqgames.finite import (
     is_spe_by_best_response,
     is_spe_finite,
     profile_space_size,
-    robust_action_sets,
 )
 from tests.conftest import random_distinct_payoff_game, random_finite_game
 
@@ -66,12 +67,6 @@ def test_divergent_tie_equilibria_are_not_a_product():
     assert is_spe_finite(game, summary.representative).ok
 
 
-def test_robust_action_sets_can_be_empty_under_divergent_ties():
-    sets = robust_action_sets(divergent_tie_game())
-    assert sets[("l",)] == ("x", "y")
-    assert sets[()] == ()
-
-
 def test_leaf_game_has_single_empty_profile():
     game = leaf(A=0, B=0)
     assert brute_force_spe(game) == {TreeProfile()}
@@ -85,6 +80,25 @@ def test_brute_force_cap():
         brute_force_spe(game, cap=1)
 
 
+def _first_maximizer_profile(game):
+    """Reference representative: the first maximizer in branch order."""
+    choices = {}
+
+    def visit(sub, address):
+        if isinstance(sub, Leaf):
+            return sub.payoffs
+        best_action, best = None, None
+        for action, child in sub.branches:
+            value = visit(child, address + (action,))
+            if best is None or value[sub.mover] > best[sub.mover]:
+                best_action, best = action, value
+        choices[address] = best_action
+        return best
+
+    visit(game, ())
+    return TreeProfile(choices)
+
+
 def test_oracle_equivalence_on_random_games():
     rng = random.Random(2024)
     for _ in range(120):
@@ -94,6 +108,7 @@ def test_oracle_equivalence_on_random_games():
         assert set(enumerate_spe_profiles(game)) == oracle
         assert summary.count == len(oracle)
         assert summary.representative in oracle
+        assert list(summary.optimal_actions) == internal_addresses(game)
         # Per-node optimal actions are exactly the actions used by some SPE.
         used: dict[tuple, set] = {a: set() for a in internal_addresses(game)}
         for profile in oracle:
@@ -101,6 +116,13 @@ def test_oracle_equivalence_on_random_games():
                 used[address].add(action)
         for address, actions in summary.optimal_actions.items():
             assert set(actions) == used[address], (game, address)
+            labels = [a for a, _ in subgame_at(game, address).branches]
+            assert list(actions) == [a for a in labels if a in actions], (game, address)
+        assert summary.payoff == play_finite(game, summary.representative)
+        assert summary.representative == _first_maximizer_profile(game)
+        for address, sub in walk(game):
+            values = {play_finite(sub, p) for p in brute_force_spe(sub)}
+            assert set(summary.subgame_values[address]) == values, (game, address)
 
 
 def test_one_shot_equals_full_deviation_check():

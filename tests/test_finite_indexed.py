@@ -14,9 +14,11 @@ import pytest
 from seqgames import finite
 from seqgames.core import (
     Leaf,
+    PayoffVector,
     Node,
     ProfileError,
     TreeProfile,
+    depth,
     internal_addresses,
     leaf,
     node,
@@ -28,8 +30,10 @@ from seqgames.finite import (
     Counterexample,
     SpeCheck,
     all_profiles,
+    backward_induction,
     best_response_value,
     brute_force_spe,
+    enumerate_spe_profiles,
     is_spe_finite,
 )
 from tests.conftest import random_finite_game
@@ -221,6 +225,18 @@ def test_is_spe_finite_on_a_deep_spine():
     # (quitting later pays as much) and quits at its own last node.
     root = is_spe_finite(game, continue_everywhere, root_only=True).counterexample
     assert (root.address, root.player, root.action) == (addresses[-2], "A", "l")
+
+
+def test_solver_on_a_deep_spine():
+    levels = 1500
+    game = _alternating_spine(levels)
+    quit_everywhere = TreeProfile((("c",) * k, "l") for k in range(levels))
+    assert depth(game) == levels
+    summary = backward_induction(game)
+    assert summary.count == 1
+    assert summary.representative == quit_everywhere
+    assert summary.payoff == PayoffVector(A=1, B=0)
+    assert enumerate_spe_profiles(game) == (quit_everywhere,)
 
 
 def test_best_response_value_reads_only_reachable_choices():

@@ -40,6 +40,13 @@ def test_depth_six_forces_bob():
     assert summary.payoff == PayoffVector(A=0, B=1)
 
 
+def test_deep_truncation_keeps_the_parity_pattern():
+    summary = summarize_depth(zero_one_graph(), 800, DeciderQuitsClosure())
+    assert summary.count == 2**400
+    assert char_map(summary) == {"A": "free", "B": "forced:c"}
+    assert summary.payoff == PayoffVector(A=0, B=1)
+
+
 def test_depth_one_single_equilibrium():
     summary = summarize_depth(
         zero_one_graph(), 1, StateClosure({"SB": PayoffVector(A=1, B=0)})
