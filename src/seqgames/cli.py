@@ -139,6 +139,13 @@ def _closure_arg(text: str) -> ClosureRule:
         raise argparse.ArgumentTypeError(str(error))
 
 
+def _fraction_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="seqgames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -184,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preset", help="write a preset's document")
     p.add_argument("name", choices=sorted(PRESETS))
-    p.add_argument("--stake", type=Fraction, default=Fraction(100))
+    p.add_argument("--stake", type=_fraction_arg, default=Fraction(100))
     p.add_argument("--turns", type=int, default=7)
     p.add_argument("--output", "-o")
     return parser

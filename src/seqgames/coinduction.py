@@ -324,20 +324,6 @@ def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
     return _ProfileChecker(graph).check(profile)
 
 
-def affine_leq_all(a: AffineExpr, b: AffineExpr) -> int | None:
-    """Decide ``a(k) <= b(k)`` for every k in 0, 1, 2, ...
-
-    Returns None when the inequality holds everywhere, else the least
-    violating k: 0 when the intercepts already violate it, otherwise the
-    first integer past the crossing point of the two lines.
-    """
-    violations = _violation_interval(a, b)
-    if violations is None:
-        return None
-    low, _ = violations
-    return low
-
-
 def _violation_interval(a: AffineExpr, b: AffineExpr) -> tuple[int, int | None] | None:
     """The set {k : a(k) > b(k)} as an interval of naturals.
 
@@ -581,121 +567,3 @@ def induced_tree_profile(
     require_valid_graph(graph)
     check_stationary_total(graph, profile)
     return _unfolded_choices(graph, profile, depth)
-
-
-@dataclass(frozen=True)
-class AuditFinding:
-    """A profitable deviation changing the profile at several states at once."""
-
-    player: str
-    changes: tuple[tuple[str, str], ...]
-    from_state: str
-    stage: int | None
-    profile_payoff: Fraction
-    deviation_payoff: Fraction
-
-
-def multi_shot_audit(
-    graph: GameGraph,
-    profile: StationaryProfile,
-    max_changes: int = 3,
-) -> tuple[AuditFinding, ...]:
-    """Diagnostic: search for profitable deviations that change one player's
-    choices at up to ``max_changes`` states simultaneously.
-
-    One-shot closure does not automatically rule these out on infinite games,
-    so this bounded audit gives extra confidence in accepted profiles.
-    Deviations whose play diverges carry no payoff and never count as gains.
-    """
-    require_valid_graph(graph)
-    checker = _ProfileChecker(graph)
-    choices = checker.choices(profile)
-    param = isinstance(graph, ParamGraph)
-    reach = checker.reach if param else None
-    base_values = checker.play_values(choices)
-    if isinstance(base_values, NotAdmissible):
-        if param:
-            raise GameError(f"cannot audit a divergent profile: {base_values.describe()}")
-        raise GameError(
-            f"cannot audit a divergent profile: play from {base_values.state} cycles"
-        )
-    findings: list[AuditFinding] = []
-    movers = sorted(
-        {graph.states[sid].mover for sid in graph.internal_ids()}  # type: ignore[union-attr]
-    )
-    for player in movers:
-        own = [
-            sid
-            for sid in graph.internal_ids()
-            if graph.states[sid].mover == player  # type: ignore[union-attr]
-        ]
-        for r in range(1, max_changes + 1):
-            for combo in itertools.combinations(own, r):
-                alternative_lists = []
-                for sid in combo:
-                    labels = [
-                        action
-                        for action, _, _ in graph.states[sid].edges
-                        if action != profile[sid]
-                    ]
-                    alternative_lists.append(labels)
-                for picks in itertools.product(*alternative_lists):
-                    changed = dict(profile)
-                    changed.update(zip(combo, picks))
-                    deviant = StationaryProfile(changed)
-                    findings.extend(
-                        _audit_one(graph, deviant, player, tuple(zip(combo, picks)), reach, base_values)
-                    )
-    return tuple(findings)
-
-
-def _audit_one(
-    graph: GameGraph,
-    deviant: StationaryProfile,
-    player: str,
-    changes: tuple[tuple[str, str], ...],
-    reach: StageReachability | None,
-    base_values,
-) -> list[AuditFinding]:
-    found: list[AuditFinding] = []
-    for sid in graph.internal_ids():
-        if isinstance(graph, ParamGraph):
-            assert reach is not None
-            if reach.min_offset(sid) is None:
-                continue
-            after = play_graph(graph, deviant, sid)
-            if isinstance(after, Diverges):
-                continue
-            assert isinstance(after.payoffs, AffinePayoffs)
-            witness = _least_reachable_violation(
-                reach, sid, after.payoffs[player], base_values[sid][player]
-            )
-            if witness is not None:
-                found.append(
-                    AuditFinding(
-                        player,
-                        changes,
-                        sid,
-                        witness,
-                        base_values[sid][player].at(witness),
-                        after.payoffs[player].at(witness),
-                    )
-                )
-        else:
-            before = base_values[sid]
-            after = play_graph(graph, deviant, sid)
-            if isinstance(after, Diverges):
-                continue
-            assert isinstance(after.payoffs, PayoffVector)
-            if after.payoffs[player] > before[player]:
-                found.append(
-                    AuditFinding(
-                        player,
-                        changes,
-                        sid,
-                        None,
-                        before[player],
-                        after.payoffs[player],
-                    )
-                )
-    return found

@@ -251,7 +251,8 @@ class ValidationReport:
         return not self.violations
 
 
-def _format_address(address: Address) -> str:
+def format_address(address: Address) -> str:
+    """Render an address for display: ``.`` for the root, else ``c.l``."""
     return ".".join(address) if address else "."
 
 
@@ -264,7 +265,7 @@ def validate_game(game: FiniteGame, players: Iterable[str] | None = None) -> Val
     expected = frozenset(players) if players is not None else declared_players(game)
     found: list[Violation] = []
     for address, sub in walk(game):
-        where = _format_address(address)
+        where = format_address(address)
         if isinstance(sub, Leaf):
             missing = expected - sub.payoffs.players
             extra = sub.payoffs.players - expected
@@ -307,14 +308,14 @@ class TreeProfile(_FrozenMap):
         return self._lookup[address]
 
     def _format_key(self, address: Address) -> str:
-        return _format_address(address)
+        return format_address(address)
 
     def action_at(self, address: Address) -> str:
         try:
             return self[address]
         except KeyError:
             raise ProfileError(
-                f"profile not total: no choice at address {_format_address(address)}"
+                f"profile not total: no choice at address {format_address(address)}"
             ) from None
 
 
@@ -334,17 +335,17 @@ def check_profile_total(game: FiniteGame, profile: TreeProfile) -> None:
     given = set(profile)
     missing = actions.keys() - given
     if missing:
-        first = _format_address(_first_address(missing))
+        first = format_address(_first_address(missing))
         raise ProfileError(f"profile not total: no choice at address {first}")
     extra = given - actions.keys()
     if extra:
-        first = _format_address(_first_address(extra))
+        first = format_address(_first_address(extra))
         raise ProfileError(f"profile has a choice at non-decision address {first}")
     unknown = [address for address, known in actions.items() if profile[address] not in known]
     if unknown:
         first = _first_address(unknown)
         raise ProfileError(
-            f"profile chooses unknown action {profile[first]!r} at {_format_address(first)}"
+            f"profile chooses unknown action {profile[first]!r} at {format_address(first)}"
         )
 
 
@@ -365,12 +366,7 @@ def play_finite(game: FiniteGame, profile: TreeProfile) -> PayoffVector:
                 break
         else:
             raise ProfileError(
-                f"profile chooses unknown action {chosen!r} at {_format_address(address)}"
+                f"profile chooses unknown action {chosen!r} at {format_address(address)}"
             )
         address = address + (chosen,)
     return current.payoffs
-
-
-def format_address(address: Address) -> str:
-    """Render an address for display: ``.`` for the root, else ``c.l``."""
-    return _format_address(address)

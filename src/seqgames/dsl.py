@@ -127,9 +127,9 @@ def tokenize(text: str) -> list[Token]:
             i += 1
             column += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < length and text[j].isdigit():
+            while j < length and text[j].isdecimal():
                 j += 1
             tokens.append(Token("NUMBER", text[i:j], span))
             column += j - i
@@ -426,8 +426,7 @@ class _Parser:
             key_span = self.peek().span
             key = self.profile_key()
             if key in seen:
-                where = ".".join(key) if key else "."
-                raise ParseError(f"duplicate profile key {where!r}", key_span)
+                raise ParseError(f"duplicate profile key {format_address(key)!r}", key_span)
             seen.add(key)
             self.expect("COLON", what="':'")
             action = self.ident("action label")

@@ -345,23 +345,6 @@ def _best_responses(
     return best
 
 
-def best_response_value(game: FiniteGame, profile: TreeProfile, player: str) -> Fraction:
-    """Best payoff ``player`` can reach against the others' profile choices.
-
-    Only the others' choices on positions ``player`` can reach are read.
-    """
-    tree = _Tree(game)
-
-    def choose(i: int) -> int:
-        address = tree.addresses[i]
-        chosen = profile.action_at(address)
-        if chosen not in tree.labels[i]:
-            raise GameError(f"unknown action {chosen!r} at {format_address(address)}")
-        return tree.labels[i].index(chosen)
-
-    return _best_responses(tree, player, choose)[0]
-
-
 def _nash_counterexample(
     tree: _Tree, picks: tuple[int, ...], reached: list[int]
 ) -> Counterexample | None:

@@ -349,36 +349,11 @@ class StageReachability:
             if delta == 1
         )
 
-    def _layer(self, k: int) -> frozenset[str]:
-        if k < len(self.layers):
-            return self.layers[k]
-        if self.loop_start is None or self.period is None:
-            return frozenset()
-        return self.layers[self.loop_start + (k - self.loop_start) % self.period]
-
-    def reachable_at(self, sid: str, k: int) -> bool:
-        return sid in self._layer(k)
-
     def min_offset(self, sid: str) -> int | None:
         for k, layer in enumerate(self.layers):
             if sid in layer:
                 return k
         return None
-
-    def is_unbounded(self, sid: str) -> bool:
-        if self.loop_start is None:
-            return False
-        return any(sid in self.layers[i] for i in range(self.loop_start, len(self.layers)))
-
-    def max_offset(self, sid: str) -> int | None:
-        """Largest reachable stage; None when unbounded or unreachable."""
-        if self.is_unbounded(sid):
-            return None
-        best: int | None = None
-        for k, layer in enumerate(self.layers):
-            if sid in layer:
-                best = k
-        return best
 
     def least_at_least(self, sid: str, k0: int) -> int | None:
         """Smallest reachable stage >= k0 for ``sid``, or None."""

@@ -267,16 +267,20 @@ class ExtrapolationReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+def _decision_states(graph: GameGraph) -> dict[str, list[str]]:
+    """Each player's decision states in state order, players sorted; a
+    player who never moves gets an empty list."""
+    own: dict[str, list[str]] = {player: [] for player in sorted(graph_players(graph))}
+    for sid in graph.internal_ids():
+        own[graph.states[sid].mover].append(sid)  # type: ignore[union-attr]
+    return own
+
+
 def _profile_characterization(
-    graph: GameGraph, profile: StationaryProfile
+    decision_states: Mapping[str, list[str]], profile: StationaryProfile
 ) -> dict[str, Characterization]:
     result: dict[str, Characterization] = {}
-    for player in sorted(graph_players(graph)):
-        own = [
-            sid
-            for sid in graph.internal_ids()
-            if graph.states[sid].mover == player  # type: ignore[union-attr]
-        ]
+    for player, own in decision_states.items():
         if not own:
             result[player] = Characterization(CharKind.ABSENT)
             continue
@@ -289,15 +293,12 @@ def _profile_characterization(
 
 
 def _spe_set_characterization(
-    graph: GameGraph, spes: Sequence[StationaryProfile]
+    graph: GameGraph,
+    decision_states: Mapping[str, list[str]],
+    spes: Sequence[StationaryProfile],
 ) -> dict[str, Characterization]:
     result: dict[str, Characterization] = {}
-    for player in sorted(graph_players(graph)):
-        own = [
-            sid
-            for sid in graph.internal_ids()
-            if graph.states[sid].mover == player  # type: ignore[union-attr]
-        ]
+    for player, own in decision_states.items():
         if not own or not spes:
             result[player] = Characterization(CharKind.ABSENT)
             continue
@@ -343,8 +344,9 @@ def extrapolation_report(
         raise ValueError("depths must be >= 0")
     summaries = tuple(summarize_depth(graph, d, rule) for d in ordered)
     spes = [p for p, v in enumerate_stationary_spe(graph, cap=cap) if v.ok]
-    infinite_chars = tuple(_profile_characterization(graph, p) for p in spes)
-    set_char = _spe_set_characterization(graph, spes)
+    decision_states = _decision_states(graph)
+    infinite_chars = tuple(_profile_characterization(decision_states, p) for p in spes)
+    set_char = _spe_set_characterization(graph, decision_states, spes)
 
     odd = _stabilized([s for s in summaries if s.depth % 2 == 1])
     even = _stabilized([s for s in summaries if s.depth % 2 == 0])

@@ -317,6 +317,25 @@ def test_usage_errors_exit_four():
     assert result.returncode == 4
 
 
+def test_stake_that_is_no_fraction_is_a_usage_error(capsys):
+    assert main(["preset", "dollar_auction", "--stake", "1/0"]) == 4
+    assert capsys.readouterr().err == (
+        "usage error: argument --stake: invalid Fraction value: '1/0'\n"
+    )
+    assert main(["preset", "dollar_auction", "--stake", "abc"]) == 4
+    assert capsys.readouterr().err == (
+        "usage error: argument --stake: invalid Fraction value: 'abc'\n"
+    )
+
+
+def test_validate_rejects_non_decimal_digits_with_a_position(tmp_path):
+    bad = tmp_path / "bad.game"
+    bad.write_text("(leaf (A:²))", encoding="utf-8")
+    result = run_cli("validate", str(bad))
+    assert result.returncode == 2
+    assert result.stderr == "parse error: line 1, column 10: unexpected character '²'\n"
+
+
 def test_missing_file_is_input_error():
     result = run_cli("validate", "no/such/file.game")
     assert result.returncode == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,13 +16,11 @@ from seqgames.coinduction import (
     Refuted,
     SpeOk,
     StationaryProfile,
-    affine_leq_all,
     check_spe_graph,
     check_spe_param,
     concrete_unfolding_check,
     enumerate_stationary_spe,
     induced_tree_profile,
-    multi_shot_audit,
     play_graph,
     play_param,
     stationary_closure,
@@ -117,13 +116,20 @@ def test_refutation_witness_revalidates():
     assert after.payoffs[verdict.player] > verdict.profile_payoffs[verdict.player]
 
 
+def least_violation(a, b):
+    """The least k >= 0 with a(k) > b(k), or None: the low end of the
+    checker's violation interval."""
+    interval = coinduction._violation_interval(a, b)
+    return None if interval is None else interval[0]
+
+
 def test_affine_leq_all_cases():
-    assert affine_leq_all(AffineExpr(0, -1), AffineExpr(98, -1)) is None
-    assert affine_leq_all(AffineExpr(0, 1), AffineExpr(5, 0)) == 6
+    assert least_violation(AffineExpr(0, -1), AffineExpr(98, -1)) is None
+    assert least_violation(AffineExpr(0, 1), AffineExpr(5, 0)) == 6
     expr = AffineExpr(Fraction(3, 2), Fraction(-1, 3))
-    assert affine_leq_all(expr, expr) is None
-    assert affine_leq_all(AffineExpr(1, 0), AffineExpr(0, 0)) == 0
-    assert affine_leq_all(AffineExpr(0, 0), AffineExpr(99, -1)) == 100
+    assert least_violation(expr, expr) is None
+    assert least_violation(AffineExpr(1, 0), AffineExpr(0, 0)) == 0
+    assert least_violation(AffineExpr(0, 0), AffineExpr(99, -1)) == 100
 
 
 def test_affine_leq_all_matches_pointwise():
@@ -133,7 +139,7 @@ def test_affine_leq_all_matches_pointwise():
                        Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
         b = AffineExpr(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
                        Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        failure = affine_leq_all(a, b)
+        failure = least_violation(a, b)
         pointwise = [k for k in range(1001) if a.at(k) > b.at(k)]
         if failure is None:
             assert not pointwise
@@ -174,7 +180,7 @@ def test_check_spe_param_ignores_unreachable_stages():
     d = dollar_auction(100)
     values_pass = AffineExpr(0, 0)
     values_bid = AffineExpr(99, -1)
-    assert affine_leq_all(values_pass, values_bid) == 100  # naive all-k check fails
+    assert least_violation(values_pass, values_bid) == 100  # naive all-k check fails
     assert check_spe_param(d, ALICE_RAISES, cross_check_depth=None) == SpeOk()
 
 
@@ -238,24 +244,69 @@ def test_determinism_of_verdicts():
     assert enumerate_stationary_spe(g) == enumerate_stationary_spe(g)
 
 
-def test_multi_shot_audit_on_spes():
-    g = zero_one_graph()
-    assert multi_shot_audit(g, ALICE_LEAVES) == ()
-    assert multi_shot_audit(g, BOB_LEAVES) == ()
-    d = dollar_auction(100)
-    assert multi_shot_audit(d, ALICE_RAISES) == ()
-    assert multi_shot_audit(d, BOB_RAISES) == ()
+def profitable_deviations(graph, profile, player):
+    """Oracle: every (changes, state) where switching ``player``'s choices at
+    one or more of its states, and keeping the switch at every visit, pays
+    from that decision state.  On a parametrized graph it must pay at a
+    stage the state is entered with.  Plays that diverge carry no payoff."""
+    checker = coinduction._ProfileChecker(graph)
+    choices = checker.choices(profile)
+    values = checker.play_values(choices)
+    param = isinstance(graph, ParamGraph)
+    reach = checker.reach if param else None
+    own = [sid for sid, mover in checker.movers.items() if mover == player]
+    options = [list(checker.moves[sid]) for sid in own]
+    found = []
+    for combo in itertools.product(*options):
+        changes = tuple((sid, a) for sid, a in zip(own, combo) if a != choices[sid])
+        if not changes:
+            continue
+        deviant = {**choices, **dict(changes)}
+        after = checker.play_values(deviant)
+        for sid in checker.moves:
+            if param and reach.min_offset(sid) is None:
+                continue
+            if isinstance(after, NotAdmissible):
+                result = play_graph(graph, StationaryProfile(deviant), sid)
+                if isinstance(result, Diverges):
+                    continue
+                deviation = result.payoffs[player]
+            else:
+                deviation = after[sid][player]
+            current = values[sid][player]
+            if not param:
+                pays = deviation > current
+            else:
+                witness = coinduction._least_reachable_violation(reach, sid, deviation, current)
+                pays = witness is not None
+            if pays:
+                found.append((changes, sid))
+    return found
 
 
-def test_multi_shot_audit_finds_gains_on_refuted_profiles():
-    findings = multi_shot_audit(zero_one_graph(), BOTH_LEAVE)
-    assert findings
-    assert any(f.player == "A" and f.from_state == "SA" for f in findings)
-
-
-def test_multi_shot_audit_rejects_divergent_base():
-    with pytest.raises(GameError):
-        multi_shot_audit(zero_one_graph(), BOTH_CONTINUE)
+def test_accepted_profiles_admit_no_profitable_stationary_deviation():
+    # One-shot deviation principle: on an admissible stationary profile, a
+    # deviation by one player at several states either loops forever (no
+    # payoff) or reaches a terminal in finitely many steps, where induction
+    # back along the play finds a profitable one-shot deviation.
+    rng = random.Random(909)
+    graphs = [zero_one_graph(), dollar_auction(100)]
+    graphs += [random_game_graph(rng, max_internal=4) for _ in range(150)]
+    graphs += [random_param_graph(rng, max_internal=4) for _ in range(150)]
+    outcomes: Counter = Counter()
+    for graph in graphs:
+        movers = sorted({graph.states[sid].mover for sid in graph.internal_ids()})
+        for profile, verdict in enumerate_stationary_spe(graph):
+            if isinstance(verdict, NotAdmissible):
+                continue
+            found = {p: profitable_deviations(graph, profile, p) for p in movers}
+            if isinstance(verdict, SpeOk):
+                assert not any(found.values()), (graph, profile, found)
+            outcomes[type(verdict).__name__, any(found.values())] += 1
+    assert outcomes["SpeOk", False] >= 100, outcomes
+    assert outcomes["Refuted", True] >= 30, outcomes
+    zero_one = profitable_deviations(zero_one_graph(), BOTH_LEAVE, "A")
+    assert any(sid == "SA" for _, sid in zero_one), zero_one
 
 
 def replay_verdict(graph, profile):
@@ -290,7 +341,7 @@ def replay_verdict(graph, profile):
             # Past every stage layer and every crossing of the generator's
             # payoffs (intercepts within 3 + 5 of zero, slopes at least 1/2 apart).
             for k in range(len(reach.layers) + 64):
-                if reach.reachable_at(sid, k) and deviation[mover].at(k) > current[mover].at(k):
+                if reach.least_at_least(sid, k) == k and deviation[mover].at(k) > current[mover].at(k):
                     return Refuted(
                         sid, k, mover, action, current.at_stage(k), deviation.at_stage(k)
                     )

@@ -68,6 +68,16 @@ def test_parse_error_on_bad_character():
         parse("(leaf (A:0) $)")
 
 
+def test_numbers_take_only_decimal_digits():
+    # "²" passes str.isdigit but int() rejects it.
+    with pytest.raises(ParseError) as info:
+        parse("(leaf (A:²))")
+    assert str(info.value) == "line 1, column 10: unexpected character '²'"
+    assert parse("(leaf (A:٣))") == Leaf(PayoffVector(A=3))
+    graph = parse("graph g { state S² = node A { x -> T } state T = leaf (A:1) start S² }")
+    assert graph.start == "S²"
+
+
 def test_duplicate_state_id_is_semantic_error():
     text = "graph g { state S = leaf (A:0) state S = leaf (A:1) start S }"
     with pytest.raises(ParseError) as info:

@@ -18,7 +18,6 @@ from seqgames.core import (
 from seqgames.finite import (
     CapExceededError,
     backward_induction,
-    best_response_value,
     brute_force_spe,
     enumerate_spe_profiles,
     is_spe_by_best_response,
@@ -234,13 +233,6 @@ def test_root_only_rejects_non_equilibria():
     check = is_spe_finite(game, bad, root_only=True)
     assert not check.ok
     assert check.counterexample.player == "A"
-
-
-def test_best_response_value():
-    game = two_node_game()
-    profile = TreeProfile({(): "l", ("c",): "c"})
-    assert best_response_value(game, profile, "A") == 1
-    assert best_response_value(game, profile, "B") == 0
 
 
 def test_profile_space_size():

@@ -16,7 +16,6 @@ from seqgames.core import (
     Leaf,
     PayoffVector,
     Node,
-    ProfileError,
     TreeProfile,
     depth,
     internal_addresses,
@@ -31,7 +30,6 @@ from seqgames.finite import (
     SpeCheck,
     all_profiles,
     backward_induction,
-    best_response_value,
     brute_force_spe,
     enumerate_spe_profiles,
     is_spe_finite,
@@ -237,17 +235,3 @@ def test_solver_on_a_deep_spine():
     assert summary.representative == quit_everywhere
     assert summary.payoff == PayoffVector(A=1, B=0)
     assert enumerate_spe_profiles(game) == (quit_everywhere,)
-
-
-def test_best_response_value_reads_only_reachable_choices():
-    game = node(
-        "A",
-        ("c", node("B", ("x", leaf(A=1, B=2)), ("y", leaf(A=3, B=1)))),
-        ("l", node("B", ("x", leaf(A=0, B=5)), ("y", leaf(A=4, B=0)))),
-    )
-    # B's own nodes need no choices, and A's choice leads away from "l".
-    assert best_response_value(game, TreeProfile({(): "c"}), "B") == 2
-    # A may go either way, so B's choices are read in depth-first order.
-    with pytest.raises(ProfileError, match="no choice at address c$"):
-        best_response_value(game, TreeProfile({(): "c"}), "A")
-    assert best_response_value(game, TreeProfile({("c",): "x", ("l",): "y"}), "A") == 4
