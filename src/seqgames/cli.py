@@ -10,6 +10,7 @@ renders every number as an exact rational string.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -235,9 +236,6 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     game = _require_finite(_load(args.file), args.file)
     summary = backward_induction(game)
-    movers = {
-        address: sub.mover for address, sub in walk(game) if isinstance(sub, Node)
-    }
     if args.format == "json":
         _emit_json(
             {
@@ -257,6 +255,9 @@ def _cmd_solve(args) -> int:
             }
         )
         return EXIT_OK
+    movers = {
+        address: sub.mover for address, sub in walk(game) if isinstance(sub, Node)
+    }
     print(f"equilibria: {summary.count}")
     print(f"payoff: {_payoffs_text(summary.payoff)}")
     print("optimal actions:")
@@ -506,10 +507,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process: parsing leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except _UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)

@@ -12,6 +12,7 @@ structurally equal value.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,6 +97,11 @@ class ParseError(Exception):
         return "; ".join(parts)
 
 
+# A newline and the indentation after it, skipped in one match: serialized
+# deep games are mostly indentation.
+_NEWLINE = re.compile(r"\n[ \t\r]*")
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, column = 1, 1
@@ -104,17 +110,18 @@ def tokenize(text: str) -> list[Token]:
     while i < length:
         ch = text[i]
         if ch == "\n":
+            end = _NEWLINE.match(text, i).end()
             line += 1
-            column = 1
-            i += 1
+            column = end - i
+            i = end
             continue
         if ch in " \t\r":
             column += 1
             i += 1
             continue
         if ch == "#":
-            while i < length and text[i] != "\n":
-                i += 1
+            end = text.find("\n", i)
+            i = length if end < 0 else end
             continue
         span = SourceSpan(line, column, i)
         if ch in _PUNCT:
@@ -210,15 +217,22 @@ class _Parser:
         if self.peek().kind == "MINUS":
             self.take()
             negative = True
-        number = self.expect("NUMBER", what="number")
-        value = Fraction(int(number.text))
+        value = Fraction(self.number("number"))
         if self.peek().kind == "SLASH":
             self.take()
-            denom = self.expect("NUMBER", what="positive denominator")
-            if int(denom.text) == 0:
-                raise ParseError("denominator must be positive", denom.span)
-            value = Fraction(int(number.text), int(denom.text))
+            span = self.peek().span
+            denominator = self.number("positive denominator")
+            if denominator == 0:
+                raise ParseError("denominator must be positive", span)
+            value /= denominator
         return -value if negative else value
+
+    def number(self, what: str) -> int:
+        token = self.expect("NUMBER", what=what)
+        try:
+            return int(token.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"number too long ({len(token.text)} digits)", token.span) from None
 
     def affine(self) -> AffineExpr:
         intercept = self.rational()

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,41 +103,144 @@ def _require_valid(game: FiniteGame) -> None:
         raise GameError(f"invalid game: {first} ({len(report.violations)} violation(s))")
 
 
-@dataclass
-class _Analysis:
-    """Per-subgame equilibrium structure used by the solver."""
+def _payoff_ids(
+    payoffs: list[PayoffVector | None], players: list[str]
+) -> tuple[list[int | None], list[PayoffVector], dict[str, list[int]]]:
+    """Leaf payoffs interned as ints, so the solver compares ranks, not
+    fractions.
 
-    values: tuple[PayoffVector, ...]
-    counts: dict[PayoffVector, int]
+    Returns each position's payoff id (None at a decision node), the vector
+    of each id, and each player's rank of every id (``_ranks``), which orders
+    the ids exactly as that player's payoffs do.  A vector with no payoff for
+    a player gets rank -1; in a valid game no such vector lies below a node
+    that player moves at.
+    """
+    ids: dict[PayoffVector, int] = {}
+    leaf = [None if p is None else ids.setdefault(p, len(ids)) for p in payoffs]
+    vectors = list(ids)
+    ranks = {player: _ranks([v.get(player) for v in vectors]) for player in players}
+    return leaf, vectors, ranks
 
 
-def _analyze(tree: _Tree) -> list[_Analysis]:
-    """Bottom-up pass: equilibrium value sets and counts for every position."""
-    analyses = [_Analysis((p,), {p: 1}) if p is not None else None for p in tree.payoffs]
+def _analyze(
+    tree: _Tree, leaf: list[int | None], ranks: Mapping[str, list[int]]
+) -> list[dict[int, int]]:
+    """Bottom-up pass: for every position, the payoff ids its subgame's
+    equilibria induce, in order of discovery, each with its number of
+    equilibria."""
+    counts: list[dict[int, int] | None] = [None if v is None else {v: 1} for v in leaf]
     for i in tree.post:
-        mover = tree.movers[i]
-        children = [analyses[k] for k in tree.children[i]]
-        mins = [min(w[mover] for w in child.values) for child in children]
-        values: list[PayoffVector] = []
-        counts: dict[PayoffVector, int] = {}
+        row = ranks[tree.movers[i]]
+        children = [counts[k] for k in tree.children[i]]
+        floors = _floors([min(row[w] for w in child) for child in children])
+        found: dict[int, int] = {}
         for b, child in enumerate(children):
-            for v in child.values:
+            for v, n in child.items():
                 # Branch b can carry an equilibrium of value v as long as
                 # every other branch offers some continuation it beats.
-                if any(mins[j] > v[mover] for j in range(len(children)) if j != b):
+                rank = row[v]
+                if rank < floors[b]:
                     continue
-                ways = child.counts[v]
                 for j, other in enumerate(children):
-                    if j == b:
-                        continue
-                    ways *= sum(
-                        n for w, n in other.counts.items() if w[mover] <= v[mover]
-                    )
-                counts[v] = counts.get(v, 0) + ways
-                if v not in values:
-                    values.append(v)
-        analyses[i] = _Analysis(tuple(values), counts)
-    return analyses
+                    if j != b:
+                        n *= sum(m for w, m in other.items() if row[w] <= rank)
+                found[v] = found.get(v, 0) + n
+        counts[i] = found
+    return counts
+
+
+def _floors(mins: list[int]) -> list[int]:
+    """For each branch, the highest of the other branches' worst ranks: the
+    least rank an equilibrium through that branch can give the mover."""
+    return [max(mins[:b] + mins[b + 1 :], default=-1) for b in range(len(mins))]
+
+
+class _TiePass:
+    """Top-down tie pass: which actions some equilibrium of the whole game
+    takes at each node.
+
+    It runs over (position, live set) pairs.  The live set of a position is
+    the set of its subgame's values (payoff ids) that an equilibrium of the
+    whole game can induce there; each of ``roots`` starts with all its values
+    live.  On a tree each decision position gets one pair.  On a shared table
+    (``_Tree.from_graph``) different parents can hand a position different
+    live sets, and each distinct set is one pair, solved once.
+
+    Pairs are numbered in the order they are found.  For pair ``p``:
+    ``positions[p]`` is its position, ``used[p]`` the branches some
+    equilibrium takes there (empty when nothing is live), and ``below[p]``
+    the pairs of its decision children.  ``roots[r]`` is the pair of the
+    r-th root, None at a leaf.
+    """
+
+    __slots__ = ("roots", "positions", "used", "below")
+
+    def __init__(
+        self,
+        tree: _Tree,
+        counts: list[dict[int, int]],
+        ranks: Mapping[str, list[int]],
+        roots: list[int],
+    ) -> None:
+        index: dict[tuple[int, frozenset[int]], int] = {}
+        self.positions: list[int] = []
+        lives: list[frozenset[int]] = []
+
+        def pair(i: int, live: frozenset[int]) -> int:
+            key = (i, live)
+            if key not in index:
+                index[key] = len(self.positions)
+                self.positions.append(i)
+                lives.append(live)
+            return index[key]
+
+        self.roots = [
+            None if tree.movers[r] is None else pair(r, frozenset(counts[r])) for r in roots
+        ]
+        self.used: list[tuple[int, ...]] = []
+        self.below: list[list[int]] = []
+        # Solving a pair can add pairs, which this loop then reaches.
+        for i, live in zip(self.positions, lives):
+            row = ranks[tree.movers[i]]
+            kids = tree.children[i]
+            children = [counts[k] for k in kids]
+            floors = _floors([min(row[w] for w in child) for child in children])
+            realizers = {
+                v: [b for b, child in enumerate(children) if v in child and row[v] >= floors[b]]
+                for v in live
+            }
+            self.used.append(
+                tuple(b for b in range(len(kids)) if any(b in r for r in realizers.values()))
+            )
+            below = []
+            for b, (k, child) in enumerate(zip(kids, children)):
+                if tree.movers[k] is None:
+                    continue
+                into = {v for v in live if b in realizers[v]}
+                # A live value realized through another branch leaves in play
+                # every value here that the mover does not prefer to it.
+                tied = [row[v] for v in live if any(c != b for c in realizers[v])]
+                if tied:
+                    top = max(tied)
+                    into.update(w for w in child if row[w] <= top)
+                below.append(pair(k, frozenset(into)))
+            self.below.append(below)
+
+
+def _representative(
+    tree: _Tree, leaf: list[int | None], ranks: Mapping[str, list[int]]
+) -> tuple[list[int], list[int]]:
+    """The first maximizer in branch order at every node: the payoff id it
+    reaches from each position, and its branch at each node of ``post``."""
+    best = list(leaf)
+    picks = []
+    for i in tree.post:
+        row = ranks[tree.movers[i]]
+        kids = tree.children[i]
+        b = max(range(len(kids)), key=lambda j: row[best[kids[j]]])
+        picks.append(b)
+        best[i] = best[kids[b]]
+    return best, picks
 
 
 def backward_induction(game: FiniteGame) -> EquilibriumSummary:
@@ -150,61 +253,60 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
     """
     _require_valid(game)
     tree = _Tree(game)
-    analyses = _analyze(tree)
-
-    # Top-down pass, in preorder: which subgame equilibrium values survive
-    # inside a whole game equilibrium, and hence which actions are used at
-    # each node.
-    reachable: list[set[PayoffVector]] = [set() for _ in tree.movers]
-    reachable[0] = set(analyses[0].values)
-    optimal: dict[Address, tuple[str, ...]] = {}
-    for i, mover in enumerate(tree.movers):
-        if mover is None:
-            continue
-        live = reachable[i]
-        kids = tree.children[i]
-        children = [analyses[k] for k in kids]
-        mins = [min(w[mover] for w in child.values) for child in children]
-
-        def feasible(b: int, v: PayoffVector) -> bool:
-            return v in children[b].values and all(
-                mins[j] <= v[mover] for j in range(len(children)) if j != b
-            )
-
-        realizers = {v: {b for b in range(len(children)) if feasible(b, v)} for v in live}
-        optimal[tree.addresses[i]] = tuple(
-            action
-            for b, action in enumerate(tree.labels[i])
-            if any(b in realizers[v] for v in live)
-        )
-        for b, (k, child) in enumerate(zip(kids, children)):
-            into_child = reachable[k]
-            for v in live:
-                if b in realizers[v]:
-                    into_child.add(v)
-                if realizers[v] - {b}:
-                    into_child.update(
-                        w for w in child.values if w[mover] <= v[mover]
-                    )
-
-    # The representative takes the first maximizer in branch order.
-    best = list(tree.payoffs)
-    choices: dict[Address, str] = {}
-    for i in tree.post:
-        mover = tree.movers[i]
-        kids = tree.children[i]
-        b = max(range(len(kids)), key=lambda j: best[kids[j]][mover])
-        choices[tree.addresses[i]] = tree.labels[i][b]
-        best[i] = best[kids[b]]
+    leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
+    counts = _analyze(tree, leaf, ranks)
+    ties = _TiePass(tree, counts, ranks, [0])
+    best, picks = _representative(tree, leaf, ranks)
     return EquilibriumSummary(
-        optimal_actions=optimal,
-        count=sum(analyses[0].counts.values()),
-        representative=TreeProfile(choices),
-        payoff=best[0],
+        # One pair per decision node; sorted by position is preorder.
+        optimal_actions={
+            tree.addresses[i]: tuple(tree.labels[i][b] for b in used)
+            for i, used in sorted(zip(ties.positions, ties.used))
+        },
+        count=sum(counts[0].values()),
+        representative=TreeProfile(
+            (tree.addresses[i], tree.labels[i][b]) for i, b in zip(tree.post, picks)
+        ),
+        payoff=vectors[best[0]],
         subgame_values={
-            tree.addresses[i]: analyses[i].values for i in tree.postorder
+            tree.addresses[i]: tuple(vectors[v] for v in counts[i]) for i in tree.postorder
         },
     )
+
+
+def _solve_unfoldings(
+    graph, depths: Sequence[int], cut: Callable[[str, int], PayoffVector]
+) -> list[tuple[int, PayoffVector, frozenset[tuple[str, tuple[str, ...], int]]]]:
+    """Solve a validated graph's unfoldings at each of ``depths`` on one
+    shared table (``_Tree.from_graph``), each subgame once.
+
+    For each depth it returns what ``backward_induction`` finds on
+    ``graphs.unfold_param(graph, depth, cut)``: the equilibrium count, the
+    representative's payoff, and the distinct (mover, used actions, branch
+    count) triples over the decision nodes, where the used actions are the
+    node's optimal actions in branch order.  The caller vouches that each
+    unfolding is a valid game.
+    """
+    tree, roots = _Tree.from_graph(graph, depths, cut)
+    leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
+    counts = _analyze(tree, leaf, ranks)
+    best, _ = _representative(tree, leaf, ranks)
+    ties = _TiePass(tree, counts, ranks, roots)
+    # Each pair's triples and those of every pair below it, children first:
+    # the table numbers each child position before its parents.
+    beneath: list[frozenset] = [frozenset()] * len(ties.positions)
+    for p in sorted(range(len(ties.positions)), key=ties.positions.__getitem__):
+        i = ties.positions[p]
+        own = (tree.movers[i], tuple(tree.labels[i][b] for b in ties.used[p]), len(tree.children[i]))
+        beneath[p] = frozenset((own,)).union(*(beneath[c] for c in ties.below[p]))
+    return [
+        (
+            sum(counts[r].values()),
+            vectors[best[r]],
+            frozenset() if p is None else beneath[p],
+        )
+        for r, p in zip(roots, ties.roots)
+    ]
 
 
 class _Tree:
@@ -218,7 +320,7 @@ class _Tree:
     ``postorder`` lists every position in post-order with children in branch
     order, and ``post`` the decision nodes among them: the order in which
     the solver fills in subgames and the one-shot deviation check visits
-    them.
+    them.  ``from_graph`` compiles a shared table of unfoldings instead.
     """
 
     __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "postorder", "post")
@@ -257,6 +359,80 @@ class _Tree:
             pending.extend(self.children[position])
         self.postorder: list[int] = order[::-1]
         self.post: list[int] = [i for i in self.postorder if self.movers[i] is not None]
+
+    @classmethod
+    def from_graph(
+        cls, graph, depths: Sequence[int], cut: Callable[[str, int], PayoffVector]
+    ) -> tuple[_Tree, list[int]]:
+        """A validated graph's unfoldings at each of ``depths``, compiled into
+        one table with one position per (state, stage, remaining depth) key,
+        since the subgame below a key does not depend on the path to it.
+
+        A terminal, or a decision state with no depth left, is a leaf keyed
+        with remaining 0: a terminal gets its payoffs at its stage, a cut
+        state ``cut(state, stage)``, called when its key is first met.  The
+        depths are built in the given order, each depth first with branches
+        in order, so a failing ``cut`` fails where ``graphs.unfold_param``
+        would first meet it.  Positions are numbered children first, so
+        ``post`` is their index order.  The table has no addresses.  Returns
+        the table and each depth's root position.
+        """
+        tree = cls.__new__(cls)
+        states = graph.states
+        index: dict[tuple[str, int, int], int] = {}
+        tree.addresses = None
+        movers: list[str | None] = []
+        children: list[list[int]] = []
+        labels: list[tuple[str, ...]] = []
+        payoffs: list[PayoffVector | None] = []
+
+        def add(key, mover, kids, actions, payoff) -> int:
+            index[key] = len(movers)
+            movers.append(mover)
+            children.append(kids)
+            labels.append(actions)
+            payoffs.append(payoff)
+            return index[key]
+
+        def known(sid: str, stage: int, remaining: int) -> int | None:
+            """The position of a key that needs no frame: one built before,
+            or a leaf, built now."""
+            state = states[sid]
+            key = (sid, stage, remaining if state.edges else 0)
+            found = index.get(key)
+            if found is not None or (state.edges and remaining):
+                return found
+            payoff = cut(sid, stage) if state.edges else state.payoffs.at_stage(stage)
+            return add(key, None, [], (), payoff)
+
+        roots = []
+        for depth in depths:
+            root = known(graph.start, 0, depth)
+            # Frames: (state id, stage, remaining depth, children so far).
+            stack = [] if root is not None else [(graph.start, 0, depth, [])]
+            while stack:
+                sid, stage, remaining, kids = stack[-1]
+                edges = states[sid].edges
+                if len(kids) < len(edges):
+                    _, target, delta = edges[len(kids)]
+                    kid = known(target, stage + delta, remaining - 1)
+                    if kid is None:
+                        stack.append((target, stage + delta, remaining - 1, []))
+                    else:
+                        kids.append(kid)
+                    continue
+                stack.pop()
+                actions = tuple(action for action, _, _ in edges)
+                built = add((sid, stage, remaining), states[sid].mover, kids, actions, None)
+                if stack:
+                    stack[-1][3].append(built)
+                else:
+                    root = built
+            roots.append(root)
+        tree.movers, tree.children, tree.labels, tree.payoffs = movers, children, labels, payoffs
+        tree.postorder = list(range(len(movers)))
+        tree.post = [i for i in tree.postorder if movers[i] is not None]
+        return tree, roots
 
     def rows(self) -> dict[str, list[Fraction | None]]:
         """Each mover's payoff at every leaf, by position (None elsewhere).
@@ -500,30 +676,29 @@ def enumerate_spe_profiles(
     """
     _require_valid(game)
     tree = _Tree(game)
-    total = sum(_analyze(tree)[0].counts.values())
+    leaf, _, ranks = _payoff_ids(tree.payoffs, tree.players())
+    total = sum(_analyze(tree, leaf, ranks)[0].values())
     if total > cap:
         raise CapExceededError(f"equilibrium count {total} exceeds cap {cap}")
 
-    # Per position, each equilibrium of its subgame: (value, choices).
-    results: list[list[tuple[PayoffVector, dict[Address, str]]] | None] = [
-        None if p is None else [(p, {})] for p in tree.payoffs
+    # Per position, each equilibrium of its subgame: (payoff id, choices).
+    results: list[list[tuple[int, dict[Address, str]]] | None] = [
+        None if v is None else [(v, {})] for v in leaf
     ]
     for i in tree.post:
-        mover = tree.movers[i]
+        row = ranks[tree.movers[i]]
         address = tree.addresses[i]
         per_branch = [results[k] for k in tree.children[i]]
         for k in tree.children[i]:
             results[k] = None  # released: the merged dicts copy what they need
-        found: list[tuple[PayoffVector, dict[Address, str]]] = []
+        found: list[tuple[int, dict[Address, str]]] = []
         for b, (action, mine) in enumerate(zip(tree.labels[i], per_branch)):
             for value, choices in mine:
                 pools = []
                 for j, theirs in enumerate(per_branch):
                     if j == b:
                         continue
-                    pool = [
-                        entry for entry in theirs if entry[0][mover] <= value[mover]
-                    ]
+                    pool = [entry for entry in theirs if row[entry[0]] <= row[value]]
                     if not pool:
                         break
                     pools.append(pool)

@@ -16,18 +16,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from seqgames.core import Node, PayoffVector, walk
+from seqgames.core import PayoffVector
 from seqgames.coinduction import (
     DEFAULT_STATIONARY_CAP,
     StationaryProfile,
     enumerate_stationary_spe,
 )
-from seqgames.finite import backward_induction
+from seqgames.finite import _require_valid, _solve_unfoldings
 from seqgames.graphs import (
     GameGraph,
     MissingClosureError,
     Terminal,
     graph_players,
+    require_valid_graph,
     unfold_param,
 )
 
@@ -147,15 +148,47 @@ def _characterize(nodes: Sequence[tuple[Collection[str], int]]) -> Characterizat
     return Characterization(CharKind.MIXED)
 
 
-def _characterize_summary(tree, summary) -> dict[str, Characterization]:
-    """Forced / free / mixed per player, from the per-node optimal sets."""
-    nodes: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-    for address, sub in walk(tree):
-        if isinstance(sub, Node):
-            nodes.setdefault(sub.mover, []).append(
-                (summary.optimal_actions[address], len(sub.branches))
-            )
-    return {player: _characterize(nodes[player]) for player in sorted(nodes)}
+class _OffPlayers(Exception):
+    """A cut payoff names other players than the graph does."""
+
+
+def _summaries(graph: GameGraph, depths: Sequence[int], rule: ClosureRule) -> list[DepthSummary]:
+    """Solve the truncations at ``depths``, in ascending order, on one shared
+    table of subgames, and characterize each player at each depth.
+
+    When every payoff names exactly the graph's players, every truncation is
+    a valid game.  A cut payoff that names others can make a truncation
+    invalid; then each depth is cut and validated in turn, so the error
+    names the first invalid depth's first violation, as solving depth by
+    depth does.
+    """
+    require_valid_graph(graph)
+    players = graph_players(graph)
+
+    def cut(sid: str, stage: int) -> PayoffVector:
+        payoff = rule.payoff(graph, sid, stage)
+        if payoff.players != players:
+            raise _OffPlayers
+        return payoff
+
+    try:
+        solved = _solve_unfoldings(graph, depths, cut)
+    except _OffPlayers:
+        for depth in depths:
+            _require_valid(truncate(graph, depth, rule))
+        solved = _solve_unfoldings(
+            graph, depths, lambda sid, stage: rule.payoff(graph, sid, stage)
+        )
+    summaries = []
+    for depth, (count, payoff, triples) in zip(depths, solved):
+        nodes: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+        for mover, used, branches in triples:
+            nodes.setdefault(mover, []).append((used, branches))
+        characterization = {player: _characterize(nodes[player]) for player in sorted(nodes)}
+        for player in sorted(players):
+            characterization.setdefault(player, Characterization(CharKind.ABSENT))
+        summaries.append(DepthSummary(depth, rule.describe(), count, characterization, payoff))
+    return summaries
 
 
 def summarize_depth(graph: GameGraph, depth: int, rule: ClosureRule) -> DepthSummary:
@@ -165,18 +198,9 @@ def summarize_depth(graph: GameGraph, depth: int, rule: ClosureRule) -> DepthSum
     every node she moves at, free when every such set contains all of her
     actions, absent when the truncation gives her no move at all.
     """
-    tree = truncate(graph, depth, rule)
-    summary = backward_induction(tree)
-    characterization = _characterize_summary(tree, summary)
-    for player in sorted(graph_players(graph)):
-        characterization.setdefault(player, Characterization(CharKind.ABSENT))
-    return DepthSummary(
-        depth=depth,
-        closure=rule.describe(),
-        count=summary.count,
-        characterization=characterization,
-        payoff=summary.payoff,
-    )
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    return _summaries(graph, [depth], rule)[0]
 
 
 def parse_closure_spec(text: str) -> ClosureRule:
@@ -342,7 +366,7 @@ def extrapolation_report(
     ordered = sorted(set(depths))
     if ordered[0] < 0:
         raise ValueError("depths must be >= 0")
-    summaries = tuple(summarize_depth(graph, d, rule) for d in ordered)
+    summaries = tuple(_summaries(graph, ordered, rule))
     spes = [p for p, v in enumerate_stationary_spe(graph, cap=cap) if v.ok]
     decision_states = _decision_states(graph)
     infinite_chars = tuple(_profile_characterization(decision_states, p) for p in spes)

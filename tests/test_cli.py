@@ -236,6 +236,30 @@ def test_extrapolate_json_deterministic():
     assert payload["verdict"] == "ParityDisagreement"
 
 
+@pytest.mark.parametrize(
+    "closure, message",
+    [
+        ("const:(A:1)", "error: invalid game: c: missing payoff for B (1 violation(s))\n"),
+        ("map:SA=(A:1,B:0)", "error: no closure payoff for cut state 'SB'\n"),
+    ],
+)
+def test_extrapolate_closure_errors(closure, message):
+    # Depth 1 cuts SB: const names only A, the map has no entry for SB.
+    result = run_cli("extrapolate", game("zero_one.ggraph"), "--depths", "1..12", "--closure", closure)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
+    # Depth 0 is the cut start state alone, a valid one-player game.
+    result = run_cli("extrapolate", game("zero_one.ggraph"), "--depths", "0", "--closure", closure)
+    assert result.returncode == 0, result.stderr
+
+
+def test_overlong_number_is_a_positioned_parse_error(tmp_path):
+    big = tmp_path / "big.game"
+    big.write_text("(leaf (A:" + "1" * 5000 + "))")
+    result = run_cli("validate", str(big))
+    assert result.returncode == 2
+    assert result.stderr == "parse error: line 1, column 10: number too long (5000 digits)\n"
+
+
 def test_escalate_zero_one():
     result = run_cli("escalate", game("zero_one.ggraph"))
     assert result.returncode == 0

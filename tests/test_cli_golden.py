@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from seqgames.cli import main
+from seqgames.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "cli_transcript.txt"
@@ -95,6 +95,32 @@ def render_transcript() -> str:
 def test_cli_transcript_matches_golden(monkeypatch):
     monkeypatch.setenv("NO_COLOR", "1")
     assert render_transcript() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_one_parser_serves_successive_calls(monkeypatch):
+    # main keeps one parser per process; a usage error must not leave it
+    # changed for the calls after it.
+    monkeypatch.setenv("NO_COLOR", "1")
+    monkeypatch.chdir(ROOT)
+    golden = {}
+    for block in GOLDEN.read_text(encoding="utf-8").split("=== end\n")[:-1]:
+        command, rest = block.split("\n", 1)
+        golden[command] = rest
+    runs = (
+        ("solve", "games/zero_one_6.game", "--format", "table"),
+        ("solve", "games/dollar_auction_100.pgraph", "--format", "table"),
+        ("truncate", "games/zero_one.ggraph", "--closure", "quit"),
+        ("truncate", "games/zero_one.ggraph", "--depth", "3", "--closure", "quit"),
+    )
+    for argv in runs:
+        code, out, err = _run(argv)
+        rendered = f"exit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+        command = f"$ seqgames {' '.join(argv)}"
+        if command in golden:
+            assert rendered == golden[command], command
+        else:
+            assert code == 4 and err == "usage error: the following arguments are required: --depth\n"
+    assert build_parser() is not build_parser()
 
 
 if __name__ == "__main__":

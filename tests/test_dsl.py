@@ -78,6 +78,16 @@ def test_numbers_take_only_decimal_digits():
     assert graph.start == "S²"
 
 
+def test_overlong_numbers_are_parse_errors():
+    # int() refuses strings of more than 4,300 digits by default.
+    digits = "7" * 5000
+    for text, column in ((f"(leaf (A:{digits}))", 10), (f"(leaf (A:1/{digits}))", 12)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.span.line, info.value.span.column) == (1, column)
+        assert info.value.message == "number too long (5000 digits)"
+
+
 def test_duplicate_state_id_is_semantic_error():
     text = "graph g { state S = leaf (A:0) state S = leaf (A:1) start S }"
     with pytest.raises(ParseError) as info:

@@ -1,18 +1,25 @@
+import random
+from collections import Counter
+
 import pytest
 
-from seqgames.core import PayoffVector
+from seqgames.core import GameError, Node, PayoffVector, walk
+from seqgames.finite import _Tree, backward_induction, brute_force_spe, profile_space_size
 from seqgames.graphs import (
     Decision,
     GameGraph,
     MissingClosureError,
     Terminal,
     dollar_auction,
+    graph_players,
     zero_one_graph,
 )
 from seqgames.truncation import (
     CharKind,
+    Characterization,
     ConstantClosure,
     DeciderQuitsClosure,
+    DepthSummary,
     ExtrapolationVerdict,
     StateClosure,
     extrapolation_report,
@@ -20,6 +27,7 @@ from seqgames.truncation import (
     summarize_depth,
     truncate,
 )
+from tests.conftest import random_game_graph, random_param_graph, random_payoffs
 
 
 def char_map(summary):
@@ -155,3 +163,97 @@ def test_parse_closure_spec_round_trip():
 def test_extrapolation_requires_depths():
     with pytest.raises(ValueError):
         extrapolation_report(zero_one_graph(), [], DeciderQuitsClosure())
+
+
+def per_depth_summary(graph, depth, rule):
+    """The reference route: cut the tree, solve it, and characterize each
+    player from the optimal actions at each of the player's nodes."""
+    tree = truncate(graph, depth, rule)
+    summary = backward_induction(tree)
+    nodes = {}
+    for address, sub in walk(tree):
+        if isinstance(sub, Node):
+            used = set(summary.optimal_actions[address])
+            nodes.setdefault(sub.mover, []).append((used, len(sub.branches)))
+    characterization = {}
+    for player in sorted(graph_players(graph)):
+        own = nodes.get(player)
+        if own is None:
+            characterization[player] = Characterization(CharKind.ABSENT)
+        elif all(len(used) == 1 for used, _ in own) and len(set().union(*(u for u, _ in own))) == 1:
+            characterization[player] = Characterization(CharKind.FORCED, next(iter(own[0][0])))
+        elif all(len(used) == count for used, count in own):
+            characterization[player] = Characterization(CharKind.FREE)
+        else:
+            characterization[player] = Characterization(CharKind.MIXED)
+    return tree, DepthSummary(depth, rule.describe(), summary.count, characterization, summary.payoff)
+
+
+def outcome(run):
+    """A run's result, or its error's type and message."""
+    try:
+        return run()
+    except (GameError, ValueError) as error:
+        return type(error), str(error)
+
+
+def random_closures(rng, graph):
+    internal = graph.internal_ids()
+    # Some cut payoffs name only A, so some truncations are invalid games.
+    players = ("A", "B") if rng.random() < 0.8 else ("A",)
+    mapped = rng.sample(internal, rng.randint(1, len(internal)))
+    return (
+        DeciderQuitsClosure(),
+        ConstantClosure(random_payoffs(rng, players=players)),
+        StateClosure({sid: random_payoffs(rng, players=players) for sid in mapped}),
+    )
+
+
+def test_shared_table_matches_per_depth_solving():
+    # One table for all depths against cutting and solving each depth on
+    # its own, errors included, and the counts against brute force.
+    rng = random.Random(1010)
+    cases = [(g, (DeciderQuitsClosure(),)) for g in (zero_one_graph(), dollar_auction(3), dollar_auction(10), dollar_auction(100))]
+    graphs = [random_game_graph(rng, max_internal=4) for _ in range(150)]
+    graphs += [random_param_graph(rng, max_internal=4) for _ in range(150)]
+    cases += [(g, random_closures(rng, g)) for g in graphs]
+    seen = Counter()
+    depths = range(9)
+    for graph, rules in cases:
+        for rule in rules:
+            expected = []
+            for depth in depths:
+                result = outcome(lambda: per_depth_summary(graph, depth, rule))
+                if not isinstance(result[1], DepthSummary):
+                    expected = result
+                    break
+                tree, summary = result
+                expected.append(summary)
+                if profile_space_size(tree) <= 256:
+                    assert len(brute_force_spe(tree)) == summary.count, (graph, depth, rule)
+                    seen["brute"] += 1
+            shared = outcome(lambda: list(extrapolation_report(graph, depths, rule).summaries))
+            assert shared == expected, (graph, rule)
+            if isinstance(expected, list):
+                seen["solved"] += 1
+                # Valid truncations whose cut payoffs name only A.
+                seen["off-players"] += expected[-1].payoff.players != graph_players(graph)
+                last = depths[-1]
+                assert summarize_depth(graph, last, rule) == expected[last]
+            else:
+                seen[expected[0].__name__] += 1
+    # Every route was taken: solved reports, both kinds of error, and
+    # valid truncations whose cut payoffs name fewer players than the graph.
+    assert seen["solved"] >= 300 and seen["brute"] >= 1000, seen
+    assert seen["MissingClosureError"] >= 50 and seen["GameError"] >= 20, seen
+    assert seen["off-players"] >= 1, seen
+
+
+def test_shared_table_holds_one_position_per_key():
+    graph = zero_one_graph()
+    for top in (1, 2, 10, 300):
+        tree, roots = _Tree.from_graph(
+            graph, range(1, top + 1), lambda sid, stage: DeciderQuitsClosure().payoff(graph, sid, stage)
+        )
+        assert len(tree.movers) <= 4 * (top + 1)
+        assert len(set(roots)) == top
