@@ -133,6 +133,16 @@ def _depths_arg(text: str) -> list[int]:
     return depths
 
 
+def _cap_arg(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError("cap must be >= 1")
+    return cap
+
+
 def _closure_arg(text: str) -> ClosureRule:
     try:
         return parse_closure_spec(text)
@@ -170,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="verdicts for all stationary profiles")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATIONARY_CAP)
+    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_STATIONARY_CAP)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("truncate", help="unfold a graph to a finite game document")
@@ -187,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("escalate", help="find an all-rationalizable infinite play")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATIONARY_CAP)
+    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_STATIONARY_CAP)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("preset", help="write a preset's document")

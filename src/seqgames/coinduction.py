@@ -13,9 +13,10 @@ rejected as not admissible rather than compared.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from seqgames.core import (
     CapExceededError,
@@ -26,7 +27,7 @@ from seqgames.core import (
     TreeProfile,
     _FrozenMap,
 )
-from seqgames.finite import SpeCheck, is_spe_finite
+from seqgames.finite import SpeCheck, _ranks, is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
@@ -158,6 +159,7 @@ class Refuted:
 
 
 SpeVerdict = SpeOk | NotAdmissible | Refuted
+_SPE_OK = SpeOk()
 
 
 def play_graph(
@@ -200,26 +202,40 @@ def play_param(
 class _ProfileChecker:
     """Checks stationary profiles against one graph the caller has validated.
 
-    The graph is indexed once: each decision state's mover and its moves by
-    action label, and each terminal's payoffs.  Stage reachability, needed
-    only for the admissible profiles of a parametrized graph, is built on
+    The graph is compiled once: decision states are numbered in definition
+    order, terminals after them, and each edge becomes its target's number.
+    A profile is checked as its picks, its branch index at each decision
+    state.  On a plain graph movers compare terminals by dense ranks of
+    their exact payoffs (equal payoffs share a rank, so ``>`` stays exact),
+    and each distinct verdict is built once and shared.  A parametrized
+    graph keeps its affine stage test; its stage reachability is built on
     first use.
     """
 
-    __slots__ = ("graph", "movers", "moves", "terminals", "_reach")
-
     def __init__(self, graph: GameGraph) -> None:
         self.graph = graph
-        self.movers: dict[str, str] = {}
-        self.moves: dict[str, dict[str, tuple[str, int]]] = {}
-        self.terminals: dict[str, PayoffVector | AffinePayoffs] = {}
-        for sid, state in graph.states.items():
-            if isinstance(state, Terminal):
-                self.terminals[sid] = state.payoffs
-            else:
-                self.movers[sid] = state.mover
-                self.moves[sid] = {action: (target, delta) for action, target, delta in state.edges}
+        states = graph.states
+        decisions = graph.internal_ids()
+        n = len(decisions)
+        self.ids = decisions + [sid for sid in states if isinstance(states[sid], Terminal)]
+        number = {sid: i for i, sid in enumerate(self.ids)}
+        self.movers = [states[sid].mover for sid in decisions]
+        self.labels = [[action for action, _, _ in states[sid].edges] for sid in decisions]
+        self.targets = [[number[target] for _, target, _ in states[sid].edges] for sid in decisions]
+        self.deltas = [[delta for _, _, delta in states[sid].edges] for sid in decisions]
+        self.payoffs = [None] * n + [states[sid].payoffs for sid in self.ids[n:]]
+        ranks = {}
+        if not isinstance(graph, ParamGraph):
+            for p in set(self.movers):
+                ranks[p] = [-1] * n + _ranks([v[p] for v in self.payoffs[n:]])
+        # Every edge in state and branch order, with its mover's ranks.
+        self.edges = [
+            (i, j, target, ranks.get(self.movers[i]))
+            for i, targets in enumerate(self.targets)
+            for j, target in enumerate(targets)
+        ]
         self._reach: StageReachability | None = None
+        self._verdicts: dict[tuple, Refuted | NotAdmissible] = {}
 
     @property
     def reach(self) -> StageReachability:
@@ -227,90 +243,106 @@ class _ProfileChecker:
             self._reach = StageReachability(self.graph)
         return self._reach
 
-    def choices(self, profile: StationaryProfile) -> dict[str, str]:
-        """The profile's choices; raises ProfileError unless it is total."""
+    def picks(self, profile: StationaryProfile) -> list[int]:
+        """The profile's branch index at each decision state; raises
+        ProfileError unless the profile is total."""
         choices = dict(profile._entries)
-        if choices.keys() != self.moves.keys() or any(
-            choices[sid] not in moves for sid, moves in self.moves.items()
-        ):
+        pairs = list(zip(self.ids, self.labels))
+        if len(choices) != len(pairs) or any(choices.get(s) not in labels for s, labels in pairs):
             check_stationary_total(self.graph, profile)  # raises the first fault
-        return choices
+        return [labels.index(choices[sid]) for sid, labels in pairs]
 
-    def play_values(
-        self, choices: dict[str, str]
-    ) -> dict[str, PayoffVector | AffinePayoffs] | NotAdmissible:
-        """Every state's play value under ``choices``, in one memoized pass.
-
-        Walks start from the decision states in definition order and stop at
-        the first state that already has a value; each state on the path
-        gets that value shifted by the stage deltas after it.  The first
-        walk that revisits a state makes its origin not admissible.
-        """
-        values = dict(self.terminals)
-        for origin in self.moves:
-            if origin in values:
+    def play(self, picks: Sequence[int]) -> tuple[list[int], list[int]] | NotAdmissible:
+        """Per state number, the terminal its play under ``picks`` reaches and
+        the stage delta on the way.  Walks go from each decision state, in
+        definition order, to the first state already resolved.  A state on
+        the path is marked -2, so the first walk to meet its own mark makes
+        its origin not admissible."""
+        n = len(picks)
+        succ = [targets[pick] for targets, pick in zip(self.targets, picks)]
+        end = [-1] * n + list(range(n, len(self.ids)))
+        shift = [0] * len(end)
+        staged = isinstance(self.graph, ParamGraph)
+        for origin in range(n):
+            if end[origin] >= 0:
                 continue
-            path: list[tuple[str, int]] = []
-            position: dict[str, int] = {}
-            sid = origin
-            while sid not in values:
-                if sid in position:
-                    return NotAdmissible(origin, tuple(s for s, _ in path[position[sid]:]))
-                position[sid] = len(path)
-                target, delta = self.moves[sid][choices[sid]]
-                path.append((sid, delta))
-                sid = target
-            value = values[sid]
-            for sid, delta in reversed(path):
-                if delta:
-                    value = value.shifted(delta)
-                values[sid] = value
-        return values
+            path, i = [], origin
+            while (reached := end[i]) < 0:
+                if reached == -2:
+                    key = (origin, tuple(path[path.index(i):]))
+                    if key not in self._verdicts:
+                        cycle = tuple(self.ids[k] for k in key[1])
+                        self._verdicts[key] = NotAdmissible(self.ids[origin], cycle)
+                    return self._verdicts[key]
+                end[i] = -2
+                path.append(i)
+                i = succ[i]
+            for j in path:
+                end[j] = reached
+            if staged:
+                total = shift[i]
+                for j in reversed(path):
+                    total += self.deltas[j][picks[j]]
+                    shift[j] = total
+        return end, shift
+
+    def values(
+        self, picks: Sequence[int]
+    ) -> dict[str, PayoffVector | AffinePayoffs] | NotAdmissible:
+        """Every state's play value under ``picks``, by id in definition order."""
+        played = self.play(picks)
+        if isinstance(played, NotAdmissible):
+            return played
+        by_id = dict(zip(self.ids, self._values(*played)))
+        return {sid: by_id[sid] for sid in self.graph.states}
+
+    def _values(self, end: list[int], shift: list[int]) -> list[PayoffVector | AffinePayoffs]:
+        """Per state number, its play value."""
+        return [self.payoffs[e].shifted(s) if s else self.payoffs[e] for e, s in zip(end, shift)]
 
     def check(
-        self, profile: StationaryProfile, cross_check_depth: int | None = None
+        self, profile: StationaryProfile, depth: int | None = None, picks: Sequence | None = None
     ) -> SpeVerdict:
-        """Admissibility, then every one-shot deviation; parametrized
-        verdicts are cross-checked at ``cross_check_depth`` unless None."""
-        choices = self.choices(profile)
-        values = self.play_values(choices)
-        if isinstance(values, NotAdmissible):
-            return values
-        verdict = self._one_shot(choices, values)
-        if cross_check_depth is not None and isinstance(self.graph, ParamGraph):
-            _cross_check(self.graph, profile, values, verdict, cross_check_depth)
+        """Admissibility, then every one-shot deviation; parametrized verdicts
+        are cross-checked at ``depth`` unless None.  ``picks`` are the
+        profile's, when the caller has them."""
+        picks = self.picks(profile) if picks is None else picks
+        played = self.play(picks)
+        if isinstance(played, NotAdmissible):
+            return played
+        verdict = self._one_shot(picks, *played)
+        if depth is not None and isinstance(self.graph, ParamGraph):
+            _cross_check(self.graph, profile, self.values(picks), verdict, depth)
         return verdict
 
-    def _one_shot(self, choices: dict[str, str], values) -> SpeOk | Refuted:
+    def _one_shot(self, picks: Sequence[int], end: list[int], shift: list[int]) -> SpeOk | Refuted:
         """The first profitable one-shot deviation in state and branch order;
-        on a parametrized graph, at the least stage its state is entered with."""
-        reach = self.reach if isinstance(self.graph, ParamGraph) else None
-        for sid, moves in self.moves.items():
-            if reach is not None and reach.min_offset(sid) is None:
-                continue  # never entered; no subgame constrains it
-            chosen, mover, current = choices[sid], self.movers[sid], values[sid]
-            for action, (target, delta) in moves.items():
-                if action == chosen:
-                    continue
-                if reach is None:
-                    deviation = values[target]
-                    if deviation[mover] > current[mover]:
-                        return Refuted(sid, None, mover, action, current, deviation)
-                    continue
-                deviation = values[target].shifted(delta)
-                witness = _least_reachable_violation(
-                    reach, sid, deviation[mover], current[mover]
+        on a parametrized graph, at the least stage its state is entered with.
+        A chosen edge ties its state's own value, so it never refutes."""
+        if not isinstance(self.graph, ParamGraph):
+            for i, j, target, row in self.edges:
+                if row[end[target]] > row[end[i]]:
+                    key = (i, j, end[i], end[target])
+                    if key not in self._verdicts:
+                        self._verdicts[key] = Refuted(
+                            self.ids[i], None, self.movers[i], self.labels[i][j],
+                            self.payoffs[end[i]], self.payoffs[end[target]],
+                        )
+                    return self._verdicts[key]
+            return _SPE_OK
+        value = self._values(end, shift)
+        for i, j, target, _ in self.edges:
+            sid, mover = self.ids[i], self.movers[i]
+            if j == picks[i] or self.reach.min_offset(sid) is None:
+                continue  # the chosen edge, or a state no play enters
+            current, deviation = value[i], value[target].shifted(self.deltas[i][j])
+            witness = _least_reachable_violation(self.reach, sid, deviation[mover], current[mover])
+            if witness is not None:
+                return Refuted(
+                    sid, witness, mover, self.labels[i][j],
+                    current.at_stage(witness), deviation.at_stage(witness),
                 )
-                if witness is not None:
-                    return Refuted(
-                        sid,
-                        witness,
-                        mover,
-                        action,
-                        current.at_stage(witness),
-                        deviation.at_stage(witness),
-                    )
-        return SpeOk()
+        return _SPE_OK
 
 
 def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
@@ -396,7 +428,7 @@ def concrete_unfolding_check(
     """
     require_valid_graph(graph)
     checker = _ProfileChecker(graph)
-    values = checker.play_values(checker.choices(profile))
+    values = checker.values(checker.picks(profile))
     if isinstance(values, NotAdmissible):
         raise GameError(values.describe())
     return is_spe_finite(*_concrete_unfolding(graph, profile, values, depth))
@@ -539,10 +571,17 @@ def enumerate_stationary_spe(
     if total > cap:
         raise CapExceededError(f"stationary profile space {total} exceeds cap {cap}")
     checker = _ProfileChecker(graph)
-    return [
-        (profile, checker.check(profile, cross_check_depth))
-        for profile in stationary_profiles(graph)
-    ]
+    # Profiles in ``stationary_profiles`` order, from sorted entries.
+    order = sorted(range(len(checker.labels)), key=checker.ids.__getitem__)
+    position = sorted(range(len(order)), key=order.__getitem__)
+    to_picks = itemgetter(*position) if len(order) > 1 else tuple
+    branches = [range(len(checker.labels[i])) for i in order]
+    entries = [[(checker.ids[i], label) for label in checker.labels[i]] for i in order]
+    results = []
+    for combo, chosen in zip(itertools.product(*branches), itertools.product(*entries)):
+        profile = StationaryProfile._from_sorted(chosen)
+        results.append((profile, checker.check(profile, cross_check_depth, to_picks(combo))))
+    return results
 
 
 def stationary_closure(
@@ -552,12 +591,12 @@ def stationary_closure(
     profile.  Raises when play diverges from any state."""
     require_valid_graph(graph)
     checker = _ProfileChecker(graph)
-    values = checker.play_values(checker.choices(profile))
+    values = checker.values(checker.picks(profile))
     if isinstance(values, NotAdmissible):
         raise GameError(
             f"no closure payoff: play from {values.state} diverges under the profile"
         )
-    return {sid: values[sid] for sid in graph.states}
+    return values
 
 
 def induced_tree_profile(

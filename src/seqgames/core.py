@@ -62,6 +62,13 @@ class _FrozenMap(Mapping):
         items.update(named)
         self._entries: tuple[tuple, ...] = tuple(sorted(items.items()))
 
+    @classmethod
+    def _from_sorted(cls, entries: tuple[tuple, ...]):
+        """A map over entries already sorted by key, keys distinct; no copy."""
+        self = cls.__new__(cls)
+        self._entries = entries
+        return self
+
     def __getitem__(self, key):
         for k, value in self._entries:
             if k == key:

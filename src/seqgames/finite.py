@@ -626,9 +626,12 @@ def all_profiles(game: FiniteGame) -> Iterator[TreeProfile]:
 
 
 def _ranks(row: list[Fraction | None]) -> list[int]:
-    """Each leaf payoff replaced by its rank among the row's distinct values."""
-    rank = {v: r for r, v in enumerate(sorted({v for v in row if v is not None}))}
-    return [-1 if v is None else rank[v] for v in row]
+    """Each leaf payoff replaced by its rank among the row's distinct values,
+    ranked as exact integers: scaled by the row's common denominator."""
+    scale = math.lcm(*(v.denominator for v in row if v is not None))
+    ints = [None if v is None else v.numerator * (scale // v.denominator) for v in row]
+    rank = {v: r for r, v in enumerate(sorted({v for v in ints if v is not None}))}
+    return [-1 if v is None else rank[v] for v in ints]
 
 
 def brute_force_spe(

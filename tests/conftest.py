@@ -137,3 +137,31 @@ def random_param_graph(
         states.append((tid, Terminal(payoffs)))
     rng.shuffle(states)
     return ParamGraph(name="random", states=dict(states), start=rng.choice(internal_ids))
+
+
+def random_ring_graph(rng: random.Random, n_internal: int, high: int = 2) -> GameGraph:
+    """A random plain ring of ``n_internal`` decision states, at the scale of
+    the stationary-enum benchmark.
+
+    Every state on the ring continues to the next one and has an exit to a
+    terminal of its own; some also get a chord to a random decision state,
+    as a third edge.  Edge order is shuffled.  Payoffs run from 0 to
+    ``high``, so ties are common.  Sometimes one decision state sits off the
+    ring, where only a chord can lead, and some terminals are never
+    targeted.  States are listed in shuffled order, so terminals may come
+    first.
+    """
+    ids = [f"S{i}" for i in range(n_internal)]
+    ring = n_internal - (rng.random() < 0.3)  # the rest sits off the ring
+    states: list[tuple[str, object]] = []
+    for i, sid in enumerate(ids):
+        targets = [ids[(i + 1) % ring] if i < ring else rng.choice(ids[:ring]), f"T{i}"]
+        if rng.random() < 0.15:
+            targets.append(rng.choice(ids))
+        rng.shuffle(targets)
+        edges = tuple((ACTION_NAMES[j], target, 0) for j, target in enumerate(targets))
+        states.append((sid, Decision(rng.choice(PLAYERS), edges)))
+    for i in range(n_internal + rng.randint(0, 2)):
+        states.append((f"T{i}", Terminal(random_payoffs(rng, 0, high))))
+    rng.shuffle(states)
+    return GameGraph(name="ring", states=dict(states), start=ids[0])

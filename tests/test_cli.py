@@ -166,6 +166,17 @@ def test_enumerate_cap_exceeded():
     assert result.returncode == 3
 
 
+def test_cap_below_one_is_a_usage_error(capsys):
+    for command in ("enumerate", "escalate"):
+        for cap in ("0", "-3"):
+            assert main([command, game("zero_one.ggraph"), "--cap", cap]) == 4
+            assert capsys.readouterr().err == "usage error: argument --cap: cap must be >= 1\n"
+    assert main(["escalate", game("zero_one.ggraph"), "--cap", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "cap exceeded: stationary profile space 4 exceeds cap 1\n"
+    )
+
+
 def test_enumerate_json_deterministic():
     first = run_cli("enumerate", game("dollar_auction_100.pgraph"), "--format", "json")
     second = run_cli("enumerate", game("dollar_auction_100.pgraph"), "--format", "json")

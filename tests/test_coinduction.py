@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from seqgames import coinduction
-from seqgames.core import GameError, PayoffVector, ProfileError
+from seqgames.core import CapExceededError, GameError, PayoffVector, ProfileError
 from seqgames.coinduction import (
+    DEFAULT_STATIONARY_CAP,
     Converges,
     CrossCheckError,
     Diverges,
@@ -40,7 +41,7 @@ from seqgames.graphs import (
     validate_graph,
     zero_one_graph,
 )
-from tests.conftest import random_game_graph, random_param_graph
+from tests.conftest import random_game_graph, random_param_graph, random_ring_graph
 
 ALICE_LEAVES = StationaryProfile(SA="l", SB="c")
 BOB_LEAVES = StationaryProfile(SA="c", SB="l")
@@ -250,24 +251,30 @@ def profitable_deviations(graph, profile, player):
     from that decision state.  On a parametrized graph it must pay at a
     stage the state is entered with.  Plays that diverge carry no payoff."""
     checker = coinduction._ProfileChecker(graph)
-    choices = checker.choices(profile)
-    values = checker.play_values(choices)
+    picks = checker.picks(profile)
+    values = checker.values(picks)
     param = isinstance(graph, ParamGraph)
     reach = checker.reach if param else None
-    own = [sid for sid, mover in checker.movers.items() if mover == player]
-    options = [list(checker.moves[sid]) for sid in own]
+    decisions = checker.ids[: len(checker.movers)]
+    own = [i for i, mover in enumerate(checker.movers) if mover == player]
+    options = [range(len(checker.labels[i])) for i in own]
     found = []
     for combo in itertools.product(*options):
-        changes = tuple((sid, a) for sid, a in zip(own, combo) if a != choices[sid])
+        changes = tuple(
+            (decisions[i], checker.labels[i][j]) for i, j in zip(own, combo) if j != picks[i]
+        )
         if not changes:
             continue
-        deviant = {**choices, **dict(changes)}
-        after = checker.play_values(deviant)
-        for sid in checker.moves:
+        deviant = list(picks)
+        for i, j in zip(own, combo):
+            deviant[i] = j
+        after = checker.values(deviant)
+        for sid in decisions:
             if param and reach.min_offset(sid) is None:
                 continue
             if isinstance(after, NotAdmissible):
-                result = play_graph(graph, StationaryProfile(deviant), sid)
+                labels = [checker.labels[i][j] for i, j in enumerate(deviant)]
+                result = play_graph(graph, StationaryProfile(zip(decisions, labels)), sid)
                 if isinstance(result, Diverges):
                     continue
                 deviation = result.payoffs[player]
@@ -346,6 +353,89 @@ def replay_verdict(graph, profile):
                         sid, k, mover, action, current.at_stage(k), deviation.at_stage(k)
                     )
     return SpeOk()
+
+
+def ties_another_alternative(graph, profile, verdict):
+    """Whether, at the refuted state, some edge other than the chosen one
+    and the deviation pays the mover exactly what the profile does."""
+    sid, mover = verdict.state, verdict.player
+    for action, target, _ in graph.states[sid].edges:
+        if action in (profile[sid], verdict.action):
+            continue
+        state = graph.states[target]
+        value = state.payoffs if isinstance(state, Terminal) else play_graph(graph, profile, target).payoffs
+        if value[mover] == verdict.profile_payoffs[mover]:
+            return True
+    return False
+
+
+def test_enumeration_matches_replay_at_benchmark_scale():
+    # The compiled checker against the per-state replay oracle, compared as
+    # whole lists so that the order counts too: 100 rings of 5 to 12 states
+    # with payoffs 0..2, and 40 small pgraphs.
+    rng = random.Random(1111)
+    sizes = [5] * 30 + [6] * 25 + [7] * 20 + [8] * 12 + [9] * 7 + [10] * 3 + [11] * 2 + [12]
+    graphs = [random_ring_graph(rng, n) for n in sizes]
+    graphs += [random_param_graph(rng, max_internal=5) for _ in range(40)]
+    seen: Counter = Counter()
+    for graph in graphs:
+        results = enumerate_stationary_spe(graph)
+        assert results == [(p, replay_verdict(graph, p)) for p in stationary_profiles(graph)], graph
+        param = isinstance(graph, ParamGraph)
+        for profile, verdict in results:
+            seen[param, type(verdict).__name__] += 1
+            if not param and isinstance(verdict, Refuted):
+                seen["refuted beside a tie"] += ties_another_alternative(graph, profile, verdict)
+    floors = {
+        (False, "SpeOk"): 500, (False, "NotAdmissible"): 2000, (False, "Refuted"): 10000,
+        (True, "SpeOk"): 10, (True, "NotAdmissible"): 10, (True, "Refuted"): 10,
+        "refuted beside a tie": 1000,
+    }
+    for key, floor in floors.items():
+        assert seen[key] >= floor, (key, seen)
+
+
+def ring_graph(n):
+    """``n`` decision states in a ring, movers alternating; each continues
+    to the next or leaves to a terminal of its own."""
+    states = {}
+    for i in range(n):
+        states[f"S{i}"] = Decision("AB"[i % 2], (("c", f"S{(i + 1) % n}", 0), ("l", f"T{i}", 0)))
+        states[f"T{i}"] = Terminal(PayoffVector(A=5 * i % 4, B=(3 * i + 1) % 4))
+    return GameGraph(name="ring", states=states, start="S0")
+
+
+def test_enumeration_exactly_at_the_cap():
+    # Every verdict kind, refutation site and equilibrium of the 2^16 profiles, pinned.
+    results = enumerate_stationary_spe(ring_graph(16))
+    assert len(results) == DEFAULT_STATIONARY_CAP == 2**16
+    assert Counter(type(v).__name__ for _, v in results) == {
+        "Refuted": 65505, "SpeOk": 30, "NotAdmissible": 1,
+    }
+    refutations = Counter((v.state, v.action) for _, v in results if isinstance(v, Refuted))
+    assert refutations == {
+        ("S0", "c"): 30583, ("S1", "c"): 15291, ("S2", "l"): 6554, ("S2", "c"): 4369,
+        ("S3", "c"): 546, ("S3", "l"): 3276, ("S4", "c"): 1912, ("S5", "c"): 956,
+        ("S6", "c"): 546, ("S6", "l"): 408, ("S7", "l"): 408, ("S7", "c"): 68,
+        ("S8", "c"): 240, ("S9", "c"): 120, ("S10", "l"): 48, ("S10", "c"): 68,
+        ("S11", "c"): 8, ("S11", "l"): 48, ("S12", "c"): 32, ("S13", "c"): 16,
+        ("S14", "c"): 8,
+    }
+    ring = tuple(f"S{i}" for i in range(16))
+    assert [v for _, v in results if isinstance(v, NotAdmissible)] == [NotAdmissible("S0", ring)]
+    accepted = ["".join(p[sid] for sid in ring) for p, v in results if v.ok]
+    assert accepted == [
+        "ccccccclcccccccc", "cccccclccccccccc", "ccclcccccccccccc", "ccclccclcccccccc",
+        "cclccccccccccccc", "cclccclccccccccc", "cccccccccccccccl", "ccccccclcccccccl",
+        "ccclcccccccccccl", "ccclccclcccccccl", "cccccccccccccclc", "cccccclccccccclc",
+        "cclccccccccccclc", "cclccclccccccclc", "ccccccccccclcccc", "ccccccclccclcccc",
+        "ccclccccccclcccc", "ccclccclccclcccc", "ccccccccccclcccl", "ccccccclccclcccl",
+        "ccclccccccclcccl", "ccclccclccclcccl", "cccccccccclccccc", "cccccclccclccccc",
+        "cclccccccclccccc", "cclccclccclccccc", "cccccccccclccclc", "cccccclccclccclc",
+        "cclccccccclccclc", "cclccclccclccclc",
+    ]
+    with pytest.raises(CapExceededError, match="131072 exceeds cap 65536"):
+        enumerate_stationary_spe(ring_graph(17))
 
 
 def param_graph_features(graph):
@@ -436,7 +526,7 @@ def test_cross_check_on_distinct_subgames_matches_the_tree_oracle():
         graph = random_param_graph(rng, max_internal=4)
         checker = coinduction._ProfileChecker(graph)
         for profile in stationary_profiles(graph):
-            values = checker.play_values(checker.choices(profile))
+            values = checker.values(checker.picks(profile))
             if isinstance(values, NotAdmissible):
                 continue
             for depth in range(9):
@@ -467,14 +557,14 @@ def test_cross_check_on_distinct_subgames_matches_the_tree_oracle():
 def test_cross_check_disagreements_keep_the_tree_wording():
     d = dollar_auction(100)
     checker = coinduction._ProfileChecker(d)
-    never = checker.play_values(checker.choices(NEVER_BID))
+    never = checker.values(checker.picks(NEVER_BID))
     with pytest.raises(CrossCheckError) as raised:
         coinduction._cross_check(d, NEVER_BID, never, SpeOk(), 5)
     assert str(raised.value) == (
         "symbolic check accepts but depth-5 unfolding refutes: "
         "A gains 98 at bid.raise.raise.raise by deviating to 'raise' (95 over -3)"
     )
-    alice = checker.play_values(checker.choices(ALICE_RAISES))
+    alice = checker.values(checker.picks(ALICE_RAISES))
     claim = Refuted("S0", 0, "A", "pass", PayoffVector(A=99, B=0), PayoffVector(A=0, B=0))
     with pytest.raises(CrossCheckError) as raised:
         coinduction._cross_check(d, ALICE_RAISES, alice, claim, 5)
