@@ -44,7 +44,7 @@ from seqgames.escalation import (
     escalation_witness,
     rationalizable_actions,
 )
-from seqgames.finite import backward_induction, is_spe_finite
+from seqgames.finite import _InvalidGame, backward_induction, is_spe_finite
 from seqgames.gallery import PRESETS, build_preset
 from seqgames.graphs import GameGraph, ParamGraph, validate_graph
 from seqgames.truncation import (
@@ -217,9 +217,14 @@ def _require_graph(doc, path: str) -> GameGraph:
     return doc
 
 
-def _require_finite(doc, path: str) -> FiniteGame:
+def _finite_doc(doc, path: str) -> FiniteGame:
     if not isinstance(doc, (Leaf, Node)):
         raise _UsageError(f"{path} does not hold a finite game document")
+    return doc
+
+
+def _require_finite(doc, path: str) -> FiniteGame:
+    _finite_doc(doc, path)
     report = validate_game(doc)
     if not report.ok:
         raise GameError(f"invalid game: {report.violations[0]}")
@@ -244,8 +249,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    game = _require_finite(_load(args.file), args.file)
-    summary = backward_induction(game)
+    game = _finite_doc(_load(args.file), args.file)
+    try:
+        summary = backward_induction(game)  # which validates the game first
+    except _InvalidGame as error:
+        raise GameError(f"invalid game: {error.first}") from None
     if args.format == "json":
         _emit_json(
             {

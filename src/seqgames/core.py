@@ -166,12 +166,92 @@ class Leaf:
     payoffs: PayoffVector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Node:
-    """Decision position: ``mover`` picks one of the labelled branches."""
+    """Decision position: ``mover`` picks one of the labelled branches.
+
+    Equality, hashing and ``repr`` give what a frozen dataclass generates,
+    but walk the tree with explicit stacks, so they work on trees deeper
+    than the recursion limit.  Shared subtrees are visited once per call.
+    """
 
     mover: str
     branches: tuple[tuple[str, "FiniteGame"], ...]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        pending = [(self, other)]
+        while pending:
+            a, b = pending.pop()
+            if a.mover != b.mover or len(a.branches) != len(b.branches):
+                return False
+            for (label, x), (other_label, y) in zip(a.branches, b.branches):
+                if label != other_label:
+                    return False
+                if x is y or (id(x), id(y)) in seen:
+                    continue
+                if x.__class__ is Node and y.__class__ is Node:
+                    seen.add((id(x), id(y)))
+                    pending.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        # hash((mover, branches)), with each child node's hash computed
+        # first and handed to the tuple hash through a _Hashed stand-in.
+        hashes: dict[int, _Hashed] = {}
+        stack: list[Node] = [self]
+        while stack:
+            node = stack[-1]
+            if id(node) in hashes:
+                stack.pop()
+                continue
+            missing = [
+                child
+                for _, child in node.branches
+                if child.__class__ is Node and id(child) not in hashes
+            ]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            branches = tuple(
+                (label, hashes[id(child)] if child.__class__ is Node else child)
+                for label, child in node.branches
+            )
+            hashes[id(node)] = _Hashed(hash((node.mover, branches)))
+        return hashes[id(self)].value
+
+    def __repr__(self) -> str:
+        parts: list[str] = []
+        stack: list[object] = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is not Node:
+                parts.append(item if isinstance(item, str) else repr(item))
+                continue
+            parts.append(f"Node(mover={item.mover!r}, branches=(")
+            tail = ",))" if len(item.branches) == 1 else "))"
+            stack.append(tail)
+            for i in reversed(range(len(item.branches))):
+                label, child = item.branches[i]
+                stack.extend((")", child, f"{', ' if i else ''}({label!r}, "))
+        return "".join(parts)
+
+
+class _Hashed:
+    """Stands in for a subtree whose hash is already known."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
 
 
 FiniteGame = Leaf | Node

@@ -13,6 +13,7 @@ structurally equal value.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +56,8 @@ _PUNCT = {
 
 @dataclass(frozen=True)
 class SourceSpan:
-    """Position in the input: 1-based line and column, 0-based byte offset."""
+    """Position in the input: 1-based line and column, 0-based character
+    offset into the text."""
 
     line: int
     column: int
@@ -63,13 +65,6 @@ class SourceSpan:
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"
-
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
 
 
 class ParseError(Exception):
@@ -97,63 +92,74 @@ class ParseError(Exception):
         return "; ".join(parts)
 
 
-# A newline and the indentation after it, skipped in one match: serialized
-# deep games are mostly indentation.
-_NEWLINE = re.compile(r"\n[ \t\r]*")
+def _spans(text: str, offsets: Iterable[int]) -> list[SourceSpan]:
+    """The spans of ascending ``offsets`` into ``text``, in one pass.
+
+    Tokens carry bare offsets; lines and columns are counted only here, for
+    errors and profile keys.  Columns count characters, tabs and carriage
+    returns included.  A comment that ends the input without a newline
+    leaves the end-of-input position at the column of its ``#``.
+    """
+    spans = []
+    line, line_start, seen = 1, 0, 0
+    for offset in offsets:
+        newlines = text.count("\n", seen, offset)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", seen, offset) + 1
+        seen = offset
+        column = offset - line_start
+        if offset == len(text) and "#" in text[line_start:]:
+            column = text.index("#", line_start) - line_start
+        spans.append(SourceSpan(line, column + 1, offset))
+    return spans
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, column = 1, 1
-    i = 0
-    length = len(text)
-    while i < length:
-        ch = text[i]
-        if ch == "\n":
-            end = _NEWLINE.match(text, i).end()
-            line += 1
-            column = end - i
-            i = end
+def _span(text: str, offset: int) -> SourceSpan:
+    return _spans(text, (offset,))[0]
+
+
+# One alternative per token class, tried in order at each position: numbers
+# before words, so "12abc" is a number and then a word, and "->" before "-".
+# Whitespace and comments match as SKIP; any other character is an ERROR.
+_SCANNER = re.compile(
+    r"""
+    (?P<SKIP>[ \t\r\n]+|\#[^\n]*)
+  | (?P<NUMBER>\d+)
+  | (?P<WORD>\w+)
+  | (?P<ARROW>->)
+  | (?P<PUNCT>[(){}:,=@+\-*/.])
+  | (?P<ERROR>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of ``text``, ending with an EOF token.
+
+    Numbers are runs of decimal digits (``str.isdecimal``); a word starts
+    with a letter or ``_`` and continues with letters, digits or ``_``.
+    """
+    tokens = []
+    append = tokens.append
+    for match in _SCANNER.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
             continue
-        if ch in " \t\r":
-            column += 1
-            i += 1
-            continue
-        if ch == "#":
-            end = text.find("\n", i)
-            i = length if end < 0 else end
-            continue
-        span = SourceSpan(line, column, i)
-        if ch in _PUNCT:
-            if ch == "-" and text[i : i + 2] == "->":
-                tokens.append(Token("ARROW", "->", span))
-                i += 2
-                column += 2
-                continue
-            tokens.append(Token(_PUNCT[ch], ch, span))
-            i += 1
-            column += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < length and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("NUMBER", text[i:j], span))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < length and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, span))
-            column += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    tokens.append(Token("EOF", "", SourceSpan(line, column, length)))
+        word = match.group()
+        offset = match.start()
+        if kind == "WORD":
+            if word[0].isalpha() or word[0] == "_":
+                kind = "KEYWORD" if word in KEYWORDS else "IDENT"
+            else:  # "²" is \w but no letter
+                kind = "ERROR"
+        elif kind == "PUNCT":
+            kind = _PUNCT[word]
+        if kind == "ERROR":
+            raise ParseError(f"unexpected character {word[0]!r}", _span(text, offset))
+        append((kind, word, offset))
+    append(("EOF", "", len(text)))
     return tokens
 
 
@@ -180,88 +186,106 @@ Document = FiniteGame | GameGraph | ProfileDoc
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    """Parser over ``tokenize``'s tuples, read by index.
+
+    Positions stay offsets until an error needs a ``SourceSpan``.
+    """
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def take(self) -> Token:
+    def take(self) -> tuple[str, str, int]:
         token = self.tokens[self.pos]
-        if token.kind != "EOF":
+        if token[0] != "EOF":
             self.pos += 1
         return token
 
-    def error(self, expected: tuple[str, ...]) -> ParseError:
-        token = self.peek()
-        found = "end of input" if token.kind == "EOF" else repr(token.text)
-        return ParseError("unexpected input", token.span, expected, found)
+    def fail(self, message: str, offset: int) -> ParseError:
+        return ParseError(message, _span(self.text, offset))
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
-        token = self.peek()
-        if token.kind == kind and (text is None or token.text == text):
-            return self.take()
+    def error(self, expected: tuple[str, ...]) -> ParseError:
+        kind, text, offset = self.peek()
+        found = "end of input" if kind == "EOF" else repr(text)
+        return ParseError("unexpected input", _span(self.text, offset), expected, found)
+
+    def expect(
+        self, kind: str, text: str | None = None, what: str | None = None
+    ) -> tuple[str, str, int]:
+        token = self.tokens[self.pos]
+        if token[0] == kind and (text is None or token[1] == text):
+            if kind != "EOF":
+                self.pos += 1
+            return token
         raise self.error((what or text or kind.lower(),))
+
+    def at(self, kind: str, text: str) -> bool:
+        token = self.peek()
+        return token[0] == kind and token[1] == text
 
     # --- shared pieces -------------------------------------------------
 
-    def ident(self, what: str) -> Token:
-        token = self.peek()
-        if token.kind == "IDENT":
-            return self.take()
+    def ident(self, what: str) -> tuple[str, str, int]:
+        token = self.tokens[self.pos]
+        if token[0] == "IDENT":
+            self.pos += 1
+            return token
         raise self.error((what,))
 
     def rational(self) -> Fraction:
         negative = False
-        if self.peek().kind == "MINUS":
+        if self.peek()[0] == "MINUS":
             self.take()
             negative = True
         value = Fraction(self.number("number"))
-        if self.peek().kind == "SLASH":
+        if self.peek()[0] == "SLASH":
             self.take()
-            span = self.peek().span
+            offset = self.peek()[2]
             denominator = self.number("positive denominator")
             if denominator == 0:
-                raise ParseError("denominator must be positive", span)
+                raise self.fail("denominator must be positive", offset)
             value /= denominator
         return -value if negative else value
 
     def number(self, what: str) -> int:
-        token = self.expect("NUMBER", what=what)
+        _, digits, offset = self.expect("NUMBER", what=what)
         try:
-            return int(token.text)
+            return int(digits)
         except ValueError:  # more digits than int() converts
-            raise ParseError(f"number too long ({len(token.text)} digits)", token.span) from None
+            raise self.fail(f"number too long ({len(digits)} digits)", offset) from None
 
     def affine(self) -> AffineExpr:
         intercept = self.rational()
-        if self.peek().kind in ("PLUS", "MINUS"):
-            sign = -1 if self.take().kind == "MINUS" else 1
+        if self.peek()[0] in ("PLUS", "MINUS"):
+            sign = -1 if self.take()[0] == "MINUS" else 1
             magnitude = self.rational()
             self.expect("STAR", what="'*'")
-            k = self.peek()
-            if k.kind != "IDENT" or k.text != "k":
+            if not self.at("IDENT", "k"):
                 raise self.error(("k",))
             self.take()
             return AffineExpr(intercept, sign * magnitude)
         return AffineExpr(intercept)
 
-    def payoffs(self, affine: bool) -> list[tuple[str, object, SourceSpan]]:
-        entries: list[tuple[str, object, SourceSpan]] = []
-        while self.peek().kind == "LPAREN":
+    def payoffs(self, affine: bool) -> list[tuple[str, object, int]]:
+        """Payoff entries as (player, value, offset of the player id)."""
+        entries: list[tuple[str, object, int]] = []
+        while self.peek()[0] == "LPAREN":
             self.take()
-            player = self.ident("player id")
+            _, player, offset = self.ident("player id")
             self.expect("COLON", what="':'")
             value: object = self.affine() if affine else self.rational()
             self.expect("RPAREN", what="')'")
-            entries.append((player.text, value, player.span))
+            entries.append((player, value, offset))
         if not entries:
             raise self.error(("payoff entry",))
         seen: set[str] = set()
-        for player, _, span in entries:
+        for player, _, offset in entries:
             if player in seen:
-                raise ParseError(f"duplicate payoff entry for {player!r}", span)
+                raise self.fail(f"duplicate payoff entry for {player!r}", offset)
             seen.add(player)
         return entries
 
@@ -274,8 +298,7 @@ class _Parser:
         stack: list[tuple[str, dict[str, FiniteGame | None]]] = []
         while True:
             self.expect("LPAREN", what="'('")
-            head = self.peek()
-            if head.kind == "KEYWORD" and head.text == "leaf":
+            if self.at("KEYWORD", "leaf"):
                 self.take()
                 entries = self.payoffs(affine=False)
                 self.expect("RPAREN", what="')'")
@@ -287,111 +310,102 @@ class _Parser:
                     self.expect("RPAREN", what="')'")
                     mover, branches = stack[-1]
                     branches[next(reversed(branches))] = done
-                    if self.peek().kind == "LPAREN":
+                    if self.peek()[0] == "LPAREN":
                         break
                     self.expect("RPAREN", what="')'")
                     stack.pop()
                     done = Node(mover, tuple(branches.items()))
-            elif head.kind == "KEYWORD" and head.text == "node":
+            elif self.at("KEYWORD", "node"):
                 self.take()
-                stack.append((self.ident("player id").text, {}))
-                if self.peek().kind != "LPAREN":
+                stack.append((self.ident("player id")[1], {}))
+                if self.peek()[0] != "LPAREN":
                     raise self.error(("branch",))
             else:
                 raise self.error(("leaf", "node"))
             self.take()  # the '(' of the innermost open node's next branch
-            label = self.ident("action label")
+            _, label, offset = self.ident("action label")
             branches = stack[-1][1]
-            if label.text in branches:
-                raise ParseError(f"duplicate action label {label.text!r}", label.span)
-            branches[label.text] = None
+            if label in branches:
+                raise self.fail(f"duplicate action label {label!r}", offset)
+            branches[label] = None
 
     # --- graphs -----------------------------------------------------------
 
     def graph(self, parametrized: bool) -> GameGraph:
         self.take()  # 'graph' or 'pgraph'
-        name = self.ident("graph name")
+        name = self.ident("graph name")[1]
         self.expect("LBRACE", what="'{'")
-        declared: list[tuple[str, object]] = []  # (state id, raw definition)
-        spans: dict[str, SourceSpan] = {}
-        while self.peek().kind == "KEYWORD" and self.peek().text == "state":
+        declared: dict[str, object] = {}  # state id -> raw definition
+        while self.at("KEYWORD", "state"):
             self.take()
-            sid = self.ident("state id")
-            if sid.text in spans:
-                raise ParseError(f"duplicate state id {sid.text!r}", sid.span)
-            spans[sid.text] = sid.span
+            _, sid, offset = self.ident("state id")
+            if sid in declared:
+                raise self.fail(f"duplicate state id {sid!r}", offset)
             self.expect("EQUALS", what="'='")
-            declared.append((sid.text, self.state_body(parametrized)))
+            declared[sid] = self.state_body(parametrized)
         if not declared:
             raise self.error(("state",))
         self.expect("KEYWORD", "start", what="'start'")
         start = self.ident("state id")
         self.expect("RBRACE", what="'}'")
         self.expect("EOF", what="end of input")
-        return self.assemble_graph(name.text, declared, start, parametrized)
+        return self.assemble_graph(name, declared, start, parametrized)
 
     def state_body(self, parametrized: bool) -> object:
-        head = self.peek()
-        if head.kind == "KEYWORD" and head.text == "leaf":
+        if self.at("KEYWORD", "leaf"):
             self.take()
             return ("leaf", self.payoffs(affine=parametrized))
-        if head.kind == "KEYWORD" and head.text == "node":
+        if self.at("KEYWORD", "node"):
             self.take()
-            mover = self.ident("player id")
+            mover = self.ident("player id")[1]
             self.expect("LBRACE", what="'{'")
             edges = [self.edge(parametrized)]
-            while self.peek().kind == "COMMA":
+            while self.peek()[0] == "COMMA":
                 self.take()
                 edges.append(self.edge(parametrized))
             self.expect("RBRACE", what="'}'")
             labels: set[str] = set()
-            for label, _, _, label_span, _ in edges:
+            for label, _, _, label_offset, _ in edges:
                 if label in labels:
-                    raise ParseError(f"duplicate action label {label!r}", label_span)
+                    raise self.fail(f"duplicate action label {label!r}", label_offset)
                 labels.add(label)
-            return ("node", mover.text, edges)
+            return ("node", mover, edges)
         raise self.error(("leaf", "node"))
 
-    def edge(
-        self, parametrized: bool
-    ) -> tuple[str, object, int, SourceSpan, SourceSpan]:
-        label = self.ident("action label")
+    def edge(self, parametrized: bool) -> tuple[str, object, int, int, int]:
+        """(label, target, stage delta, label offset, target offset)."""
+        _, label, label_offset = self.ident("action label")
         self.expect("ARROW", what="'->'")
-        head = self.peek()
         target: object
-        if head.kind == "KEYWORD" and head.text == "leaf":
-            self.take()
+        if self.at("KEYWORD", "leaf"):
+            target_offset = self.take()[2]
             target = ("inline", self.payoffs(affine=parametrized))
-            target_span = head.span
         else:
-            ident = self.ident("target state or leaf")
-            target = ("ref", ident.text)
-            target_span = ident.span
+            _, ident, target_offset = self.ident("target state or leaf")
+            target = ("ref", ident)
         delta = 0
-        if self.peek().kind == "AT":
-            at = self.take()
+        if self.peek()[0] == "AT":
+            at = self.take()[2]
             if not parametrized:
-                raise ParseError("stage increments are only allowed in pgraph documents", at.span)
-            k = self.peek()
-            if k.kind != "IDENT" or k.text != "k":
+                raise self.fail("stage increments are only allowed in pgraph documents", at)
+            if not self.at("IDENT", "k"):
                 raise self.error(("k+1",))
             self.take()
             self.expect("PLUS", what="k+1")
-            one = self.expect("NUMBER", what="k+1")
-            if one.text != "1":
-                raise ParseError("stage increments are fixed at k+1", one.span)
+            _, one, offset = self.expect("NUMBER", what="k+1")
+            if one != "1":
+                raise self.fail("stage increments are fixed at k+1", offset)
             delta = 1
-        return (label.text, target, delta, label.span, target_span)
+        return (label, target, delta, label_offset, target_offset)
 
     def assemble_graph(
         self,
         name: str,
-        declared: list[tuple[str, object]],
-        start: Token,
+        declared: dict[str, object],
+        start: tuple[str, str, int],
         parametrized: bool,
     ) -> GameGraph:
-        known = {sid for sid, _ in declared}
-        used = set(known)
+        used = set(declared)
         states: dict[str, object] = {}
         payoff_type = AffinePayoffs if parametrized else PayoffVector
 
@@ -405,28 +419,27 @@ class _Parser:
         def terminal(entries: list) -> Terminal:
             return Terminal(payoff_type({p: v for p, v, _ in entries}))
 
-        for sid, body in declared:
+        for sid, body in declared.items():
             if body[0] == "leaf":
                 states[sid] = terminal(body[1])
                 continue
             _, mover, raw_edges = body
             edges = []
-            for label, target, delta, _, span in raw_edges:
+            for label, target, delta, _, offset in raw_edges:
                 if target[0] == "inline":
                     resolved = fresh(f"{sid}_{label}")
                     states[resolved] = terminal(target[1])
                 else:
                     resolved = target[1]
-                    if resolved not in known:
-                        raise ParseError(
-                            f"edge targets undefined state {resolved!r}", span
-                        )
+                    if resolved not in declared:
+                        raise self.fail(f"edge targets undefined state {resolved!r}", offset)
                 edges.append((label, resolved, delta))
             states[sid] = Decision(mover, tuple(edges))
-        if start.text not in known:
-            raise ParseError(f"start names undefined state {start.text!r}", start.span)
+        _, start_id, offset = start
+        if start_id not in declared:
+            raise self.fail(f"start names undefined state {start_id!r}", offset)
         graph_type = ParamGraph if parametrized else GameGraph
-        return graph_type(name=name, states=states, start=start.text)  # type: ignore[arg-type]
+        return graph_type(name=name, states=states, start=start_id)  # type: ignore[arg-type]
 
     # --- profiles ---------------------------------------------------------
 
@@ -434,48 +447,46 @@ class _Parser:
         self.take()  # 'profile'
         self.expect("LBRACE", what="'{'")
         entries: list[tuple[tuple[str, ...], str]] = []
-        spans: list[SourceSpan] = []
+        offsets: list[int] = []
         seen: set[tuple[str, ...]] = set()
-        while self.peek().kind in ("IDENT", "DOT"):
-            key_span = self.peek().span
+        while self.peek()[0] in ("IDENT", "DOT"):
+            offset = self.peek()[2]
             key = self.profile_key()
             if key in seen:
-                raise ParseError(f"duplicate profile key {format_address(key)!r}", key_span)
+                raise self.fail(f"duplicate profile key {format_address(key)!r}", offset)
             seen.add(key)
             self.expect("COLON", what="':'")
-            action = self.ident("action label")
-            entries.append((key, action.text))
-            spans.append(key_span)
+            entries.append((key, self.ident("action label")[1]))
+            offsets.append(offset)
         if not entries:
             raise self.error(("profile entry",))
         self.expect("RBRACE", what="'}'")
         self.expect("EOF", what="end of input")
-        return ProfileDoc(tuple(entries), tuple(spans))
+        return ProfileDoc(tuple(entries), tuple(_spans(self.text, offsets)))
 
     def profile_key(self) -> tuple[str, ...]:
-        if self.peek().kind == "DOT":
+        if self.peek()[0] == "DOT":
             self.take()
             return ()
-        segments = [self.ident("profile key").text]
-        while self.peek().kind == "DOT":
+        segments = [self.ident("profile key")[1]]
+        while self.peek()[0] == "DOT":
             self.take()
-            segments.append(self.ident("profile key segment").text)
+            segments.append(self.ident("profile key segment")[1])
         return tuple(segments)
 
 
 def parse(text: str) -> Document:
     """Parse one document: a finite game, graph, pgraph, or profile."""
-    parser = _Parser(tokenize(text))
-    head = parser.peek()
-    if head.kind == "LPAREN":
+    parser = _Parser(text)
+    if parser.peek()[0] == "LPAREN":
         game = parser.finite()
         parser.expect("EOF", what="end of input")
         return game
-    if head.kind == "KEYWORD" and head.text == "graph":
+    if parser.at("KEYWORD", "graph"):
         return parser.graph(parametrized=False)
-    if head.kind == "KEYWORD" and head.text == "pgraph":
+    if parser.at("KEYWORD", "pgraph"):
         return parser.graph(parametrized=True)
-    if head.kind == "KEYWORD" and head.text == "profile":
+    if parser.at("KEYWORD", "profile"):
         return parser.profile()
     raise parser.error(("'('", "graph", "pgraph", "profile"))
 

@@ -27,6 +27,7 @@ from seqgames.core import (
     Node,
     PayoffVector,
     TreeProfile,
+    Violation,
     check_profile_total,
     format_address,
     validate_game,
@@ -96,11 +97,18 @@ class EquilibriumSummary:
         return math.prod(len(acts) for acts in self.optimal_actions.values())
 
 
+class _InvalidGame(GameError):
+    """A game that failed validation; ``first`` is its first violation."""
+
+    def __init__(self, violations: tuple[Violation, ...]) -> None:
+        super().__init__(f"invalid game: {violations[0]} ({len(violations)} violation(s))")
+        self.first = violations[0]
+
+
 def _require_valid(game: FiniteGame) -> None:
     report = validate_game(game)
     if not report.ok:
-        first = report.violations[0]
-        raise GameError(f"invalid game: {first} ({len(report.violations)} violation(s))")
+        raise _InvalidGame(report.violations)
 
 
 def _payoff_ids(

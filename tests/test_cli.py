@@ -321,6 +321,31 @@ def test_deep_finite_documents_read_back(tmp_path, capsys):
     assert solved["equilibria"] == 2**750
 
 
+def test_solve_validates_each_game_once(tmp_path, capsys, monkeypatch):
+    import seqgames.cli
+    import seqgames.finite
+
+    calls = []
+
+    def counting(validate):
+        def wrapper(game, *args):
+            calls.append(game)
+            return validate(game, *args)
+
+        return wrapper
+
+    for module in (seqgames.cli, seqgames.finite):
+        monkeypatch.setattr(module, "validate_game", counting(module.validate_game))
+    assert main(["solve", game("matching_pennies.game")]) == 0
+    assert len(calls) == 1
+    bad = tmp_path / "bad.game"
+    bad.write_text("(node A (c (leaf (A:1))) (l (leaf (A:0) (B:1))))")
+    capsys.readouterr()
+    assert main(["solve", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: invalid game: c: missing payoff for B\n"
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "path, opening",
     [

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 from seqgames.core import (
     Comparison,
+    Leaf,
+    Node,
     PayoffVector,
     ProfileError,
     TreeProfile,
@@ -237,3 +240,49 @@ def test_frozen_map_contract():
         PayoffVector(A=1.5)  # type: ignore[arg-type]
     with pytest.raises(UnknownPlayerError, match="no payoff entry for player 'B'"):
         PayoffVector(A=1)["B"]
+
+
+@dataclass(frozen=True)
+class _GeneratedNode:
+    """What ``Node`` was before: its dataclass-generated (recursive) methods."""
+
+    mover: str
+    branches: tuple
+
+
+_GeneratedNode.__qualname__ = "Node"
+
+
+def _generated(game):
+    if isinstance(game, Leaf):
+        return game
+    return _GeneratedNode(game.mover, tuple((a, _generated(c)) for a, c in game.branches))
+
+
+def test_node_methods_match_the_generated_ones():
+    rng = random.Random(17)
+    games = [random_finite_game(rng, max_depth=4) for _ in range(150)]
+    games += [node("A"), node("A", ("x", leaf(A=1)))]
+    shared = leaf(A=1, B=2)
+    games.append(node("A", ("x", node("B", ("y", shared))), ("z", node("B", ("y", shared)))))
+    for game in games:
+        assert hash(game) == hash(_generated(game))
+        assert repr(game) == repr(_generated(game))
+    for one in games:
+        for other in rng.sample(games, 20) + [_copy(one)]:
+            assert (one == other) == (_generated(one) == _generated(other))
+            assert (one != other) == (_generated(one) != _generated(other))
+    assert node("A", ("x", leaf(A=1))) != node("A", ("x", node("A", ("y", leaf(A=1)))))
+    # Shared subtrees are visited once: 2^60 root-to-leaf paths, 61 nodes.
+    one, other = leaf(A=1), leaf(A=1)
+    for _ in range(60):
+        one, other = node("A", ("x", one), ("y", one)), node("A", ("x", other), ("y", other))
+    assert one == other and hash(one) == hash(other)
+    assert one != node("A", ("x", one), ("y", other))
+    assert node("A").__eq__(leaf(A=1)) is NotImplemented
+
+
+def _copy(game):
+    if isinstance(game, Leaf):
+        return Leaf(game.payoffs)
+    return Node(game.mover, tuple((a, _copy(c)) for a, c in game.branches))

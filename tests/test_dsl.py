@@ -1,11 +1,21 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from seqgames.core import Leaf, Node, PayoffVector, TreeProfile
 from seqgames.coinduction import StationaryProfile
-from seqgames.dsl import ParseError, ProfileDoc, parse, serialize, tokenize
+from seqgames.dsl import (
+    KEYWORDS,
+    ParseError,
+    ProfileDoc,
+    SourceSpan,
+    _spans,
+    parse,
+    serialize,
+    tokenize,
+)
 from seqgames.gallery import matching_pennies_sequential, zero_one_finite
 from seqgames.graphs import (
     AffineExpr,
@@ -268,11 +278,196 @@ def test_truncations_of_serialized_presets_fail_with_positions():
 
 
 def test_tokenize_spans():
-    tokens = tokenize("(leaf\n  (A:1))")
-    kinds = [t.kind for t in tokens]
-    assert kinds[:3] == ["LPAREN", "KEYWORD", "LPAREN"]
-    second_line = [t for t in tokens if t.span.line == 2]
-    assert second_line[0].span.column == 3
+    text = "(leaf\n  (A:1))"
+    tokens = tokenize(text)
+    assert tokens[:3] == [("LPAREN", "(", 0), ("KEYWORD", "leaf", 1), ("LPAREN", "(", 8)]
+    assert tokens[-1] == ("EOF", "", len(text))
+    assert _spans(text, [1, 8]) == [SourceSpan(1, 2, 1), SourceSpan(2, 3, 8)]
+
+
+def test_comment_at_end_of_input_keeps_the_column_of_its_hash():
+    with pytest.raises(ParseError) as info:
+        parse("(leaf (A:1) # c")
+    assert info.value.span == SourceSpan(1, 13, 15)
+    with pytest.raises(ParseError) as info:
+        parse("(leaf (A:1)\n# c\n")
+    assert info.value.span == SourceSpan(3, 1, 16)
+
+
+def test_scanner_lexical_rules():
+    assert [t[:2] for t in tokenize("12abc ١ １ S² x->-")] == [
+        ("NUMBER", "12"),
+        ("IDENT", "abc"),
+        ("NUMBER", "١"),
+        ("NUMBER", "１"),
+        ("IDENT", "S²"),
+        ("IDENT", "x"),
+        ("ARROW", "->"),
+        ("MINUS", "-"),
+        ("EOF", ""),
+    ]
+    for char in "²½\x0b\u00a0$":
+        with pytest.raises(ParseError) as info:
+            tokenize(f"(leaf\n (A:{char}1))")
+        assert str(info.value) == f"line 2, column 5: unexpected character {char!r}"
+
+
+# --- the character-loop scanner the regex scanner replaced, as reference ------
+
+_PUNCT_KINDS = {
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "{": "LBRACE",
+    "}": "RBRACE",
+    ":": "COLON",
+    ",": "COMMA",
+    "=": "EQUALS",
+    "@": "AT",
+    "+": "PLUS",
+    "-": "MINUS",
+    "*": "STAR",
+    "/": "SLASH",
+    ".": "DOT",
+}
+_NEWLINE = re.compile(r"\n[ \t\r]*")
+
+
+def _reference_tokenize(text):
+    """(kind, text, span) triples, positions tracked character by character."""
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    length = len(text)
+    while i < length:
+        ch = text[i]
+        if ch == "\n":
+            end = _NEWLINE.match(text, i).end()
+            line += 1
+            column = end - i
+            i = end
+            continue
+        if ch in " \t\r":
+            column += 1
+            i += 1
+            continue
+        if ch == "#":
+            end = text.find("\n", i)
+            i = length if end < 0 else end
+            continue
+        span = SourceSpan(line, column, i)
+        if ch in _PUNCT_KINDS:
+            if ch == "-" and text[i : i + 2] == "->":
+                tokens.append(("ARROW", "->", span))
+                i += 2
+                column += 2
+                continue
+            tokens.append((_PUNCT_KINDS[ch], ch, span))
+            i += 1
+            column += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < length and text[j].isdecimal():
+                j += 1
+            tokens.append(("NUMBER", text[i:j], span))
+            column += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < length and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            tokens.append(("KEYWORD" if word in KEYWORDS else "IDENT", word, span))
+            column += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", span)
+    tokens.append(("EOF", "", SourceSpan(line, column, length)))
+    return tokens
+
+
+_INSERTS = ("²", "½", "١", "１", "12abc", "7" * 5000, "\t", "$", "->", "-", "(", ")")
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One to three seeded edits of a valid document."""
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.randrange(7)
+        cut = rng.randint(0, len(text))
+        if edit == 0:
+            text = text.replace("\n", "\r\n")
+        elif edit == 1:
+            text = text.replace("  ", "\t", rng.randint(1, 5))
+        elif edit == 2:
+            end = text.find("\n", cut)
+            end = len(text) if end < 0 else end
+            text = text[:end] + " # c(" + text[end:]
+        elif edit == 3:
+            text = text.rstrip("\n") + rng.choice(("#", " # end", "\n# end"))
+        elif edit == 4:
+            text = text[:cut] + rng.choice(_INSERTS) + text[cut:]
+        elif edit == 5:
+            text = text[:cut] + text[cut + 1 :]
+        else:
+            text = text[:cut]
+    return text
+
+
+def _mutation_corpus(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    bases = [
+        serialize(zero_one_graph()),
+        serialize(dollar_auction(100)),
+        serialize(matching_pennies_sequential()),
+        "profile { .: c c: l c.c: c }\n",
+    ]
+    bases += [serialize(random_finite_game(rng, max_depth=3)) for _ in range(20)]
+    bases += [serialize(_random_graph_doc(rng)) for _ in range(10)]
+    bases += [serialize(_random_pgraph_doc(rng)) for _ in range(10)]
+    return [_mutate(rng, rng.choice(bases)) for _ in range(count)]
+
+
+def _check_against_reference(text: str) -> None:
+    """The scanner agrees with the reference on every token and position,
+    and every parse error points where the reference puts that token."""
+    try:
+        expected = _reference_tokenize(text)
+    except ParseError as error:
+        with pytest.raises(ParseError) as info:
+            tokenize(text)
+        assert (str(info.value), info.value.span) == (str(error), error.span)
+        return
+    tokens = tokenize(text)
+    spans = _spans(text, [offset for _, _, offset in tokens])
+    assert [(k, t, s.line, s.column, s.offset) for (k, t, _), s in zip(tokens, spans)] == [
+        (k, t, s.line, s.column, s.offset) for k, t, s in expected
+    ]
+    at = {span.offset: span for _, _, span in expected}
+    try:
+        doc = parse(text)
+    except ParseError as error:
+        assert error.span == at[error.span.offset]
+        assert str(error).startswith(f"{at[error.span.offset]}: ")
+    else:
+        if isinstance(doc, ProfileDoc):
+            assert all(span == at[span.offset] for span in doc.spans)
+
+
+def test_scanner_matches_character_loop_reference():
+    for text in _mutation_corpus(seed=12, count=2000):
+        _check_against_reference(text)
+
+
+def test_deep_spine_round_trips_with_equality_and_hash():
+    # 5,000 levels: the generated dataclass methods would recurse past the
+    # recursion limit on both the original and the parsed copy.
+    spine = zero_one_finite(5000)
+    again = parse(serialize(spine))
+    assert again is not spine
+    assert again == spine and not (again != spine)
+    assert hash(again) == hash(spine)
+    assert repr(again) == repr(spine)
 
 
 def _recursive_fmt_finite(game, indent=0):

@@ -245,7 +245,7 @@ def test_shared_table_matches_per_depth_solving():
     # Every route was taken: solved reports, both kinds of error, and
     # valid truncations whose cut payoffs name fewer players than the graph.
     assert seen["solved"] >= 300 and seen["brute"] >= 1000, seen
-    assert seen["MissingClosureError"] >= 50 and seen["GameError"] >= 20, seen
+    assert seen["MissingClosureError"] >= 50 and seen["_InvalidGame"] >= 20, seen
     assert seen["off-players"] >= 1, seen
 
 
