@@ -27,7 +27,7 @@ from seqgames.core import (
     TreeProfile,
     _FrozenMap,
 )
-from seqgames.finite import SpeCheck, _ranks, is_spe_finite
+from seqgames.finite import SpeCheck, _first_deviation, _ranks, _Tree, is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
@@ -391,9 +391,9 @@ def check_spe_param(
     its state and must hold at every k the state is reachable with; the
     refutation witness is the least reachable violating stage.  Unless
     ``cross_check_depth`` is None, the verdict is re-validated against the
-    concrete unfolding of that many rounds.  That check values each distinct
-    (state, stage, remaining depth) subgame once, at most
-    |states|*(depth+1)**2 of them, instead of every position of the tree
+    concrete unfolding of that many rounds.  That check runs on the shared
+    (state, stage, remaining depth) table extrapolation solves on, at most
+    |states|*(depth+1)**2 positions instead of every position of the tree
     (up to 3**depth on 3-edge states); the tree is built only to word a
     ``CrossCheckError``.
     """
@@ -474,64 +474,30 @@ def _cross_check(
 ) -> None:
     """Re-check a symbolic verdict on the depth-``depth`` concrete unfolding.
 
-    A position's subgame depends only on its key (state, stage, remaining
-    depth), so one post-order walk over the distinct keys, at most
-    |states|*(depth+1)**2 of them, gives each the payoff the profile reaches
-    from it: a terminal's payoffs or, at the cut, the state's play value, at
-    that stage.  The unfolding refutes the profile when some decision key has
-    a branch that beats the chosen one for its mover.  The tree itself is
-    built only to word a disagreement.
+    The unfolding is compiled into extrapolation's shared table
+    (``_Tree.from_graph``), one position per (state, stage, remaining depth)
+    key, each cut state closed with its play value at its stage.  It refutes
+    the profile when the one-shot pass of ``is_spe_finite`` finds a
+    deviation there.  The tree itself is built only to word a disagreement.
     """
-    states = graph.states
+    tree, _ = _Tree.from_graph(graph, [depth], lambda sid, stage: values[sid].at_stage(stage))
     choices = dict(profile._entries)
-    picks = {
-        sid: [action for action, _, _ in states[sid].edges].index(choice)
-        for sid, choice in choices.items()
-    }
-    reached: dict[tuple[str, int, int], PayoffVector] = {}
-    seen: set[tuple[str, int]] = set()
-    refuted = False
-
-    def key(sid: str, stage: int, remaining: int) -> tuple[str, int, int]:
-        return (sid, stage, 0 if isinstance(states[sid], Terminal) else remaining)
-
-    stack = [key(graph.start, 0, depth)]
-    while stack:
-        here = stack[-1]
-        if here in reached:
-            stack.pop()
-            continue
-        sid, stage, remaining = here
-        state = states[sid]
-        if remaining == 0:
-            payoffs = state.payoffs if isinstance(state, Terminal) else values[sid]
-            reached[here] = payoffs.at_stage(stage)
-            stack.pop()
-            continue
-        kids = [key(target, stage + delta, remaining - 1) for _, target, delta in state.edges]
-        missing = [kid for kid in kids if kid not in reached]
-        if missing:
-            stack.extend(reversed(missing))
-            continue
-        stack.pop()
-        seen.add((sid, stage))
-        mover = state.mover
-        own = reached[kids[picks[sid]]]
-        reached[here] = own
-        if not refuted:
-            refuted = any(reached[kid][mover] > own[mover] for kid in kids)
+    keys = [tree.addresses[i] for i in tree.post]
+    picks = tuple(tree.labels[i].index(choices[key[0]]) for i, key in zip(tree.post, keys))
+    reached = list(range(len(tree.addresses)))
+    refuted = _first_deviation(tree.checked_nodes(tree.rows()), picks, reached) is not None
     if isinstance(verdict, SpeOk) and refuted:
         concrete = is_spe_finite(*_concrete_unfolding(graph, profile, values, depth))
         raise CrossCheckError(
             f"symbolic check accepts but depth-{depth} unfolding refutes: "
             f"{concrete.counterexample}"
         )
-    if isinstance(verdict, Refuted) and (verdict.state, verdict.stage) in seen:
-        if not refuted:
-            raise CrossCheckError(
-                f"symbolic check refutes at {verdict.state} (stage {verdict.stage}) "
-                f"but the depth-{depth} unfolding accepts"
-            )
+    seen = {key[:2] for key in keys}
+    if isinstance(verdict, Refuted) and not refuted and (verdict.state, verdict.stage) in seen:
+        raise CrossCheckError(
+            f"symbolic check refutes at {verdict.state} (stage {verdict.stage}) "
+            f"but the depth-{depth} unfolding accepts"
+        )
 
 
 def check_spe(

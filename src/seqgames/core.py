@@ -274,21 +274,6 @@ def node(
     return Node(mover, branches)
 
 
-def subgame_at(game: FiniteGame, address: Address) -> FiniteGame:
-    """Return the subgame rooted at ``address``; raises on a bad path."""
-    current = game
-    for step, label in enumerate(address):
-        if isinstance(current, Leaf):
-            raise GameError(f"address {address!r} descends below a leaf at step {step}")
-        for action, child in current.branches:
-            if action == label:
-                current = child
-                break
-        else:
-            raise GameError(f"no action {label!r} at address {address[:step]!r}")
-    return current
-
-
 def walk(game: FiniteGame) -> Iterator[tuple[Address, FiniteGame]]:
     """Yield every position with its address, parents before children."""
     stack: list[tuple[Address, FiniteGame]] = [((), game)]
@@ -298,11 +283,6 @@ def walk(game: FiniteGame) -> Iterator[tuple[Address, FiniteGame]]:
         if isinstance(sub, Node):
             for action, child in reversed(sub.branches):
                 stack.append((address + (action,), child))
-
-
-def internal_addresses(game: FiniteGame) -> list[Address]:
-    """Addresses of all decision nodes, in depth-first (preorder) order."""
-    return [address for address, sub in walk(game) if isinstance(sub, Node)]
 
 
 def depth(game: FiniteGame) -> int:

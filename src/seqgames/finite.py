@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -328,7 +328,8 @@ class _Tree:
     ``postorder`` lists every position in post-order with children in branch
     order, and ``post`` the decision nodes among them: the order in which
     the solver fills in subgames and the one-shot deviation check visits
-    them.  ``from_graph`` compiles a shared table of unfoldings instead.
+    them.  ``from_graph`` compiles a shared table of unfoldings instead,
+    addressed by (state, stage, remaining depth) keys.
     """
 
     __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "postorder", "post")
@@ -382,13 +383,12 @@ class _Tree:
         depths are built in the given order, each depth first with branches
         in order, so a failing ``cut`` fails where ``graphs.unfold_param``
         would first meet it.  Positions are numbered children first, so
-        ``post`` is their index order.  The table has no addresses.  Returns
-        the table and each depth's root position.
+        ``post`` is their index order.  A position's address is its key.
+        Returns the table and each depth's root position.
         """
         tree = cls.__new__(cls)
         states = graph.states
         index: dict[tuple[str, int, int], int] = {}
-        tree.addresses = None
         movers: list[str | None] = []
         children: list[list[int]] = []
         labels: list[tuple[str, ...]] = []
@@ -437,6 +437,8 @@ class _Tree:
                 else:
                     root = built
             roots.append(root)
+        # Keys are added once each, in position order.
+        tree.addresses = list(index)
         tree.movers, tree.children, tree.labels, tree.payoffs = movers, children, labels, payoffs
         tree.postorder = list(range(len(movers)))
         tree.post = [i for i in tree.postorder if movers[i] is not None]
@@ -597,40 +599,11 @@ def is_spe_finite(
     )
 
 
-def is_spe_by_best_response(game: FiniteGame, profile: TreeProfile) -> bool:
-    """Reference check allowing arbitrary (multi-node) unilateral deviations.
-
-    Accepts the profile iff in every subgame, every player's payoff under the
-    profile already equals her best response against the others.  Used to
-    confirm that one-shot deviations suffice on finite games.
-    """
-    check_profile_total(game, profile)
-    tree = _Tree(game)
-    picks = tree.picks(profile)
-    reached = _reached(tree, picks)
-    choose = dict(zip(tree.post, picks)).__getitem__
-    for player in tree.players():
-        for i in tree.post:
-            best = _best_responses(tree, player, choose, i)[i]
-            if best > tree.payoffs[reached[i]][player]:
-                return False
-    return True
-
-
 def profile_space_size(game: FiniteGame) -> int:
     """Number of total profiles: product of branch counts over decision nodes."""
     return math.prod(
         len(sub.branches) for _, sub in walk(game) if isinstance(sub, Node)
     )
-
-
-def all_profiles(game: FiniteGame) -> Iterator[TreeProfile]:
-    """Every total profile, in lexicographic (address, branch order) order."""
-    tree = _Tree(game)
-    nodes = sorted((tree.addresses[i], tree.labels[i]) for i in tree.post)
-    addresses = [address for address, _ in nodes]
-    for combo in itertools.product(*(labels for _, labels in nodes)):
-        yield TreeProfile(zip(addresses, combo))
 
 
 def _ranks(row: list[Fraction | None]) -> list[int]:

@@ -137,9 +137,12 @@ class DepthSummary:
         }
 
 
-def _characterize(nodes: Sequence[tuple[Collection[str], int]]) -> Characterization:
+def _characterize(nodes: Sequence[tuple[Collection[str], int | None]]) -> Characterization:
     """Forced / free / mixed from each of a player's nodes: the actions used
-    there and its branch count."""
+    there and its branch count; absent when she has no node.  A node with no
+    branch count is one profile's choice, which leaves nothing free."""
+    if not nodes:
+        return Characterization(CharKind.ABSENT)
     used = [set(actions) for actions, _ in nodes]
     if all(len(s) == 1 for s in used) and len(set().union(*used)) == 1:
         return Characterization(CharKind.FORCED, next(iter(used[0])))
@@ -184,9 +187,7 @@ def _summaries(graph: GameGraph, depths: Sequence[int], rule: ClosureRule) -> li
         nodes: dict[str, list[tuple[tuple[str, ...], int]]] = {}
         for mover, used, branches in triples:
             nodes.setdefault(mover, []).append((used, branches))
-        characterization = {player: _characterize(nodes[player]) for player in sorted(nodes)}
-        for player in sorted(players):
-            characterization.setdefault(player, Characterization(CharKind.ABSENT))
+        characterization = {player: _characterize(nodes.get(player, [])) for player in sorted(players)}
         summaries.append(DepthSummary(depth, rule.describe(), count, characterization, payoff))
     return summaries
 
@@ -300,38 +301,6 @@ def _decision_states(graph: GameGraph) -> dict[str, list[str]]:
     return own
 
 
-def _profile_characterization(
-    decision_states: Mapping[str, list[str]], profile: StationaryProfile
-) -> dict[str, Characterization]:
-    result: dict[str, Characterization] = {}
-    for player, own in decision_states.items():
-        if not own:
-            result[player] = Characterization(CharKind.ABSENT)
-            continue
-        chosen = {profile[sid] for sid in own}
-        if len(chosen) == 1:
-            result[player] = Characterization(CharKind.FORCED, chosen.pop())
-        else:
-            result[player] = Characterization(CharKind.MIXED)
-    return result
-
-
-def _spe_set_characterization(
-    graph: GameGraph,
-    decision_states: Mapping[str, list[str]],
-    spes: Sequence[StationaryProfile],
-) -> dict[str, Characterization]:
-    result: dict[str, Characterization] = {}
-    for player, own in decision_states.items():
-        if not own or not spes:
-            result[player] = Characterization(CharKind.ABSENT)
-            continue
-        result[player] = _characterize(
-            [({p[sid] for p in spes}, len(graph.states[sid].edges)) for sid in own]
-        )
-    return result
-
-
 def _stabilized(summaries: list[DepthSummary]) -> Mapping[str, Characterization] | None:
     """The characterization the largest two depths agree on, if they do."""
     if not summaries:
@@ -368,9 +337,19 @@ def extrapolation_report(
         raise ValueError("depths must be >= 0")
     summaries = tuple(_summaries(graph, ordered, rule))
     spes = [p for p, v in enumerate_stationary_spe(graph, cap=cap) if v.ok]
-    decision_states = _decision_states(graph)
-    infinite_chars = tuple(_profile_characterization(decision_states, p) for p in spes)
-    set_char = _spe_set_characterization(graph, decision_states, spes)
+    own_states = _decision_states(graph).items()
+    # One profile makes one choice per state, so it leaves nothing free: a
+    # player whose one-edge states differ in label is mixed, not free.
+    infinite_chars = tuple(
+        {player: _characterize([((p[sid],), None) for sid in own]) for player, own in own_states}
+        for p in spes
+    )
+    set_char = {
+        player: _characterize(
+            [({p[sid] for p in spes}, len(graph.states[sid].edges)) for sid in own] if spes else []
+        )
+        for player, own in own_states
+    }
 
     odd = _stabilized([s for s in summaries if s.depth % 2 == 1])
     even = _stabilized([s for s in summaries if s.depth % 2 == 0])

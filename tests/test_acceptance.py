@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from seqgames.core import PayoffVector, internal_addresses, play_finite
+from seqgames.core import PayoffVector, play_finite
 from seqgames.coinduction import (
     NotAdmissible,
     Refuted,
@@ -41,6 +41,7 @@ from seqgames.gallery import matching_pennies_sequential, zero_one_finite
 from seqgames.graphs import dollar_auction, unfold, validate_graph, zero_one_graph
 from seqgames.truncation import DeciderQuitsClosure, ExtrapolationVerdict, extrapolation_report
 from tests.conftest import random_finite_game, random_game_graph
+from tests.reference import internal_addresses
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 SRC = Path(__file__).resolve().parent.parent / "src"

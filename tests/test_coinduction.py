@@ -514,13 +514,31 @@ def cross_check_outcome(graph, profile, values, verdict, depth):
     return None
 
 
+def decision_pairs(graph, depth):
+    """The (state, stage) of every decision node of the depth-``depth``
+    unfolding, level by level; cut states are leaves, not decision nodes."""
+    pairs, level = set(), {(graph.start, 0)}
+    for _ in range(depth):
+        level = {(sid, stage) for sid, stage in level if graph.states[sid].edges}
+        pairs |= level
+        level = {
+            (target, stage + delta)
+            for sid, stage in level
+            for _, target, delta in graph.states[sid].edges
+        }
+    return pairs
+
+
 def test_cross_check_on_distinct_subgames_matches_the_tree_oracle():
-    # The cross-check walks (state, stage, remaining) keys; the oracle
+    # The cross-check solves (state, stage, remaining) keys; the oracle
     # builds and solves the whole depth-d tree.  Fed an accepting verdict,
     # the cross-check must object exactly when the tree refutes, with the
     # tree's first counterexample; fed a refutation at the start state, it
-    # must object exactly when the tree accepts.
+    # must object exactly when the tree accepts.  Fed a refutation at a
+    # random decision state and stage, it must object exactly when the tree
+    # accepts and has a decision node with that state and stage.
     rng = random.Random(4242)
+    claims = random.Random(99)
     outcomes: Counter = Counter()
     for _ in range(200):
         graph = random_param_graph(rng, max_internal=4)
@@ -549,9 +567,20 @@ def test_cross_check_on_distinct_subgames_matches_the_tree_oracle():
                 else:
                     assert refuted is None, (graph, profile, depth)
                 outcomes[depth > 0, concrete.ok] += 1
+                if 1 <= depth <= 6:
+                    sid, stage = claims.choice(graph.internal_ids()), claims.randint(0, depth)
+                    claim = Refuted(sid, stage, "A", "a", PayoffVector(A=0), PayoffVector(A=1))
+                    in_tree = (sid, stage) in decision_pairs(graph, depth)
+                    objected = cross_check_outcome(graph, profile, values, claim, depth)
+                    assert (objected is not None) == (in_tree and concrete.ok), (
+                        graph, profile, depth, claim,
+                    )
+                    outcomes["claim", in_tree, concrete.ok] += 1
     # At depth 0 the unfolding is one leaf, so only depths from 1 can refute.
     for key in ((True, True), (True, False), (False, True)):
         assert outcomes[key] >= 50, outcomes
+    for in_tree, ok in itertools.product((True, False), repeat=2):
+        assert outcomes["claim", in_tree, ok] >= 50, outcomes
 
 
 def test_cross_check_disagreements_keep_the_tree_wording():

@@ -24,6 +24,7 @@ from seqgames.core import (
     validate_game,
 )
 from tests.conftest import random_finite_game
+from tests.reference import all_profiles
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -134,8 +135,6 @@ def _realized_path_length(game, profile):
 
 
 def test_play_finite_reaches_leaf_within_depth():
-    from seqgames.finite import all_profiles
-
     rng = random.Random(3)
     for _ in range(25):
         game = random_finite_game(rng, max_profiles=128)

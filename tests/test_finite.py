@@ -8,11 +8,9 @@ from seqgames.core import (
     Node,
     PayoffVector,
     TreeProfile,
-    internal_addresses,
     leaf,
     node,
     play_finite,
-    subgame_at,
     walk,
 )
 from seqgames.finite import (
@@ -20,11 +18,16 @@ from seqgames.finite import (
     backward_induction,
     brute_force_spe,
     enumerate_spe_profiles,
-    is_spe_by_best_response,
     is_spe_finite,
     profile_space_size,
 )
 from tests.conftest import random_distinct_payoff_game, random_finite_game
+from tests.reference import (
+    all_profiles,
+    internal_addresses,
+    is_spe_by_best_response,
+    subgame_at,
+)
 
 
 def two_node_game() -> Node:
@@ -128,8 +131,6 @@ def test_one_shot_equals_full_deviation_check():
     rng = random.Random(99)
     for _ in range(40):
         game = random_finite_game(rng, max_profiles=256)
-        from seqgames.finite import all_profiles
-
         for profile in all_profiles(game):
             assert is_spe_finite(game, profile).ok == is_spe_by_best_response(
                 game, profile

@@ -18,23 +18,21 @@ from seqgames.core import (
     Node,
     TreeProfile,
     depth,
-    internal_addresses,
     leaf,
     node,
-    subgame_at,
     walk,
 )
 from seqgames.finite import (
     CapExceededError,
     Counterexample,
     SpeCheck,
-    all_profiles,
     backward_induction,
     brute_force_spe,
     enumerate_spe_profiles,
     is_spe_finite,
 )
 from tests.conftest import random_finite_game
+from tests.reference import all_profiles, internal_addresses, subgame_at
 
 
 def _reference_values(game, profile):

@@ -16,7 +16,7 @@ from seqgames.truncation import DeciderQuitsClosure
 def hth_profile(path_actions, default="h"):
     """Total matching-pennies profile realizing the given 3-move path."""
     game = matching_pennies_sequential()
-    from seqgames.core import internal_addresses
+    from tests.reference import internal_addresses
 
     choices = {}
     for address in internal_addresses(game):
@@ -79,7 +79,7 @@ def test_zero_one_finite_seven_and_six():
 
 def test_everyone_continues_in_seven_turn_game():
     game = zero_one_finite(7)
-    from seqgames.core import internal_addresses
+    from tests.reference import internal_addresses
 
     profile = TreeProfile({a: "c" for a in internal_addresses(game)})
     assert play_finite(game, profile) == PayoffVector(A=1, B=0)

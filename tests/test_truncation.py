@@ -256,4 +256,32 @@ def test_shared_table_holds_one_position_per_key():
             graph, range(1, top + 1), lambda sid, stage: DeciderQuitsClosure().payoff(graph, sid, stage)
         )
         assert len(tree.movers) <= 4 * (top + 1)
+        assert len(set(tree.addresses)) == len(tree.movers)
         assert len(set(roots)) == top
+
+
+def test_one_profile_is_never_free_but_a_set_of_one_can_be():
+    # A moves at two one-edge states with different labels, and B's choice
+    # is strict, so the graph has exactly one stationary equilibrium.  As
+    # one profile it picks x and y, so A is mixed; as the whole set of
+    # equilibria it takes every action A has, so A is free.
+    graph = GameGraph(
+        name="chain",
+        states={
+            "S0": Decision("B", (("go", "P", 0), ("stop", "OUT", 0))),
+            "P": Decision("A", (("x", "Q", 0),)),
+            "Q": Decision("A", (("y", "WIN", 0),)),
+            "OUT": Terminal(PayoffVector(A=0, B=0)),
+            "WIN": Terminal(PayoffVector(A=1, B=1)),
+        },
+        start="S0",
+    )
+    report = extrapolation_report(graph, range(1, 5), ConstantClosure(PayoffVector(A=0, B=0)))
+    assert [dict(p) for p in report.infinite_spes] == [{"S0": "go", "P": "x", "Q": "y"}]
+    assert [{p: c.describe() for p, c in chars.items()} for chars in report.infinite_characterizations] == [
+        {"A": "mixed", "B": "forced:go"}
+    ]
+    assert {p: c.describe() for p, c in report.spe_set_characterization.items()} == {
+        "A": "free",
+        "B": "forced:go",
+    }
