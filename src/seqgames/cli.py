@@ -369,32 +369,53 @@ def _cmd_check(args) -> int:
 
 
 def _profile_text(profile: StationaryProfile) -> str:
-    return ", ".join(f"{sid}:{profile[sid]}" for sid in profile)
+    return ", ".join(map(":".join, profile._entries))
 
 
 def _cmd_enumerate(args) -> int:
     graph = _require_graph(_load(args.file), args.file)
     results = enumerate_stationary_spe(graph, cap=args.cap)
+    # Profiles share verdict objects, so each distinct verdict is rendered
+    # once, keyed by identity while ``results`` keeps it alive.
+    rendered: dict[int, str] = {}
     if args.format == "json":
-        _emit_json(
-            {
-                "command": "enumerate",
-                "input": args.file,
-                "solver": "stationary_enumeration",
-                "caps": {"stationary": args.cap},
-                "profiles": [
-                    {"profile": dict(profile), **_verdict_json(verdict)}
-                    for profile, verdict in results
-                ],
-            }
-        )
+        head = {
+            "command": "enumerate",
+            "input": args.file,
+            "solver": "stationary_enumeration",
+            "caps": {"stationary": args.cap},
+        }
+        # One object field per (state, action) pair, rendered once.
+        field = functools.cache(lambda entry: f"        {json.dumps(entry[0])}: {json.dumps(entry[1])}")
+        rows = []
+        for profile, verdict in results:
+            if id(verdict) not in rendered:
+                rendered[id(verdict)] = _json_fields(_verdict_json(verdict), 6)
+            fields = ",\n".join(map(field, profile._entries))
+            choices = "{\n" + fields + "\n      }" if fields else "{}"
+            rows.append(f'    {{\n      "profile": {choices},\n{rendered[id(verdict)]}\n    }}')
+        # What ``_emit_json`` prints for ``head`` with a last key "profiles"
+        # holding the rows.
+        text = json.dumps(head, indent=2)[:-2]
+        sys.stdout.write(text + ',\n  "profiles": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
         return EXIT_OK
     spe_count = sum(1 for _, v in results if v.ok)
-    print(f"stationary profiles: {len(results)}; equilibria: {spe_count}")
+    lines = [f"stationary profiles: {len(results)}; equilibria: {spe_count}"]
     for profile, verdict in results:
-        mark = _good("SPE") if verdict.ok else _bad(verdict.describe())
-        print(f"  {{{_profile_text(profile)}}}  {mark}")
+        if id(verdict) not in rendered:
+            rendered[id(verdict)] = _good("SPE") if verdict.ok else _bad(verdict.describe())
+        lines.append(f"  {{{_profile_text(profile)}}}  {rendered[id(verdict)]}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
+
+
+def _json_fields(payload: dict, indent: int) -> str:
+    """The fields of ``payload`` as ``json.dumps(indent=2)`` renders them
+    inside an object whose fields sit ``indent`` spaces deep, without the
+    braces."""
+    body = json.dumps(payload, indent=2)[2:-2]
+    pad = " " * (indent - 2)
+    return pad + body.replace("\n", "\n" + pad)
 
 
 def _cmd_truncate(args) -> int:

@@ -16,7 +16,6 @@ import itertools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 
 from seqgames.core import (
     CapExceededError,
@@ -206,14 +205,17 @@ class _ProfileChecker:
     order, terminals after them, and each edge becomes its target's number.
     A profile is checked as its picks, its branch index at each decision
     state.  On a plain graph movers compare terminals by dense ranks of
-    their exact payoffs (equal payoffs share a rank, so ``>`` stays exact),
-    and each distinct verdict is built once and shared.  A parametrized
-    graph keeps its affine stage test; its stage reachability is built on
-    first use.
+    their exact payoffs (equal payoffs share a rank, so ``>`` stays exact).
+    A parametrized graph keeps its affine stage test, memoized per edge and
+    per (terminal, stage shift) at both of its ends.  Each distinct verdict
+    is built once and shared.  The rank tables, the flat edge list and the
+    stage reachability are built on first use, so callers that only value
+    profiles do not pay for them.
     """
 
     def __init__(self, graph: GameGraph) -> None:
         self.graph = graph
+        self.staged = isinstance(graph, ParamGraph)
         states = graph.states
         decisions = graph.internal_ids()
         n = len(decisions)
@@ -224,24 +226,48 @@ class _ProfileChecker:
         self.targets = [[number[target] for _, target, _ in states[sid].edges] for sid in decisions]
         self.deltas = [[delta for _, _, delta in states[sid].edges] for sid in decisions]
         self.payoffs = [None] * n + [states[sid].payoffs for sid in self.ids[n:]]
-        ranks = {}
-        if not isinstance(graph, ParamGraph):
-            for p in set(self.movers):
-                ranks[p] = [-1] * n + _ranks([v[p] for v in self.payoffs[n:]])
-        # Every edge in state and branch order, with its mover's ranks.
-        self.edges = [
-            (i, j, target, ranks.get(self.movers[i]))
-            for i, targets in enumerate(self.targets)
-            for j, target in enumerate(targets)
-        ]
+        # Shared verdicts by key; a pgraph edge test that finds no
+        # violation is kept as None.
+        self._verdicts: dict[tuple, Refuted | NotAdmissible | None] = {}
+        self._shifted: dict[tuple[int, int], AffinePayoffs] = {}
+        self._edges: list[tuple[int, int, int, list[int] | None]] | None = None
         self._reach: StageReachability | None = None
-        self._verdicts: dict[tuple, Refuted | NotAdmissible] = {}
+        self._live: list[tuple[int, int, int, int]] | None = None
+
+    @property
+    def edges(self) -> list[tuple[int, int, int, list[int] | None]]:
+        """Every edge in state and branch order: (state, branch, target, its
+        mover's rank of every state number), the ranks None on a pgraph."""
+        if self._edges is None:
+            n = len(self.movers)
+            ranks = {}
+            if not self.staged:
+                for p in set(self.movers):
+                    ranks[p] = [-1] * n + _ranks([v[p] for v in self.payoffs[n:]])
+            self._edges = [
+                (i, j, target, ranks.get(self.movers[i]))
+                for i, targets in enumerate(self.targets)
+                for j, target in enumerate(targets)
+            ]
+        return self._edges
 
     @property
     def reach(self) -> StageReachability:
         if self._reach is None:
             self._reach = StageReachability(self.graph)
         return self._reach
+
+    @property
+    def live(self) -> list[tuple[int, int, int, int]]:
+        """(edge number, state, branch, target) of each edge whose state some
+        play enters, in edge order."""
+        if self._live is None:
+            self._live = [
+                (e, i, j, target)
+                for e, (i, j, target, _) in enumerate(self.edges)
+                if self.reach.min_offset(self.ids[i]) is not None
+            ]
+        return self._live
 
     def picks(self, profile: StationaryProfile) -> list[int]:
         """The profile's branch index at each decision state; raises
@@ -262,7 +288,6 @@ class _ProfileChecker:
         succ = [targets[pick] for targets, pick in zip(self.targets, picks)]
         end = [-1] * n + list(range(n, len(self.ids)))
         shift = [0] * len(end)
-        staged = isinstance(self.graph, ParamGraph)
         for origin in range(n):
             if end[origin] >= 0:
                 continue
@@ -279,7 +304,7 @@ class _ProfileChecker:
                 i = succ[i]
             for j in path:
                 end[j] = reached
-            if staged:
+            if self.staged:
                 total = shift[i]
                 for j in reversed(path):
                     total += self.deltas[j][picks[j]]
@@ -293,56 +318,188 @@ class _ProfileChecker:
         played = self.play(picks)
         if isinstance(played, NotAdmissible):
             return played
-        by_id = dict(zip(self.ids, self._values(*played)))
+        return self._by_id(*played)
+
+    def _by_id(self, end: list[int], shift: list[int]) -> dict[str, PayoffVector | AffinePayoffs]:
+        """Every state's play value, by id in definition order."""
+        by_id = dict(zip(self.ids, map(self._value, end, shift)))
         return {sid: by_id[sid] for sid in self.graph.states}
 
-    def _values(self, end: list[int], shift: list[int]) -> list[PayoffVector | AffinePayoffs]:
-        """Per state number, its play value."""
-        return [self.payoffs[e].shifted(s) if s else self.payoffs[e] for e, s in zip(end, shift)]
+    def _value(self, end: int, shift: int) -> PayoffVector | AffinePayoffs:
+        """Terminal ``end``'s payoffs, entered ``shift`` stages later."""
+        if not shift:
+            return self.payoffs[end]
+        key = (end, shift)
+        if key not in self._shifted:
+            self._shifted[key] = self.payoffs[end].shifted(shift)
+        return self._shifted[key]
 
-    def check(
-        self, profile: StationaryProfile, depth: int | None = None, picks: Sequence | None = None
-    ) -> SpeVerdict:
+    def check(self, profile: StationaryProfile, depth: int | None = None) -> SpeVerdict:
         """Admissibility, then every one-shot deviation; parametrized verdicts
-        are cross-checked at ``depth`` unless None.  ``picks`` are the
-        profile's, when the caller has them."""
-        picks = self.picks(profile) if picks is None else picks
+        are cross-checked at ``depth`` unless None."""
+        picks = self.picks(profile)
         played = self.play(picks)
         if isinstance(played, NotAdmissible):
             return played
         verdict = self._one_shot(picks, *played)
-        if depth is not None and isinstance(self.graph, ParamGraph):
-            _cross_check(self.graph, profile, self.values(picks), verdict, depth)
+        if depth is not None and self.staged:
+            _cross_check(self.graph, profile, self._by_id(*played), verdict, depth)
         return verdict
 
     def _one_shot(self, picks: Sequence[int], end: list[int], shift: list[int]) -> SpeOk | Refuted:
         """The first profitable one-shot deviation in state and branch order;
-        on a parametrized graph, at the least stage its state is entered with.
-        A chosen edge ties its state's own value, so it never refutes."""
-        if not isinstance(self.graph, ParamGraph):
-            for i, j, target, row in self.edges:
+        on a parametrized graph, at the least stage its state is entered with,
+        and only at states some play enters.  A chosen edge ties its state's
+        own value, so it never refutes."""
+        if not self.staged:
+            for e, (i, _, target, row) in enumerate(self.edges):
                 if row[end[target]] > row[end[i]]:
-                    key = (i, j, end[i], end[target])
-                    if key not in self._verdicts:
-                        self._verdicts[key] = Refuted(
-                            self.ids[i], None, self.movers[i], self.labels[i][j],
-                            self.payoffs[end[i]], self.payoffs[end[target]],
-                        )
-                    return self._verdicts[key]
+                    return self._refuted(e, end)
             return _SPE_OK
-        value = self._values(end, shift)
-        for i, j, target, _ in self.edges:
-            sid, mover = self.ids[i], self.movers[i]
-            if j == picks[i] or self.reach.min_offset(sid) is None:
-                continue  # the chosen edge, or a state no play enters
-            current, deviation = value[i], value[target].shifted(self.deltas[i][j])
-            witness = _least_reachable_violation(self.reach, sid, deviation[mover], current[mover])
-            if witness is not None:
-                return Refuted(
-                    sid, witness, mover, self.labels[i][j],
-                    current.at_stage(witness), deviation.at_stage(witness),
-                )
+        verdicts = self._verdicts
+        for e, i, j, target in self.live:
+            if j == picks[i]:
+                continue
+            key = (e, end[i], shift[i], end[target], shift[target])
+            if key not in verdicts:
+                verdicts[key] = self._staged_deviation(key)
+            if verdicts[key] is not None:
+                return verdicts[key]
         return _SPE_OK
+
+    def _refuted(self, e: int, end: list[int]) -> Refuted:
+        """The refutation by plain-graph edge ``e``, shared by every profile
+        whose play values at its two ends are the same terminals."""
+        i, j, target, _ = self.edges[e]
+        key = (i, j, end[i], end[target])
+        if key not in self._verdicts:
+            self._verdicts[key] = Refuted(
+                self.ids[i], None, self.movers[i], self.labels[i][j],
+                self.payoffs[end[i]], self.payoffs[end[target]],
+            )
+        return self._verdicts[key]
+
+    def _staged_deviation(self, key: tuple[int, int, int, int, int]) -> Refuted | None:
+        """Whether pgraph edge ``e`` refutes when its state's play reaches
+        terminal ``ei`` after ``si`` stages, and its target's ``et`` after
+        ``st``: the refutation at the least reachable violating stage."""
+        e, ei, si, et, st = key
+        i, j, _, _ = self.edges[e]
+        sid, mover = self.ids[i], self.movers[i]
+        current, deviation = self._value(ei, si), self._value(et, st + self.deltas[i][j])
+        witness = _least_reachable_violation(self.reach, sid, deviation[mover], current[mover])
+        if witness is None:
+            return None
+        return Refuted(
+            sid, witness, mover, self.labels[i][j],
+            current.at_stage(witness), deviation.at_stage(witness),
+        )
+
+    def walk(self, depth: int | None = None) -> list[tuple[StationaryProfile, SpeVerdict]]:
+        """Every profile with its verdict, in ``stationary_profiles`` order;
+        pgraph verdicts are cross-checked at ``depth`` unless None.
+
+        One depth-first walk assigns the decision states in sorted-id order,
+        one level each, so each leaf is one profile and consecutive leaves
+        share their prefix.  A state whose chosen target is a terminal or a
+        resolved state is resolved: it gets the target's terminal and stage
+        shift, and so does every assigned state waiting on it, transitively.
+        Any other state waits on its target.  Backtracking undoes exactly
+        what its level did.  On a plain graph an edge is tested when both of
+        its ends are resolved, and each level carries the first violating
+        edge so far, so a leaf reads its verdict off.  A pgraph leaf scans
+        its live edges with the memoized stage test.  A leaf with a state
+        still unresolved is not admissible; play finds its first diverging
+        state and cycle.
+        """
+        ids, targets, deltas = self.ids, self.targets, self.deltas
+        n = len(targets)
+        if not n:  # one empty profile
+            profile = StationaryProfile._from_sorted(())
+            return [(profile, self.check(profile, depth))]
+        order = sorted(range(n), key=ids.__getitem__)
+        entries = [[(ids[i], label) for label in self.labels[i]] for i in order]
+        end = [-1] * n + list(range(n, len(ids)))
+        shift = [0] * len(ids)
+        waiting: list[list[int]] = [[] for _ in range(n)]
+        picks = [0] * n
+        chosen: list = [None] * n
+        tried = [0] * n  # per level: branches tried so far
+        # Per level: the states it resolved, or None when its state waits.
+        resolved: list[list[int] | None] = [None] * n
+        staged = self.staged
+        if not staged:
+            edges = self.edges
+            # Per decision state, the edges it is an end of, in edge order.
+            touching: list[list] = [[] for _ in range(n)]
+            for e, (i, _, target, row) in enumerate(edges):
+                touching[i].append((e, i, target, row))
+                if target < n and target != i:
+                    touching[target].append((e, i, target, row))
+            # Per level: the first violating edge so far (or none) and its verdict.
+            first = [len(edges)] * (n + 1)
+            found: list[SpeVerdict] = [_SPE_OK] * (n + 1)
+        unresolved, last = n, n - 1
+        results = []
+        level = 0
+        while level >= 0:
+            s, b = order[level], tried[level]
+            if b:  # undo the level's previous branch
+                done = resolved[level]
+                if done is None:
+                    waiting[targets[s][b - 1]].pop()
+                else:
+                    for x in done:
+                        end[x] = -1
+                    unresolved += len(done)
+            if b == len(targets[s]):
+                tried[level] = 0
+                level -= 1
+                continue
+            tried[level] = b + 1
+            picks[s] = b
+            chosen[level] = entries[level][b]
+            t = targets[s][b]
+            if end[t] < 0:
+                waiting[t].append(s)
+                resolved[level] = None
+                if not staged:
+                    first[level + 1], found[level + 1] = first[level], found[level]
+            else:
+                end[s], shift[s] = end[t], shift[t] + deltas[s][b]
+                done = [s]
+                for x in done:  # grows as waiting states resolve
+                    for w in waiting[x]:
+                        end[w], shift[w] = end[x], shift[x] + deltas[w][picks[w]]
+                        done.append(w)
+                resolved[level] = done
+                unresolved -= len(done)
+                if not staged:
+                    f = first[level]
+                    for x in done:
+                        for e, i, k, row in touching[x]:
+                            if e >= f:
+                                break
+                            if end[i] >= 0 and end[k] >= 0 and row[end[k]] > row[end[i]]:
+                                f = e
+                                break
+                    first[level + 1] = f
+                    found[level + 1] = found[level] if f == first[level] else self._refuted(f, end)
+            if level < last:
+                level += 1
+                continue
+            # A leaf: the walk stays at this level for its next branch.
+            profile = StationaryProfile._from_sorted(tuple(chosen))
+            if unresolved:
+                verdict = self.play(picks)
+            elif staged:
+                verdict = self._one_shot(picks, end, shift)
+                if depth is not None:
+                    _cross_check(self.graph, profile, self._by_id(end, shift), verdict, depth)
+            else:
+                verdict = found[n]
+            results.append((profile, verdict))
+        return results
 
 
 def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
@@ -536,18 +693,7 @@ def enumerate_stationary_spe(
     total = stationary_profile_count(graph)
     if total > cap:
         raise CapExceededError(f"stationary profile space {total} exceeds cap {cap}")
-    checker = _ProfileChecker(graph)
-    # Profiles in ``stationary_profiles`` order, from sorted entries.
-    order = sorted(range(len(checker.labels)), key=checker.ids.__getitem__)
-    position = sorted(range(len(order)), key=order.__getitem__)
-    to_picks = itemgetter(*position) if len(order) > 1 else tuple
-    branches = [range(len(checker.labels[i])) for i in order]
-    entries = [[(checker.ids[i], label) for label in checker.labels[i]] for i in order]
-    results = []
-    for combo, chosen in zip(itertools.product(*branches), itertools.product(*entries)):
-        profile = StationaryProfile._from_sorted(chosen)
-        results.append((profile, checker.check(profile, cross_check_depth, to_picks(combo))))
-    return results
+    return _ProfileChecker(graph).walk(cross_check_depth)
 
 
 def stationary_closure(

@@ -8,7 +8,7 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -399,6 +399,11 @@ def check_profile_total(game: FiniteGame, profile: TreeProfile) -> None:
         for address, sub in walk(game)
         if isinstance(sub, Node)
     }
+    _require_total(actions, profile)
+
+
+def _require_total(actions: Mapping[Address, Collection[str]], profile: TreeProfile) -> None:
+    """``check_profile_total`` given each decision node's actions by address."""
     given = set(profile)
     missing = actions.keys() - given
     if missing:

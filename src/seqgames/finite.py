@@ -28,7 +28,7 @@ from seqgames.core import (
     PayoffVector,
     TreeProfile,
     Violation,
-    check_profile_total,
+    _require_total,
     format_address,
     validate_game,
     walk,
@@ -455,10 +455,20 @@ class _Tree:
         }
 
     def picks(self, profile: TreeProfile) -> tuple[int, ...]:
-        """Branch index chosen by a total profile at each node of ``post``."""
-        return tuple(
-            self.labels[i].index(profile[self.addresses[i]]) for i in self.post
-        )
+        """Branch index chosen by the profile at each node of ``post``.
+
+        Raises the ProfileError ``core.check_profile_total`` raises unless
+        the profile chooses one of the actions at exactly the decision nodes,
+        checked on the compiled arrays.
+        """
+        try:
+            if len(profile) == len(self.post):
+                return tuple(self.labels[i].index(profile[self.addresses[i]]) for i in self.post)
+        except (KeyError, ValueError):
+            pass
+        _require_total({self.addresses[i]: self.labels[i] for i in self.post}, profile)
+        # Total: only a node with repeated labels makes the counts differ.
+        return tuple(self.labels[i].index(profile[self.addresses[i]]) for i in self.post)
 
     def checked_nodes(self, rows: Mapping[str, list]) -> list[tuple[int, list[int], list]]:
         """(position, children, mover's row) for each node of ``post``."""
@@ -573,10 +583,10 @@ def is_spe_finite(
     payoff at the root counts, so non-credible threats off the play path are
     not questioned.
 
-    Raises ProfileError if the profile is not total (``check_profile_total``)
-    and UnknownPlayerError if a leaf lacks a mover's payoff.
+    Raises ProfileError if the profile is not total (``_Tree.picks``, on
+    the compiled arrays) and UnknownPlayerError if a leaf lacks a mover's
+    payoff.
     """
-    check_profile_total(game, profile)
     tree = _Tree(game)
     picks = tree.picks(profile)
     if root_only:

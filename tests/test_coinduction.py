@@ -438,6 +438,74 @@ def test_enumeration_exactly_at_the_cap():
         enumerate_stationary_spe(ring_graph(17))
 
 
+def chain_graph(rng, n, plain=True):
+    """``n`` decision states listed in numeric order S0, S1, ..., so that
+    sorted-id order (S0, S1, S10, ..., S2, ...) differs from definition
+    order once n > 10.  Each state continues to the next and exits to a
+    terminal of its own; some add a chord to a random state, itself
+    included, so chosen continues build long chains of states waiting on
+    states assigned later."""
+    states = {}
+    for i in range(n):
+        edges = [("c", f"S{(i + 1) % n}"), ("l", f"T{i}")]
+        if rng.random() < 0.3:
+            edges.append(("k", f"S{rng.randrange(n)}"))
+        rng.shuffle(edges)
+        deltas = [0 if plain else rng.randint(0, 1) for _ in edges]
+        states[f"S{i}"] = Decision(
+            rng.choice("AB"), tuple((a, t, d) for (a, t), d in zip(edges, deltas))
+        )
+    for i in range(n):
+        if plain:
+            states[f"T{i}"] = Terminal(PayoffVector(A=rng.randint(0, 2), B=rng.randint(0, 2)))
+        else:
+            slope = Fraction(rng.choice((-1, 0, 1)), rng.choice((1, 2)))
+            states[f"T{i}"] = Terminal(AffinePayoffs(
+                {p: AffineExpr(rng.randint(-3, 3), slope if p == "A" else -slope) for p in "AB"}
+            ))
+    kind = GameGraph if plain else ParamGraph
+    return kind(name="chain", states=states, start=f"S{rng.randrange(n)}")
+
+
+def test_walk_matches_replay_in_output_order():
+    # The depth-first walk against the per-state replay oracle, compared as
+    # whole lists so that the order counts too, on inputs that stress its
+    # bookkeeping: definition order unlike sorted-id order, chords and
+    # self-loops that leave states waiting through many levels, pgraphs
+    # with unreachable states (cross-checked at depth 5) and graphs with no
+    # decision state at all.
+    rng = random.Random(1414)
+    graphs = [(chain_graph(rng, n), None) for n in (11, 11, 12)]
+    graphs += [(chain_graph(rng, n), None) for n in [3, 4, 5, 6, 7] * 6]
+    graphs += [(chain_graph(rng, n, plain=False), 5) for n in [2, 3, 4, 5, 6, 7] * 4]
+    graphs += [(random_param_graph(rng, max_internal=5), 5) for _ in range(100)]
+    alone = {"T": Terminal(PayoffVector(A=1, B=1))}
+    graphs.append((GameGraph(name="t", states=alone, start="T"), None))
+    staged = {"T": Terminal(AffinePayoffs({"A": AffineExpr(1, 1), "B": AffineExpr(0, -1)}))}
+    graphs.append((ParamGraph(name="t", states=staged, start="T"), 5))
+    seen: Counter = Counter()
+    for graph, depth in graphs:
+        results = enumerate_stationary_spe(graph, cross_check_depth=depth)
+        assert results == [(p, replay_verdict(graph, p)) for p in stationary_profiles(graph)], graph
+        param = isinstance(graph, ParamGraph)
+        reach = StageReachability(graph) if param else None
+        for _, verdict in results:
+            seen[param, type(verdict).__name__] += 1
+        if param and any(reach.min_offset(sid) is None for sid in graph.internal_ids()):
+            seen["pgraph with an unreachable state"] += 1
+        if any(sid == target for sid in graph.internal_ids() for _, target, _ in graph.states[sid].edges):
+            seen["self-loop"] += 1
+        if "S10" in graph.states and "S2" in graph.states:
+            seen["S10 sorts before S2"] += 1
+    floors = {
+        (False, "SpeOk"): 400, (False, "NotAdmissible"): 2000, (False, "Refuted"): 15000,
+        (True, "SpeOk"): 80, (True, "NotAdmissible"): 400, (True, "Refuted"): 1000,
+        "pgraph with an unreachable state": 40, "self-loop": 40, "S10 sorts before S2": 3,
+    }
+    for key, floor in floors.items():
+        assert seen[key] >= floor, (key, seen)
+
+
 def param_graph_features(graph):
     """Which shapes the differential test below is meant to cover."""
     order = list(graph.states)

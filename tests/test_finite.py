@@ -7,7 +7,9 @@ from seqgames.core import (
     Leaf,
     Node,
     PayoffVector,
+    ProfileError,
     TreeProfile,
+    check_profile_total,
     leaf,
     node,
     play_finite,
@@ -211,6 +213,32 @@ def test_counterexamples_are_reported_bottom_up():
     bad = TreeProfile({(): "l", ("c",): "l"})
     ce = is_spe_finite(game, bad).counterexample
     assert ce.address == ("c",)
+
+
+def test_totality_faults_are_reported_in_order():
+    # Several faults of each kind.  Missing choices come first, then choices
+    # at non-decision addresses, then unknown actions; each names the first
+    # offending address in (length, address) order, which is not the
+    # lexicographic one here (l before c.c, l.c before c.c.l).
+    inner = node("A", ("c", leaf(A=1, B=0)), ("l", leaf(A=0, B=1)))
+    game = node(
+        "A",
+        ("c", node("B", ("c", inner), ("l", inner))),
+        ("l", node("B", ("c", leaf(A=2, B=2)), ("l", leaf(A=0, B=0)))),
+    )
+    choices = {(): "c", ("c",): "c", ("c", "l"): "q"}
+    extra = {("l", "c"): "c", ("c", "c", "l"): "c", ("l", "l"): "c"}
+    stages = [
+        ({**choices, **extra}, "profile not total: no choice at address l"),
+        ({**choices, **extra, ("l",): "w", ("c", "c"): "x"},
+         "profile has a choice at non-decision address l.c"),
+        ({**choices, ("l",): "w", ("c", "c"): "x"}, "profile chooses unknown action 'w' at l"),
+    ]
+    for profile, message in stages:
+        for check in (is_spe_finite, check_profile_total):
+            with pytest.raises(ProfileError) as error:
+                check(game, TreeProfile(profile))
+            assert str(error.value) == message
 
 
 def test_root_only_accepts_non_credible_threats():
