@@ -119,13 +119,16 @@ def _write_output(text: str, output: str | None) -> None:
 
 def _depths_arg(text: str) -> list[int]:
     depths: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            low, _, high = part.partition("..")
-            depths.extend(range(int(low), int(high) + 1))
-        elif part:
-            depths.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ".." in part:
+                low, _, high = part.partition("..")
+                depths.extend(range(int(low), int(high) + 1))
+            elif part:
+                depths.append(int(part))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid depths value: {text!r}") from None
     if not depths:
         raise argparse.ArgumentTypeError("no depths given")
     if any(d < 0 for d in depths):

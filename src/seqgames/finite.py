@@ -132,16 +132,30 @@ def _payoff_ids(
 
 def _analyze(
     tree: _Tree, leaf: list[int | None], ranks: Mapping[str, list[int]]
-) -> list[dict[int, int]]:
-    """Bottom-up pass: for every position, the payoff ids its subgame's
-    equilibria induce, in order of discovery, each with its number of
-    equilibria."""
+) -> tuple[list[dict[int, int]], list[tuple[int, ...] | None], list[int], list[int]]:
+    """Bottom-up pass: everything the solver needs from each subgame, in one
+    loop over ``post``.
+
+    Returns four tables.  ``counts[i]``: the payoff ids the equilibria of
+    position i's subgame induce, in order of discovery, each with its number
+    of equilibria.  ``realizers[i]`` (None at a leaf): for each of those
+    ids, in the same order, the branches through which an equilibrium
+    reaches it, as a bit mask (bit b for branch b), never 0.  ``best[i]``:
+    the payoff id the representative (first maximizer in branch order at
+    every node) reaches from i.  ``picks``: the representative's branch at
+    each node of ``post``.
+    """
     counts: list[dict[int, int] | None] = [None if v is None else {v: 1} for v in leaf]
+    realizers: list[tuple[int, ...] | None] = [None] * len(leaf)
+    best = list(leaf)
+    picks = []
     for i in tree.post:
         row = ranks[tree.movers[i]]
-        children = [counts[k] for k in tree.children[i]]
+        kids = tree.children[i]
+        children = [counts[k] for k in kids]
         floors = _floors([min(row[w] for w in child) for child in children])
         found: dict[int, int] = {}
+        realized: dict[int, int] = {}
         for b, child in enumerate(children):
             for v, n in child.items():
                 # Branch b can carry an equilibrium of value v as long as
@@ -153,26 +167,46 @@ def _analyze(
                     if j != b:
                         n *= sum(m for w, m in other.items() if row[w] <= rank)
                 found[v] = found.get(v, 0) + n
+                realized[v] = realized.get(v, 0) | 1 << b
         counts[i] = found
-    return counts
+        realizers[i] = tuple(realized.values())
+        pick = 0
+        for b in range(1, len(kids)):
+            if row[best[kids[b]]] > row[best[kids[pick]]]:
+                pick = b
+        picks.append(pick)
+        best[i] = best[kids[pick]]
+    return counts, realizers, best, picks
 
 
 def _floors(mins: list[int]) -> list[int]:
     """For each branch, the highest of the other branches' worst ranks: the
-    least rank an equilibrium through that branch can give the mover."""
-    return [max(mins[:b] + mins[b + 1 :], default=-1) for b in range(len(mins))]
+    least rank an equilibrium through that branch can give the mover.  Only
+    the two highest worst ranks matter."""
+    first = second = -1
+    for m in mins:
+        if m > first:
+            first, second = m, first
+        elif m > second:
+            second = m
+    return [second if m == first else first for m in mins]
 
 
 class _TiePass:
     """Top-down tie pass: which actions some equilibrium of the whole game
-    takes at each node.
+    takes at each node, read off the realizers ``_analyze`` found.
 
     It runs over (position, live set) pairs.  The live set of a position is
     the set of its subgame's values (payoff ids) that an equilibrium of the
     whole game can induce there; each of ``roots`` starts with all its values
-    live.  On a tree each decision position gets one pair.  On a shared table
-    (``_Tree.from_graph``) different parents can hand a position different
-    live sets, and each distinct set is one pair, solved once.
+    live.  On a tree each decision position gets one pair; on a shared table
+    (``_Tree.from_graph``) each distinct live set a position receives from
+    its parents is one pair, solved once.
+
+    A pair uses the branches that realize its live values.  Decision child
+    b receives the live values b realizes, and every value of its subgame
+    that the mover ranks no higher than a live value some other branch
+    realizes: with that branch taken, b's continuation may be any of them.
 
     Pairs are numbered in the order they are found.  For pair ``p``:
     ``positions[p]`` is its position, ``used[p]`` the branches some
@@ -187,6 +221,7 @@ class _TiePass:
         self,
         tree: _Tree,
         counts: list[dict[int, int]],
+        realizers: list[tuple[int, ...] | None],
         ranks: Mapping[str, list[int]],
         roots: list[int],
     ) -> None:
@@ -210,45 +245,23 @@ class _TiePass:
         # Solving a pair can add pairs, which this loop then reaches.
         for i, live in zip(self.positions, lives):
             row = ranks[tree.movers[i]]
+            realized = [(v, mask) for v, mask in zip(counts[i], realizers[i]) if v in live]
+            used = 0
+            for _, mask in realized:
+                used |= mask
             kids = tree.children[i]
-            children = [counts[k] for k in kids]
-            floors = _floors([min(row[w] for w in child) for child in children])
-            realizers = {
-                v: [b for b, child in enumerate(children) if v in child and row[v] >= floors[b]]
-                for v in live
-            }
-            self.used.append(
-                tuple(b for b in range(len(kids)) if any(b in r for r in realizers.values()))
-            )
+            self.used.append(tuple(b for b in range(len(kids)) if used >> b & 1))
             below = []
-            for b, (k, child) in enumerate(zip(kids, children)):
+            for b, k in enumerate(kids):
                 if tree.movers[k] is None:
                     continue
-                into = {v for v in live if b in realizers[v]}
-                # A live value realized through another branch leaves in play
-                # every value here that the mover does not prefer to it.
-                tied = [row[v] for v in live if any(c != b for c in realizers[v])]
+                into = {v for v, mask in realized if mask >> b & 1}
+                tied = [row[v] for v, mask in realized if mask != 1 << b]
                 if tied:
                     top = max(tied)
-                    into.update(w for w in child if row[w] <= top)
+                    into.update(w for w in counts[k] if row[w] <= top)
                 below.append(pair(k, frozenset(into)))
             self.below.append(below)
-
-
-def _representative(
-    tree: _Tree, leaf: list[int | None], ranks: Mapping[str, list[int]]
-) -> tuple[list[int], list[int]]:
-    """The first maximizer in branch order at every node: the payoff id it
-    reaches from each position, and its branch at each node of ``post``."""
-    best = list(leaf)
-    picks = []
-    for i in tree.post:
-        row = ranks[tree.movers[i]]
-        kids = tree.children[i]
-        b = max(range(len(kids)), key=lambda j: row[best[kids[j]]])
-        picks.append(b)
-        best[i] = best[kids[b]]
-    return best, picks
 
 
 def backward_induction(game: FiniteGame) -> EquilibriumSummary:
@@ -262,9 +275,8 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
     _require_valid(game)
     tree = _Tree(game)
     leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
-    counts = _analyze(tree, leaf, ranks)
-    ties = _TiePass(tree, counts, ranks, [0])
-    best, picks = _representative(tree, leaf, ranks)
+    counts, realizers, best, picks = _analyze(tree, leaf, ranks)
+    ties = _TiePass(tree, counts, realizers, ranks, [0])
     return EquilibriumSummary(
         # One pair per decision node; sorted by position is preorder.
         optimal_actions={
@@ -297,9 +309,8 @@ def _solve_unfoldings(
     """
     tree, roots = _Tree.from_graph(graph, depths, cut)
     leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
-    counts = _analyze(tree, leaf, ranks)
-    best, _ = _representative(tree, leaf, ranks)
-    ties = _TiePass(tree, counts, ranks, roots)
+    counts, realizers, best, _ = _analyze(tree, leaf, ranks)
+    ties = _TiePass(tree, counts, realizers, ranks, roots)
     # Each pair's triples and those of every pair below it, children first:
     # the table numbers each child position before its parents.
     beneath: list[frozenset] = [frozenset()] * len(ties.positions)
@@ -671,7 +682,7 @@ def enumerate_spe_profiles(
     _require_valid(game)
     tree = _Tree(game)
     leaf, _, ranks = _payoff_ids(tree.payoffs, tree.players())
-    total = sum(_analyze(tree, leaf, ranks)[0].values())
+    total = sum(_analyze(tree, leaf, ranks)[0][0].values())
     if total > cap:
         raise CapExceededError(f"equilibrium count {total} exceeds cap {cap}")
 

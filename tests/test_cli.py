@@ -388,6 +388,14 @@ def test_stake_that_is_no_fraction_is_a_usage_error(capsys):
     )
 
 
+def test_depths_that_do_not_parse_are_a_usage_error(capsys):
+    for text in ("a..b", "1,,x", "1..2..3"):
+        assert main(["extrapolate", game("zero_one.ggraph"), "--depths", text, "--closure", "quit"]) == 4
+        assert capsys.readouterr().err == (
+            f"usage error: argument --depths: invalid depths value: {text!r}\n"
+        )
+
+
 def test_validate_rejects_non_decimal_digits_with_a_position(tmp_path):
     bad = tmp_path / "bad.game"
     bad.write_text("(leaf (A:²))", encoding="utf-8")

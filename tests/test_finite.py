@@ -71,6 +71,16 @@ def test_divergent_tie_equilibria_are_not_a_product():
     assert is_spe_finite(game, summary.representative).ok
 
 
+def test_tie_over_a_payoff_a_sibling_also_reaches():
+    # B is indifferent between x and y.  x pays A what r pays, so A can take
+    # either branch when B plays x; y pays A less, so A takes r, and y is
+    # then B's choice off the path.  Both of B's actions are optimal.
+    game = node("A", ("l", node("B", ("x", leaf(A=1, B=0)), ("y", leaf(A=0, B=0)))), ("r", leaf(A=1, B=0)))
+    summary = backward_induction(game)
+    assert summary.optimal_actions == {(): ("l", "r"), ("l",): ("x", "y")}
+    assert summary.count == len(brute_force_spe(game)) == 3
+
+
 def test_leaf_game_has_single_empty_profile():
     game = leaf(A=0, B=0)
     assert brute_force_spe(game) == {TreeProfile()}
@@ -125,8 +135,14 @@ def test_oracle_equivalence_on_random_games():
         assert summary.payoff == play_finite(game, summary.representative)
         assert summary.representative == _first_maximizer_profile(game)
         for address, sub in walk(game):
-            values = {play_finite(sub, p) for p in brute_force_spe(sub)}
+            local = brute_force_spe(sub)
+            values = {play_finite(sub, p) for p in local}
             assert set(summary.subgame_values[address]) == values, (game, address)
+            if isinstance(sub, Node):
+                # Every equilibrium of a subgame extends to one of the whole
+                # game: at each node the whole game's equilibria take exactly
+                # the actions the subgame's own take at its root.
+                assert {p[()] for p in local} == used[address], (game, address)
 
 
 def test_one_shot_equals_full_deviation_check():
