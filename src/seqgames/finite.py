@@ -3,11 +3,13 @@
 The solver keeps exact track of ties.  Every subgame is annotated with the
 full set of payoff vectors achievable by its equilibria, and an action at a
 node counts as equilibrium-optimal when at least one equilibrium of the whole
-game chooses it there.  With divergent ties (tied actions whose continuations
-pay an ancestor differently) the equilibrium set is not a per-node product,
-so counts and enumeration are computed from the tie structure directly; on
-games whose ties are payoff-identical the count equals the product of the
-per-node choice counts.
+game chooses it there.  Every equilibrium of a subgame extends to one of the
+whole game (keep its choices, run backward induction above it), so these are
+the actions the equilibria of the node's own subgame take there.  With
+divergent ties (tied actions whose continuations pay an ancestor differently)
+the equilibrium set is not a per-node product, so counts and enumeration are
+computed from the tie structure directly; on games whose ties are
+payoff-identical the count equals the product of the per-node choice counts.
 """
 
 from __future__ import annotations
@@ -74,9 +76,11 @@ class EquilibriumSummary:
     """Result of backward induction over a finite game.
 
     Attributes:
-        optimal_actions: per decision node (by address), the actions chosen
-            there by at least one equilibrium, in branch order.  Computed for
-            every node, including nodes off every equilibrium path.
+        optimal_actions: per decision node (by address), in preorder, the
+            actions chosen there by at least one equilibrium, in branch
+            order: those its subgame's equilibria take there, each of which
+            extends to an equilibrium of the whole game.  Computed for every
+            node, including nodes off every equilibrium path.
         count: exact number of equilibrium profiles.
         representative: a deterministic equilibrium (first maximizer in
             branch order at every node); always passes ``is_spe_finite``.
@@ -132,21 +136,22 @@ def _payoff_ids(
 
 def _analyze(
     tree: _Tree, leaf: list[int | None], ranks: Mapping[str, list[int]]
-) -> tuple[list[dict[int, int]], list[tuple[int, ...] | None], list[int], list[int]]:
+) -> tuple[list[dict[int, int]], list[int], list[int], list[int]]:
     """Bottom-up pass: everything the solver needs from each subgame, in one
     loop over ``post``.
 
     Returns four tables.  ``counts[i]``: the payoff ids the equilibria of
     position i's subgame induce, in order of discovery, each with its number
-    of equilibria.  ``realizers[i]`` (None at a leaf): for each of those
-    ids, in the same order, the branches through which an equilibrium
-    reaches it, as a bit mask (bit b for branch b), never 0.  ``best[i]``:
-    the payoff id the representative (first maximizer in branch order at
-    every node) reaches from i.  ``picks``: the representative's branch at
-    each node of ``post``.
+    of equilibria.  ``used[i]``: the branches some equilibrium of that
+    subgame takes at i, as a bit mask (bit b for branch b), 0 at a leaf;
+    each such equilibrium extends to one of any game containing the subgame
+    (backward induction above i), so some equilibrium of that game takes
+    them too.  ``best[i]``: the payoff id the representative (first
+    maximizer in branch order at every node) reaches from i.  ``picks``: the
+    representative's branch at each node of ``post``.
     """
     counts: list[dict[int, int] | None] = [None if v is None else {v: 1} for v in leaf]
-    realizers: list[tuple[int, ...] | None] = [None] * len(leaf)
+    used = [0] * len(leaf)
     best = list(leaf)
     picks = []
     for i in tree.post:
@@ -155,7 +160,6 @@ def _analyze(
         children = [counts[k] for k in kids]
         floors = _floors([min(row[w] for w in child) for child in children])
         found: dict[int, int] = {}
-        realized: dict[int, int] = {}
         for b, child in enumerate(children):
             for v, n in child.items():
                 # Branch b can carry an equilibrium of value v as long as
@@ -167,16 +171,15 @@ def _analyze(
                     if j != b:
                         n *= sum(m for w, m in other.items() if row[w] <= rank)
                 found[v] = found.get(v, 0) + n
-                realized[v] = realized.get(v, 0) | 1 << b
+                used[i] |= 1 << b
         counts[i] = found
-        realizers[i] = tuple(realized.values())
         pick = 0
         for b in range(1, len(kids)):
             if row[best[kids[b]]] > row[best[kids[pick]]]:
                 pick = b
         picks.append(pick)
         best[i] = best[kids[pick]]
-    return counts, realizers, best, picks
+    return counts, used, best, picks
 
 
 def _floors(mins: list[int]) -> list[int]:
@@ -192,96 +195,29 @@ def _floors(mins: list[int]) -> list[int]:
     return [second if m == first else first for m in mins]
 
 
-class _TiePass:
-    """Top-down tie pass: which actions some equilibrium of the whole game
-    takes at each node, read off the realizers ``_analyze`` found.
-
-    It runs over (position, live set) pairs.  The live set of a position is
-    the set of its subgame's values (payoff ids) that an equilibrium of the
-    whole game can induce there; each of ``roots`` starts with all its values
-    live.  On a tree each decision position gets one pair; on a shared table
-    (``_Tree.from_graph``) each distinct live set a position receives from
-    its parents is one pair, solved once.
-
-    A pair uses the branches that realize its live values.  Decision child
-    b receives the live values b realizes, and every value of its subgame
-    that the mover ranks no higher than a live value some other branch
-    realizes: with that branch taken, b's continuation may be any of them.
-
-    Pairs are numbered in the order they are found.  For pair ``p``:
-    ``positions[p]`` is its position, ``used[p]`` the branches some
-    equilibrium takes there (empty when nothing is live), and ``below[p]``
-    the pairs of its decision children.  ``roots[r]`` is the pair of the
-    r-th root, None at a leaf.
-    """
-
-    __slots__ = ("roots", "positions", "used", "below")
-
-    def __init__(
-        self,
-        tree: _Tree,
-        counts: list[dict[int, int]],
-        realizers: list[tuple[int, ...] | None],
-        ranks: Mapping[str, list[int]],
-        roots: list[int],
-    ) -> None:
-        index: dict[tuple[int, frozenset[int]], int] = {}
-        self.positions: list[int] = []
-        lives: list[frozenset[int]] = []
-
-        def pair(i: int, live: frozenset[int]) -> int:
-            key = (i, live)
-            if key not in index:
-                index[key] = len(self.positions)
-                self.positions.append(i)
-                lives.append(live)
-            return index[key]
-
-        self.roots = [
-            None if tree.movers[r] is None else pair(r, frozenset(counts[r])) for r in roots
-        ]
-        self.used: list[tuple[int, ...]] = []
-        self.below: list[list[int]] = []
-        # Solving a pair can add pairs, which this loop then reaches.
-        for i, live in zip(self.positions, lives):
-            row = ranks[tree.movers[i]]
-            realized = [(v, mask) for v, mask in zip(counts[i], realizers[i]) if v in live]
-            used = 0
-            for _, mask in realized:
-                used |= mask
-            kids = tree.children[i]
-            self.used.append(tuple(b for b in range(len(kids)) if used >> b & 1))
-            below = []
-            for b, k in enumerate(kids):
-                if tree.movers[k] is None:
-                    continue
-                into = {v for v, mask in realized if mask >> b & 1}
-                tied = [row[v] for v, mask in realized if mask != 1 << b]
-                if tied:
-                    top = max(tied)
-                    into.update(w for w in counts[k] if row[w] <= top)
-                below.append(pair(k, frozenset(into)))
-            self.below.append(below)
+def _actions(labels: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The labels of the branches in ``mask`` (bit b for branch b), in branch
+    order."""
+    return tuple(label for b, label in enumerate(labels) if mask >> b & 1)
 
 
 def backward_induction(game: FiniteGame) -> EquilibriumSummary:
     """Solve a finite game bottom-up, keeping all tied optimal actions.
 
     Each subgame is assigned the set of payoff vectors its equilibria can
-    induce; at a decision node an action is kept when some equilibrium of the
-    game takes it, which at ties means its continuation payoff is not beaten
-    by every alternative continuation of each sibling branch.
+    induce.  At a decision node an action is kept when some equilibrium of
+    its subgame takes it, which extends to one of the whole game by backward
+    induction above the node; at ties that means its continuation payoff is
+    not beaten by every alternative continuation of each sibling branch.
     """
     _require_valid(game)
     tree = _Tree(game)
     leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
-    counts, realizers, best, picks = _analyze(tree, leaf, ranks)
-    ties = _TiePass(tree, counts, realizers, ranks, [0])
+    counts, used, best, picks = _analyze(tree, leaf, ranks)
     return EquilibriumSummary(
-        # One pair per decision node; sorted by position is preorder.
+        # Positions are numbered in preorder.
         optimal_actions={
-            tree.addresses[i]: tuple(tree.labels[i][b] for b in used)
-            for i, used in sorted(zip(ties.positions, ties.used))
+            tree.addresses[i]: _actions(tree.labels[i], used[i]) for i in sorted(tree.post)
         },
         count=sum(counts[0].values()),
         representative=TreeProfile(
@@ -309,23 +245,15 @@ def _solve_unfoldings(
     """
     tree, roots = _Tree.from_graph(graph, depths, cut)
     leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
-    counts, realizers, best, _ = _analyze(tree, leaf, ranks)
-    ties = _TiePass(tree, counts, realizers, ranks, roots)
-    # Each pair's triples and those of every pair below it, children first:
-    # the table numbers each child position before its parents.
-    beneath: list[frozenset] = [frozenset()] * len(ties.positions)
-    for p in sorted(range(len(ties.positions)), key=ties.positions.__getitem__):
-        i = ties.positions[p]
-        own = (tree.movers[i], tuple(tree.labels[i][b] for b in ties.used[p]), len(tree.children[i]))
-        beneath[p] = frozenset((own,)).union(*(beneath[c] for c in ties.below[p]))
-    return [
-        (
-            sum(counts[r].values()),
-            vectors[best[r]],
-            frozenset() if p is None else beneath[p],
-        )
-        for r, p in zip(roots, ties.roots)
-    ]
+    counts, used, best, _ = _analyze(tree, leaf, ranks)
+    # Each position's triples and those of every position below it (none at
+    # a leaf), children first: the table numbers children before parents.
+    beneath: list[frozenset] = [frozenset()] * len(leaf)
+    for i in tree.post:
+        kids = tree.children[i]
+        own = (tree.movers[i], _actions(tree.labels[i], used[i]), len(kids))
+        beneath[i] = frozenset((own,)).union(*(beneath[k] for k in kids))
+    return [(sum(counts[r].values()), vectors[best[r]], beneath[r]) for r in roots]
 
 
 class _Tree:

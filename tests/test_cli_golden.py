@@ -10,10 +10,13 @@ from the repository root and review the diff.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import os
 import sys
 from pathlib import Path
+
+import pytest
 
 from seqgames.cli import build_parser, main
 
@@ -121,6 +124,25 @@ def test_one_parser_serves_successive_calls(monkeypatch):
         else:
             assert code == 4 and err == "usage error: the following arguments are required: --depth\n"
     assert build_parser() is not build_parser()
+
+
+# The transcript stops at depth 12.  These digests pin the stage-keyed
+# dollar auction at depths 1..300, a table of about 45,000 positions, run
+# from the repository root: the JSON payload echoes the input path as given.
+DEEP_PGRAPH_DIGESTS = {
+    "table": "d445f8f29373bed6d6e167a3076773420db25ae737bf22f54b3f4945958664a3",
+    "json": "c095f76ffedd04b0fa136513a719cd6025ddcf357147cab6e9d7b76a1107ed04",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_deep_pgraph_extrapolation_matches_pinned_digest(monkeypatch, fmt):
+    monkeypatch.setenv("NO_COLOR", "1")
+    monkeypatch.chdir(ROOT)
+    argv = ("extrapolate", "games/dollar_auction_100.pgraph", "--depths", "1..300", "--closure", "quit", "--format", fmt)
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DEEP_PGRAPH_DIGESTS[fmt]
 
 
 if __name__ == "__main__":

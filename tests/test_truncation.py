@@ -214,7 +214,7 @@ def test_shared_table_matches_per_depth_solving():
     # One table for all depths against cutting and solving each depth on
     # its own, errors included.  Where brute force is cheap, the counts and
     # the optimal actions of every node are checked against the profiles it
-    # finds, so the tie pass answers to an oracle that never calls it.
+    # finds, so _analyze's used masks answer to an oracle that never calls it.
     rng = random.Random(1010)
     cases = [(g, (DeciderQuitsClosure(),)) for g in (zero_one_graph(), dollar_auction(3), dollar_auction(10), dollar_auction(100))]
     graphs = [random_game_graph(rng, max_internal=4) for _ in range(150)]
@@ -222,7 +222,7 @@ def test_shared_table_matches_per_depth_solving():
     cases += [(g, random_closures(rng, g)) for g in graphs]
     # With payoffs of 0 or 1 a mover is often indifferent between a
     # terminal that a sibling branch also reaches and one its parent's mover
-    # likes less; the tie pass must keep both.
+    # likes less; _analyze's used mask must keep both.
     cases += [(g, random_closures(rng, g)) for g in (random_game_graph(rng, max_internal=4, high=1) for _ in range(100))]
     seen = Counter()
     depths = range(9)
