@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from seqgames.core import (
@@ -136,14 +136,17 @@ def _depths_arg(text: str) -> list[int]:
     return depths
 
 
-def _cap_arg(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 1:
-        raise argparse.ArgumentTypeError("cap must be >= 1")
-    return cap
+def _int_at_least(name: str, low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
+        return value
+
+    return parse
 
 
 def _closure_arg(text: str) -> ClosureRule:
@@ -183,12 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="verdicts for all stationary profiles")
     p.add_argument("file")
-    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_STATIONARY_CAP)
+    p.add_argument("--cap", type=_int_at_least("cap", 1), default=DEFAULT_STATIONARY_CAP)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("truncate", help="unfold a graph to a finite game document")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_int_at_least("depth", 0), required=True)
     p.add_argument("--closure", type=_closure_arg, required=True)
     p.add_argument("--output", "-o")
 
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("escalate", help="find an all-rationalizable infinite play")
     p.add_argument("file")
-    p.add_argument("--cap", type=_cap_arg, default=DEFAULT_STATIONARY_CAP)
+    p.add_argument("--cap", type=_int_at_least("cap", 1), default=DEFAULT_STATIONARY_CAP)
     p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("preset", help="write a preset's document")
@@ -527,12 +530,11 @@ def _cmd_escalate(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    if args.name == "zero_one_finite":
-        value = build_preset(args.name, turns=args.turns)
-    elif args.name == "dollar_auction":
-        value = build_preset(args.name, stake=args.stake)
-    else:
-        value = build_preset(args.name)
+    params = {"zero_one_finite": {"turns": args.turns}, "dollar_auction": {"stake": args.stake}}
+    try:
+        value = build_preset(args.name, **params.get(args.name, {}))
+    except ValueError as error:  # a parameter out of the preset's range
+        raise _UsageError(str(error)) from None
     _write_output(serialize(value), args.output)
     return EXIT_OK
 

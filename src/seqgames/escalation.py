@@ -11,8 +11,10 @@ such a cycle.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections import deque
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from seqgames.core import GameError
 from seqgames.coinduction import StationaryProfile, _ProfileChecker
@@ -93,6 +95,29 @@ def _rational_edges(graph: GameGraph, rmap: RationalizableMap) -> dict[str, list
     return edges
 
 
+def _least_paths(
+    edges: Mapping[str, Sequence[tuple[str, str, int]]], origin: str
+) -> Iterator[tuple[str, tuple[WitnessStep, ...]]]:
+    """Breadth-first search from ``origin`` over rationalizable edges between
+    decision states, taking each state's edges in branch order.
+
+    Yields each reached state with its least shortest path from ``origin``,
+    in the order the states are reached.  The origin does not count as
+    reached at the outset, so it comes out with its least cycle, if any,
+    when an edge first leads back to it.
+    """
+    reached: set[str] = set()
+    queue: deque[tuple[str, tuple[WitnessStep, ...]]] = deque([(origin, ())])
+    while queue:
+        sid, path = queue.popleft()
+        for action, target, tag in edges[sid]:
+            if target in edges and target not in reached:
+                reached.add(target)
+                to_target = path + (WitnessStep(sid, action, tag),)
+                yield target, to_target
+                queue.append((target, to_target))
+
+
 def escalation_witness(
     graph: GameGraph, rmap: RationalizableMap
 ) -> EscalationWitness | None:
@@ -101,112 +126,29 @@ def escalation_witness(
     Minimality order: shortest prefix, then shortest cycle, then branch
     order along the path.  Returns None exactly when the rationalizable
     subgraph reachable from the start is acyclic.
+
+    A breadth-first search that takes each state's edges in branch order
+    dequeues states by path length and, within a length, in branch order of
+    their paths, so the first edge to reach a state ends that state's least
+    shortest path.  The search from the start lists the prefixes least
+    first; the search from a state, stopped at the first edge back to it,
+    gives its least cycle.  The witness is the first prefix of the shortest
+    length whose end has the shortest cycle.
     """
     require_valid_graph(graph)
     edges = _rational_edges(graph, rmap)
-    internal = set(edges)
-
-    def dist(origin: str) -> dict[str, int]:
-        found = {origin: 0}
-        queue = [origin]
-        while queue:
-            sid = queue.pop(0)
-            for _, target, _ in edges.get(sid, ()):  # terminals have no edges
-                if target in internal and target not in found:
-                    found[target] = found[sid] + 1
-                    queue.append(target)
-        return found
-
-    if graph.start not in internal:
+    if graph.start not in edges:
         return None
-    from_start = dist(graph.start)
-    cycle_len: dict[str, int] = {}
-    for sid in sorted(from_start):
-        best = None
-        back = dist_to(edges, internal, sid)
-        for _, target, _ in edges[sid]:
-            if target in back:
-                length = 1 + back[target]
-                if best is None or length < best:
-                    best = length
-        if best is not None:
-            cycle_len[sid] = best
-    if not cycle_len:
-        return None
-    prefix_len = min(from_start[sid] for sid in cycle_len)
-    best_cycle = min(
-        cycle_len[sid] for sid in cycle_len if from_start[sid] == prefix_len
-    )
-
-    # The least prefix is the first in branch order among paths that step
-    # one BFS layer at a time and end at a state with a least cycle.  Mark
-    # the states from which such a path goes on, from the last layer back
-    # to the start, then walk forward taking the first edge to a marked one.
-    good = {
-        sid
-        for sid, layer in from_start.items()
-        if layer == prefix_len and cycle_len.get(sid) == best_cycle
-    }
-    for layer in reversed(range(prefix_len)):
-        good |= {
-            sid
-            for sid, at in from_start.items()
-            if at == layer
-            and any(
-                target in good and from_start[target] == layer + 1
-                for _, target, _ in edges[sid]
-            )
-        }
-    path: list[WitnessStep] = []
-    sid = graph.start
-    while len(path) < prefix_len:
-        action, target, tag = next(
-            (action, target, tag)
-            for action, target, tag in edges[sid]
-            if target in good and from_start[target] == len(path) + 1
-        )
-        path.append(WitnessStep(sid, action, tag))
-        sid = target
-    return EscalationWitness(tuple(path), _least_cycle(edges, internal, sid, best_cycle))
-
-
-def dist_to(edges, internal, goal: str) -> dict[str, int]:
-    """Shortest rationalizable-edge distance from each state to ``goal``."""
-    reverse: dict[str, list[str]] = {sid: [] for sid in internal}
-    for sid in internal:
-        for _, target, _ in edges[sid]:
-            if target in internal:
-                reverse[target].append(sid)
-    found = {goal: 0}
-    queue = [goal]
-    while queue:
-        sid = queue.pop(0)
-        for source in reverse[sid]:
-            if source not in found:
-                found[source] = found[sid] + 1
-                queue.append(source)
-    return found
-
-
-def _least_cycle(edges, internal, origin: str, length: int) -> tuple[WitnessStep, ...]:
-    """Lexicographically least (by branch order) cycle of ``length`` at origin."""
-    back = dist_to(edges, internal, origin)
-    steps: list[WitnessStep] = []
-    sid = origin
-    remaining = length
-    while remaining:
-        for action, target, tag in edges[sid]:
-            target_ok = target == origin if remaining == 1 else (
-                target in back and back[target] == remaining - 1 and target in internal
-            )
-            if target_ok:
-                steps.append(WitnessStep(sid, action, tag))
-                sid = target
-                remaining -= 1
-                break
-        else:
-            raise AssertionError("cycle reconstruction lost its way")
-    return tuple(steps)
+    best: EscalationWitness | None = None
+    # The search from the start yields the start again only along a cycle,
+    # by which time a cycle with the empty prefix has ended the loop.
+    for sid, prefix in chain([(graph.start, ())], _least_paths(edges, graph.start)):
+        if best is not None and len(prefix) > len(best.prefix):
+            break
+        cycle = next((path for back, path in _least_paths(edges, sid) if back == sid), None)
+        if cycle is not None and (best is None or len(cycle) < len(best.cycle)):
+            best = EscalationWitness(prefix, cycle)
+    return best
 
 
 @dataclass(frozen=True)
@@ -239,6 +181,12 @@ class ThreatReport:
 def credible_threat_report(
     graph: GameGraph, spes: Sequence[StationaryProfile]
 ) -> ThreatReport:
+    """Every equilibrium-backed action with its backers and the target's
+    response, plus the mutually non-credible states (see ``ThreatReport``).
+
+    The profiles are re-verified through ``rationalizable_actions``, so an
+    empty list or a non-equilibrium profile raises ``GameError``.
+    """
     rmap = rationalizable_actions(graph, spes)
     rows: list[ThreatRow] = []
     continuing_out: dict[str, set[str]] = {}

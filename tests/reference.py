@@ -19,7 +19,14 @@ from seqgames.core import (
     check_profile_total,
     walk,
 )
+from seqgames.escalation import (
+    EscalationWitness,
+    RationalizableMap,
+    WitnessStep,
+    _rational_edges,
+)
 from seqgames.finite import _best_responses, _reached, _Tree
+from seqgames.graphs import GameGraph
 
 
 def subgame_at(game: FiniteGame, address: Address) -> FiniteGame:
@@ -69,3 +76,34 @@ def all_profiles(game: FiniteGame) -> Iterator[TreeProfile]:
     addresses = [address for address, _ in nodes]
     for combo in itertools.product(*(labels for _, labels in nodes)):
         yield TreeProfile(zip(addresses, combo))
+
+
+def _walks(edges, sid: str, length: int) -> Iterator[tuple[tuple[WitnessStep, ...], str]]:
+    """Every walk of ``length`` rationalizable steps between decision states
+    from ``sid``, with the state it ends at, in branch order."""
+    if length == 0:
+        yield (), sid
+        return
+    for action, target, tag in edges[sid]:
+        if target in edges:
+            for rest, end in _walks(edges, target, length - 1):
+                yield (WitnessStep(sid, action, tag),) + rest, end
+
+
+def least_lasso(graph: GameGraph, rmap: RationalizableMap) -> EscalationWitness | None:
+    """The first lasso in (prefix length, cycle length, branch order), found
+    by trying every walk from the start.
+
+    A least lasso's prefix and cycle are simple paths, so neither is longer
+    than the number of decision states.
+    """
+    edges = _rational_edges(graph, rmap)
+    if graph.start not in edges:
+        return None
+    for prefix_len in range(len(edges)):
+        for cycle_len in range(1, len(edges) + 1):
+            for prefix, sid in _walks(edges, graph.start, prefix_len):
+                for cycle, end in _walks(edges, sid, cycle_len):
+                    if end == sid:
+                        return EscalationWitness(prefix, cycle)
+    return None

@@ -388,6 +388,22 @@ def test_stake_that_is_no_fraction_is_a_usage_error(capsys):
     )
 
 
+def test_arguments_out_of_range_are_usage_errors(capsys):
+    for argv, message in (
+        (
+            ["truncate", game("zero_one.ggraph"), "--depth", "-1", "--closure", "quit"],
+            "argument --depth: depth must be >= 0",
+        ),
+        (["preset", "zero_one_finite", "--turns", "0"], "need at least one turn"),
+        (
+            ["preset", "dollar_auction", "--stake", "1"],
+            "stake must be at least 2 for raising to stay attractive",
+        ),
+    ):
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_depths_that_do_not_parse_are_a_usage_error(capsys):
     for text in ("a..b", "1,,x", "1..2..3"):
         assert main(["extrapolate", game("zero_one.ggraph"), "--depths", text, "--closure", "quit"]) == 4

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from seqgames.core import GameError
+from seqgames.core import GameError, PayoffVector
 from seqgames.coinduction import (
     StationaryProfile,
     enumerate_stationary_spe,
@@ -11,19 +11,20 @@ from seqgames.escalation import (
     EscalationWitness,
     RationalizableMap,
     WitnessStep,
-    _least_cycle,
-    _rational_edges,
     credible_threat_report,
-    dist_to,
     escalation_witness,
     rationalizable_actions,
 )
 from seqgames.graphs import (
+    Decision,
+    GameGraph,
+    Terminal,
     dollar_auction,
     validate_graph,
     zero_one_graph,
 )
 from tests.conftest import random_game_graph
+from tests.reference import least_lasso
 
 ALICE_LEAVES = StationaryProfile(SA="l", SB="c")
 BOB_LEAVES = StationaryProfile(SA="c", SB="l")
@@ -169,53 +170,6 @@ def test_witness_none_iff_acyclic_on_random_graphs():
     assert tried > 20
 
 
-def _reference_witness(graph, rmap):
-    """The least lasso found by depth-first search over minimal prefixes,
-    as ``escalation_witness`` did before it worked layer by layer."""
-    edges = _rational_edges(graph, rmap)
-    internal = set(edges)
-    if graph.start not in internal:
-        return None
-    from_start = {graph.start: 0}
-    queue = [graph.start]
-    while queue:
-        sid = queue.pop(0)
-        for _, target, _ in edges[sid]:
-            if target in internal and target not in from_start:
-                from_start[target] = from_start[sid] + 1
-                queue.append(target)
-    cycle_len = {}
-    for sid in sorted(from_start):
-        back = dist_to(edges, internal, sid)
-        lengths = [1 + back[t] for _, t, _ in edges[sid] if t in back]
-        if lengths:
-            cycle_len[sid] = min(lengths)
-    if not cycle_len:
-        return None
-    prefix_len = min(from_start[sid] for sid in cycle_len)
-    best_cycle = min(
-        cycle_len[sid] for sid in cycle_len if from_start[sid] == prefix_len
-    )
-
-    def search(sid, remaining, path):
-        if remaining == 0:
-            if cycle_len.get(sid) == best_cycle:
-                return EscalationWitness(
-                    tuple(path), _least_cycle(edges, internal, sid, best_cycle)
-                )
-            return None
-        for action, target, tag in edges[sid]:
-            if target in internal and from_start.get(target) == len(path) + 1:
-                path.append(WitnessStep(sid, action, tag))
-                found = search(target, remaining - 1, path)
-                if found is not None:
-                    return found
-                path.pop()
-        return None
-
-    return search(graph.start, prefix_len, [])
-
-
 def test_witness_matches_depth_first_reference_on_random_graphs():
     # Besides the map of every stationary equilibrium, each graph gets a
     # random map, which reaches deeper prefixes and more ties between them.
@@ -242,10 +196,60 @@ def test_witness_matches_depth_first_reference_on_random_graphs():
             rmaps.append(rationalizable_actions(g, spes))
         for rmap in rmaps:
             witness = escalation_witness(g, rmap)
-            assert witness == _reference_witness(g, rmap), (g, rmap)
+            assert witness == least_lasso(g, rmap), (g, rmap)
             if witness is not None:
                 prefixes.add(len(witness.prefix))
     assert len(prefixes) >= 4, prefixes
+
+
+def _all_backed(moves: dict[str, tuple[str, ...]]):
+    """A one-player graph whose state ``sid`` moves to ``moves[sid]`` by
+    actions ``a``, ``b``, ``c`` in that branch order, or exits by ``x``, and
+    a map that backs ``a``, ``b``, ``c`` by equilibria 1, 2, 3 and never the
+    exit.  The first state listed is the start."""
+    states, backed = {}, {}
+    for sid, targets in moves.items():
+        edges = [(label, target, 0) for label, target in zip("abc", targets)]
+        states[sid] = Decision("A", (*edges, ("x", "OUT", 0)))
+        backed[sid] = {label: (i,) for i, (label, _, _) in enumerate(edges, start=1)}
+    states["OUT"] = Terminal(PayoffVector(A=0))
+    graph = GameGraph(name="ties", states=states, start=next(iter(moves)))
+    return graph, RationalizableMap(backed)
+
+
+def _steps(*moves: str) -> tuple[WitnessStep, ...]:
+    """Witness steps from ``"state.action"`` moves, as ``_all_backed`` backs them."""
+    return tuple(
+        WitnessStep(state, action, "abc".index(action) + 1)
+        for state, action in (move.split(".") for move in moves)
+    )
+
+
+def test_equal_witnesses_go_to_the_first_branch_not_the_first_id():
+    # Both ends of a one-step prefix loop on themselves; the first branch
+    # leads to the state whose id sorts later.
+    graph, rmap = _all_backed({"S": ("Y", "X"), "X": ("X",), "Y": ("Y",)})
+    witness = escalation_witness(graph, rmap)
+    assert witness == EscalationWitness(_steps("S.a"), _steps("Y.a"))
+    assert witness == least_lasso(graph, rmap)
+
+
+def test_a_shorter_prefix_beats_a_shorter_cycle():
+    # A 3-cycle one step from the start, a self-loop two steps from it.
+    graph, rmap = _all_backed(
+        {"S": ("C1", "P"), "C1": ("C2",), "C2": ("C3",), "C3": ("C1",), "P": ("Q",), "Q": ("Q",)}
+    )
+    witness = escalation_witness(graph, rmap)
+    assert witness == EscalationWitness(_steps("S.a"), _steps("C1.a", "C2.a", "C3.a"))
+    assert witness == least_lasso(graph, rmap)
+
+
+def test_a_start_on_a_cycle_gives_an_empty_prefix():
+    # Two 2-cycles through the start, and a self-loop one step away.
+    graph, rmap = _all_backed({"S": ("T1", "T2", "U"), "T1": ("S",), "T2": ("S",), "U": ("U",)})
+    witness = escalation_witness(graph, rmap)
+    assert witness == EscalationWitness((), _steps("S.a", "T1.a"))
+    assert witness == least_lasso(graph, rmap)
 
 
 def test_credible_threat_report_zero_one():
