@@ -39,11 +39,7 @@ from seqgames.coinduction import (
     enumerate_stationary_spe,
 )
 from seqgames.dsl import ParseError, ProfileDoc, parse, serialize
-from seqgames.escalation import (
-    credible_threat_report,
-    escalation_witness,
-    rationalizable_actions,
-)
+from seqgames.escalation import _rationalizable_map, _threat_report, escalation_witness
 from seqgames.finite import _InvalidGame, backward_induction, is_spe_finite
 from seqgames.gallery import PRESETS, build_preset
 from seqgames.graphs import GameGraph, ParamGraph, validate_graph
@@ -208,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preset", help="write a preset's document")
     p.add_argument("name", choices=sorted(PRESETS))
-    p.add_argument("--stake", type=_fraction_arg, default=Fraction(100))
-    p.add_argument("--turns", type=int, default=7)
+    # No defaults here: _cmd_preset rejects an option its preset does not take.
+    p.add_argument("--stake", type=_fraction_arg)
+    p.add_argument("--turns", type=int)
     p.add_argument("--output", "-o")
     return parser
 
@@ -481,13 +478,15 @@ def _cmd_escalate(args) -> int:
         else:
             print("no stationary equilibria; no escalation")
         return EXIT_OK
-    rmap = rationalizable_actions(graph, spes)
+    # The profiles come verified from the enumeration, so the map and the
+    # threat report are built without checking them again.
+    rmap = _rationalizable_map(graph, spes)
     payload["rationalizable"] = {
         sid: {action: list(tags) for action, tags in actions.items()}
         for sid, actions in rmap.actions.items()
     }
     witness = escalation_witness(graph, rmap)
-    threat = credible_threat_report(graph, spes)
+    threat = _threat_report(graph, spes, rmap)
     payload["mutually_non_credible"] = list(threat.mutually_non_credible)
     if witness is None:
         payload["witness"] = None
@@ -529,10 +528,21 @@ def _cmd_escalate(args) -> int:
     return EXIT_OK
 
 
+# The parameters each preset takes, with the values used when omitted.
+_PRESET_DEFAULTS = {"zero_one_finite": {"turns": 7}, "dollar_auction": {"stake": Fraction(100)}}
+
+
 def _cmd_preset(args) -> int:
-    params = {"zero_one_finite": {"turns": args.turns}, "dollar_auction": {"stake": args.stake}}
+    params = dict(_PRESET_DEFAULTS.get(args.name, {}))
+    for option in ("stake", "turns"):
+        given = getattr(args, option)
+        if given is None:
+            continue
+        if option not in params:
+            raise _UsageError(f"preset {args.name} does not take --{option}")
+        params[option] = given
     try:
-        value = build_preset(args.name, **params.get(args.name, {}))
+        value = build_preset(args.name, **params)
     except ValueError as error:  # a parameter out of the preset's range
         raise _UsageError(str(error)) from None
     _write_output(serialize(value), args.output)

@@ -13,6 +13,7 @@ rejected as not admissible rather than compared.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,11 +207,13 @@ class _ProfileChecker:
     A profile is checked as its picks, its branch index at each decision
     state.  On a plain graph movers compare terminals by dense ranks of
     their exact payoffs (equal payoffs share a rank, so ``>`` stays exact).
-    A parametrized graph keeps its affine stage test, memoized per edge and
+    On a parametrized graph movers compare terminals by int pairs, each
+    affine payoff scaled by its player's common denominator (``_scaled``),
+    and the affine stage test runs on those pairs, memoized per edge and
     per (terminal, stage shift) at both of its ends.  Each distinct verdict
-    is built once and shared.  The rank tables, the flat edge list and the
-    stage reachability are built on first use, so callers that only value
-    profiles do not pay for them.
+    is built once and shared.  The rank and pair tables, the flat edge list
+    and the stage reachability are built on first use, so callers that
+    only value profiles do not pay for them.
     """
 
     def __init__(self, graph: GameGraph) -> None:
@@ -230,22 +233,22 @@ class _ProfileChecker:
         # violation is kept as None.
         self._verdicts: dict[tuple, Refuted | NotAdmissible | None] = {}
         self._shifted: dict[tuple[int, int], AffinePayoffs] = {}
-        self._edges: list[tuple[int, int, int, list[int] | None]] | None = None
+        self._evaluated: dict[tuple[int, int], PayoffVector] = {}
+        self._edges: list[tuple[int, int, int, list]] | None = None
         self._reach: StageReachability | None = None
         self._live: list[tuple[int, int, int, int]] | None = None
 
     @property
-    def edges(self) -> list[tuple[int, int, int, list[int] | None]]:
+    def edges(self) -> list[tuple[int, int, int, list]]:
         """Every edge in state and branch order: (state, branch, target, its
-        mover's rank of every state number), the ranks None on a pgraph."""
+        mover's row), the row holding per state number the rank of its
+        payoff on a plain graph and its scaled int pair on a pgraph."""
         if self._edges is None:
             n = len(self.movers)
-            ranks = {}
-            if not self.staged:
-                for p in set(self.movers):
-                    ranks[p] = [-1] * n + _ranks([v[p] for v in self.payoffs[n:]])
+            table = _scaled if self.staged else _ranks
+            rows = {p: [None] * n + table([v[p] for v in self.payoffs[n:]]) for p in set(self.movers)}
             self._edges = [
-                (i, j, target, ranks.get(self.movers[i]))
+                (i, j, target, rows[self.movers[i]])
                 for i, targets in enumerate(self.targets)
                 for j, target in enumerate(targets)
             ]
@@ -334,6 +337,14 @@ class _ProfileChecker:
             self._shifted[key] = self.payoffs[end].shifted(shift)
         return self._shifted[key]
 
+    def _at_stage(self, end: int, stage: int) -> PayoffVector:
+        """Terminal ``end``'s payoffs at ``stage``, evaluated once: verdicts
+        that name the same terminal and stage share them."""
+        key = (end, stage)
+        if key not in self._evaluated:
+            self._evaluated[key] = self.payoffs[end].at_stage(stage)
+        return self._evaluated[key]
+
     def check(self, profile: StationaryProfile, depth: int | None = None) -> SpeVerdict:
         """Admissibility, then every one-shot deviation; parametrized verdicts
         are cross-checked at ``depth`` unless None."""
@@ -382,17 +393,21 @@ class _ProfileChecker:
     def _staged_deviation(self, key: tuple[int, int, int, int, int]) -> Refuted | None:
         """Whether pgraph edge ``e`` refutes when its state's play reaches
         terminal ``ei`` after ``si`` stages, and its target's ``et`` after
-        ``st``: the refutation at the least reachable violating stage."""
+        ``st``: the refutation at the least reachable violating stage.  The
+        test compares the mover's scaled int pairs; payoffs are evaluated
+        only for a refutation."""
         e, ei, si, et, st = key
-        i, j, _, _ = self.edges[e]
-        sid, mover = self.ids[i], self.movers[i]
-        current, deviation = self._value(ei, si), self._value(et, st + self.deltas[i][j])
-        witness = _least_reachable_violation(self.reach, sid, deviation[mover], current[mover])
+        i, j, _, row = self.edges[e]
+        st += self.deltas[i][j]
+        (ca, cb), (da, db) = row[ei], row[et]
+        witness = _least_reachable_violation(
+            self.reach, self.ids[i], (da + db * st, db), (ca + cb * si, cb)
+        )
         if witness is None:
             return None
         return Refuted(
-            sid, witness, mover, self.labels[i][j],
-            current.at_stage(witness), deviation.at_stage(witness),
+            self.ids[i], witness, self.movers[i], self.labels[i][j],
+            self._at_stage(ei, si + witness), self._at_stage(et, st + witness),
         )
 
     def walk(self, depth: int | None = None) -> list[tuple[StationaryProfile, SpeVerdict]]:
@@ -513,27 +528,36 @@ def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
     return _ProfileChecker(graph).check(profile)
 
 
-def _violation_interval(a: AffineExpr, b: AffineExpr) -> tuple[int, int | None] | None:
-    """The set {k : a(k) > b(k)} as an interval of naturals.
+def _scaled(exprs: Sequence[AffineExpr]) -> list[tuple[int, int]]:
+    """Each expression as the int pair (L*intercept, L*slope), L the least
+    common denominator of them all, so pairs compare as the expressions do
+    at every stage."""
+    lcm = math.lcm(*(expr._ints[2] for expr in exprs))
+    return [(a * (lcm // d), b * (lcm // d)) for a, b, d in (expr._ints for expr in exprs)]
+
+
+def _violation_interval(
+    a: tuple[int, int], b: tuple[int, int]
+) -> tuple[int, int | None] | None:
+    """The set {k : a(k) > b(k)} as an interval of naturals, for affine
+    functions given as (intercept, slope) int pairs over one denominator.
 
     Returns None when empty, else (low, high) with high=None for unbounded.
     An affine difference changes sign at most once, so an interval suffices.
     """
-    slope = b.slope - a.slope
-    intercept = b.intercept - a.intercept  # diff(k) = intercept + slope*k; violation iff < 0
+    slope = b[1] - a[1]
+    intercept = b[0] - a[0]  # diff(k) = intercept + slope*k; violation iff < 0
     if slope == 0:
         return (0, None) if intercept < 0 else None
     if slope > 0:
         if intercept >= 0:
             return None
-        # diff < 0 exactly for k*slope < -intercept
-        bound = -intercept / slope
-        last = int(bound) if bound != int(bound) else int(bound) - 1
-        return (0, last) if last >= 0 else None
-    # slope < 0: diff eventually negative
-    bound = intercept / -slope  # diff(k) < 0 iff k > bound
-    first = int(bound) + 1 if bound >= 0 else 0
-    return (first, None)
+        # diff < 0 exactly for k < -intercept/slope, a positive bound; the
+        # last such k is one below its ceiling, -(intercept // slope).
+        return (0, -(intercept // slope) - 1)
+    # slope < 0: diff(k) < 0 exactly for k > intercept/-slope, so the first
+    # such k is one above its floor.
+    return (max(intercept // -slope + 1, 0), None)
 
 
 def check_spe_param(
@@ -559,9 +583,10 @@ def check_spe_param(
 
 
 def _least_reachable_violation(
-    reach: StageReachability, sid: str, deviation: AffineExpr, current: AffineExpr
+    reach: StageReachability, sid: str, deviation: tuple[int, int], current: tuple[int, int]
 ) -> int | None:
-    """Least stage k reachable at ``sid`` with deviation(k) > current(k)."""
+    """Least stage k reachable at ``sid`` with deviation(k) > current(k), for
+    int pairs as ``_violation_interval`` takes them."""
     interval = _violation_interval(deviation, current)
     if interval is None:
         return None

@@ -69,6 +69,13 @@ def rationalizable_actions(
         verdict = checker.check(profile)
         if not verdict.ok:
             raise GameError(f"profile #{i} is not an equilibrium: {verdict.describe()}")
+    return _rationalizable_map(graph, spes)
+
+
+def _rationalizable_map(
+    graph: GameGraph, spes: Sequence[StationaryProfile]
+) -> RationalizableMap:
+    """``rationalizable_actions`` for profiles the caller has verified."""
     actions: dict[str, dict[str, tuple[int, ...]]] = {}
     for sid in graph.internal_ids():
         per_state: dict[str, tuple[int, ...]] = {}
@@ -187,7 +194,14 @@ def credible_threat_report(
     The profiles are re-verified through ``rationalizable_actions``, so an
     empty list or a non-equilibrium profile raises ``GameError``.
     """
-    rmap = rationalizable_actions(graph, spes)
+    return _threat_report(graph, spes, rationalizable_actions(graph, spes))
+
+
+def _threat_report(
+    graph: GameGraph, spes: Sequence[StationaryProfile], rmap: RationalizableMap
+) -> ThreatReport:
+    """``credible_threat_report`` for profiles the caller has verified, with
+    their rationalizable map."""
     rows: list[ThreatRow] = []
     continuing_out: dict[str, set[str]] = {}
     continuing_in: dict[str, set[str]] = {}

@@ -9,6 +9,7 @@ enough to express auctions whose stakes grow by a fixed step each round.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,21 +34,37 @@ class MissingClosureError(GameError):
 
 @dataclass(frozen=True)
 class AffineExpr:
-    """``intercept + slope * k`` for a stage counter k ranging over 0, 1, ..."""
+    """``intercept + slope * k`` for a stage counter k ranging over 0, 1, ...
+
+    Beside its fields it keeps the exact integer form ``_ints == (a, b, d)``,
+    with ``intercept == a/d``, ``slope == b/d`` and ``d`` the least common
+    denominator of the two, so evaluation adds and multiplies ints only.
+    """
 
     intercept: Fraction
     slope: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intercept", as_fraction(self.intercept))
-        object.__setattr__(self, "slope", as_fraction(self.slope))
+        intercept, slope = as_fraction(self.intercept), as_fraction(self.slope)
+        a, d = intercept.as_integer_ratio()
+        b, q = slope.as_integer_ratio()
+        if d != q:
+            lcm = math.lcm(d, q)
+            a, b, d = a * (lcm // d), b * (lcm // q), lcm
+        object.__setattr__(self, "intercept", intercept)
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "_ints", (a, b, d))
 
     def at(self, k: int) -> Fraction:
-        return self.intercept + self.slope * k
+        a, b, d = self._ints
+        if d == 1:
+            return Fraction(a + b * k)
+        return Fraction(a + b * k, d)
 
     def shifted(self, delta: int) -> "AffineExpr":
         """The same quantity as a function of j, where k = j + delta."""
-        return AffineExpr(self.intercept + self.slope * delta, self.slope)
+        a, b, d = self._ints
+        return AffineExpr(Fraction(a + b * delta, d), self.slope)
 
     @property
     def is_constant(self) -> bool:
@@ -66,7 +83,8 @@ class AffinePayoffs(_FrozenMap):
     __slots__ = ()
 
     def at_stage(self, k: int) -> PayoffVector:
-        return PayoffVector({pid: expr.at(k) for pid, expr in self._entries})
+        # The entries are sorted and every value is an exact Fraction.
+        return PayoffVector._from_sorted(tuple((pid, expr.at(k)) for pid, expr in self._entries))
 
     def shifted(self, delta: int) -> "AffinePayoffs":
         return AffinePayoffs({pid: expr.shifted(delta) for pid, expr in self._entries})

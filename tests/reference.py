@@ -9,12 +9,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
+from seqgames.coinduction import Refuted, StationaryProfile
 from seqgames.core import (
     Address,
     FiniteGame,
     GameError,
     Leaf,
     Node,
+    PayoffVector,
     TreeProfile,
     check_profile_total,
     walk,
@@ -26,7 +28,14 @@ from seqgames.escalation import (
     _rational_edges,
 )
 from seqgames.finite import _best_responses, _reached, _Tree
-from seqgames.graphs import GameGraph
+from seqgames.graphs import (
+    AffineExpr,
+    AffinePayoffs,
+    GameGraph,
+    ParamGraph,
+    StageReachability,
+    Terminal,
+)
 
 
 def subgame_at(game: FiniteGame, address: Address) -> FiniteGame:
@@ -107,3 +116,110 @@ def least_lasso(graph: GameGraph, rmap: RationalizableMap) -> EscalationWitness 
                     if end == sid:
                         return EscalationWitness(prefix, cycle)
     return None
+
+
+def violation_interval(a: AffineExpr, b: AffineExpr) -> tuple[int, int | None] | None:
+    """The set {k : a(k) > b(k)} as an interval of naturals, by Fraction
+    arithmetic on the expressions' fields.
+
+    Returns None when empty, else (low, high) with high=None for unbounded.
+    An affine difference changes sign at most once, so an interval suffices.
+    """
+    slope = b.slope - a.slope
+    intercept = b.intercept - a.intercept  # diff(k) = intercept + slope*k; violation iff < 0
+    if slope == 0:
+        return (0, None) if intercept < 0 else None
+    if slope > 0:
+        if intercept >= 0:
+            return None
+        # diff < 0 exactly for k*slope < -intercept
+        bound = -intercept / slope
+        last = int(bound) if bound != int(bound) else int(bound) - 1
+        return (0, last) if last >= 0 else None
+    # slope < 0: diff eventually negative
+    bound = intercept / -slope  # diff(k) < 0 iff k > bound
+    first = int(bound) + 1 if bound >= 0 else 0
+    return (first, None)
+
+
+def least_reachable_violation(
+    reach: StageReachability, sid: str, deviation: AffineExpr, current: AffineExpr
+) -> int | None:
+    """Least stage k reachable at ``sid`` with deviation(k) > current(k)."""
+    interval = violation_interval(deviation, current)
+    if interval is None:
+        return None
+    low, high = interval
+    least = reach.least_at_least(sid, low)
+    if least is None:
+        return None
+    if high is not None and least > high:
+        return None
+    return least
+
+
+def _at_stage(payoffs: AffinePayoffs, k: int) -> PayoffVector:
+    return PayoffVector({p: expr.intercept + expr.slope * k for p, expr in payoffs.items()})
+
+
+def _shifted(payoffs: AffinePayoffs, delta: int) -> AffinePayoffs:
+    return AffinePayoffs(
+        {p: AffineExpr(expr.intercept + expr.slope * delta, expr.slope) for p, expr in payoffs.items()}
+    )
+
+
+def staged_deviation(
+    reach: StageReachability,
+    sid: str,
+    mover: str,
+    action: str,
+    current: AffinePayoffs,
+    deviation: AffinePayoffs,
+) -> Refuted | None:
+    """Whether deviating to ``action`` at ``sid`` pays ``mover``, when play
+    from ``sid`` is worth ``current`` and play after the deviating edge is
+    worth ``deviation``, both affine in the stage ``sid`` is entered with:
+    the refutation at the least reachable violating stage."""
+    witness = least_reachable_violation(reach, sid, deviation[mover], current[mover])
+    if witness is None:
+        return None
+    return Refuted(
+        sid, witness, mover, action, _at_stage(current, witness), _at_stage(deviation, witness)
+    )
+
+
+def _play_value(graph: ParamGraph, profile: StationaryProfile, sid: str) -> AffinePayoffs | None:
+    """The payoffs play under ``profile`` reaches from ``sid``, affine in the
+    stage ``sid`` is entered with, or None when play revisits a state."""
+    seen: set[str] = set()
+    delta = 0
+    while not isinstance(graph.states[sid], Terminal):
+        if sid in seen:
+            return None
+        seen.add(sid)
+        edge = next(e for e in graph.states[sid].edges if e[0] == profile[sid])
+        sid, delta = edge[1], delta + edge[2]
+    return _shifted(graph.states[sid].payoffs, delta)
+
+
+def staged_deviations(graph: ParamGraph, profile: StationaryProfile) -> list[Refuted | None] | None:
+    """Every one-shot deviation's refutation or None, in state and branch
+    order, at states some play enters, by Fraction arithmetic throughout;
+    None when play diverges from some state (the profile is not
+    admissible)."""
+    values = {sid: _play_value(graph, profile, sid) for sid in graph.internal_ids()}
+    if None in values.values():
+        return None
+    reach = StageReachability(graph)
+    found = []
+    for sid, value in values.items():
+        if reach.min_offset(sid) is None:
+            continue
+        state = graph.states[sid]
+        for action, target, delta in state.edges:
+            if action != profile[sid]:
+                after = values[target] if target in values else graph.states[target].payoffs
+                found.append(
+                    staged_deviation(reach, sid, state.mover, action, value, _shifted(after, delta))
+                )
+    return found

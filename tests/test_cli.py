@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from seqgames import coinduction
 from seqgames.cli import main
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
@@ -402,6 +403,30 @@ def test_arguments_out_of_range_are_usage_errors(capsys):
     ):
         assert main(argv) == 4
         assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_preset_options_it_does_not_take_are_usage_errors(capsys):
+    for argv, message in (
+        (["preset", "dollar_auction", "--turns", "0"], "preset dollar_auction does not take --turns"),
+        (["preset", "zero_one_finite", "--stake", "1"], "preset zero_one_finite does not take --stake"),
+        (["preset", "zero_one_graph", "--stake", "100"], "preset zero_one_graph does not take --stake"),
+    ):
+        assert main(argv) == 4
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+def test_escalate_does_not_check_enumerated_equilibria_again(monkeypatch, capsys):
+    checked = []
+    check = coinduction._ProfileChecker.check
+
+    def counting(self, *args, **kwargs):
+        checked.append(args)
+        return check(self, *args, **kwargs)
+
+    monkeypatch.setattr(coinduction._ProfileChecker, "check", counting)
+    assert main(["escalate", game("dollar_auction_100.pgraph")]) == 0
+    assert "escalation witness: prefix S0(bid); cycle [DB(raise) DA(raise)]" in capsys.readouterr().out
+    assert checked == []
 
 
 def test_depths_that_do_not_parse_are_a_usage_error(capsys):

@@ -41,6 +41,7 @@ from seqgames.graphs import (
     validate_graph,
     zero_one_graph,
 )
+from tests import reference
 from tests.conftest import random_game_graph, random_param_graph, random_ring_graph
 
 ALICE_LEAVES = StationaryProfile(SA="l", SB="c")
@@ -119,8 +120,8 @@ def test_refutation_witness_revalidates():
 
 def least_violation(a, b):
     """The least k >= 0 with a(k) > b(k), or None: the low end of the
-    checker's violation interval."""
-    interval = coinduction._violation_interval(a, b)
+    checker's violation interval on the two expressions' scaled int pairs."""
+    interval = coinduction._violation_interval(*coinduction._scaled([a, b]))
     return None if interval is None else interval[0]
 
 
@@ -148,6 +149,69 @@ def test_affine_leq_all_matches_pointwise():
             assert pointwise and pointwise[0] == failure
         else:
             assert not pointwise
+
+
+def _rational_payoffs(rng, graph):
+    """``graph`` with every terminal payoff redrawn: intercepts and slopes
+    with denominators 1..7, negative slopes included.  About half of a
+    player's payoffs pass through one point (k0, c) with k0 a natural, so
+    they cross each other exactly on an integer stage."""
+    anchors = {
+        p: (rng.randint(0, 4), Fraction(rng.randint(-6, 6), rng.randint(1, 7))) for p in "AB"
+    }
+    states = dict(graph.states)
+    for sid, state in graph.states.items():
+        if not isinstance(state, Terminal):
+            continue
+        payoffs = {}
+        for p, (k0, c) in anchors.items():
+            slope = Fraction(rng.randint(-4, 4), rng.randint(1, 7))
+            if rng.random() < 0.5:
+                intercept = c - slope * k0
+            else:
+                intercept = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+            payoffs[p] = AffineExpr(intercept, slope)
+        states[sid] = Terminal(AffinePayoffs(payoffs))
+    return ParamGraph(name=graph.name, states=states, start=graph.start)
+
+
+def test_integer_stage_test_matches_fraction_oracle(monkeypatch):
+    # The checker compares affine payoffs as scaled int pairs and evaluates
+    # them with ints; the oracle does both with Fraction arithmetic on the
+    # expressions' fields.  Every one-shot deviation of every admissible
+    # profile is compared, then each profile's verdict.
+    crossings = []
+
+    def recording(a, b):
+        slope = a.slope - b.slope
+        if slope and (b.intercept - a.intercept) / slope >= 0:
+            crossings.append(((b.intercept - a.intercept) / slope).denominator == 1)
+        return violation_interval(a, b)
+
+    violation_interval = reference.violation_interval
+    monkeypatch.setattr(reference, "violation_interval", recording)
+    rng = random.Random(1818)
+    kinds = Counter()
+    for _ in range(1200):
+        graph = _rational_payoffs(rng, random_param_graph(rng, max_internal=4))
+        checker = coinduction._ProfileChecker(graph)
+        for profile, verdict in enumerate_stationary_spe(graph):
+            expected = reference.staged_deviations(graph, profile)
+            if expected is None:
+                assert isinstance(verdict, NotAdmissible)
+                continue
+            picks = checker.picks(profile)
+            end, shift = checker.play(picks)
+            tested = [
+                checker._staged_deviation((e, end[i], shift[i], end[t], shift[t]))
+                for e, i, j, t in checker.live
+                if j != picks[i]
+            ]
+            assert tested == expected
+            kinds.update(type(v).__name__ for v in tested)
+            assert verdict == next((v for v in expected if v is not None), SpeOk())
+    assert min(kinds.values()) > 400, kinds
+    assert sum(crossings) > 60, len(crossings)  # exactly on an integer stage
 
 
 def test_play_param_affine_results():
@@ -284,7 +348,7 @@ def profitable_deviations(graph, profile, player):
             if not param:
                 pays = deviation > current
             else:
-                witness = coinduction._least_reachable_violation(reach, sid, deviation, current)
+                witness = reference.least_reachable_violation(reach, sid, deviation, current)
                 pays = witness is not None
             if pays:
                 found.append((changes, sid))
