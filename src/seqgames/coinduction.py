@@ -12,6 +12,7 @@ rejected as not admissible rather than compared.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator, Sequence
@@ -88,20 +89,12 @@ class Converges:
     payoffs: PayoffVector | AffinePayoffs
     steps: int
 
-    @property
-    def converged(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Diverges:
     """Play revisited a state before any terminal; the repeating cycle."""
 
     cycle: tuple[str, ...]
-
-    @property
-    def converged(self) -> bool:
-        return False
 
 
 PlayResult = Converges | Diverges
@@ -232,45 +225,35 @@ class _ProfileChecker:
         # Shared verdicts by key; a pgraph edge test that finds no
         # violation is kept as None.
         self._verdicts: dict[tuple, Refuted | NotAdmissible | None] = {}
-        self._shifted: dict[tuple[int, int], AffinePayoffs] = {}
         self._evaluated: dict[tuple[int, int], PayoffVector] = {}
-        self._edges: list[tuple[int, int, int, list]] | None = None
-        self._reach: StageReachability | None = None
-        self._live: list[tuple[int, int, int, int]] | None = None
 
-    @property
+    @functools.cached_property
     def edges(self) -> list[tuple[int, int, int, list]]:
         """Every edge in state and branch order: (state, branch, target, its
         mover's row), the row holding per state number the rank of its
         payoff on a plain graph and its scaled int pair on a pgraph."""
-        if self._edges is None:
-            n = len(self.movers)
-            table = _scaled if self.staged else _ranks
-            rows = {p: [None] * n + table([v[p] for v in self.payoffs[n:]]) for p in set(self.movers)}
-            self._edges = [
-                (i, j, target, rows[self.movers[i]])
-                for i, targets in enumerate(self.targets)
-                for j, target in enumerate(targets)
-            ]
-        return self._edges
+        n = len(self.movers)
+        table = _scaled if self.staged else _ranks
+        rows = {p: [None] * n + table([v[p] for v in self.payoffs[n:]]) for p in set(self.movers)}
+        return [
+            (i, j, target, rows[self.movers[i]])
+            for i, targets in enumerate(self.targets)
+            for j, target in enumerate(targets)
+        ]
 
-    @property
+    @functools.cached_property
     def reach(self) -> StageReachability:
-        if self._reach is None:
-            self._reach = StageReachability(self.graph)
-        return self._reach
+        return StageReachability(self.graph)
 
-    @property
+    @functools.cached_property
     def live(self) -> list[tuple[int, int, int, int]]:
         """(edge number, state, branch, target) of each edge whose state some
         play enters, in edge order."""
-        if self._live is None:
-            self._live = [
-                (e, i, j, target)
-                for e, (i, j, target, _) in enumerate(self.edges)
-                if self.reach.min_offset(self.ids[i]) is not None
-            ]
-        return self._live
+        return [
+            (e, i, j, target)
+            for e, (i, j, target, _) in enumerate(self.edges)
+            if self.reach.min_offset(self.ids[i]) is not None
+        ]
 
     def picks(self, profile: StationaryProfile) -> list[int]:
         """The profile's branch index at each decision state; raises
@@ -321,21 +304,11 @@ class _ProfileChecker:
         played = self.play(picks)
         if isinstance(played, NotAdmissible):
             return played
-        return self._by_id(*played)
-
-    def _by_id(self, end: list[int], shift: list[int]) -> dict[str, PayoffVector | AffinePayoffs]:
-        """Every state's play value, by id in definition order."""
-        by_id = dict(zip(self.ids, map(self._value, end, shift)))
-        return {sid: by_id[sid] for sid in self.graph.states}
-
-    def _value(self, end: int, shift: int) -> PayoffVector | AffinePayoffs:
-        """Terminal ``end``'s payoffs, entered ``shift`` stages later."""
-        if not shift:
-            return self.payoffs[end]
-        key = (end, shift)
-        if key not in self._shifted:
-            self._shifted[key] = self.payoffs[end].shifted(shift)
-        return self._shifted[key]
+        values = {
+            sid: self.payoffs[e].shifted(s) if s else self.payoffs[e]
+            for sid, e, s in zip(self.ids, *played)
+        }
+        return {sid: values[sid] for sid in self.graph.states}
 
     def _at_stage(self, end: int, stage: int) -> PayoffVector:
         """Terminal ``end``'s payoffs at ``stage``, evaluated once: verdicts
@@ -345,17 +318,13 @@ class _ProfileChecker:
             self._evaluated[key] = self.payoffs[end].at_stage(stage)
         return self._evaluated[key]
 
-    def check(self, profile: StationaryProfile, depth: int | None = None) -> SpeVerdict:
-        """Admissibility, then every one-shot deviation; parametrized verdicts
-        are cross-checked at ``depth`` unless None."""
+    def check(self, profile: StationaryProfile) -> SpeVerdict:
+        """Admissibility, then every one-shot deviation."""
         picks = self.picks(profile)
         played = self.play(picks)
         if isinstance(played, NotAdmissible):
             return played
-        verdict = self._one_shot(picks, *played)
-        if depth is not None and self.staged:
-            _cross_check(self.graph, profile, self._by_id(*played), verdict, depth)
-        return verdict
+        return self._one_shot(picks, *played)
 
     def _one_shot(self, picks: Sequence[int], end: list[int], shift: list[int]) -> SpeOk | Refuted:
         """The first profitable one-shot deviation in state and branch order;
@@ -410,9 +379,8 @@ class _ProfileChecker:
             self._at_stage(ei, si + witness), self._at_stage(et, st + witness),
         )
 
-    def walk(self, depth: int | None = None) -> list[tuple[StationaryProfile, SpeVerdict]]:
-        """Every profile with its verdict, in ``stationary_profiles`` order;
-        pgraph verdicts are cross-checked at ``depth`` unless None.
+    def walk(self) -> list[tuple[StationaryProfile, SpeVerdict]]:
+        """Every profile with its verdict, in ``stationary_profiles`` order.
 
         One depth-first walk assigns the decision states in sorted-id order,
         one level each, so each leaf is one profile and consecutive leaves
@@ -431,7 +399,7 @@ class _ProfileChecker:
         n = len(targets)
         if not n:  # one empty profile
             profile = StationaryProfile._from_sorted(())
-            return [(profile, self.check(profile, depth))]
+            return [(profile, self.check(profile))]
         order = sorted(range(n), key=ids.__getitem__)
         entries = [[(ids[i], label) for label in self.labels[i]] for i in order]
         end = [-1] * n + list(range(n, len(ids)))
@@ -504,21 +472,19 @@ class _ProfileChecker:
                 level += 1
                 continue
             # A leaf: the walk stays at this level for its next branch.
-            profile = StationaryProfile._from_sorted(tuple(chosen))
             if unresolved:
                 verdict = self.play(picks)
             elif staged:
                 verdict = self._one_shot(picks, end, shift)
-                if depth is not None:
-                    _cross_check(self.graph, profile, self._by_id(end, shift), verdict, depth)
             else:
                 verdict = found[n]
-            results.append((profile, verdict))
+            results.append((StationaryProfile._from_sorted(tuple(chosen)), verdict))
         return results
 
 
 def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
-    """One-shot deviation check over every decision state of a cyclic graph.
+    """One-shot deviation check over every decision state of a cyclic graph
+    of either kind, with no cross-check.
 
     Admissibility first: play must converge from every state.  Then, for
     every state and alternative edge, taking that edge once and following the
@@ -571,15 +537,25 @@ def check_spe_param(
     quotient.  Each deviation inequality is affine in the entry stage k of
     its state and must hold at every k the state is reachable with; the
     refutation witness is the least reachable violating stage.  Unless
-    ``cross_check_depth`` is None, the verdict is re-validated against the
-    concrete unfolding of that many rounds.  That check runs on the shared
+    ``cross_check_depth`` is None, an admissible profile's verdict is
+    re-validated against the concrete unfolding of that many rounds; this
+    is the only cross-check the library makes.  That check runs on the shared
     (state, stage, remaining depth) table extrapolation solves on, at most
     |states|*(depth+1)**2 positions instead of every position of the tree
     (up to 3**depth on 3-edge states); the tree is built only to word a
     ``CrossCheckError``.
     """
     require_valid_graph(graph)
-    return _ProfileChecker(graph).check(profile, cross_check_depth)
+    checker = _ProfileChecker(graph)
+    verdict = checker.check(profile)
+    if (
+        cross_check_depth is not None
+        and isinstance(graph, ParamGraph)
+        and not isinstance(verdict, NotAdmissible)
+    ):
+        picks = checker.picks(profile)
+        _cross_check(graph, profile, checker.values(picks), verdict, cross_check_depth)
+    return verdict
 
 
 def _least_reachable_violation(
@@ -682,15 +658,7 @@ def _cross_check(
         )
 
 
-def check_spe(
-    graph: GameGraph,
-    profile: StationaryProfile,
-    cross_check_depth: int | None = None,
-) -> SpeVerdict:
-    """Dispatch to the plain or parametrized checker."""
-    if isinstance(graph, ParamGraph):
-        return check_spe_param(graph, profile, cross_check_depth)
-    return check_spe_graph(graph, profile)
+check_spe = check_spe_graph
 
 
 def stationary_profiles(graph: GameGraph) -> Iterator[StationaryProfile]:
@@ -709,16 +677,14 @@ def stationary_profile_count(graph: GameGraph) -> int:
 
 
 def enumerate_stationary_spe(
-    graph: GameGraph,
-    cap: int = DEFAULT_STATIONARY_CAP,
-    cross_check_depth: int | None = None,
+    graph: GameGraph, cap: int = DEFAULT_STATIONARY_CAP
 ) -> list[tuple[StationaryProfile, SpeVerdict]]:
     """Verdict for every stationary profile, in deterministic order."""
     require_valid_graph(graph)
     total = stationary_profile_count(graph)
     if total > cap:
         raise CapExceededError(f"stationary profile space {total} exceeds cap {cap}")
-    return _ProfileChecker(graph).walk(cross_check_depth)
+    return _ProfileChecker(graph).walk()
 
 
 def stationary_closure(

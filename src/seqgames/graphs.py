@@ -66,10 +66,6 @@ class AffineExpr:
         a, b, d = self._ints
         return AffineExpr(Fraction(a + b * delta, d), self.slope)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.slope == 0
-
     def __str__(self) -> str:
         if self.slope == 0:
             return str(self.intercept)

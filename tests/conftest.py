@@ -109,6 +109,7 @@ def random_param_graph(
     max_terminals: int = 3,
     low: int = -3,
     high: int = 3,
+    ranked: bool = False,
 ) -> ParamGraph:
     """A random small stage-parametrized graph with binary choices.
 
@@ -116,18 +117,32 @@ def random_param_graph(
     Terminal payoffs have slopes -1, -1/2, 0, 1/2 or 1.  States are listed
     in shuffled order, so terminals may come before decisions, and the start
     is any decision state, so some states may be unreachable from it.
+
+    Edge targets are drawn from all states, so most stationary profiles
+    diverge.  A ``ranked`` graph gives every decision state two edges and
+    ranks decision states by number: each edge leads back to its own or an
+    earlier decision state with probability 1/5, else on to a later one or
+    a terminal.  A profile then diverges only by taking back edges all
+    around a cycle, so most profiles reach a terminal.
     """
     n_internal = rng.randint(1, max_internal)
     n_terminal = rng.randint(1, max_terminals)
     internal_ids = [f"S{i}" for i in range(n_internal)]
     terminal_ids = [f"T{i}" for i in range(n_terminal)]
     slopes = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+
+    def target(i: int) -> str:
+        if not ranked:
+            return rng.choice(internal_ids + terminal_ids)
+        if rng.random() < 0.2:
+            return rng.choice(internal_ids[: i + 1])
+        return rng.choice(internal_ids[i + 1 :] + terminal_ids)
+
     states: list[tuple[str, object]] = []
-    for sid in internal_ids:
-        width = rng.randint(1, 2)
+    for i, sid in enumerate(internal_ids):
+        width = 2 if ranked else rng.randint(1, 2)
         edges = tuple(
-            (ACTION_NAMES[j], rng.choice(internal_ids + terminal_ids), rng.randint(0, 1))
-            for j in range(width)
+            (ACTION_NAMES[j], target(i), rng.randint(0, 1)) for j in range(width)
         )
         states.append((sid, Decision(rng.choice(PLAYERS), edges)))
     for tid in terminal_ids:

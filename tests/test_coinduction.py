@@ -3,10 +3,12 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from seqgames import coinduction
+from seqgames.cli import main
 from seqgames.core import CapExceededError, GameError, PayoffVector, ProfileError
 from seqgames.coinduction import (
     DEFAULT_STATIONARY_CAP,
@@ -17,6 +19,7 @@ from seqgames.coinduction import (
     Refuted,
     SpeOk,
     StationaryProfile,
+    check_spe,
     check_spe_graph,
     check_spe_param,
     concrete_unfolding_check,
@@ -179,7 +182,8 @@ def test_integer_stage_test_matches_fraction_oracle(monkeypatch):
     # The checker compares affine payoffs as scaled int pairs and evaluates
     # them with ints; the oracle does both with Fraction arithmetic on the
     # expressions' fields.  Every one-shot deviation of every admissible
-    # profile is compared, then each profile's verdict.
+    # profile is compared, then each profile's verdict.  Ranked graphs keep
+    # most profiles admissible, so each graph yields about eight stage tests.
     crossings = []
 
     def recording(a, b):
@@ -192,8 +196,8 @@ def test_integer_stage_test_matches_fraction_oracle(monkeypatch):
     monkeypatch.setattr(reference, "violation_interval", recording)
     rng = random.Random(1818)
     kinds = Counter()
-    for _ in range(1200):
-        graph = _rational_payoffs(rng, random_param_graph(rng, max_internal=4))
+    for _ in range(300):
+        graph = _rational_payoffs(rng, random_param_graph(rng, max_internal=4, ranked=True))
         checker = coinduction._ProfileChecker(graph)
         for profile, verdict in enumerate_stationary_spe(graph):
             expected = reference.staged_deviations(graph, profile)
@@ -536,25 +540,27 @@ def test_walk_matches_replay_in_output_order():
     # whole lists so that the order counts too, on inputs that stress its
     # bookkeeping: definition order unlike sorted-id order, chords and
     # self-loops that leave states waiting through many levels, pgraphs
-    # with unreachable states (cross-checked at depth 5) and graphs with no
-    # decision state at all.
+    # with unreachable states (each admissible profile's verdict
+    # cross-checked at depth 5) and graphs with no decision state at all.
     rng = random.Random(1414)
-    graphs = [(chain_graph(rng, n), None) for n in (11, 11, 12)]
-    graphs += [(chain_graph(rng, n), None) for n in [3, 4, 5, 6, 7] * 6]
-    graphs += [(chain_graph(rng, n, plain=False), 5) for n in [2, 3, 4, 5, 6, 7] * 4]
-    graphs += [(random_param_graph(rng, max_internal=5), 5) for _ in range(100)]
+    graphs = [chain_graph(rng, n) for n in (11, 11, 12)]
+    graphs += [chain_graph(rng, n) for n in [3, 4, 5, 6, 7] * 6]
+    graphs += [chain_graph(rng, n, plain=False) for n in [2, 3, 4, 5, 6, 7] * 4]
+    graphs += [random_param_graph(rng, max_internal=5) for _ in range(100)]
     alone = {"T": Terminal(PayoffVector(A=1, B=1))}
-    graphs.append((GameGraph(name="t", states=alone, start="T"), None))
+    graphs.append(GameGraph(name="t", states=alone, start="T"))
     staged = {"T": Terminal(AffinePayoffs({"A": AffineExpr(1, 1), "B": AffineExpr(0, -1)}))}
-    graphs.append((ParamGraph(name="t", states=staged, start="T"), 5))
+    graphs.append(ParamGraph(name="t", states=staged, start="T"))
     seen: Counter = Counter()
-    for graph, depth in graphs:
-        results = enumerate_stationary_spe(graph, cross_check_depth=depth)
+    for graph in graphs:
+        results = enumerate_stationary_spe(graph)
         assert results == [(p, replay_verdict(graph, p)) for p in stationary_profiles(graph)], graph
         param = isinstance(graph, ParamGraph)
         reach = StageReachability(graph) if param else None
-        for _, verdict in results:
+        for profile, verdict in results:
             seen[param, type(verdict).__name__] += 1
+            if param and not isinstance(verdict, NotAdmissible):
+                assert check_spe_param(graph, profile, 5) == verdict, (graph, profile)
         if param and any(reach.min_offset(sid) is None for sid in graph.internal_ids()):
             seen["pgraph with an unreachable state"] += 1
         if any(sid == target for sid in graph.internal_ids() for _, target, _ in graph.states[sid].edges):
@@ -608,10 +614,12 @@ def test_value_pass_matches_per_state_replay():
         param = isinstance(graph, ParamGraph)
         if param:
             features.update(name for name, present in param_graph_features(graph).items() if present)
-        results = enumerate_stationary_spe(graph, cross_check_depth=5 if param else None)
+        results = enumerate_stationary_spe(graph)
         for profile, verdict in results:
             assert verdict == replay_verdict(graph, profile), (graph, profile)
             verdicts[param, type(verdict).__name__] += 1
+            if param and not isinstance(verdict, NotAdmissible):
+                assert check_spe_param(graph, profile, 5) == verdict, (graph, profile)
             if isinstance(verdict, Refuted) and verdict.stage:
                 verdicts[param, "refuted past stage 0"] += 1
             if param:
@@ -771,6 +779,48 @@ def test_default_depth_cross_check_needs_no_tree(monkeypatch):
             assert verdict == check_spe_param(graph, profile, cross_check_depth=None)
             kinds[type(verdict).__name__] += 1
     assert kinds["SpeOk"] >= 20 and kinds["Refuted"] >= 100, kinds
+
+
+def test_check_spe_param_is_the_only_cross_check_site(monkeypatch, capsys):
+    # Enumeration, the other checks and the CLI decide verdicts without
+    # re-validating them; check_spe_param cross-checks each admissible
+    # pgraph profile exactly once, and nothing else.
+    depths = []
+    cross_check = coinduction._cross_check
+
+    def counting(*args):
+        depths.append(args[4])
+        return cross_check(*args)
+
+    monkeypatch.setattr(coinduction, "_cross_check", counting)
+    games = Path(__file__).resolve().parent.parent / "games"
+    auction = str(games / "dollar_auction_100.pgraph")
+    d = dollar_auction(100)
+    enumerate_stationary_spe(d)
+    for profile in stationary_profiles(d):
+        check_spe(d, profile)
+        check_spe_graph(d, profile)
+    for name in ("alice_always_raises", "bob_always_raises", "never_bid"):
+        assert main(["check", auction, "--profile", str(games / f"{name}.profile")]) in (0, 1)
+    assert main(["enumerate", auction]) == 0
+    assert main(["escalate", auction]) == 0
+    assert main(["extrapolate", auction, "--depths", "1..5", "--closure", "quit"]) == 0
+    capsys.readouterr()
+    assert depths == []
+    for profile in stationary_profiles(zero_one_graph()):
+        check_spe_param(zero_one_graph(), profile, 5)
+    assert depths == []
+    diverging = StationaryProfile(S0="bid", DA="raise", DB="raise")
+    assert isinstance(check_spe_param(d, diverging, 5), NotAdmissible)
+    assert depths == []
+    rng = random.Random(19)
+    admissible = 0
+    for graph in [d] + [random_param_graph(rng) for _ in range(20)]:
+        for profile in stationary_profiles(graph):
+            if not isinstance(check_spe_param(graph, profile, 5), NotAdmissible):
+                admissible += 1
+            assert depths == [5] * admissible
+    assert admissible >= 20
 
 
 def test_induced_tree_profile_is_not_bounded_by_the_recursion_limit():
