@@ -10,6 +10,7 @@ renders every number as an exact rational string.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import os
@@ -40,11 +41,12 @@ from seqgames.coinduction import (
 )
 from seqgames.dsl import ParseError, ProfileDoc, parse, serialize
 from seqgames.escalation import _rationalizable_map, _threat_report, escalation_witness
-from seqgames.finite import _InvalidGame, backward_induction, is_spe_finite
+from seqgames.finite import _InvalidGame, _require_valid, backward_induction, is_spe_finite
 from seqgames.gallery import PRESETS, build_preset
 from seqgames.graphs import GameGraph, ParamGraph, validate_graph
 from seqgames.truncation import (
     ClosureRule,
+    DeciderQuitsClosure,
     extrapolation_report,
     parse_closure_spec,
     truncate,
@@ -101,8 +103,23 @@ def _load(path: str):
     return parse(_read(path))
 
 
+def _count_text(count: int) -> str:
+    # str(int) refuses more than sys.get_int_max_str_digits() digits, and
+    # equilibrium counts of deep truncations have more; Decimal has no limit.
+    return str(decimal.Decimal(count))
+
+
 def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    # json renders ints with int.__repr__, bound by the same digit limit.
+    # Lift it only while rendering: parsing relies on it to refuse numbers
+    # too long to convert.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(payload, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    sys.stdout.write(text + "\n")
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -279,7 +296,7 @@ def _cmd_solve(args) -> int:
     movers = {
         address: sub.mover for address, sub in walk(game) if isinstance(sub, Node)
     }
-    print(f"equilibria: {summary.count}")
+    print(f"equilibria: {_count_text(summary.count)}")
     print(f"payoff: {_payoffs_text(summary.payoff)}")
     print("optimal actions:")
     for address in sorted(summary.optimal_actions):
@@ -424,6 +441,10 @@ def _json_fields(payload: dict, indent: int) -> str:
 def _cmd_truncate(args) -> int:
     graph = _require_graph(_load(args.file), args.file)
     tree = truncate(graph, args.depth, args.closure)
+    if not isinstance(args.closure, DeciderQuitsClosure):
+        # Cut payoffs from outside the graph may miss or add players; the
+        # graph's own terminals, which quit reuses, are already validated.
+        _require_valid(tree)
     _write_output(serialize(tree), args.output)
     return EXIT_OK
 
@@ -449,7 +470,7 @@ def _cmd_extrapolate(args) -> int:
             for p in sorted(summary.characterization)
         )
         print(
-            f"{summary.depth:>5}  {summary.count:>7}  {chars} "
+            f"{summary.depth:>5}  {_count_text(summary.count):>7}  {chars} "
             f"{_payoffs_text(summary.payoff)}"
         )
     print("infinite stationary equilibria:")

@@ -122,28 +122,31 @@ def _span(text: str, offset: int) -> SourceSpan:
 # One alternative per token class, tried in order at each position: numbers
 # before words, so "12abc" is a number and then a word, and "->" before "-".
 # Whitespace and comments match as SKIP; any other character is an ERROR.
-_SCANNER = re.compile(
-    r"""
+_TOKEN_CLASSES = r"""
     (?P<SKIP>[ \t\r\n]+|\#[^\n]*)
   | (?P<NUMBER>\d+)
   | (?P<WORD>\w+)
   | (?P<ARROW>->)
   | (?P<PUNCT>[(){}:,=@+\-*/.])
   | (?P<ERROR>.)
-    """,
+"""
+_SCANNER = re.compile(_TOKEN_CLASSES, re.VERBOSE | re.DOTALL)
+
+# ``parse`` first reads each leaf in ``serialize``'s canonical form, such as
+# ``(leaf (A:1) (B:-1/2))``, as one LEAF token, which spans exactly the
+# tokens ``( leaf ( A : 1 ) ( B : - 1 / 2 ) )`` would.
+_LEAF_SCANNER = re.compile(
+    r"(?P<LEAF>\(leaf(?:[ ]\([^\W\d]\w*:-?\d+(?:/\d+)?\))+\)) |" + _TOKEN_CLASSES,
     re.VERBOSE | re.DOTALL,
 )
+_ENTRY = re.compile(r"\((\w+):(-?\d+)(?:/(\d+))?\)")
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) tokens of ``text``, ending with an EOF token.
-
-    Numbers are runs of decimal digits (``str.isdecimal``); a word starts
-    with a letter or ``_`` and continues with letters, digits or ``_``.
-    """
+def _scan(text: str, scanner: re.Pattern[str]) -> list[tuple[str, str, int]]:
+    """The tokens of ``text`` as ``scanner`` reads them, ending with EOF."""
     tokens = []
     append = tokens.append
-    for match in _SCANNER.finditer(text):
+    for match in scanner.finditer(text):
         kind = match.lastgroup
         if kind == "SKIP":
             continue
@@ -161,6 +164,15 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
         append((kind, word, offset))
     append(("EOF", "", len(text)))
     return tokens
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of ``text``, ending with an EOF token.
+
+    Numbers are runs of decimal digits (``str.isdecimal``); a word starts
+    with a letter or ``_`` and continues with letters, digits or ``_``.
+    """
+    return _scan(text, _SCANNER)
 
 
 @dataclass(frozen=True)
@@ -186,15 +198,17 @@ Document = FiniteGame | GameGraph | ProfileDoc
 
 
 class _Parser:
-    """Parser over ``tokenize``'s tuples, read by index.
+    """Parser over ``_scan``'s tuples, read by index.
 
-    Positions stay offsets until an error needs a ``SourceSpan``.
+    Positions stay offsets until an error needs a ``SourceSpan``.  Equal
+    LEAF tokens share one ``Leaf``, kept in ``leaves`` by their text.
     """
 
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, tokens: list[tuple[str, str, int]]) -> None:
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = tokens
         self.pos = 0
+        self.leaves: dict[str, Leaf] = {}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -297,37 +311,73 @@ class _Parser:
         # document may nest deeper than the recursion limit.
         stack: list[tuple[str, dict[str, FiniteGame | None]]] = []
         while True:
-            self.expect("LPAREN", what="'('")
-            if self.at("KEYWORD", "leaf"):
+            kind, text, offset = self.tokens[self.pos]
+            if kind == "LEAF":
+                self.pos += 1
+                done: FiniteGame = self.whole_leaf(text, offset)
+            else:
+                self.expect("LPAREN", what="'('")
+                if self.at("KEYWORD", "node"):
+                    self.take()
+                    stack.append((self.ident("player id")[1], {}))
+                    if self.peek()[0] != "LPAREN":
+                        raise self.error(("branch",))
+                    self.open_branch(stack[-1][1])
+                    continue
+                if not self.at("KEYWORD", "leaf"):
+                    raise self.error(("leaf", "node"))
                 self.take()
                 entries = self.payoffs(affine=False)
                 self.expect("RPAREN", what="')'")
-                done: FiniteGame = Leaf(PayoffVector({p: v for p, v, _ in entries}))  # type: ignore[misc]
-                # Close the branch the leaf ends, and each node it completes.
-                while True:
-                    if not stack:
-                        return done
-                    self.expect("RPAREN", what="')'")
-                    mover, branches = stack[-1]
-                    branches[next(reversed(branches))] = done
-                    if self.peek()[0] == "LPAREN":
-                        break
-                    self.expect("RPAREN", what="')'")
-                    stack.pop()
-                    done = Node(mover, tuple(branches.items()))
-            elif self.at("KEYWORD", "node"):
-                self.take()
-                stack.append((self.ident("player id")[1], {}))
-                if self.peek()[0] != "LPAREN":
-                    raise self.error(("branch",))
-            else:
-                raise self.error(("leaf", "node"))
-            self.take()  # the '(' of the innermost open node's next branch
-            _, label, offset = self.ident("action label")
-            branches = stack[-1][1]
-            if label in branches:
-                raise self.fail(f"duplicate action label {label!r}", offset)
-            branches[label] = None
+                done = Leaf(PayoffVector({p: v for p, v, _ in entries}))  # type: ignore[misc]
+            # Close the branch the leaf ends, and each node it completes.
+            while True:
+                if not stack:
+                    return done
+                self.expect("RPAREN", what="')'")
+                mover, branches = stack[-1]
+                branches[next(reversed(branches))] = done
+                if self.peek()[0] == "LPAREN":
+                    break
+                self.expect("RPAREN", what="')'")
+                stack.pop()
+                done = Node(mover, tuple(branches.items()))
+            self.open_branch(branches)
+
+    def open_branch(self, branches: dict[str, FiniteGame | None]) -> None:
+        """Read the '(' and action label that open a node's next branch."""
+        self.take()
+        _, label, offset = self.ident("action label")
+        if label in branches:
+            raise self.fail(f"duplicate action label {label!r}", offset)
+        branches[label] = None
+
+    def whole_leaf(self, text: str, offset: int) -> Leaf:
+        """The leaf a LEAF token spells, decoded on its first occurrence.
+
+        Fails where the payoff grammar would: on a keyword or non-letter
+        as player, a repeated player, a zero denominator or a number too
+        long for ``int``.
+        """
+        leaf = self.leaves.get(text)
+        if leaf is not None:
+            return leaf
+        entries = []
+        for player, numerator, denominator in _ENTRY.findall(text):
+            if player in KEYWORDS or not (player[0].isalpha() or player[0] == "_"):
+                raise self.fail("invalid player id", offset)
+            try:
+                numerator, denominator = int(numerator), int(denominator or 1)
+            except ValueError:  # more digits than int() converts
+                raise self.fail("number too long", offset) from None
+            if denominator == 0:
+                raise self.fail("denominator must be positive", offset)
+            entries.append((player, Fraction(numerator, denominator)))
+        entries.sort()
+        if any(a[0] == b[0] for a, b in zip(entries, entries[1:])):
+            raise self.fail("duplicate payoff entry", offset)
+        leaf = self.leaves[text] = Leaf(PayoffVector._from_sorted(tuple(entries)))
+        return leaf
 
     # --- graphs -----------------------------------------------------------
 
@@ -474,21 +524,28 @@ class _Parser:
             segments.append(self.ident("profile key segment")[1])
         return tuple(segments)
 
+    def document(self) -> Document:
+        if self.peek()[0] in ("LPAREN", "LEAF"):
+            game = self.finite()
+            self.expect("EOF", what="end of input")
+            return game
+        if self.at("KEYWORD", "graph"):
+            return self.graph(parametrized=False)
+        if self.at("KEYWORD", "pgraph"):
+            return self.graph(parametrized=True)
+        if self.at("KEYWORD", "profile"):
+            return self.profile()
+        raise self.error(("'('", "graph", "pgraph", "profile"))
+
 
 def parse(text: str) -> Document:
     """Parse one document: a finite game, graph, pgraph, or profile."""
-    parser = _Parser(text)
-    if parser.peek()[0] == "LPAREN":
-        game = parser.finite()
-        parser.expect("EOF", what="end of input")
-        return game
-    if parser.at("KEYWORD", "graph"):
-        return parser.graph(parametrized=False)
-    if parser.at("KEYWORD", "pgraph"):
-        return parser.graph(parametrized=True)
-    if parser.at("KEYWORD", "profile"):
-        return parser.profile()
-    raise parser.error(("'('", "graph", "pgraph", "profile"))
+    try:
+        return _Parser(text, _scan(text, _LEAF_SCANNER)).document()
+    except ParseError:
+        # Read it again token by token, so that an error in or next to a
+        # whole leaf gets the message and position the grammar gives it.
+        return _Parser(text, tokenize(text)).document()
 
 
 # --- serialization ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import decimal
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import pytest
 
 from seqgames import coinduction
 from seqgames.cli import main
+from seqgames.dsl import parse
+from seqgames.truncation import DeciderQuitsClosure, summarize_depth
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -255,13 +258,20 @@ def test_extrapolate_json_deterministic():
         ("map:SA=(A:1,B:0)", "error: no closure payoff for cut state 'SB'\n"),
     ],
 )
-def test_extrapolate_closure_errors(closure, message):
+def test_extrapolate_closure_errors(closure, message, tmp_path):
     # Depth 1 cuts SB: const names only A, the map has no entry for SB.
     result = run_cli("extrapolate", game("zero_one.ggraph"), "--depths", "1..12", "--closure", closure)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
+    # truncate fails the same way and writes no file.
+    cut = tmp_path / "cut.game"
+    result = run_cli("truncate", game("zero_one.ggraph"), "--depth", "1", "--closure", closure, "-o", str(cut))
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
+    assert not cut.exists()
     # Depth 0 is the cut start state alone, a valid one-player game.
     result = run_cli("extrapolate", game("zero_one.ggraph"), "--depths", "0", "--closure", closure)
     assert result.returncode == 0, result.stderr
+    result = run_cli("truncate", game("zero_one.ggraph"), "--depth", "0", "--closure", closure)
+    assert (result.returncode, result.stdout[:11]) == (0, "(leaf (A:1)"), result.stderr
 
 
 def test_overlong_number_is_a_positioned_parse_error(tmp_path):
@@ -320,6 +330,38 @@ def test_deep_finite_documents_read_back(tmp_path, capsys):
     solved = json.loads(capsys.readouterr().out)
     assert solved["payoff"] == {"A": "0", "B": "1"}
     assert solved["equilibria"] == 2**750
+
+
+# Two states that each continue two ways or exit: the equilibrium count of
+# the depth-14 truncation has 4,932 digits, more than str(int) converts.
+WIDE = (
+    "graph wide { state S = node A { a -> S, b -> R, x -> T } "
+    "state R = node B { a -> S, b -> R, x -> U } "
+    "state T = leaf (A:1) (B:0) state U = leaf (A:0) (B:1) start S }"
+)
+
+
+def test_counts_beyond_the_int_digit_limit_print_exactly(tmp_path, capsys):
+    source, tree = tmp_path / "wide.ggraph", str(tmp_path / "wide.game")
+    source.write_text(WIDE)
+    limit = sys.get_int_max_str_digits()
+    count = summarize_depth(parse(WIDE), 14, DeciderQuitsClosure()).count
+    digits = str(decimal.Decimal(count))
+    assert len(digits) == 4932
+    assert main(["truncate", str(source), "--depth", "14", "--closure", "quit", "-o", tree]) == 0
+    assert main(["solve", tree]) == 0
+    assert capsys.readouterr().out.startswith(f"equilibria: {digits}\n")
+    assert main(["solve", tree, "--format", "json"]) == 0
+    solved = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
+    assert solved["equilibria"] == decimal.Decimal(count)
+    assert main(["extrapolate", str(source), "--depths", "13..14", "--closure", "quit"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[3].split()[:2] == ["14", digits]
+    assert main(["extrapolate", str(source), "--depths", "14", "--closure", "quit", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
+    assert report["depths"][0]["equilibrium_count"] == decimal.Decimal(count)
+    # The limit is lifted only while the JSON is rendered.
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_solve_validates_each_game_once(tmp_path, capsys, monkeypatch):

@@ -7,10 +7,13 @@ import pytest
 from seqgames.core import Leaf, Node, PayoffVector, TreeProfile
 from seqgames.coinduction import StationaryProfile
 from seqgames.dsl import (
+    _LEAF_SCANNER,
     KEYWORDS,
     ParseError,
     ProfileDoc,
     SourceSpan,
+    _Parser,
+    _scan,
     _spans,
     parse,
     serialize,
@@ -71,6 +74,22 @@ def test_parse_error_positions_are_exact():
         parse("(leaf (A:0)\n      (A:1))")
     assert info.value.span.line == 2
     assert info.value.span.column == 8
+    # Errors at and inside leaves, which parse otherwise reads whole.
+    for text, column, message in (
+        ("(leaf (A:1/0))", 12, "denominator must be positive"),
+        ("(leaf (A:1) (A:2))", 14, "duplicate payoff entry for 'A'"),
+        ("(leaf (node:1))", 8, "unexpected input; expected player id; found 'node'"),
+        ("(node A (leaf (A:1)))", 10, "unexpected input; expected action label; found 'leaf'"),
+        ("(leaf (A:1)) (leaf (A:2))", 14, "unexpected input; expected end of input; found '('"),
+        (
+            "graph g { state S = leaf (leaf (A:1)) start S }",
+            27,
+            "unexpected input; expected player id; found 'leaf'",
+        ),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"line 1, column {column}: {message}"
 
 
 def test_parse_error_on_bad_character():
@@ -454,9 +473,62 @@ def _check_against_reference(text: str) -> None:
             assert all(span == at[span.offset] for span in doc.spans)
 
 
+def _parse_agrees_with_token_parser(text: str) -> bool:
+    """``parse`` agrees with the token-by-token parser on the value or on
+    the error; returns whether it read a leaf whole, as one LEAF token."""
+    try:
+        expected = _Parser(text, tokenize(text)).document()
+    except ParseError as error:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.span) == (str(error), error.span)
+        return False
+    # A document the grammar accepts never needs the token-by-token reading.
+    fast = _Parser(text, _scan(text, _LEAF_SCANNER))
+    value = fast.document()
+    assert type(value) is type(expected) and value == expected
+    assert parse(text) == expected
+    return bool(fast.leaves)
+
+
+# Leaves in canonical form that serialize would not write, and ones that
+# break the payoff grammar.
+_ODD_LEAVES = (
+    "(leaf (B:1) (A:2))",
+    "(leaf (_x:-0) (S²:007/014))",
+    "(leaf (A:٣/١))",
+)
+_FAULTY_LEAVES = (
+    "(leaf (A:1/0))",
+    "(leaf (A:-3/00))",
+    "(leaf (A:1) (A:2))",
+    "(leaf (B:1) (A:2) (B:1))",
+    "(leaf (node:1))",
+    "(leaf (A:1) (state:2))",
+    "(leaf (_x:1) (²S:1/2))",
+    "(leaf (²:1))",
+    "(leaf (A:" + "7" * 5000 + "))",
+    "(leaf (A:1/" + "7" * 5000 + "))",
+)
+
+
 def test_scanner_matches_character_loop_reference():
+    whole = 0
     for text in _mutation_corpus(seed=12, count=2000):
         _check_against_reference(text)
+        whole += _parse_agrees_with_token_parser(text)
+    rng = random.Random(13)
+    for _ in range(200):
+        game = random_finite_game(rng, max_depth=3)
+        whole += _parse_agrees_with_token_parser(serialize(game))
+    for leaves, whole_read in ((_ODD_LEAVES, True), (_FAULTY_LEAVES, False)):
+        for leaf in leaves:
+            assert _scan(leaf, _LEAF_SCANNER)[0][0] == "LEAF"
+            for text in (leaf, f"(node A\n  (x {leaf})\n  (y (leaf (A:1))))"):
+                assert _parse_agrees_with_token_parser(text) == whole_read
+    # 604 documents read at least one leaf whole: the 200 trees and 404
+    # mutated ones.
+    assert whole > 500
 
 
 def test_deep_spine_round_trips_with_equality_and_hash():
