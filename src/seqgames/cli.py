@@ -47,6 +47,7 @@ from seqgames.graphs import GameGraph, ParamGraph, validate_graph
 from seqgames.truncation import (
     ClosureRule,
     DeciderQuitsClosure,
+    _json_text,
     extrapolation_report,
     parse_closure_spec,
     truncate,
@@ -110,16 +111,7 @@ def _count_text(count: int) -> str:
 
 
 def _emit_json(payload: dict) -> None:
-    # json renders ints with int.__repr__, bound by the same digit limit.
-    # Lift it only while rendering: parsing relies on it to refuse numbers
-    # too long to convert.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        text = json.dumps(payload, indent=2)
-    finally:
-        sys.set_int_max_str_digits(limit)
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _write_output(text: str, output: str | None) -> None:

@@ -545,6 +545,8 @@ def check_spe_param(
     (up to 3**depth on 3-edge states); the tree is built only to word a
     ``CrossCheckError``.
     """
+    if cross_check_depth is not None and cross_check_depth < 0:
+        raise ValueError("depth must be >= 0")
     require_valid_graph(graph)
     checker = _ProfileChecker(graph)
     verdict = checker.check(profile)
@@ -610,6 +612,8 @@ def _unfolded_choices(
     """The profile's choice at every decision position of the depth-``depth``
     unfolding, by one explicit-stack walk, so depth is not bounded by the
     recursion limit."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     choices: dict[tuple[str, ...], str] = {}
     stack: list[tuple[str, int, tuple[str, ...]]] = [(graph.start, 0, ())]
     while stack:

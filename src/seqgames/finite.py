@@ -314,17 +314,21 @@ class _Tree:
     ) -> tuple[_Tree, list[int]]:
         """A validated graph's unfoldings at each of ``depths``, compiled into
         one table with one position per (state, stage, remaining depth) key,
-        since the subgame below a key does not depend on the path to it.
+        since the subgame below a key does not depend on the path to it;
+        ``graphs.unfold`` and ``graphs.unfold_param`` build their trees on it.
 
         A terminal, or a decision state with no depth left, is a leaf keyed
         with remaining 0: a terminal gets its payoffs at its stage, a cut
-        state ``cut(state, stage)``, called when its key is first met.  The
-        depths are built in the given order, each depth first with branches
-        in order, so a failing ``cut`` fails where ``graphs.unfold_param``
-        would first meet it.  Positions are numbered children first, so
-        ``post`` is their index order.  A position's address is its key.
-        Returns the table and each depth's root position.
+        state ``cut(state, stage)``, called once, when its key is first met.
+        The depths are built in the given order, each depth first with
+        branches in order, so a failing ``cut`` fails at the first cut state
+        a depth-first walk of the tree meets.  Positions are numbered
+        children first, so ``post`` is their index order.  A position's
+        address is its key.  Returns the table and each depth's root
+        position.  Raises ValueError on a negative depth.
         """
+        if any(depth < 0 for depth in depths):
+            raise ValueError("depth must be >= 0")
         tree = cls.__new__(cls)
         states = graph.states
         index: dict[tuple[str, int, int], int] = {}

@@ -5,6 +5,8 @@ cyclic; it denotes its infinite unfolding from the start state.  A
 ``ParamGraph`` additionally threads a stage counter k through the play: edges
 may increment it and terminal payoffs are affine expressions in it, which is
 enough to express auctions whose stakes grow by a fixed step each round.
+Depth-limited unfoldings share one object per equal subgame: DAGs that
+compare, hash and serialize as the trees they denote.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from seqgames.core import (
     FiniteGame,
     _FrozenMap,
 )
+from seqgames.finite import _Tree
 
 
 class MissingClosureError(GameError):
@@ -192,16 +195,17 @@ def unfold(graph: GameGraph, depth: int, closure: ClosureMap) -> FiniteGame:
     """Tree of all plays of length <= depth from the start state.
 
     Internal states cut at the depth limit become leaves carrying the closure
-    payoff supplied for that state.
+    payoff supplied for that state.  A callable closure is called once per
+    distinct cut state, in the order a depth-first walk with branches in
+    order first meets it.  Equal subgames are one shared object.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     require_valid_graph(graph)
-    lookup = closure if callable(closure) else None
 
     def closure_for(sid: str, stage: int) -> PayoffVector:
-        if lookup is not None:
-            return lookup(sid)
+        if callable(closure):
+            return closure(sid)
         try:
             return closure[sid]  # type: ignore[index]
         except KeyError:
@@ -216,7 +220,8 @@ def unfold_param(
     closure: Callable[[str, int], PayoffVector],
 ) -> FiniteGame:
     """Like ``unfold`` but tracks the stage counter; terminals are evaluated
-    at their concrete stage and the closure gets (state, stage)."""
+    at their concrete stage and the closure gets (state, stage), once per
+    distinct pair."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     require_valid_graph(graph)
@@ -226,43 +231,21 @@ def unfold_param(
 def _unfold_tree(
     graph: GameGraph, depth: int, cut: Callable[[str, int], PayoffVector]
 ) -> FiniteGame:
-    """The depth-``depth`` unfolding of a graph the caller has validated.
-
-    Built by one explicit-stack walk, so depth is not bounded by the
-    recursion limit.  Leaves are made in depth-first order, branches in
-    order: a terminal gets its payoffs at its stage, a cut state
-    ``cut(state, stage)``.
+    """The depth-``depth`` unfolding of a graph the caller has validated:
+    one ``Leaf`` or ``Node`` per position of the (state, stage, remaining
+    depth) table of ``_Tree.from_graph``, whose positions are numbered
+    children first.  ``cut`` is called as that table calls it.
     """
-    states = graph.states
-
-    def leaf(sid: str, stage: int, d: int) -> Leaf | None:
-        state = states[sid]
-        if isinstance(state, Terminal):
-            return Leaf(state.payoffs.at_stage(stage))
-        return Leaf(cut(sid, stage)) if d == depth else None
-
-    root = leaf(graph.start, 0, 0)
-    if root is not None:
-        return root
-    # Frames: (state id, stage, depth, branches built so far).
-    stack: list[tuple[str, int, int, list[tuple[str, FiniteGame]]]] = [(graph.start, 0, 0, [])]
-    while True:
-        sid, stage, d, branches = stack[-1]
-        moves = states[sid].edges
-        if len(branches) < len(moves):
-            action, target, delta = moves[len(branches)]
-            child = leaf(target, stage + delta, d + 1)
-            if child is None:
-                stack.append((target, stage + delta, d + 1, []))
-            else:
-                branches.append((action, child))
-            continue
-        stack.pop()
-        node = Node(states[sid].mover, tuple(branches))  # type: ignore[union-attr]
-        if not stack:
-            return node
-        parent, _, _, siblings = stack[-1]
-        siblings.append((states[parent].edges[len(siblings)][0], node))
+    table, (root,) = _Tree.from_graph(graph, [depth], cut)
+    built: list[FiniteGame] = []
+    for mover, kids, labels, payoffs in zip(
+        table.movers, table.children, table.labels, table.payoffs
+    ):
+        if mover is None:
+            built.append(Leaf(payoffs))
+        else:
+            built.append(Node(mover, tuple(zip(labels, [built[k] for k in kids]))))
+    return built[root]
 
 
 def zero_one_graph() -> GameGraph:

@@ -11,6 +11,7 @@ situation in which extrapolating from the finite games is unjustified.
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -92,7 +93,8 @@ class DeciderQuitsClosure(ClosureRule):
 
 
 def truncate(graph: GameGraph, depth: int, rule: ClosureRule):
-    """Unfold the graph to ``depth`` with the rule supplying cut payoffs."""
+    """Unfold the graph to ``depth`` with the rule supplying cut payoffs,
+    asked once per distinct cut (state, stage); equal subgames are shared."""
     return unfold_param(graph, depth, lambda sid, stage: rule.payoff(graph, sid, stage))
 
 
@@ -289,7 +291,19 @@ class ExtrapolationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _json_text(self.to_dict()) + "\n"
+
+
+def _json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)``, with the int digit limit that
+    int.__repr__ obeys lifted only while rendering: parsing relies on it to
+    refuse numbers too long to convert."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _decision_states(graph: GameGraph) -> dict[str, list[str]]:

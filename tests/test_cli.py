@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import pytest
 
 from seqgames import coinduction
 from seqgames.cli import main
-from seqgames.dsl import parse
-from seqgames.truncation import DeciderQuitsClosure, summarize_depth
+from seqgames.dsl import parse, serialize
+from seqgames.finite import _Tree
+from seqgames.truncation import DeciderQuitsClosure, extrapolation_report, summarize_depth, truncate
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -362,6 +364,41 @@ def test_counts_beyond_the_int_digit_limit_print_exactly(tmp_path, capsys):
     assert report["depths"][0]["equilibrium_count"] == decimal.Decimal(count)
     # The limit is lifted only while the JSON is rendered.
     assert sys.get_int_max_str_digits() == limit
+
+
+# What ``truncate`` writes for WIDE at depth 14 with the quit closure.
+WIDE_14_SHA256 = "9434089676e3fb48dcc8e2014735d8a6a27a46c09c682932f0ab83b098cebf61"
+
+
+def test_wide_truncation_is_one_object_per_table_position():
+    graph = parse(WIDE)
+    tree = truncate(graph, 14, DeciderQuitsClosure())
+    table, _ = _Tree.from_graph(graph, [14], lambda sid, stage: None)
+    distinct, pending = {}, [tree]
+    while pending:
+        sub = pending.pop()
+        if id(sub) not in distinct:
+            distinct[id(sub)] = sub
+            pending.extend(child for _, child in getattr(sub, "branches", ()))
+    assert len(distinct) == len(table.movers) == 31
+    text = serialize(tree)
+    assert hashlib.sha256(text.encode()).hexdigest() == WIDE_14_SHA256
+    # 49,150 positions on the parsed side: equality visits each pair once.
+    assert parse(text) == tree
+
+
+def test_extrapolation_report_json_prints_counts_beyond_the_digit_limit():
+    count = summarize_depth(parse(WIDE), 14, DeciderQuitsClosure()).count
+    limit = sys.get_int_max_str_digits()
+    # CPython's default, whatever an earlier test left behind.
+    sys.set_int_max_str_digits(4300)
+    try:
+        text = extrapolation_report(parse(WIDE), [14], DeciderQuitsClosure()).to_json()
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    report = json.loads(text, parse_int=decimal.Decimal)
+    assert report["depths"][0]["equilibrium_count"] == decimal.Decimal(count)
 
 
 def test_solve_validates_each_game_once(tmp_path, capsys, monkeypatch):

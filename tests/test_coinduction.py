@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -251,6 +254,46 @@ def test_check_spe_param_ignores_unreachable_stages():
     values_bid = AffineExpr(99, -1)
     assert least_violation(values_pass, values_bid) == 100  # naive all-k check fails
     assert check_spe_param(d, ALICE_RAISES, cross_check_depth=None) == SpeOk()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "concrete_unfolding_check(auction, alice_raises, -1)",
+        "check_spe_param(auction, alice_raises, cross_check_depth=-1)",
+        # Play diverges: the depth is refused before the profile is checked.
+        "check_spe_param(auction, StationaryProfile(S0='bid', DA='raise', DB='raise'), -1)",
+        "induced_tree_profile(auction, alice_raises, -1)",
+    ],
+)
+def test_negative_depths_are_refused(call):
+    # A walk that never reaches depth -1 runs until it exhausts memory, so
+    # the call runs in a child with a timeout and a bounded address space.
+    script = textwrap.dedent(
+        f"""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+        from seqgames.coinduction import *
+        from seqgames.graphs import dollar_auction
+        auction = dollar_auction(10)
+        alice_raises = StationaryProfile(S0="bid", DA="raise", DB="quit")
+        try:
+            {call}
+        except ValueError as error:
+            print(error)
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PATH": "", "PYTHONPATH": str(SRC)},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "depth must be >= 0\n", "")
 
 
 def test_check_spe_param_agrees_with_concrete_unfolding():

@@ -20,6 +20,7 @@ from seqgames.graphs import (
     validate_graph,
     zero_one_graph,
 )
+from seqgames.truncation import parse_closure_spec, truncate
 from tests.conftest import random_game_graph, random_param_graph
 
 QUIT_CLOSURE = {"SA": PayoffVector(A=0, B=1), "SB": PayoffVector(A=1, B=0)}
@@ -240,13 +241,22 @@ def recursive_unfolding(graph, depth, cut):
 
 
 def logging_cut(log):
-    """A cut payoff that records each call and depends on the call order."""
+    """A cut payoff that depends only on (state, stage) and records each
+    call."""
 
     def cut(sid, stage):
         log.append((sid, stage))
-        return PayoffVector(A=len(log), B=stage)
+        return PayoffVector(A=len(sid) + ord(sid[-1]), B=stage)
 
     return cut
+
+
+# A map that misses every cut state beyond S1, and a quit that fails at a
+# state with no exit, make some truncations below fail.
+TRUNCATION_RULES = [
+    parse_closure_spec(spec)
+    for spec in ("quit", "const:(A:1,B:-1/2)", "map:S0=(A:2,B:0);S1=(A:0,B:3)")
+]
 
 
 def test_unfold_matches_recursive_reference():
@@ -263,7 +273,26 @@ def test_unfold_matches_recursive_reference():
                 tree = unfold_param(graph, depth, cut)
             expected = recursive_unfolding(graph, depth, logging_cut(expected_calls))
             assert tree == expected, (graph, depth)
-            assert calls == expected_calls
+            # The cut is asked once per distinct (state, stage), in the
+            # order the depth-first walk first meets it.
+            assert calls == list(dict.fromkeys(expected_calls))
+    # truncate, with every closure rule, against the same reference.
+    failures = set()
+    for graph in graphs:
+        for rule in TRUNCATION_RULES:
+            reference_cut = lambda sid, stage: rule.payoff(graph, sid, stage)
+            for depth in range(9):
+                try:
+                    expected = recursive_unfolding(graph, depth, reference_cut)
+                except MissingClosureError as error:
+                    with pytest.raises(MissingClosureError) as raised:
+                        truncate(graph, depth, rule)
+                    assert str(raised.value) == str(error), (graph, rule, depth)
+                    failures.add(str(error))
+                    continue
+                assert truncate(graph, depth, rule) == expected, (graph, rule, depth)
+    assert "no closure payoff for cut state 'S2'" in failures
+    assert "quit closure undefined: state 'S0' has no edge to a terminal" in failures
 
 
 def test_validate_rejects_payload_of_the_other_graph_kind():
