@@ -28,7 +28,6 @@ from seqgames.core import (
     CapExceededError,
     format_address,
     validate_game,
-    walk,
 )
 from seqgames.coinduction import (
     DEFAULT_STATIONARY_CAP,
@@ -41,7 +40,7 @@ from seqgames.coinduction import (
 )
 from seqgames.dsl import ParseError, ProfileDoc, parse, serialize
 from seqgames.escalation import _rationalizable_map, _threat_report, escalation_witness
-from seqgames.finite import _InvalidGame, _require_valid, backward_induction, is_spe_finite
+from seqgames.finite import _InvalidGame, _require_valid, _spe_check, backward_induction
 from seqgames.gallery import PRESETS, build_preset
 from seqgames.graphs import GameGraph, ParamGraph, validate_graph
 from seqgames.truncation import (
@@ -229,18 +228,14 @@ def _require_graph(doc, path: str) -> GameGraph:
     return doc
 
 
-def _finite_doc(doc, path: str) -> FiniteGame:
+def _on_finite(doc, path: str, run: Callable[[FiniteGame], object]):
+    """``run`` on the finite game in ``doc``; it validates the game first."""
     if not isinstance(doc, (Leaf, Node)):
         raise _UsageError(f"{path} does not hold a finite game document")
-    return doc
-
-
-def _require_finite(doc, path: str) -> FiniteGame:
-    _finite_doc(doc, path)
-    report = validate_game(doc)
-    if not report.ok:
-        raise GameError(f"invalid game: {report.violations[0]}")
-    return doc
+    try:
+        return run(doc)
+    except _InvalidGame as error:
+        raise GameError(f"invalid game: {error.first}") from None
 
 
 def _cmd_validate(args) -> int:
@@ -261,11 +256,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    game = _finite_doc(_load(args.file), args.file)
-    try:
-        summary = backward_induction(game)  # which validates the game first
-    except _InvalidGame as error:
-        raise GameError(f"invalid game: {error.first}") from None
+    summary = _on_finite(_load(args.file), args.file, backward_induction)
     if args.format == "json":
         _emit_json(
             {
@@ -285,9 +276,8 @@ def _cmd_solve(args) -> int:
             }
         )
         return EXIT_OK
-    movers = {
-        address: sub.mover for address, sub in walk(game) if isinstance(sub, Node)
-    }
+    # optimal_actions lists the decision nodes in preorder, as _movers does.
+    movers = dict(zip(summary.optimal_actions, (m for m in summary._movers if m is not None)))
     print(f"equilibria: {_count_text(summary.count)}")
     print(f"payoff: {_payoffs_text(summary.payoff)}")
     print("optimal actions:")
@@ -327,57 +317,41 @@ def _cmd_check(args) -> int:
     profile_doc = _load(args.profile)
     if not isinstance(profile_doc, ProfileDoc):
         raise _UsageError(f"{args.profile} does not hold a profile document")
+    payload = {"command": "check", "input": args.file, "profile": args.profile}
     if isinstance(doc, (Leaf, Node)):
-        game = _require_finite(doc, args.file)
-        profile = profile_doc.as_tree()
-        result = is_spe_finite(game, profile, root_only=args.root_only)
-        payload = {
-            "command": "check",
-            "input": args.file,
-            "profile": args.profile,
-            "solver": "one_shot_deviations" if not args.root_only else "root_best_response",
-        }
-        if result.ok:
+        tree = _on_finite(doc, args.file, _require_valid)
+        result = _spe_check(tree, profile_doc.as_tree(), args.root_only)
+        payload["solver"] = "one_shot_deviations" if not args.root_only else "root_best_response"
+        ok, ce = result.ok, result.counterexample
+        if ok:
             payload["verdict"] = "SPE" if not args.root_only else "equilibrium"
-            if args.format == "json":
-                _emit_json(payload)
-            else:
-                print(_good(payload["verdict"]))
-            return EXIT_OK
-        ce = result.counterexample
-        payload["verdict"] = "Refuted"
-        payload["counterexample"] = {
-            "address": format_address(ce.address),
-            "player": ce.player,
-            "action": ce.action,
-            "profile_payoff": _rat(ce.profile_payoff),
-            "deviation_payoff": _rat(ce.deviation_payoff),
-            "gain": _rat(ce.gain),
-        }
-        if args.format == "json":
-            _emit_json(payload)
+            text = _good(payload["verdict"])
         else:
-            print(_bad("refuted") + f": {ce}")
-        return EXIT_REFUTED
-    if args.root_only:
-        raise _UsageError("--root-only applies to finite game documents only")
-    graph = _require_graph(doc, args.file)
-    profile = profile_doc.as_stationary()
-    verdict = check_spe(graph, profile)
-    payload = {
-        "command": "check",
-        "input": args.file,
-        "profile": args.profile,
-        "solver": "one_shot_deviations_staged"
-        if isinstance(graph, ParamGraph)
-        else "one_shot_deviations",
-    }
-    payload.update(_verdict_json(verdict))
+            payload["verdict"] = "Refuted"
+            payload["counterexample"] = {
+                "address": format_address(ce.address),
+                "player": ce.player,
+                "action": ce.action,
+                "profile_payoff": _rat(ce.profile_payoff),
+                "deviation_payoff": _rat(ce.deviation_payoff),
+                "gain": _rat(ce.gain),
+            }
+            text = _bad("refuted") + f": {ce}"
+    else:
+        if args.root_only:
+            raise _UsageError("--root-only applies to finite game documents only")
+        graph = _require_graph(doc, args.file)
+        verdict = check_spe(graph, profile_doc.as_stationary())
+        staged = isinstance(graph, ParamGraph)
+        payload["solver"] = "one_shot_deviations_staged" if staged else "one_shot_deviations"
+        payload.update(_verdict_json(verdict))
+        ok = verdict.ok
+        text = _good("SPE") if ok else _bad(verdict.describe())
     if args.format == "json":
         _emit_json(payload)
     else:
-        print(_good("SPE") if verdict.ok else _bad(verdict.describe()))
-    return EXIT_OK if verdict.ok else EXIT_REFUTED
+        print(text)
+    return EXIT_OK if ok else EXIT_REFUTED
 
 
 def _profile_text(profile: StationaryProfile) -> str:

@@ -289,17 +289,6 @@ def depth(game: FiniteGame) -> int:
     return max(len(address) for address, _ in walk(game))
 
 
-def declared_players(game: FiniteGame) -> frozenset[str]:
-    """Players appearing as movers or in leaf payoffs."""
-    players: set[str] = set()
-    for _, sub in walk(game):
-        if isinstance(sub, Leaf):
-            players.update(sub.payoffs.players)
-        else:
-            players.add(sub.mover)
-    return frozenset(players)
-
-
 @dataclass(frozen=True)
 class Violation:
     where: str
@@ -326,31 +315,15 @@ def format_address(address: Address) -> str:
 def validate_game(game: FiniteGame, players: Iterable[str] | None = None) -> ValidationReport:
     """Check structural invariants; returns violations instead of raising.
 
-    With ``players`` given, every leaf must carry exactly that player set;
-    otherwise the set is inferred as the union over all leaves and movers.
+    With ``players`` given, every leaf must carry exactly that player set
+    and every mover must be in it; otherwise the set is inferred as the
+    union over all leaves and movers.  Checked on the tree the solvers
+    compile and solve (``finite._Tree.violations``); their summaries'
+    ``subgame_values`` are computed on first access.
     """
-    expected = frozenset(players) if players is not None else declared_players(game)
-    found: list[Violation] = []
-    for address, sub in walk(game):
-        where = format_address(address)
-        if isinstance(sub, Leaf):
-            missing = expected - sub.payoffs.players
-            extra = sub.payoffs.players - expected
-            for pid in sorted(missing):
-                found.append(Violation(where, f"missing payoff for {pid}"))
-            for pid in sorted(extra):
-                found.append(Violation(where, f"payoff for undeclared player {pid}"))
-            continue
-        if not sub.branches:
-            found.append(Violation(where, "empty branch list"))
-        seen: set[str] = set()
-        for action, _ in sub.branches:
-            if action in seen:
-                found.append(Violation(where, f"duplicate action label {action!r}"))
-            seen.add(action)
-        if players is not None and sub.mover not in expected:
-            found.append(Violation(where, f"undeclared mover {sub.mover}"))
-    return ValidationReport(tuple(found))
+    from seqgames.finite import _Tree  # finite imports this module
+
+    return ValidationReport(_Tree(game).violations(players))
 
 
 class TreeProfile(_FrozenMap):

@@ -14,10 +14,11 @@ payoff-identical the count equals the product of the per-node choice counts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from seqgames.core import (
@@ -32,7 +33,6 @@ from seqgames.core import (
     Violation,
     _require_total,
     format_address,
-    validate_game,
     walk,
 )
 
@@ -86,14 +86,24 @@ class EquilibriumSummary:
             branch order at every node); always passes ``is_spe_finite``.
         payoff: the payoff vector induced by the representative.
         subgame_values: per node, all payoff vectors achievable by the
-            equilibria of that subgame.
+            equilibria of that subgame; computed on first access, by solving
+            again the game the summary keeps (neither compared nor printed).
     """
 
     optimal_actions: Mapping[Address, tuple[str, ...]]
     count: int
     representative: TreeProfile
     payoff: PayoffVector
-    subgame_values: Mapping[Address, tuple[PayoffVector, ...]]
+    # The solved game and each position's mover, in preorder (None at a leaf).
+    _game: FiniteGame | None = field(default=None, repr=False, compare=False)
+    _movers: Sequence[str | None] = field(default=(), repr=False, compare=False)
+
+    @functools.cached_property
+    def subgame_values(self) -> Mapping[Address, tuple[PayoffVector, ...]]:
+        tree = _Tree(self._game)
+        leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
+        counts = _analyze(tree, leaf, ranks)[0]
+        return {tree.addresses[i]: tuple(vectors[v] for v in counts[i]) for i in tree.postorder}
 
     @property
     def choice_product(self) -> int:
@@ -109,10 +119,12 @@ class _InvalidGame(GameError):
         self.first = violations[0]
 
 
-def _require_valid(game: FiniteGame) -> None:
-    report = validate_game(game)
-    if not report.ok:
-        raise _InvalidGame(report.violations)
+def _require_valid(game: FiniteGame) -> _Tree:
+    """The game compiled; raises _InvalidGame if it has a violation."""
+    tree = _Tree(game)
+    if violations := tree.violations():
+        raise _InvalidGame(violations)
+    return tree
 
 
 def _payoff_ids(
@@ -210,8 +222,7 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
     induction above the node; at ties that means its continuation payoff is
     not beaten by every alternative continuation of each sibling branch.
     """
-    _require_valid(game)
-    tree = _Tree(game)
+    tree = _require_valid(game)
     leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
     counts, used, best, picks = _analyze(tree, leaf, ranks)
     return EquilibriumSummary(
@@ -224,9 +235,8 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
             (tree.addresses[i], tree.labels[i][b]) for i, b in zip(tree.post, picks)
         ),
         payoff=vectors[best[0]],
-        subgame_values={
-            tree.addresses[i]: tuple(vectors[v] for v in counts[i]) for i in tree.postorder
-        },
+        _game=game,
+        _movers=tree.movers,
     )
 
 
@@ -269,6 +279,9 @@ class _Tree:
     the solver fills in subgames and the one-shot deviation check visits
     them.  ``from_graph`` compiles a shared table of unfoldings instead,
     addressed by (state, stage, remaining depth) keys.
+
+    Games are validated on these arrays (``violations``); the solvers
+    compile once, and ``subgame_values`` compiles again on first access.
     """
 
     __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "postorder", "post")
@@ -386,6 +399,40 @@ class _Tree:
         tree.postorder = list(range(len(movers)))
         tree.post = [i for i in tree.postorder if movers[i] is not None]
         return tree, roots
+
+    def violations(self, players: Iterable[str] | None = None) -> tuple[Violation, ...]:
+        """What ``core.validate_game`` reports, in preorder: at a leaf its
+        missing, then its extra players (each sorted); at a node an empty
+        branch list, duplicate labels, then an undeclared mover.  Each
+        distinct payoff object is checked once, and only a violation's
+        address is formatted."""
+        distinct = dict(zip(map(id, self.payoffs), self.payoffs))
+        sets = {k: p.players for k, p in distinct.items() if p is not None}
+        movers = set(self.movers) - {None}
+        expected = frozenset(movers.union(*sets.values()) if players is None else players)
+        wrong = {k: s for k, s in sets.items() if s != expected}
+        undeclared = movers - expected
+        # A node has no labels only when more positions than leaves have none.
+        empty = self.labels.count(()) > len(self.labels) - len(self.post)
+        if not (wrong or undeclared or empty or any(len(set(a)) < len(a) for a in set(self.labels))):
+            return ()
+        found: list[Violation] = []
+        for i, (mover, actions) in enumerate(zip(self.movers, self.labels)):
+            if mover is None:
+                own = wrong.get(id(self.payoffs[i]), expected)
+                messages = [f"missing payoff for {pid}" for pid in sorted(expected - own)]
+                messages += [f"payoff for undeclared player {pid}" for pid in sorted(own - expected)]
+            else:
+                messages = [] if actions else ["empty branch list"]
+                seen: set[str] = set()
+                for action in actions:
+                    if action in seen:
+                        messages.append(f"duplicate action label {action!r}")
+                    seen.add(action)
+                if mover in undeclared:
+                    messages.append(f"undeclared mover {mover}")
+            found += [Violation(format_address(self.addresses[i]), m) for m in messages]
+        return tuple(found)
 
     def rows(self) -> dict[str, list[Fraction | None]]:
         """Each mover's payoff at every leaf, by position (None elsewhere).
@@ -530,7 +577,11 @@ def is_spe_finite(
     the compiled arrays) and UnknownPlayerError if a leaf lacks a mover's
     payoff.
     """
-    tree = _Tree(game)
+    return _spe_check(_Tree(game), profile, root_only)
+
+
+def _spe_check(tree: _Tree, profile: TreeProfile, root_only: bool) -> SpeCheck:
+    """``is_spe_finite`` on a game already compiled."""
     picks = tree.picks(profile)
     if root_only:
         return SpeCheck(_nash_counterexample(tree, picks, _reached(tree, picks)))
@@ -582,11 +633,10 @@ def brute_force_spe(
     order the leaves exactly as the payoffs do.  A ``TreeProfile`` is built
     only for accepted profiles.
     """
-    _require_valid(game)
-    size = profile_space_size(game)
+    tree = _require_valid(game)
+    size = math.prod(len(tree.children[i]) for i in tree.post)
     if size > cap:
         raise CapExceededError(f"profile space {size} exceeds cap {cap}")
-    tree = _Tree(game)
     nodes = tree.checked_nodes({p: _ranks(row) for p, row in tree.rows().items()})
     reached = list(range(len(tree.addresses)))
     accepted = [
@@ -611,8 +661,7 @@ def enumerate_spe_profiles(
     an equilibrium iff its restriction to every branch is one and the chosen
     branch's value is not beaten by any sibling restriction's value.
     """
-    _require_valid(game)
-    tree = _Tree(game)
+    tree = _require_valid(game)
     leaf, _, ranks = _payoff_ids(tree.payoffs, tree.players())
     total = sum(_analyze(tree, leaf, ranks)[0][0].values())
     if total > cap:

@@ -7,7 +7,7 @@ what some faster library code must agree with.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from seqgames.coinduction import Refuted, StationaryProfile
 from seqgames.core import (
@@ -18,7 +18,10 @@ from seqgames.core import (
     Node,
     PayoffVector,
     TreeProfile,
+    ValidationReport,
+    Violation,
     check_profile_total,
+    format_address,
     walk,
 )
 from seqgames.escalation import (
@@ -56,6 +59,44 @@ def subgame_at(game: FiniteGame, address: Address) -> FiniteGame:
 def internal_addresses(game: FiniteGame) -> list[Address]:
     """Addresses of all decision nodes, in depth-first (preorder) order."""
     return [address for address, sub in walk(game) if isinstance(sub, Node)]
+
+
+def validate_game_by_walk(
+    game: FiniteGame, players: Iterable[str] | None = None
+) -> ValidationReport:
+    """``validate_game`` by walking the game object: two walks, one to
+    collect the declared players and one to check every position."""
+    if players is not None:
+        expected = frozenset(players)
+    else:
+        declared: set[str] = set()
+        for _, sub in walk(game):
+            if isinstance(sub, Leaf):
+                declared.update(sub.payoffs.players)
+            else:
+                declared.add(sub.mover)
+        expected = frozenset(declared)
+    found: list[Violation] = []
+    for address, sub in walk(game):
+        where = format_address(address)
+        if isinstance(sub, Leaf):
+            missing = expected - sub.payoffs.players
+            extra = sub.payoffs.players - expected
+            for pid in sorted(missing):
+                found.append(Violation(where, f"missing payoff for {pid}"))
+            for pid in sorted(extra):
+                found.append(Violation(where, f"payoff for undeclared player {pid}"))
+            continue
+        if not sub.branches:
+            found.append(Violation(where, "empty branch list"))
+        seen: set[str] = set()
+        for action, _ in sub.branches:
+            if action in seen:
+                found.append(Violation(where, f"duplicate action label {action!r}"))
+            seen.add(action)
+        if players is not None and sub.mover not in expected:
+            found.append(Violation(where, f"undeclared mover {sub.mover}"))
+    return ValidationReport(tuple(found))
 
 
 def is_spe_by_best_response(game: FiniteGame, profile: TreeProfile) -> bool:

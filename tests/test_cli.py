@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from seqgames import coinduction
+from seqgames import coinduction, core
 from seqgames.cli import main
 from seqgames.dsl import parse, serialize
 from seqgames.finite import _Tree
@@ -346,24 +346,31 @@ WIDE = (
 def test_counts_beyond_the_int_digit_limit_print_exactly(tmp_path, capsys):
     source, tree = tmp_path / "wide.ggraph", str(tmp_path / "wide.game")
     source.write_text(WIDE)
-    limit = sys.get_int_max_str_digits()
     count = summarize_depth(parse(WIDE), 14, DeciderQuitsClosure()).count
     digits = str(decimal.Decimal(count))
     assert len(digits) == 4932
-    assert main(["truncate", str(source), "--depth", "14", "--closure", "quit", "-o", tree]) == 0
-    assert main(["solve", tree]) == 0
-    assert capsys.readouterr().out.startswith(f"equilibria: {digits}\n")
-    assert main(["solve", tree, "--format", "json"]) == 0
-    solved = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
-    assert solved["equilibria"] == decimal.Decimal(count)
-    assert main(["extrapolate", str(source), "--depths", "13..14", "--closure", "quit"]) == 0
-    rows = capsys.readouterr().out.splitlines()
-    assert rows[3].split()[:2] == ["14", digits]
-    assert main(["extrapolate", str(source), "--depths", "14", "--closure", "quit", "--format", "json"]) == 0
-    report = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
-    assert report["depths"][0]["equilibrium_count"] == decimal.Decimal(count)
-    # The limit is lifted only while the JSON is rendered.
-    assert sys.get_int_max_str_digits() == limit
+    limit = sys.get_int_max_str_digits()
+    # CPython's default, whatever an earlier test left behind, so that a
+    # limit left lifted by the commands below shows.
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["truncate", str(source), "--depth", "14", "--closure", "quit", "-o", tree]) == 0
+        assert main(["solve", tree]) == 0
+        assert capsys.readouterr().out.startswith(f"equilibria: {digits}\n")
+        assert main(["solve", tree, "--format", "json"]) == 0
+        solved = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
+        assert solved["equilibria"] == decimal.Decimal(count)
+        assert main(["extrapolate", str(source), "--depths", "13..14", "--closure", "quit"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[3].split()[:2] == ["14", digits]
+        argv = ["extrapolate", str(source), "--depths", "14", "--closure", "quit", "--format", "json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
+        assert report["depths"][0]["equilibrium_count"] == decimal.Decimal(count)
+        # The limit is lifted only while the JSON is rendered.
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # What ``truncate`` writes for WIDE at depth 14 with the quit closure.
@@ -401,29 +408,48 @@ def test_extrapolation_report_json_prints_counts_beyond_the_digit_limit():
     assert report["depths"][0]["equilibrium_count"] == decimal.Decimal(count)
 
 
-def test_solve_validates_each_game_once(tmp_path, capsys, monkeypatch):
-    import seqgames.cli
-    import seqgames.finite
+def test_each_command_compiles_the_game_once(tmp_path, capsys, monkeypatch):
+    # Validation runs on the tree the solvers compile, so every finite-game
+    # command compiles its game exactly once and walks it no other way.
+    compiled, walked = [], []
+    compile_game, walk = _Tree.__init__, core.walk
 
-    calls = []
+    def counting(self, tree):
+        compiled.append(tree)
+        compile_game(self, tree)
 
-    def counting(validate):
-        def wrapper(game, *args):
-            calls.append(game)
-            return validate(game, *args)
+    def counting_walk(tree):
+        walked.append(tree)
+        return walk(tree)
 
-        return wrapper
-
-    for module in (seqgames.cli, seqgames.finite):
-        monkeypatch.setattr(module, "validate_game", counting(module.validate_game))
-    assert main(["solve", game("matching_pennies.game")]) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(_Tree, "__init__", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("seqgames") and getattr(module, "walk", None) is walk:
+            monkeypatch.setattr(module, "walk", counting_walk)
+    good = game("matching_pennies.game")
+    profile = game("matching_pennies_eq.profile")
     bad = tmp_path / "bad.game"
     bad.write_text("(node A (c (leaf (A:1))) (l (leaf (A:0) (B:1))))")
-    capsys.readouterr()
-    assert main(["solve", str(bad)]) == 2
-    assert capsys.readouterr().err == "error: invalid game: c: missing payoff for B\n"
-    assert len(calls) == 2
+    for argv, code in [
+        (["solve", good], 0),
+        (["solve", good, "--format", "json"], 0),
+        (["check", good, "--profile", profile], 0),
+        (["check", good, "--profile", profile, "--root-only"], 0),
+        (["validate", good], 0),
+        (["solve", str(bad)], 2),
+        (["solve", str(bad), "--format", "json"], 2),
+        (["check", str(bad), "--profile", profile], 2),
+        (["validate", str(bad)], 2),
+    ]:
+        compiled.clear()
+        capsys.readouterr()
+        assert main(argv) == code, argv
+        assert (len(compiled), walked) == (1, []), argv
+        out, err = capsys.readouterr()
+        if code == 2 and argv[0] == "validate":
+            assert out == "violation: c: missing payoff for B\n"
+        elif code == 2:
+            assert err == "error: invalid game: c: missing payoff for B\n", argv
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import random
 import subprocess
+from collections import Counter
 import sys
 import textwrap
 from dataclasses import dataclass
@@ -23,8 +24,11 @@ from seqgames.core import (
     prefers,
     validate_game,
 )
-from tests.conftest import random_finite_game
-from tests.reference import all_profiles
+from seqgames.dsl import ParseError, parse
+from seqgames.truncation import ConstantClosure, MissingClosureError, StateClosure, truncate
+from tests.conftest import random_finite_game, random_game_graph, random_param_graph, random_payoffs
+from tests.reference import all_profiles, validate_game_by_walk
+from tests.test_dsl import _mutation_corpus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,6 +54,70 @@ def test_validate_duplicate_labels():
     game = node("A", ("c", leaf(A=0)), ("c", leaf(A=1)))
     report = validate_game(game)
     assert any("duplicate action label" in v.message for v in report.violations)
+
+
+def _faulty_game(rng: random.Random, pool: list[PayoffVector]):
+    """A random tree that may break every rule: leaves over subsets of A-C,
+    many of them sharing payoff objects, movers from A-D, repeated labels
+    and empty branch lists."""
+
+    def build(depth_left: int):
+        if depth_left == 0 or rng.random() < 0.35:
+            if rng.random() < 0.7:
+                return Leaf(rng.choice(pool))
+            players = rng.sample("ABC", rng.randint(0, 3))
+            return Leaf(PayoffVector({p: rng.randint(0, 3) for p in players}))
+        width = rng.choice((0, 1, 2, 2, 3))
+        labels = rng.choices("abc", k=width) if rng.random() < 0.3 else "abc"[:width]
+        return Node(rng.choice("ABCD"), tuple((label, build(depth_left - 1)) for label in labels))
+
+    return build(rng.randint(0, 4))
+
+
+def test_validation_matches_walking_reference():
+    # The compiled tree's checks against the walk-based rules they replaced:
+    # the same violations, in the same order, with and without players=.
+    rng = random.Random(2206)
+    games = []
+    for _ in range(1500):
+        pool = [
+            PayoffVector({p: rng.randint(0, 3) for p in rng.sample("ABC", rng.randint(1, 3))})
+            for _ in range(3)
+        ]
+        games.append(_faulty_game(rng, pool))
+    for text in _mutation_corpus(seed=22, count=600):
+        try:
+            doc = parse(text)
+        except ParseError:
+            continue
+        if isinstance(doc, (Leaf, Node)):
+            games.append(doc)
+    # Shared DAGs whose cut payoffs may miss a player.
+    graphs = [random_game_graph(rng, max_internal=4) for _ in range(40)]
+    graphs += [random_param_graph(rng, max_internal=4) for _ in range(40)]
+    for graph in graphs:
+        short = random_payoffs(rng, players=("A",))
+        mapping = {
+            sid: random_payoffs(rng, players=rng.choice((("A", "B"), ("B",), ("A", "B", "C"))))
+            for sid in graph.internal_ids()
+        }
+        for rule in (ConstantClosure(short), StateClosure(mapping)):
+            for depth in range(5):
+                try:
+                    games.append(truncate(graph, depth, rule))
+                except MissingClosureError:
+                    pass
+    seen = Counter()
+    for game in games:
+        for players in (None, "AB", "A", "ABC", ()):
+            report = validate_game(game, players=None if players is None else set(players))
+            assert report == validate_game_by_walk(game, players), (game, players)
+            seen.update(v.message.split()[0] for v in report.violations)
+            seen["valid"] += report.ok
+    # Every rule fires, and so do valid games.
+    assert all(
+        seen[word] >= 100 for word in ("missing", "payoff", "empty", "duplicate", "undeclared", "valid")
+    ), seen
 
 
 def test_prefers_basic():

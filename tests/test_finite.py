@@ -145,6 +145,25 @@ def test_oracle_equivalence_on_random_games():
                 assert {p[()] for p in local} == used[address], (game, address)
 
 
+def test_subgame_values_are_computed_on_first_access():
+    game = divergent_tie_game()
+    summary = backward_induction(game)
+    assert "subgame_values" not in vars(summary)
+    values = summary.subgame_values
+    assert values is summary.subgame_values
+    assert values == {
+        ("l", "x"): (PayoffVector(A=0, B=5),),
+        ("l", "y"): (PayoffVector(A=2, B=5),),
+        ("l",): (PayoffVector(A=0, B=5), PayoffVector(A=2, B=5)),
+        ("r",): (PayoffVector(A=1, B=0),),
+        (): (PayoffVector(A=2, B=5), PayoffVector(A=1, B=0)),
+    }
+    assert list(values) == [("l", "x"), ("l", "y"), ("l",), ("r",), ()]
+    # What the summary keeps to compute them is neither compared nor printed.
+    assert summary == backward_induction(game)
+    assert all(name not in repr(summary) for name in ("_game", "_movers", "subgame_values"))
+
+
 def test_one_shot_equals_full_deviation_check():
     rng = random.Random(99)
     for _ in range(40):
