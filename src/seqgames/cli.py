@@ -46,6 +46,7 @@ from seqgames.graphs import GameGraph, ParamGraph, validate_graph
 from seqgames.truncation import (
     ClosureRule,
     DeciderQuitsClosure,
+    _describe_char,
     _json_text,
     extrapolation_report,
     parse_closure_spec,
@@ -82,25 +83,17 @@ def _bad(text: str) -> str:
     return _styled(text, "31")
 
 
-def _rat(value: Fraction) -> str:
-    return str(value)
-
-
 def _payoffs_text(payoffs: PayoffVector) -> str:
-    return "(" + ", ".join(f"{p}:{_rat(v)}" for p, v in payoffs.items()) + ")"
+    return "(" + ", ".join(f"{p}:{v}" for p, v in payoffs.items()) + ")"
 
 
 def _payoffs_json(payoffs: PayoffVector) -> dict:
-    return {p: _rat(v) for p, v in payoffs.items()}
-
-
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    return {p: str(v) for p, v in payoffs.items()}
 
 
 def _load(path: str):
-    return parse(_read(path))
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse(handle.read())
 
 
 def _count_text(count: int) -> str:
@@ -308,7 +301,7 @@ def _verdict_json(verdict: SpeVerdict) -> dict:
         "action": verdict.action,
         "profile_payoffs": _payoffs_json(verdict.profile_payoffs),
         "deviation_payoffs": _payoffs_json(verdict.deviation_payoffs),
-        "gain": _rat(verdict.gain),
+        "gain": str(verdict.gain),
     }
 
 
@@ -332,9 +325,9 @@ def _cmd_check(args) -> int:
                 "address": format_address(ce.address),
                 "player": ce.player,
                 "action": ce.action,
-                "profile_payoff": _rat(ce.profile_payoff),
-                "deviation_payoff": _rat(ce.deviation_payoff),
-                "gain": _rat(ce.gain),
+                "profile_payoff": str(ce.profile_payoff),
+                "deviation_payoff": str(ce.deviation_payoff),
+                "gain": str(ce.gain),
             }
             text = _bad("refuted") + f": {ce}"
     else:
@@ -431,13 +424,9 @@ def _cmd_extrapolate(args) -> int:
     print(f"closure: {args.closure.describe()}")
     print(f"{'depth':>5}  {'count':>7}  characterization (payoff)")
     for summary in report.summaries:
-        chars = ", ".join(
-            f"{p} {summary.characterization[p].describe()}"
-            for p in sorted(summary.characterization)
-        )
         print(
-            f"{summary.depth:>5}  {_count_text(summary.count):>7}  {chars} "
-            f"{_payoffs_text(summary.payoff)}"
+            f"{summary.depth:>5}  {_count_text(summary.count):>7}  "
+            f"{_describe_char(summary.characterization)} {_payoffs_text(summary.payoff)}"
         )
     print("infinite stationary equilibria:")
     for profile in report.infinite_spes:

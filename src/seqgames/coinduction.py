@@ -225,7 +225,6 @@ class _ProfileChecker:
         # Shared verdicts by key; a pgraph edge test that finds no
         # violation is kept as None.
         self._verdicts: dict[tuple, Refuted | NotAdmissible | None] = {}
-        self._evaluated: dict[tuple[int, int], PayoffVector] = {}
 
     @functools.cached_property
     def edges(self) -> list[tuple[int, int, int, list]]:
@@ -310,14 +309,6 @@ class _ProfileChecker:
         }
         return {sid: values[sid] for sid in self.graph.states}
 
-    def _at_stage(self, end: int, stage: int) -> PayoffVector:
-        """Terminal ``end``'s payoffs at ``stage``, evaluated once: verdicts
-        that name the same terminal and stage share them."""
-        key = (end, stage)
-        if key not in self._evaluated:
-            self._evaluated[key] = self.payoffs[end].at_stage(stage)
-        return self._evaluated[key]
-
     def check(self, profile: StationaryProfile) -> SpeVerdict:
         """Admissibility, then every one-shot deviation."""
         picks = self.picks(profile)
@@ -376,7 +367,7 @@ class _ProfileChecker:
             return None
         return Refuted(
             self.ids[i], witness, self.movers[i], self.labels[i][j],
-            self._at_stage(ei, si + witness), self._at_stage(et, st + witness),
+            self.payoffs[ei].at_stage(si + witness), self.payoffs[et].at_stage(st + witness),
         )
 
     def walk(self) -> list[tuple[StationaryProfile, SpeVerdict]]:

@@ -3,7 +3,9 @@
 Payoffs are exact rationals (`fractions.Fraction`) and the solvers only ever
 compare them, never add them, so every result is invariant under strictly
 monotone re-encodings of the payoff scale.  All values in this module are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads.  The hash
+cached on a payoff map or a game node is written once, on first use, and
+any thread that writes it writes the same value.
 """
 
 from __future__ import annotations
@@ -173,6 +175,8 @@ class Node:
     Equality, hashing and ``repr`` give what a frozen dataclass generates,
     but walk the tree with explicit stacks, so they work on trees deeper
     than the recursion limit.  Shared subtrees are visited once per call.
+    Each node keeps its hash once computed, so hashing it again, or any tree
+    that contains it, does not walk below it.
     """
 
     mover: str
@@ -200,30 +204,27 @@ class Node:
         return True
 
     def __hash__(self) -> int:
-        # hash((mover, branches)), with each child node's hash computed
-        # first and handed to the tuple hash through a _Hashed stand-in.
-        hashes: dict[int, _Hashed] = {}
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        # hash((mover, branches)), children first, so the tuple hash finds
+        # each child node's hash already stored on it.
         stack: list[Node] = [self]
         while stack:
             node = stack[-1]
-            if id(node) in hashes:
-                stack.pop()
-                continue
             missing = [
                 child
                 for _, child in node.branches
-                if child.__class__ is Node and id(child) not in hashes
+                if child.__class__ is Node and "_hash" not in child.__dict__
             ]
             if missing:
                 stack.extend(missing)
                 continue
             stack.pop()
-            branches = tuple(
-                (label, hashes[id(child)] if child.__class__ is Node else child)
-                for label, child in node.branches
-            )
-            hashes[id(node)] = _Hashed(hash((node.mover, branches)))
-        return hashes[id(self)].value
+            if "_hash" not in node.__dict__:
+                node.__dict__["_hash"] = hash((node.mover, node.branches))
+        return self._hash
 
     def __repr__(self) -> str:
         parts: list[str] = []
@@ -240,18 +241,6 @@ class Node:
                 label, child = item.branches[i]
                 stack.extend((")", child, f"{', ' if i else ''}({label!r}, "))
         return "".join(parts)
-
-
-class _Hashed:
-    """Stands in for a subtree whose hash is already known."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def __hash__(self) -> int:
-        return self.value
 
 
 FiniteGame = Leaf | Node

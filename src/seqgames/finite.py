@@ -493,68 +493,53 @@ def _first_deviation(
     return None
 
 
-def _reached(tree: _Tree, picks: tuple[int, ...]) -> list[int]:
-    """The leaf position each position leads to when the profile is followed."""
-    reached = list(range(len(tree.addresses)))
-    for i, pick in zip(tree.post, picks):
-        reached[i] = reached[tree.children[i][pick]]
-    return reached
-
-
-def _best_responses(
-    tree: _Tree, player: str, choose, start: int = 0
-) -> dict[int, Fraction]:
+def _best_responses(tree: _Tree, player: str, fixed: Mapping[int, int]) -> dict[int, Fraction]:
     """Best payoff ``player`` can reach from each position reachable from
-    ``start`` when the others follow ``choose`` (position -> branch index).
-
-    ``choose`` is called only at the others' nodes on the way, in preorder.
-    """
+    the root: a node in ``fixed`` (position -> branch index) follows its
+    branch, and every other node takes the branch of highest payoff for
+    ``player``.  With every node fixed it is the profile's own payoff."""
     order: list[int] = []
-    followed: dict[int, int] = {}
-    stack = [start]
+    stack = [0]
     while stack:
         i = stack.pop()
         order.append(i)
-        if tree.movers[i] == player:
-            stack.extend(reversed(tree.children[i]))
-        elif tree.movers[i] is not None:
-            followed[i] = tree.children[i][choose(i)]
-            stack.append(followed[i])
+        if i in fixed:
+            stack.append(tree.children[i][fixed[i]])
+        else:
+            stack.extend(tree.children[i])
     best: dict[int, Fraction] = {}
     for i in reversed(order):
         if tree.movers[i] is None:
             best[i] = tree.payoffs[i][player]
-        elif i in followed:
-            best[i] = best[followed[i]]
+        elif i in fixed:
+            best[i] = best[tree.children[i][fixed[i]]]
         else:
             best[i] = max(best[k] for k in tree.children[i])
     return best
 
 
-def _nash_counterexample(
-    tree: _Tree, picks: tuple[int, ...], reached: list[int]
-) -> Counterexample | None:
-    """Root-payoff deviation check: can any player improve on the whole game?"""
-    choose = dict(zip(tree.post, picks)).__getitem__
+def _nash_counterexample(tree: _Tree, picks: tuple[int, ...]) -> Counterexample | None:
+    """Root-payoff deviation check: can any player improve on the whole game
+    by re-planning all her choices against the others' ``picks``?"""
+    fixed = dict(zip(tree.post, picks))
     for player in tree.players():
-        current = tree.payoffs[reached[0]][player]
-        best = _best_responses(tree, player, choose)
+        current = _best_responses(tree, player, fixed)[0]
+        others = {i: b for i, b in fixed.items() if tree.movers[i] != player}
+        best = _best_responses(tree, player, others)
         if best[0] <= current:
             continue
-        # Witness: first node on the improved play path where the greedy
-        # best response (first maximizer in branch order) departs from the
-        # profile.
+        # Witness: first node on the profile's play path where the greedy
+        # best response (first maximizer in branch order) departs from it.
         i = 0
         while tree.movers[i] is not None:
             kids = tree.children[i]
-            pick = choose(i)
             if tree.movers[i] == player:
                 response = next(b for b, k in enumerate(kids) if best[k] == best[i])
-                if response != pick:
+                if response != fixed[i]:
                     return Counterexample(
                         tree.addresses[i], player, tree.labels[i][response], current, best[0]
                     )
-            i = kids[pick]
+            i = kids[fixed[i]]
         raise AssertionError("improving best response with no deviation on path")
     return None
 
@@ -575,7 +560,8 @@ def is_spe_finite(
 
     Raises ProfileError if the profile is not total (``_Tree.picks``, on
     the compiled arrays) and UnknownPlayerError if a leaf lacks a mover's
-    payoff.
+    payoff; with ``root_only``, only a leaf that some player's best
+    response pass reaches is read.
     """
     return _spe_check(_Tree(game), profile, root_only)
 
@@ -584,7 +570,7 @@ def _spe_check(tree: _Tree, profile: TreeProfile, root_only: bool) -> SpeCheck:
     """``is_spe_finite`` on a game already compiled."""
     picks = tree.picks(profile)
     if root_only:
-        return SpeCheck(_nash_counterexample(tree, picks, _reached(tree, picks)))
+        return SpeCheck(_nash_counterexample(tree, picks))
     nodes = tree.checked_nodes(tree.rows())
     reached = list(range(len(tree.addresses)))
     found = _first_deviation(nodes, picks, reached)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator
+from fractions import Fraction
 
 from seqgames.coinduction import Refuted, StationaryProfile
 from seqgames.core import (
@@ -30,7 +31,6 @@ from seqgames.escalation import (
     WitnessStep,
     _rational_edges,
 )
-from seqgames.finite import _best_responses, _reached, _Tree
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
@@ -103,26 +103,43 @@ def is_spe_by_best_response(game: FiniteGame, profile: TreeProfile) -> bool:
     """Reference check allowing arbitrary (multi-node) unilateral deviations.
 
     Accepts the profile iff in every subgame, every player's payoff under the
-    profile already equals her best response against the others.  Used to
-    confirm that one-shot deviations suffice on finite games.
+    profile already equals her best response against the others.  Both are
+    computed bottom-up over the game object, so the check shares no code with
+    the engine's.  Used to confirm that one-shot deviations suffice on finite
+    games.
     """
     check_profile_total(game, profile)
-    tree = _Tree(game)
-    picks = tree.picks(profile)
-    reached = _reached(tree, picks)
-    choose = dict(zip(tree.post, picks)).__getitem__
-    for player in tree.players():
-        for i in tree.post:
-            best = _best_responses(tree, player, choose, i)[i]
-            if best > tree.payoffs[reached[i]][player]:
+    # Per address: the leaf payoffs the profile reaches from there, and each
+    # player's best payoff against the others' choices.
+    played: dict[Address, PayoffVector] = {}
+    best: dict[tuple[Address, str], Fraction] = {}
+    positions = list(walk(game))
+    players = sorted({sub.mover for _, sub in positions if isinstance(sub, Node)})
+    for address, sub in reversed(positions):
+        if isinstance(sub, Leaf):
+            played[address] = sub.payoffs
+            for player in players:
+                best[address, player] = sub.payoffs[player]
+            continue
+        chosen = address + (profile[address],)
+        played[address] = played[chosen]
+        for player in players:
+            if sub.mover == player:
+                best[address, player] = max(best[address + (a,), player] for a, _ in sub.branches)
+            else:
+                best[address, player] = best[chosen, player]
+            if best[address, player] > played[address][player]:
                 return False
     return True
 
 
 def all_profiles(game: FiniteGame) -> Iterator[TreeProfile]:
     """Every total profile, in lexicographic (address, branch order) order."""
-    tree = _Tree(game)
-    nodes = sorted((tree.addresses[i], tree.labels[i]) for i in tree.post)
+    nodes = sorted(
+        (address, tuple(action for action, _ in sub.branches))
+        for address, sub in walk(game)
+        if isinstance(sub, Node)
+    )
     addresses = [address for address, _ in nodes]
     for combo in itertools.product(*(labels for _, labels in nodes)):
         yield TreeProfile(zip(addresses, combo))

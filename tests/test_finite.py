@@ -9,6 +9,7 @@ from seqgames.core import (
     PayoffVector,
     ProfileError,
     TreeProfile,
+    UnknownPlayerError,
     check_profile_total,
     leaf,
     node,
@@ -297,6 +298,37 @@ def test_root_only_rejects_non_equilibria():
     check = is_spe_finite(game, bad, root_only=True)
     assert not check.ok
     assert check.counterexample.player == "A"
+
+
+def test_a_leaf_without_a_movers_payoff_raises_unknown_player():
+    # is_spe_finite does not validate.  The full check reads every leaf's
+    # payoff for every mover; the root-only check reads those its best
+    # response passes reach.
+    lacks_b = leaf(A=1)
+    on_play = node(
+        "A", ("x", lacks_b), ("y", node("B", ("u", leaf(A=0, B=1)), ("v", leaf(A=2, B=0))))
+    )
+    on_best_response = node(
+        "A", ("x", node("B", ("u", leaf(A=1, B=0)), ("v", lacks_b))), ("y", leaf(A=0, B=0))
+    )
+    for game, choices in (
+        (on_play, {(): "x", ("y",): "u"}),
+        (on_best_response, {(): "x", ("x",): "u"}),
+    ):
+        for root_only in (False, True):
+            with pytest.raises(UnknownPlayerError) as error:
+                is_spe_finite(game, TreeProfile(choices), root_only=root_only)
+            assert str(error.value) == "no payoff entry for player 'B'"
+    # Behind a branch of A's that the profile does not take, only A's pass
+    # reaches the leaf, and it reads A's payoff.
+    unreached = node(
+        "A", ("x", leaf(A=-1)), ("y", node("B", ("u", leaf(A=1, B=0)), ("v", leaf(A=0, B=1))))
+    )
+    profile = TreeProfile({(): "y", ("y",): "v"})
+    assert is_spe_finite(unreached, profile, root_only=True).ok
+    with pytest.raises(UnknownPlayerError) as error:
+        is_spe_finite(unreached, profile)
+    assert str(error.value) == "no payoff entry for player 'B'"
 
 
 def test_profile_space_size():
