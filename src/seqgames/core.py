@@ -10,7 +10,7 @@ any thread that writes it writes the same value.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Iterator, Mapping
+from collections.abc import Collection, ItemsView, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -86,6 +86,9 @@ class _FrozenMap(Mapping):
     def __len__(self) -> int:
         return len(self._entries)
 
+    def items(self) -> ItemsView:
+        return _EntriesView(self)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
             return self._entries == other._entries  # type: ignore[attr-defined]
@@ -104,6 +107,15 @@ class _FrozenMap(Mapping):
     def __repr__(self) -> str:
         inner = ", ".join(f"{self._format_key(k)}:{v}" for k, v in self._entries)
         return f"{type(self).__name__}({inner})"
+
+
+class _EntriesView(ItemsView):
+    """``items()`` of a ``_FrozenMap``, iterating its stored entry tuples."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self._mapping._entries)
 
 
 class PayoffVector(_FrozenMap):

@@ -7,7 +7,8 @@ starts a comment running to the end of the line, rationals are written
 profiles they are action paths joined by dots, with ``.`` alone naming the
 root.  ``serialize`` emits a canonical form (two-space indentation, branch
 order preserved, rationals in lowest terms) that parses back to a
-structurally equal value.
+structurally equal value.  ``parse`` reads a canonical finite game or profile
+in one pass, and any other document token by token, which words every error.
 """
 
 from __future__ import annotations
@@ -132,21 +133,16 @@ _TOKEN_CLASSES = r"""
 """
 _SCANNER = re.compile(_TOKEN_CLASSES, re.VERBOSE | re.DOTALL)
 
-# ``parse`` first reads each leaf in ``serialize``'s canonical form, such as
-# ``(leaf (A:1) (B:-1/2))``, as one LEAF token, which spans exactly the
-# tokens ``( leaf ( A : 1 ) ( B : - 1 / 2 ) )`` would.
-_LEAF_SCANNER = re.compile(
-    r"(?P<LEAF>\(leaf(?:[ ]\([^\W\d]\w*:-?\d+(?:/\d+)?\))+\)) |" + _TOKEN_CLASSES,
-    re.VERBOSE | re.DOTALL,
-)
-_ENTRY = re.compile(r"\((\w+):(-?\d+)(?:/(\d+))?\)")
 
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of ``text``, ending with an EOF token.
 
-def _scan(text: str, scanner: re.Pattern[str]) -> list[tuple[str, str, int]]:
-    """The tokens of ``text`` as ``scanner`` reads them, ending with EOF."""
+    Numbers are runs of decimal digits (``str.isdecimal``); a word starts
+    with a letter or ``_`` and continues with letters, digits or ``_``.
+    """
     tokens = []
     append = tokens.append
-    for match in scanner.finditer(text):
+    for match in _SCANNER.finditer(text):
         kind = match.lastgroup
         if kind == "SKIP":
             continue
@@ -164,15 +160,6 @@ def _scan(text: str, scanner: re.Pattern[str]) -> list[tuple[str, str, int]]:
         append((kind, word, offset))
     append(("EOF", "", len(text)))
     return tokens
-
-
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """The (kind, text, offset) tokens of ``text``, ending with an EOF token.
-
-    Numbers are runs of decimal digits (``str.isdecimal``); a word starts
-    with a letter or ``_`` and continues with letters, digits or ``_``.
-    """
-    return _scan(text, _SCANNER)
 
 
 @dataclass(frozen=True)
@@ -198,17 +185,15 @@ Document = FiniteGame | GameGraph | ProfileDoc
 
 
 class _Parser:
-    """Parser over ``_scan``'s tuples, read by index.
-
-    Positions stay offsets until an error needs a ``SourceSpan``.  Equal
-    LEAF tokens share one ``Leaf``, kept in ``leaves`` by their text.
+    """Parser over ``tokenize``'s tuples, read by index, for every document
+    ``_canonical`` gives up on; so every error comes from here.  Positions
+    stay offsets until an error needs a ``SourceSpan``.
     """
 
     def __init__(self, text: str, tokens: list[tuple[str, str, int]]) -> None:
         self.text = text
         self.tokens = tokens
         self.pos = 0
-        self.leaves: dict[str, Leaf] = {}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -311,25 +296,20 @@ class _Parser:
         # document may nest deeper than the recursion limit.
         stack: list[tuple[str, dict[str, FiniteGame | None]]] = []
         while True:
-            kind, text, offset = self.tokens[self.pos]
-            if kind == "LEAF":
-                self.pos += 1
-                done: FiniteGame = self.whole_leaf(text, offset)
-            else:
-                self.expect("LPAREN", what="'('")
-                if self.at("KEYWORD", "node"):
-                    self.take()
-                    stack.append((self.ident("player id")[1], {}))
-                    if self.peek()[0] != "LPAREN":
-                        raise self.error(("branch",))
-                    self.open_branch(stack[-1][1])
-                    continue
-                if not self.at("KEYWORD", "leaf"):
-                    raise self.error(("leaf", "node"))
+            self.expect("LPAREN", what="'('")
+            if self.at("KEYWORD", "node"):
                 self.take()
-                entries = self.payoffs(affine=False)
-                self.expect("RPAREN", what="')'")
-                done = Leaf(PayoffVector({p: v for p, v, _ in entries}))  # type: ignore[misc]
+                stack.append((self.ident("player id")[1], {}))
+                if self.peek()[0] != "LPAREN":
+                    raise self.error(("branch",))
+                self.open_branch(stack[-1][1])
+                continue
+            if not self.at("KEYWORD", "leaf"):
+                raise self.error(("leaf", "node"))
+            self.take()
+            entries = self.payoffs(affine=False)
+            self.expect("RPAREN", what="')'")
+            done: FiniteGame = Leaf(PayoffVector({p: v for p, v, _ in entries}))  # type: ignore[misc]
             # Close the branch the leaf ends, and each node it completes.
             while True:
                 if not stack:
@@ -351,33 +331,6 @@ class _Parser:
         if label in branches:
             raise self.fail(f"duplicate action label {label!r}", offset)
         branches[label] = None
-
-    def whole_leaf(self, text: str, offset: int) -> Leaf:
-        """The leaf a LEAF token spells, decoded on its first occurrence.
-
-        Fails where the payoff grammar would: on a keyword or non-letter
-        as player, a repeated player, a zero denominator or a number too
-        long for ``int``.
-        """
-        leaf = self.leaves.get(text)
-        if leaf is not None:
-            return leaf
-        entries = []
-        for player, numerator, denominator in _ENTRY.findall(text):
-            if player in KEYWORDS or not (player[0].isalpha() or player[0] == "_"):
-                raise self.fail("invalid player id", offset)
-            try:
-                numerator, denominator = int(numerator), int(denominator or 1)
-            except ValueError:  # more digits than int() converts
-                raise self.fail("number too long", offset) from None
-            if denominator == 0:
-                raise self.fail("denominator must be positive", offset)
-            entries.append((player, Fraction(numerator, denominator)))
-        entries.sort()
-        if any(a[0] == b[0] for a, b in zip(entries, entries[1:])):
-            raise self.fail("duplicate payoff entry", offset)
-        leaf = self.leaves[text] = Leaf(PayoffVector._from_sorted(tuple(entries)))
-        return leaf
 
     # --- graphs -----------------------------------------------------------
 
@@ -525,7 +478,7 @@ class _Parser:
         return tuple(segments)
 
     def document(self) -> Document:
-        if self.peek()[0] in ("LPAREN", "LEAF"):
+        if self.peek()[0] == "LPAREN":
             game = self.finite()
             self.expect("EOF", what="end of input")
             return game
@@ -538,14 +491,92 @@ class _Parser:
         raise self.error(("'('", "graph", "pgraph", "profile"))
 
 
-def parse(text: str) -> Document:
-    """Parse one document: a finite game, graph, pgraph, or profile."""
+# ``serialize``'s canonical form, one anchored match per construct.  A game
+# is a node head with its first branch, ``(node A\n  (c ``, or a whole leaf,
+# ``(leaf (A:1) (B:-1/2))``; each subtree is followed by the next branch,
+# ``)\n  (l ``, or by the close of its branch and node, ``))``.  A profile
+# is ``profile {\n``, one ``  c.c.l: c\n`` line per entry, and ``}``.
+_CHILD = re.compile(r"\(node (\w+)\n *\((\w+) |\(leaf(?: \(\w+:-?\d+(?:/\d+)?\))+\)")
+_AFTER = re.compile(r"\)(?:\n *\((\w+) |\))")
+_ENTRY = re.compile(r"\((\w+):(-?\d+)(?:/(\d+))?\)")
+_LINE = re.compile(r"  (\.|\w+(?:\.\w+)*): (\w+)\n")
+_TAIL = re.compile(r"[ \t\r\n]*\Z")
+
+
+def _identifiers(names: Iterable[str]) -> bool:
+    """Whether each name starts with a letter or ``_`` and is no keyword."""
+    return not any(name in KEYWORDS or not (name[0].isalpha() or name[0] == "_") for name in names)
+
+
+def _leaf(text: str, names: set[str]) -> Leaf | None:
+    """The leaf a canonical leaf text spells, its players added to ``names``;
+    None on a repeated player, a zero denominator or an overlong number."""
     try:
-        return _Parser(text, _scan(text, _LEAF_SCANNER)).document()
-    except ParseError:
-        # Read it again token by token, so that an error in or next to a
-        # whole leaf gets the message and position the grammar gives it.
-        return _Parser(text, tokenize(text)).document()
+        entries = sorted((p, Fraction(int(n), int(d or 1))) for p, n, d in _ENTRY.findall(text))
+    except (ValueError, ZeroDivisionError):
+        return None
+    players = {player for player, _ in entries}
+    names.update(players)
+    return Leaf(PayoffVector._from_sorted(tuple(entries))) if len(players) == len(entries) else None
+
+
+def _canonical(text: str) -> Document | None:
+    """``text`` read in one pass if it is a finite game or a profile in
+    canonical form, else None.  Equal leaf texts share one ``Leaf``."""
+    if text.startswith("profile {\n"):
+        lines, pos = [], 10
+        while line := _LINE.match(text, pos):
+            lines.append(line)
+            pos = line.end()
+        keys, actions = [line[1] for line in lines], [line[2] for line in lines]
+        paths = [() if key == "." else tuple(key.split(".")) for key in keys]
+        if not (lines and text.startswith("}", pos) and _TAIL.match(text, pos + 1)):
+            return None
+        if len(set(keys)) < len(keys) or not _identifiers(set(actions).union(*paths)):
+            return None
+        spans = (SourceSpan(i, 3, line.start() + 2) for i, line in enumerate(lines, 2))
+        return ProfileDoc(tuple(zip(paths, actions)), tuple(spans))
+    names: set[str] = set()
+    leaves: dict[str, Leaf] = {}
+    stack: list[tuple[str, dict[str, FiniteGame | None]]] = []  # as in ``_Parser.finite``
+    pos = 0
+    while match := _CHILD.match(text, pos):
+        pos = match.end()
+        mover, label = match.groups()
+        if mover is not None:
+            names.update((mover, label))
+            stack.append((mover, {label: None}))
+            continue
+        done = leaves.get(match[0]) or _leaf(match[0], names)
+        if done is None:
+            return None
+        leaves[match[0]] = done
+        # Close the branch the leaf ends, and each node it completes.
+        while stack and (match := _AFTER.match(text, pos)):
+            pos = match.end()
+            mover, branches = stack[-1]
+            branches[next(reversed(branches))] = done
+            if match[1] is not None:
+                if match[1] in branches:
+                    return None
+                names.add(match[1])
+                branches[match[1]] = None
+                break
+            stack.pop()
+            done = Node(mover, tuple(branches.items()))
+        else:  # the root is done, or the text is not canonical
+            canonical = not stack and _TAIL.match(text, pos) and _identifiers(names)
+            return done if canonical else None
+    return None
+
+
+def parse(text: str) -> Document:
+    """Parse one document: a finite game, graph, pgraph, or profile.
+
+    A finite game or profile in ``serialize``'s canonical form is read in one
+    pass; any other text, and any error, is left to the token parser.
+    """
+    return _canonical(text) or _Parser(text, tokenize(text)).document()
 
 
 # --- serialization ----------------------------------------------------------
@@ -558,8 +589,10 @@ def _fmt_payoffs(payoffs: PayoffVector | AffinePayoffs) -> str:
 def _fmt_finite(game: FiniteGame) -> str:
     """Render a tree with an explicit stack, so depth is not bounded by the
     recursion limit.  The stack holds subtrees with their indent, and the
-    literal text to emit between them."""
+    literal text to emit between them.  Each distinct leaf object is
+    rendered once; truncations share theirs."""
     parts: list[str] = []
+    leaves: dict[int, str] = {}
     stack: list[str | tuple[FiniteGame, int]] = [(game, 0)]
     while stack:
         item = stack.pop()
@@ -568,7 +601,9 @@ def _fmt_finite(game: FiniteGame) -> str:
             continue
         sub, indent = item
         if isinstance(sub, Leaf):
-            parts.append(f"(leaf {_fmt_payoffs(sub.payoffs)})")
+            if id(sub) not in leaves:
+                leaves[id(sub)] = f"(leaf {_fmt_payoffs(sub.payoffs)})"
+            parts.append(leaves[id(sub)])
             continue
         parts.append(f"(node {sub.mover}")
         stack.append(")")

@@ -1,6 +1,7 @@
 import random
 import subprocess
 from collections import Counter
+from collections.abc import ItemsView
 import sys
 import textwrap
 from dataclasses import dataclass
@@ -307,6 +308,27 @@ def test_frozen_map_contract():
         PayoffVector(A=1.5)  # type: ignore[arg-type]
     with pytest.raises(UnknownPlayerError, match="no payoff entry for player 'B'"):
         PayoffVector(A=1)["B"]
+
+
+def test_frozen_map_items_behave_as_the_generic_items_view():
+    for cls, content, absent, _ in _four_maps():
+        value = cls(content)
+        items, generic = value.items(), ItemsView(value)
+        assert isinstance(items, ItemsView)
+        assert list(items) == list(generic) == sorted(content.items())
+        # The stored entry tuples themselves, not copies.
+        assert all(a is b for a, b in zip(items, value._entries))
+        assert len(items) == len(generic) == len(content)
+        (key, held), (other_key, other_held) = sorted(content.items())
+        for probe in ((key, held), (key, other_held), (absent, held), (other_key, other_held)):
+            assert (probe in items) == (probe in generic)
+        some = {(key, held), (absent, held), (key, other_held)}
+        assert items & some == generic & some == {(key, held)}
+        assert items | some == generic | some
+        assert items - some == generic - some == {(other_key, other_held)}
+        assert items ^ some == generic ^ some
+        assert items == generic and items <= generic and not items < generic
+        assert items.isdisjoint({(absent, held)}) and not items.isdisjoint(some)
 
 
 @dataclass(frozen=True)

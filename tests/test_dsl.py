@@ -4,16 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from seqgames.core import Leaf, Node, PayoffVector, TreeProfile
+from seqgames.core import Leaf, Node, PayoffVector, TreeProfile, walk
 from seqgames.coinduction import StationaryProfile
+from seqgames import dsl
 from seqgames.dsl import (
-    _LEAF_SCANNER,
     KEYWORDS,
     ParseError,
     ProfileDoc,
     SourceSpan,
+    _canonical,
     _Parser,
-    _scan,
     _spans,
     parse,
     serialize,
@@ -30,7 +30,9 @@ from seqgames.graphs import (
     dollar_auction,
     zero_one_graph,
 )
-from tests.conftest import random_finite_game
+from seqgames.truncation import ConstantClosure, DeciderQuitsClosure, truncate
+from tests.conftest import random_finite_game, random_game_graph, random_param_graph
+from tests.test_cli import WIDE
 
 
 def test_parse_minimal_leaf():
@@ -474,21 +476,25 @@ def _check_against_reference(text: str) -> None:
 
 
 def _parse_agrees_with_token_parser(text: str) -> bool:
-    """``parse`` agrees with the token-by-token parser on the value or on
-    the error; returns whether it read a leaf whole, as one LEAF token."""
+    """``parse`` gives what the token parser gives: an equal value of the
+    same type, profile spans included, or the same message and span.
+    Returns whether the canonical reader read the document."""
+    canonical = _canonical(text)
     try:
         expected = _Parser(text, tokenize(text)).document()
     except ParseError as error:
+        # The reader accepts nothing the grammar rejects.
+        assert canonical is None
         with pytest.raises(ParseError) as info:
             parse(text)
         assert (str(info.value), info.value.span) == (str(error), error.span)
         return False
-    # A document the grammar accepts never needs the token-by-token reading.
-    fast = _Parser(text, _scan(text, _LEAF_SCANNER))
-    value = fast.document()
+    value = parse(text)
     assert type(value) is type(expected) and value == expected
-    assert parse(text) == expected
-    return bool(fast.leaves)
+    if canonical is None:
+        return False
+    assert type(canonical) is type(expected) and canonical == expected
+    return True
 
 
 # Leaves in canonical form that serialize would not write, and ones that
@@ -507,28 +513,128 @@ _FAULTY_LEAVES = (
     "(leaf (A:1) (state:2))",
     "(leaf (_x:1) (²S:1/2))",
     "(leaf (²:1))",
+    "(leaf (9A:1))",
     "(leaf (A:" + "7" * 5000 + "))",
     "(leaf (A:1/" + "7" * 5000 + "))",
 )
 
 
+def _node(mover="A", first="c", second="l", leaf="(leaf (A:1))"):
+    return f"(node {mover}\n  ({first} {leaf})\n  ({second} (leaf (A:0))))\n"
+
+
+def _profile(*lines):
+    return "profile {\n" + "".join(f"  {line}\n" for line in lines) + "}\n"
+
+
+# Names the grammar rejects, each tried in every name position.
+_BAD_NAMES = (*sorted(KEYWORDS), "²", "²c", "9c", "Ⅻ")
+_EDGE_CASES = (
+    *(_node(mover=name) for name in _BAD_NAMES),
+    *(_node(first=name) for name in _BAD_NAMES),
+    *(_node(second=name) for name in _BAD_NAMES),
+    *(_node(leaf=f"(leaf ({name}:1))") for name in _BAD_NAMES),
+    *(_profile(f"{name}: c") for name in _BAD_NAMES),
+    *(_profile(f"c.{name}.c: c") for name in _BAD_NAMES),
+    *(_profile(f"c.{name}: c") for name in _BAD_NAMES),
+    *(_profile(f"c: {name}") for name in _BAD_NAMES),
+    _node(second="c"),
+    _node(leaf="(leaf (A:1) (B:2) (A:1))"),
+    _profile(".: c", "c.c: l", "c.c: c"),
+    _profile(".: c", ".: c"),
+    _profile("c..c: l"),
+    _profile("c.: l"),
+    _profile(".c: l"),
+    _profile(".: c", "c: l").replace("\n", "\r\n"),
+    _profile(".: c", "c: l") + "# end",
+    _profile(".: c", "c: l") + " \t\r\n\n",
+    _profile(".: c", "c: l") + "}",
+    _profile(".: c", "c: l").rstrip("\n"),
+    _profile(".: c", "c_2: l", "c_2.x²: c"),
+    _profile(".: c"),
+    _profile(),
+    "profile {\n}",
+    "profile {\n\n  .: c\n}\n",
+    _node().replace("\n", "\r\n"),
+    _node().replace("  ", "\t"),
+    _node() + "# end",
+    _node() + " \t\r\n\n",
+    _node() + "x",
+    _node().rstrip("\n") + ")",
+    _node(leaf="(leaf (A:1))  "),
+    _node(leaf="(leaf (A:" + "7" * 5000 + "))"),
+    _node(leaf="(leaf (A:" + "7" * 4000 + "/" + "3" * 4000 + "))"),
+    "(node A\n  (c (leaf (A:1)))",
+    "(node A\n  (c (leaf (A:1))))",
+    "(node A)\n",
+    "(leaf)\n",
+    "",
+)
+
+
+def _random_tree_profile(rng: random.Random, game) -> TreeProfile:
+    return TreeProfile(
+        (address, rng.choice(sub.branches)[0])
+        for address, sub in walk(game)
+        if isinstance(sub, Node)
+    )
+
+
+def _differential_corpus() -> list[str]:
+    rng = random.Random(13)
+    texts = [serialize(random_finite_game(rng, max_depth=3)) for _ in range(200)]
+    closure = ConstantClosure(PayoffVector(A=Fraction(-1, 2), B=3))
+    for _ in range(60):
+        graph = rng.choice((random_game_graph, random_param_graph))(rng)
+        texts.append(serialize(truncate(graph, rng.randint(1, 8), closure)))
+    for _ in range(60):
+        game = random_finite_game(rng, max_depth=4)
+        if isinstance(game, Node):
+            texts.append(serialize(_random_tree_profile(rng, game)))
+        ids = [f"S{i}" for i in range(rng.randint(1, 6))]
+        texts.append(serialize(StationaryProfile((sid, rng.choice("abc")) for sid in ids)))
+    texts += [_mutate(rng, rng.choice(texts)) for _ in range(600)]
+    for leaf in _ODD_LEAVES + _FAULTY_LEAVES:
+        texts += [leaf, f"{leaf}\n", _node(leaf=leaf)]
+    return texts + list(_EDGE_CASES)
+
+
 def test_scanner_matches_character_loop_reference():
-    whole = 0
     for text in _mutation_corpus(seed=12, count=2000):
         _check_against_reference(text)
-        whole += _parse_agrees_with_token_parser(text)
-    rng = random.Random(13)
-    for _ in range(200):
-        game = random_finite_game(rng, max_depth=3)
-        whole += _parse_agrees_with_token_parser(serialize(game))
-    for leaves, whole_read in ((_ODD_LEAVES, True), (_FAULTY_LEAVES, False)):
-        for leaf in leaves:
-            assert _scan(leaf, _LEAF_SCANNER)[0][0] == "LEAF"
-            for text in (leaf, f"(node A\n  (x {leaf})\n  (y (leaf (A:1))))"):
-                assert _parse_agrees_with_token_parser(text) == whole_read
-    # 604 documents read at least one leaf whole: the 200 trees and 404
-    # mutated ones.
-    assert whole > 500
+
+
+def test_canonical_reader_agrees_with_token_parser():
+    canonical = 0
+    for text in _mutation_corpus(seed=12, count=2000) + _differential_corpus():
+        canonical += _parse_agrees_with_token_parser(text)
+    for leaf in _ODD_LEAVES:
+        assert _canonical(leaf) is not None and _canonical(_node(leaf=leaf)) is not None
+    # 417 documents take the canonical path: the 200 random trees, the 60
+    # truncations, the 100-odd profiles, and the mutants and hand-made
+    # cases that stay canonical.
+    assert canonical >= 400
+
+
+def test_parse_never_reads_tokens_for_canonical_documents(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read token by token")
+
+    values = [zero_one_finite(1500)]
+    values.append(truncate(parse(WIDE), 10, DeciderQuitsClosure()))
+    rng = random.Random(17)
+    values += [random_finite_game(rng, max_depth=4) for _ in range(50)]
+    values += [_random_tree_profile(rng, values[1]), TreeProfile({(): "c"})]
+    values.append(StationaryProfile(S0="c", S1="l", _x="x2"))
+    monkeypatch.setattr(dsl, "tokenize", refuse)
+    monkeypatch.setattr(dsl, "_Parser", refuse)
+    for value in values:
+        parsed = parse(serialize(value))
+        if isinstance(value, TreeProfile):
+            parsed = parsed.as_tree()
+        elif isinstance(value, StationaryProfile):
+            parsed = parsed.as_stationary()
+        assert parsed == value
 
 
 def test_deep_spine_round_trips_with_equality_and_hash():
