@@ -10,7 +10,6 @@ renders every number as an exact rational string.
 from __future__ import annotations
 
 import argparse
-import decimal
 import functools
 import json
 import os
@@ -26,6 +25,7 @@ from seqgames.core import (
     PayoffVector,
     ProfileError,
     CapExceededError,
+    _count_text,
     format_address,
     validate_game,
 )
@@ -94,12 +94,6 @@ def _payoffs_json(payoffs: PayoffVector) -> dict:
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return parse(handle.read())
-
-
-def _count_text(count: int) -> str:
-    # str(int) refuses more than sys.get_int_max_str_digits() digits, and
-    # equilibrium counts of deep truncations have more; Decimal has no limit.
-    return str(decimal.Decimal(count))
 
 
 def _emit_json(payload: dict) -> None:

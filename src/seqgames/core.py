@@ -10,8 +10,9 @@ any thread that writes it writes the same value.
 
 from __future__ import annotations
 
+import decimal
 from collections.abc import Collection, ItemsView, Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -306,6 +307,20 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _count_text(count: int) -> str:
+    """``str(count)`` past ``sys.get_int_max_str_digits()``: Decimal has no limit."""
+    return str(decimal.Decimal(count))
+
+
+def _count_repr(self) -> str:
+    """The dataclass repr, with the ``count`` field printed by ``_count_text``."""
+    shown = (
+        f"{f.name}={_count_text(self.count) if f.name == 'count' else repr(getattr(self, f.name))}"
+        for f in fields(self) if f.repr
+    )
+    return f"{type(self).__qualname__}({', '.join(shown)})"
 
 
 def format_address(address: Address) -> str:

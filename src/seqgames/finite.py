@@ -31,6 +31,7 @@ from seqgames.core import (
     PayoffVector,
     TreeProfile,
     Violation,
+    _count_repr,
     _require_total,
     format_address,
     walk,
@@ -97,6 +98,7 @@ class EquilibriumSummary:
     # The solved game and each position's mover, in preorder (None at a leaf).
     _game: FiniteGame | None = field(default=None, repr=False, compare=False)
     _movers: Sequence[str | None] = field(default=(), repr=False, compare=False)
+    __repr__ = _count_repr
 
     @functools.cached_property
     def subgame_values(self) -> Mapping[Address, tuple[PayoffVector, ...]]:
@@ -608,34 +610,41 @@ def _ranks(row: list[Fraction | None]) -> list[int]:
 def brute_force_spe(
     game: FiniteGame, cap: int = DEFAULT_PROFILE_CAP
 ) -> frozenset[TreeProfile]:
-    """Oracle: enumerate every total profile and keep those that pass the
-    one-shot deviation check.
+    """Oracle: every total profile that passes the one-shot deviation check,
+    found by depth-first search without the solver (``_analyze``,
+    ``backward_induction``, ``enumerate_spe_profiles``).
 
-    Independent of the solver: it never calls ``_analyze``,
-    ``backward_induction`` or ``enumerate_spe_profiles``.  The game is
-    validated and compiled once; each profile is a tuple of branch indices,
-    total by construction, checked by one post-order pass of the check
-    ``is_spe_finite`` makes (``_first_deviation``) on payoff ranks, which
-    order the leaves exactly as the payoffs do.  A ``TreeProfile`` is built
-    only for accepted profiles.
+    It picks a branch at each node of ``_Tree.post``, branches in order.
+    The picks below a node fix the leaf each child reaches, so only branches
+    to the mover's highest rank pass ``_first_deviation``'s ``>`` test; only
+    those are tried.  One always does and later picks leave the test alone,
+    so each kept prefix extends to an equilibrium: at most |SPE| of each
+    length, each expanded in O(B), B the most branches: O(N·B·|SPE|) over N
+    nodes, not O(N·B·|profiles|).  ``cap`` still bounds the profile space.
     """
     tree = _require_valid(game)
-    size = math.prod(len(tree.children[i]) for i in tree.post)
-    if size > cap:
+    if (size := math.prod(len(tree.children[i]) for i in tree.post)) > cap:
         raise CapExceededError(f"profile space {size} exceeds cap {cap}")
     nodes = tree.checked_nodes({p: _ranks(row) for p, row in tree.rows().items()})
     reached = list(range(len(tree.addresses)))
-    accepted = [
-        picks
-        for picks in itertools.product(*(range(len(kids)) for _, kids, _ in nodes))
-        if _first_deviation(nodes, picks, reached) is None
-    ]
+    accepted, picks = [], [""] * len(nodes)
+    stack = [(-1, 0)]  # (level, branch): pick branch at nodes[level]; -1 starts
+    while stack:
+        level, branch = stack.pop()
+        if level >= 0:
+            position, kids, _ = nodes[level]
+            picks[level] = tree.labels[position][branch]
+            reached[position] = reached[kids[branch]]
+        level += 1
+        if level == len(nodes):
+            accepted.append(tuple(picks))
+            continue
+        _, kids, row = nodes[level]
+        ranks = [row[reached[kid]] for kid in kids]
+        top = max(ranks)
+        stack.extend((level, b) for b in reversed(range(len(kids))) if ranks[b] == top)
     addresses = [tree.addresses[i] for i in tree.post]
-    labels = [tree.labels[i] for i in tree.post]
-    return frozenset(
-        TreeProfile(zip(addresses, map(tuple.__getitem__, labels, picks)))
-        for picks in accepted
-    )
+    return frozenset(TreeProfile(zip(addresses, chosen)) for chosen in accepted)
 
 
 def enumerate_spe_profiles(

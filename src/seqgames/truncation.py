@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from seqgames.core import PayoffVector
+from seqgames.core import PayoffVector, _count_repr
 from seqgames.coinduction import (
     DEFAULT_STATIONARY_CAP,
     StationaryProfile,
@@ -125,6 +125,7 @@ class DepthSummary:
     count: int
     characterization: Mapping[str, Characterization]
     payoff: PayoffVector
+    __repr__ = _count_repr
 
     def to_dict(self) -> dict:
         return {

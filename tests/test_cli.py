@@ -10,7 +10,7 @@ import pytest
 from seqgames import coinduction, core
 from seqgames.cli import main
 from seqgames.dsl import parse, serialize
-from seqgames.finite import _Tree
+from seqgames.finite import _Tree, backward_induction
 from seqgames.truncation import DeciderQuitsClosure, extrapolation_report, summarize_depth, truncate
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
@@ -368,6 +368,30 @@ def test_counts_beyond_the_int_digit_limit_print_exactly(tmp_path, capsys):
         report = json.loads(capsys.readouterr().out, parse_int=decimal.Decimal)
         assert report["depths"][0]["equilibrium_count"] == decimal.Decimal(count)
         # The limit is lifted only while the JSON is rendered.
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_reprs_print_counts_beyond_the_digit_limit():
+    graph = parse(WIDE)
+    limit = sys.get_int_max_str_digits()
+    # CPython's default, whatever an earlier test left behind.
+    sys.set_int_max_str_digits(4300)
+    try:
+        summary = backward_induction(truncate(graph, 14, DeciderQuitsClosure()))
+        depth = summarize_depth(graph, 14, DeciderQuitsClosure())
+        report = extrapolation_report(graph, [14], DeciderQuitsClosure())
+        digits = core._count_text(summary.count)
+        assert len(digits) == 4932
+        assert depth.count == report.summaries[0].count == summary.count
+        for text in (repr(summary), repr(depth), repr(report), str(report)):
+            assert f"count={digits}," in text
+        assert repr(report) == str(report)
+        assert repr(depth) == (
+            f"DepthSummary(depth=14, closure='quit', count={digits}, "
+            f"characterization={depth.characterization!r}, payoff={depth.payoff!r})"
+        )
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)

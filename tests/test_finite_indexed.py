@@ -31,8 +31,9 @@ from seqgames.finite import (
     enumerate_spe_profiles,
     is_spe_finite,
 )
-from tests.conftest import random_finite_game
-from tests.reference import all_profiles, internal_addresses, subgame_at
+from seqgames.truncation import ConstantClosure, truncate
+from tests.conftest import random_finite_game, random_game_graph, random_payoffs
+from tests.reference import all_profiles, internal_addresses, is_spe_by_best_response, subgame_at
 
 
 def _reference_values(game, profile):
@@ -166,6 +167,47 @@ def test_indexed_checker_matches_recursive_reference():
             if full.ok:
                 accepted.add(profile)
         assert brute_force_spe(game) == accepted, game
+    assert all(seen.values()), seen
+
+
+def _oracle_games():
+    rng = random.Random(2525)
+    for _ in range(120):
+        # Payoffs 0..1: nearly every node ties, so the search keeps several
+        # branches at once; branching 1..3 gives one-branch nodes.
+        yield random_finite_game(rng, low=0, high=1, max_profiles=512)
+    for _ in range(40):
+        yield random_finite_game(rng, low=0, high=1, max_profiles=256, players=("A", "B", "C"))
+    for _ in range(10):
+        # Every payoff tied: every profile is an equilibrium.
+        yield random_finite_game(rng, low=1, high=1, max_profiles=256)
+    yield leaf(A=0, B=0)
+    # Truncations share equal subtrees, which the oracle compiles apart.
+    dags = 0
+    while dags < 40:
+        graph = random_game_graph(rng, max_internal=4, high=1)
+        game = truncate(graph, rng.randint(1, 6), ConstantClosure(random_payoffs(rng, 0, 1)))
+        if isinstance(game, Node) and 1 < finite.profile_space_size(game) <= 512:
+            dags += 1
+            yield game
+
+
+def test_brute_force_matches_best_response_reference():
+    seen = dict.fromkeys(
+        ("several", "refuted", "all_accepted", "three_players", "one_branch", "leaf", "shared"), 0
+    )
+    for game in _oracle_games():
+        profiles = list(all_profiles(game))
+        expected = {p for p in profiles if is_spe_by_best_response(game, p)}
+        assert brute_force_spe(game) == expected, game
+        nodes = [sub for _, sub in walk(game) if isinstance(sub, Node)]
+        seen["several"] += len(expected) > 1
+        seen["refuted"] += len(expected) < len(profiles)
+        seen["all_accepted"] += len(expected) == len(profiles) > 1
+        seen["three_players"] += any(sub.mover == "C" for sub in nodes)
+        seen["one_branch"] += any(len(sub.branches) == 1 for sub in nodes)
+        seen["leaf"] += not nodes
+        seen["shared"] += len(set(map(id, nodes))) < len(nodes)
     assert all(seen.values()), seen
 
 
