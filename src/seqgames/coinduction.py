@@ -203,10 +203,10 @@ class _ProfileChecker:
     On a parametrized graph movers compare terminals by int pairs, each
     affine payoff scaled by its player's common denominator (``_scaled``),
     and the affine stage test runs on those pairs, memoized per edge and
-    per (terminal, stage shift) at both of its ends.  Each distinct verdict
-    is built once and shared.  The rank and pair tables, the flat edge list
-    and the stage reachability are built on first use, so callers that
-    only value profiles do not pay for them.
+    per (terminal, stage shift) at both of its ends.  Each distinct plain
+    verdict, and each pgraph stage test, is built once and shared.  The
+    rank and pair tables, the flat edge list and the stage reachability are
+    built on first use, so callers that only value profiles do not pay.
     """
 
     def __init__(self, graph: GameGraph) -> None:
@@ -227,13 +227,28 @@ class _ProfileChecker:
         self._verdicts: dict[tuple, Refuted | NotAdmissible | None] = {}
 
     @functools.cached_property
-    def edges(self) -> list[tuple[int, int, int, list]]:
-        """Every edge in state and branch order: (state, branch, target, its
-        mover's row), the row holding per state number the rank of its
-        payoff on a plain graph and its scaled int pair on a pgraph."""
+    def rows(self) -> dict[str, list]:
+        """Per player, the rank of each state number's payoff on a plain
+        graph and its scaled int pair on a pgraph.  Every terminal pays
+        every player, so the first one names them all."""
         n = len(self.movers)
         table = _scaled if self.staged else _ranks
-        rows = {p: [None] * n + table([v[p] for v in self.payoffs[n:]]) for p in set(self.movers)}
+        players = set(self.movers).union(*self.payoffs[n:n + 1])
+        return {p: [None] * n + table([v[p] for v in self.payoffs[n:]]) for p in players}
+
+    @functools.cached_property
+    def canon(self) -> list[int]:
+        """Per state number, the first state with equal payoffs, that is with
+        equal entries in every player's row; plain refutations are keyed by
+        it, so that equal verdicts are one object."""
+        first: dict = {}
+        return [first.setdefault(key, t) for t, key in enumerate(zip(*self.rows.values()))]
+
+    @functools.cached_property
+    def edges(self) -> list[tuple[int, int, int, list]]:
+        """Every edge in state and branch order: (state, branch, target, its
+        mover's row)."""
+        rows = self.rows
         return [
             (i, j, target, rows[self.movers[i]])
             for i, targets in enumerate(self.targets)
@@ -340,9 +355,10 @@ class _ProfileChecker:
 
     def _refuted(self, e: int, end: list[int]) -> Refuted:
         """The refutation by plain-graph edge ``e``, shared by every profile
-        whose play values at its two ends are the same terminals."""
+        whose play values at its two ends are the same payoffs."""
         i, j, target, _ = self.edges[e]
-        key = (i, j, end[i], end[target])
+        canon = self.canon
+        key = (i, j, canon[end[i]], canon[end[target]])
         if key not in self._verdicts:
             self._verdicts[key] = Refuted(
                 self.ids[i], None, self.movers[i], self.labels[i][j],
@@ -379,12 +395,16 @@ class _ProfileChecker:
         resolved state is resolved: it gets the target's terminal and stage
         shift, and so does every assigned state waiting on it, transitively.
         Any other state waits on its target.  Backtracking undoes exactly
-        what its level did.  On a plain graph an edge is tested when both of
-        its ends are resolved, and each level carries the first violating
-        edge so far, so a leaf reads its verdict off.  A pgraph leaf scans
-        its live edges with the memoized stage test.  A leaf with a state
-        still unresolved is not admissible; play finds its first diverging
-        state and cycle.
+        what its level did.  On a plain graph an edge is tested when its
+        later end resolves, and each level carries the first violating edge
+        f so far and its verdict.  The subtree below a level is decided, and
+        all its profiles get that verdict at once, when every edge before f
+        has both ends resolved and no completion can leave a cycle of
+        unresolved states.  Subtrees under three levels deep are left to
+        their leaves, where the test would cost what it saves.  A leaf reads
+        its verdict off; a pgraph leaf scans its live edges with the
+        memoized stage test.  A leaf with a state still unresolved is not
+        admissible; play finds its first diverging state and cycle.
         """
         ids, targets, deltas = self.ids, self.targets, self.deltas
         n = len(targets)
@@ -459,6 +479,16 @@ class _ProfileChecker:
                                 break
                     first[level + 1] = f
                     found[level + 1] = found[level] if f == first[level] else self._refuted(f, end)
+                    if (
+                        level < last - 2
+                        and all(end[i] >= 0 and end[k] >= 0 for i, _, k, _ in edges[:f])
+                        and not _can_cycle(targets, picks, end, set(order[level + 1:]))
+                    ):  # decided: every completion gets this level's verdict
+                        rests = itertools.product(*entries[level + 1:])
+                        profiles = map(tuple(chosen[:level + 1]).__add__, rests)
+                        profiles = map(StationaryProfile._from_sorted, profiles)
+                        results.extend(zip(profiles, itertools.repeat(found[level + 1])))
+                        continue
             if level < last:
                 level += 1
                 continue
@@ -471,6 +501,37 @@ class _ProfileChecker:
                 verdict = found[n]
             results.append((StationaryProfile._from_sorted(tuple(chosen)), verdict))
         return results
+
+
+def _can_cycle(targets: list[list[int]], picks: list[int], end: list[int], free: set[int]) -> bool:
+    """Whether some completion of a partial profile leaves a cycle of
+    unresolved decision states, an assigned one following its pick and a
+    free one any edge: free states pick independently, so a cycle of
+    possible edges is one completion's play.  Depth first, a state met
+    again on the current path closes one."""
+
+    def options(x: int) -> Iterator[int]:
+        return iter(targets[x] if x in free else (targets[x][picks[x]],))
+
+    mark = [2 if e >= 0 else 0 for e in end]  # 1 on the current path; 2 done, or resolved
+    for root in range(len(picks)):
+        if mark[root]:
+            continue
+        mark[root] = 1
+        stack = [(root, options(root))]
+        while stack:
+            x, ahead = stack[-1]
+            for y in ahead:
+                if mark[y] == 1:
+                    return True
+                if not mark[y]:
+                    mark[y] = 1
+                    stack.append((y, options(y)))
+                    break
+            else:
+                mark[x] = 2
+                stack.pop()
+    return False
 
 
 def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:

@@ -6,6 +6,7 @@ import sys
 import textwrap
 from collections import Counter
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -617,6 +618,98 @@ def test_walk_matches_replay_in_output_order():
     }
     for key, floor in floors.items():
         assert seen[key] >= floor, (key, seen)
+
+
+def prefix_status(graph, chosen):
+    """For the choices ``chosen`` at some decision states: whether every
+    edge before the first violating one, in state and branch order, has
+    both ends resolved, and whether the unresolved states can close a cycle
+    when an assigned one follows its choice and any other may take any
+    edge.  A state is resolved when the assigned choices lead from it to a
+    terminal; an edge violates when both its ends are resolved and its
+    target's terminal pays its mover more than its state's."""
+    states = graph.states
+
+    def reached(sid):
+        seen = set()
+        while not isinstance(states[sid], Terminal):
+            if sid not in chosen or sid in seen:
+                return None
+            seen.add(sid)
+            sid = next(t for a, t, _ in states[sid].edges if a == chosen[sid])
+        return states[sid].payoffs
+
+    value = {sid: reached(sid) for sid in states}
+    edges = [
+        (sid, target)
+        for sid, state in states.items() if not isinstance(state, Terminal)
+        for _, target, _ in state.edges
+    ]
+    first = next(
+        (
+            e for e, (sid, target) in enumerate(edges)
+            if None not in (value[sid], value[target])
+            and value[target][states[sid].mover] > value[sid][states[sid].mover]
+        ),
+        len(edges),
+    )
+    ends_resolved = all(None not in (value[s], value[t]) for s, t in edges[:first])
+    unresolved = {sid for sid in states if value[sid] is None}
+    possible = {
+        sid: [t for a, t, _ in states[sid].edges if t in unresolved and chosen.get(sid, a) == a]
+        for sid in unresolved
+    }
+    try:
+        TopologicalSorter(possible).prepare()
+    except CycleError:
+        return ends_resolved, True
+    return ends_resolved, False
+
+
+def test_decided_subtrees_match_replay():
+    # A subtree is decided when every edge before the first violating one
+    # has both ends resolved and no completion can close a cycle; the walk
+    # then emits all its profiles with one verdict.  Checked against the
+    # per-state replay oracle as whole lists, on graphs whose chords and
+    # self-loops leave cycles possible after every early edge is resolved.
+    # The reference above decides each prefix leaving at least three
+    # states free (shallower subtrees are left to the leaves): a decided
+    # one has one refutation for all its completions, and a cyclic one has
+    # a completion that is not admissible.
+    rng = random.Random(2626)
+    graphs = [chain_graph(rng, n) for n in [6, 7, 8, 9] * 5]
+    graphs += [random_ring_graph(rng, n) for n in [6, 7, 8, 9] * 5]
+    seen: Counter = Counter()
+    for graph in graphs:
+        results = enumerate_stationary_spe(graph)
+        assert results == [(p, replay_verdict(graph, p)) for p in stationary_profiles(graph)], graph
+        order = sorted(graph.internal_ids())
+        for level in range(1, len(order) - 2):
+            blocks: dict = {}
+            for profile, verdict in results:
+                blocks.setdefault(tuple(profile[sid] for sid in order[:level]), []).append(verdict)
+            for prefix, verdicts in blocks.items():
+                ends_resolved, cyclic = prefix_status(graph, dict(zip(order, prefix)))
+                if ends_resolved and not cyclic:
+                    seen["decided"] += 1
+                    assert isinstance(verdicts[0], Refuted) and verdicts.count(verdicts[0]) == len(verdicts)
+                elif ends_resolved:
+                    seen["ends resolved, cyclic"] += 1
+                    assert any(isinstance(v, NotAdmissible) for v in verdicts)
+    assert seen["decided"] >= 600 and seen["ends resolved, cyclic"] >= 120, seen
+
+
+def test_equal_plain_verdicts_are_one_object():
+    # Plain refutations are keyed by the first terminal with equal payoffs,
+    # so a verdict equal to another is the same object.  On the 12-state
+    # ring several terminals pay alike: 32 distinct verdicts, one object each.
+    rng = random.Random(2727)
+    graphs = [ring_graph(12)] + [random_ring_graph(rng, n) for n in [4, 5, 6, 7, 8] * 4]
+    graphs += [chain_graph(rng, n) for n in [5, 6, 7] * 3]
+    for graph in graphs:
+        verdicts = [verdict for _, verdict in enumerate_stationary_spe(graph)]
+        assert len({id(v) for v in verdicts}) == len(set(verdicts)), graph
+    assert len(set(v for _, v in enumerate_stationary_spe(ring_graph(12)))) == 32
 
 
 def param_graph_features(graph):
