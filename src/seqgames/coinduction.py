@@ -202,9 +202,10 @@ class _ProfileChecker:
     their exact payoffs (equal payoffs share a rank, so ``>`` stays exact).
     On a parametrized graph movers compare terminals by int pairs, each
     affine payoff scaled by its player's common denominator (``_scaled``),
-    and the affine stage test runs on those pairs, memoized per edge and
-    per (terminal, stage shift) at both of its ends.  Each distinct plain
-    verdict, and each pgraph stage test, is built once and shared.  The
+    and the affine stage test runs on those pairs.  Either kind's deviation
+    test is memoized per edge and per (payoffs, stage shift) at both of its
+    ends, the payoffs named by the first terminal that pays them
+    (``canon``), and each distinct verdict is built once and shared.  The
     rank and pair tables, the flat edge list and the stage reachability are
     built on first use, so callers that only value profiles do not pay.
     """
@@ -222,9 +223,9 @@ class _ProfileChecker:
         self.targets = [[number[target] for _, target, _ in states[sid].edges] for sid in decisions]
         self.deltas = [[delta for _, _, delta in states[sid].edges] for sid in decisions]
         self.payoffs = [None] * n + [states[sid].payoffs for sid in self.ids[n:]]
-        # Shared verdicts by key; a pgraph edge test that finds no
-        # violation is kept as None.
-        self._verdicts: dict[tuple, Refuted | NotAdmissible | None] = {}
+        # Shared verdicts by key, and each pgraph refutation by itself; a
+        # deviation test that finds no violation is kept as None.
+        self._verdicts: dict[object, Refuted | NotAdmissible | None] = {}
 
     @functools.cached_property
     def rows(self) -> dict[str, list]:
@@ -239,35 +240,28 @@ class _ProfileChecker:
     @functools.cached_property
     def canon(self) -> list[int]:
         """Per state number, the first state with equal payoffs, that is with
-        equal entries in every player's row; plain refutations are keyed by
+        equal entries in every player's row; deviation tests are keyed by
         it, so that equal verdicts are one object."""
         first: dict = {}
         return [first.setdefault(key, t) for t, key in enumerate(zip(*self.rows.values()))]
 
     @functools.cached_property
-    def edges(self) -> list[tuple[int, int, int, list]]:
-        """Every edge in state and branch order: (state, branch, target, its
-        mover's row)."""
-        rows = self.rows
+    def edges(self) -> list[tuple[int, int, int, list | None]]:
+        """The edges deviations are tested on, in state and branch order:
+        (state, branch, target, its mover's rank row).  On a pgraph only
+        those of states some play enters, with None in the row slot: their
+        test is the stage test of ``_deviation``."""
+        rows, staged = self.rows, self.staged
         return [
-            (i, j, target, rows[self.movers[i]])
+            (i, j, target, None if staged else rows[self.movers[i]])
             for i, targets in enumerate(self.targets)
+            if not staged or self.reach.least_at_least(self.ids[i], 0) is not None
             for j, target in enumerate(targets)
         ]
 
     @functools.cached_property
     def reach(self) -> StageReachability:
         return StageReachability(self.graph)
-
-    @functools.cached_property
-    def live(self) -> list[tuple[int, int, int, int]]:
-        """(edge number, state, branch, target) of each edge whose state some
-        play enters, in edge order."""
-        return [
-            (e, i, j, target)
-            for e, (i, j, target, _) in enumerate(self.edges)
-            if self.reach.min_offset(self.ids[i]) is not None
-        ]
 
     def picks(self, profile: StationaryProfile) -> list[int]:
         """The profile's branch index at each decision state; raises
@@ -294,22 +288,31 @@ class _ProfileChecker:
             path, i = [], origin
             while (reached := end[i]) < 0:
                 if reached == -2:
-                    key = (origin, tuple(path[path.index(i):]))
-                    if key not in self._verdicts:
-                        cycle = tuple(self.ids[k] for k in key[1])
-                        self._verdicts[key] = NotAdmissible(self.ids[origin], cycle)
-                    return self._verdicts[key]
+                    return self._diverging(origin, picks)
                 end[i] = -2
                 path.append(i)
                 i = succ[i]
-            for j in path:
+            total = shift[i]
+            for j in reversed(path):
                 end[j] = reached
-            if self.staged:
-                total = shift[i]
-                for j in reversed(path):
-                    total += self.deltas[j][picks[j]]
-                    shift[j] = total
+                total += self.deltas[j][picks[j]]
+                shift[j] = total
         return end, shift
+
+    def _diverging(self, origin: int, picks: Sequence[int]) -> NotAdmissible:
+        """The verdict of a profile whose play from decision state ``origin``,
+        the first such state in definition order, never ends: the origin
+        with the cycle its play enters, one shared object per pair."""
+        seen: dict[int, int] = {}  # state -> step, in path order
+        i = origin
+        while i not in seen:
+            seen[i] = len(seen)
+            i = self.targets[i][picks[i]]
+        key = (origin, tuple(itertools.islice(seen, seen[i], None)))
+        if key not in self._verdicts:
+            cycle = tuple(self.ids[k] for k in key[1])
+            self._verdicts[key] = NotAdmissible(self.ids[origin], cycle)
+        return self._verdicts[key]
 
     def values(
         self, picks: Sequence[int]
@@ -326,65 +329,56 @@ class _ProfileChecker:
 
     def check(self, profile: StationaryProfile) -> SpeVerdict:
         """Admissibility, then every one-shot deviation."""
-        picks = self.picks(profile)
-        played = self.play(picks)
+        played = self.play(self.picks(profile))
         if isinstance(played, NotAdmissible):
             return played
-        return self._one_shot(picks, *played)
+        return self._one_shot(*played)
 
-    def _one_shot(self, picks: Sequence[int], end: list[int], shift: list[int]) -> SpeOk | Refuted:
+    def _one_shot(self, end: list[int], shift: list[int]) -> SpeOk | Refuted:
         """The first profitable one-shot deviation in state and branch order;
-        on a parametrized graph, at the least stage its state is entered with,
-        and only at states some play enters.  A chosen edge ties its state's
-        own value, so it never refutes."""
-        if not self.staged:
-            for e, (i, _, target, row) in enumerate(self.edges):
-                if row[end[target]] > row[end[i]]:
-                    return self._refuted(e, end)
-            return _SPE_OK
-        verdicts = self._verdicts
-        for e, i, j, target in self.live:
-            if j == picks[i]:
-                continue
-            key = (e, end[i], shift[i], end[target], shift[target])
-            if key not in verdicts:
-                verdicts[key] = self._staged_deviation(key)
-            if verdicts[key] is not None:
-                return verdicts[key]
+        on a parametrized graph, at the least stage its state is entered with.
+        A chosen edge ties its state's own value, so it never refutes."""
+        for e, (i, _, target, row) in enumerate(self.edges):
+            if row is None or row[end[target]] > row[end[i]]:
+                found = self._deviation(e, end, shift)
+                if found is not None:
+                    return found
         return _SPE_OK
 
-    def _refuted(self, e: int, end: list[int]) -> Refuted:
-        """The refutation by plain-graph edge ``e``, shared by every profile
-        whose play values at its two ends are the same payoffs."""
-        i, j, target, _ = self.edges[e]
+    def _deviation(self, e: int, end: list[int], shift: list[int]) -> Refuted | None:
+        """Whether edge ``e`` refutes when the play from its state reaches
+        terminal ``end[i]`` after ``shift[i]`` stages and the play from its
+        target ``end[target]`` after ``shift[target]``.  On a plain graph it
+        refutes when the target's terminal ranks higher for the mover; on a
+        pgraph, at the least reachable violating stage, found on the mover's
+        scaled int pairs.  Payoffs are evaluated only for a refutation; a
+        pgraph one is interned, since several shifts can find it."""
+        i, j, target, row = self.edges[e]
         canon = self.canon
-        key = (i, j, canon[end[i]], canon[end[target]])
-        if key not in self._verdicts:
-            self._verdicts[key] = Refuted(
-                self.ids[i], None, self.movers[i], self.labels[i][j],
-                self.payoffs[end[i]], self.payoffs[end[target]],
-            )
-        return self._verdicts[key]
-
-    def _staged_deviation(self, key: tuple[int, int, int, int, int]) -> Refuted | None:
-        """Whether pgraph edge ``e`` refutes when its state's play reaches
-        terminal ``ei`` after ``si`` stages, and its target's ``et`` after
-        ``st``: the refutation at the least reachable violating stage.  The
-        test compares the mover's scaled int pairs; payoffs are evaluated
-        only for a refutation."""
-        e, ei, si, et, st = key
-        i, j, _, row = self.edges[e]
+        key = (e, canon[end[i]], shift[i], canon[end[target]], shift[target])
+        verdicts = self._verdicts
+        found = verdicts.get(key, False)  # None is a test that found nothing
+        if found is not False:
+            return found
+        _, ei, si, et, st = key
         st += self.deltas[i][j]
-        (ca, cb), (da, db) = row[ei], row[et]
-        witness = _least_reachable_violation(
-            self.reach, self.ids[i], (da + db * st, db), (ca + cb * si, cb)
-        )
-        if witness is None:
-            return None
-        return Refuted(
-            self.ids[i], witness, self.movers[i], self.labels[i][j],
-            self.payoffs[ei].at_stage(si + witness), self.payoffs[et].at_stage(st + witness),
-        )
+        sid, mover, action = self.ids[i], self.movers[i], self.labels[i][j]
+        found = None
+        if row is not None:
+            if row[et] > row[ei]:
+                found = Refuted(sid, None, mover, action, self.payoffs[ei], self.payoffs[et])
+        else:
+            (ca, cb), (da, db) = self.rows[mover][ei], self.rows[mover][et]
+            interval = _violation_interval((da + db * st, db), (ca + cb * si, cb))
+            witness = interval and self.reach.least_at_least(sid, interval[0])
+            if witness is not None and (interval[1] is None or witness <= interval[1]):
+                found = Refuted(
+                    sid, witness, mover, action,
+                    self.payoffs[ei].at_stage(si + witness), self.payoffs[et].at_stage(st + witness),
+                )
+                found = verdicts.setdefault(found, found)
+        verdicts[key] = found
+        return found
 
     def walk(self) -> list[tuple[StationaryProfile, SpeVerdict]]:
         """Every profile with its verdict, in ``stationary_profiles`` order.
@@ -395,22 +389,20 @@ class _ProfileChecker:
         resolved state is resolved: it gets the target's terminal and stage
         shift, and so does every assigned state waiting on it, transitively.
         Any other state waits on its target.  Backtracking undoes exactly
-        what its level did.  On a plain graph an edge is tested when its
-        later end resolves, and each level carries the first violating edge
-        f so far and its verdict.  The subtree below a level is decided, and
-        all its profiles get that verdict at once, when every edge before f
-        has both ends resolved and no completion can leave a cycle of
-        unresolved states.  Subtrees under three levels deep are left to
-        their leaves, where the test would cost what it saves.  A leaf reads
-        its verdict off; a pgraph leaf scans its live edges with the
-        memoized stage test.  A leaf with a state still unresolved is not
-        admissible; play finds its first diverging state and cycle.
+        what its level did.  An edge is tested when its later end resolves,
+        and each level carries the first violating edge f so far and its
+        verdict.  The subtree below a level is decided, and all its profiles
+        get that verdict at once, when every edge before f has both ends
+        resolved and no completion can leave a cycle of unresolved states.
+        Subtrees under three levels deep are left to their leaves, where the
+        test would cost what it saves.  A leaf reads its verdict off: f's,
+        or, with a state still unresolved, not admissible from the first
+        such state in definition order, with the cycle its picks lead into.
         """
-        ids, targets, deltas = self.ids, self.targets, self.deltas
+        ids, targets, deltas, edges = self.ids, self.targets, self.deltas, self.edges
         n = len(targets)
-        if not n:  # one empty profile
-            profile = StationaryProfile._from_sorted(())
-            return [(profile, self.check(profile))]
+        if not n:  # one empty profile, with no edge to deviate by
+            return [(StationaryProfile._from_sorted(()), _SPE_OK)]
         order = sorted(range(n), key=ids.__getitem__)
         entries = [[(ids[i], label) for label in self.labels[i]] for i in order]
         end = [-1] * n + list(range(n, len(ids)))
@@ -421,18 +413,15 @@ class _ProfileChecker:
         tried = [0] * n  # per level: branches tried so far
         # Per level: the states it resolved, or None when its state waits.
         resolved: list[list[int] | None] = [None] * n
-        staged = self.staged
-        if not staged:
-            edges = self.edges
-            # Per decision state, the edges it is an end of, in edge order.
-            touching: list[list] = [[] for _ in range(n)]
-            for e, (i, _, target, row) in enumerate(edges):
-                touching[i].append((e, i, target, row))
-                if target < n and target != i:
-                    touching[target].append((e, i, target, row))
-            # Per level: the first violating edge so far (or none) and its verdict.
-            first = [len(edges)] * (n + 1)
-            found: list[SpeVerdict] = [_SPE_OK] * (n + 1)
+        # Per decision state, the edges it is an end of, in edge order.
+        touching: list[list] = [[] for _ in range(n)]
+        for e, (i, j, target, row) in enumerate(edges):
+            touching[i].append((e, i, j, target, row))
+            if target < n and target != i:
+                touching[target].append((e, i, j, target, row))
+        # Per level: the first violating edge so far (or none) and its verdict.
+        first = [len(edges)] * (n + 1)
+        found: list[SpeVerdict] = [_SPE_OK] * (n + 1)
         unresolved, last = n, n - 1
         results = []
         level = 0
@@ -457,8 +446,7 @@ class _ProfileChecker:
             if end[t] < 0:
                 waiting[t].append(s)
                 resolved[level] = None
-                if not staged:
-                    first[level + 1], found[level + 1] = first[level], found[level]
+                first[level + 1], found[level + 1] = first[level], found[level]
             else:
                 end[s], shift[s] = end[t], shift[t] + deltas[s][b]
                 done = [s]
@@ -468,37 +456,36 @@ class _ProfileChecker:
                         done.append(w)
                 resolved[level] = done
                 unresolved -= len(done)
-                if not staged:
-                    f = first[level]
-                    for x in done:
-                        for e, i, k, row in touching[x]:
-                            if e >= f:
-                                break
-                            if end[i] >= 0 and end[k] >= 0 and row[end[k]] > row[end[i]]:
-                                f = e
-                                break
-                    first[level + 1] = f
-                    found[level + 1] = found[level] if f == first[level] else self._refuted(f, end)
-                    if (
-                        level < last - 2
-                        and all(end[i] >= 0 and end[k] >= 0 for i, _, k, _ in edges[:f])
-                        and not _can_cycle(targets, picks, end, set(order[level + 1:]))
-                    ):  # decided: every completion gets this level's verdict
-                        rests = itertools.product(*entries[level + 1:])
-                        profiles = map(tuple(chosen[:level + 1]).__add__, rests)
-                        profiles = map(StationaryProfile._from_sorted, profiles)
-                        results.extend(zip(profiles, itertools.repeat(found[level + 1])))
-                        continue
+                # Ranks compare inline; a stage test skips the chosen edge,
+                # which ties its state's value.
+                f = first[level]
+                for x in done:
+                    for e, i, j, k, row in touching[x]:
+                        if e >= f:
+                            break
+                        if end[i] >= 0 and end[k] >= 0 and (
+                            row[end[k]] > row[end[i]] if row
+                            else j != picks[i] and self._deviation(e, end, shift)
+                        ):
+                            f = e
+                            break
+                first[level + 1] = f
+                found[level + 1] = found[level] if f == first[level] else self._deviation(f, end, shift)
+                if (
+                    level < last - 2
+                    and all(end[i] >= 0 and end[k] >= 0 for i, _, k, _ in edges[:f])
+                    and not _can_cycle(targets, picks, end, set(order[level + 1:]))
+                ):  # decided: every completion gets this level's verdict
+                    rests = itertools.product(*entries[level + 1:])
+                    profiles = map(tuple(chosen[:level + 1]).__add__, rests)
+                    profiles = map(StationaryProfile._from_sorted, profiles)
+                    results.extend(zip(profiles, itertools.repeat(found[level + 1])))
+                    continue
             if level < last:
                 level += 1
                 continue
             # A leaf: the walk stays at this level for its next branch.
-            if unresolved:
-                verdict = self.play(picks)
-            elif staged:
-                verdict = self._one_shot(picks, end, shift)
-            else:
-                verdict = found[n]
+            verdict = self._diverging(end.index(-1), picks) if unresolved else found[n]
             results.append((StationaryProfile._from_sorted(tuple(chosen)), verdict))
         return results
 
@@ -610,23 +597,6 @@ def check_spe_param(
         picks = checker.picks(profile)
         _cross_check(graph, profile, checker.values(picks), verdict, cross_check_depth)
     return verdict
-
-
-def _least_reachable_violation(
-    reach: StageReachability, sid: str, deviation: tuple[int, int], current: tuple[int, int]
-) -> int | None:
-    """Least stage k reachable at ``sid`` with deviation(k) > current(k), for
-    int pairs as ``_violation_interval`` takes them."""
-    interval = _violation_interval(deviation, current)
-    if interval is None:
-        return None
-    low, high = interval
-    least = reach.least_at_least(sid, low)
-    if least is None:
-        return None
-    if high is not None and least > high:
-        return None
-    return least
 
 
 def concrete_unfolding_check(

@@ -346,12 +346,6 @@ class StageReachability:
             if delta == 1
         )
 
-    def min_offset(self, sid: str) -> int | None:
-        for k, layer in enumerate(self.layers):
-            if sid in layer:
-                return k
-        return None
-
     def least_at_least(self, sid: str, k0: int) -> int | None:
         """Smallest reachable stage >= k0 for ``sid``, or None."""
         for k in range(max(k0, 0), len(self.layers)):

@@ -271,7 +271,7 @@ def staged_deviations(graph: ParamGraph, profile: StationaryProfile) -> list[Ref
     reach = StageReachability(graph)
     found = []
     for sid, value in values.items():
-        if reach.min_offset(sid) is None:
+        if reach.least_at_least(sid, 0) is None:
             continue
         state = graph.states[sid]
         for action, target, delta in state.edges:

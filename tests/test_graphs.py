@@ -187,13 +187,12 @@ def test_unfold_param_evaluates_stages():
 
 def test_stage_reachability_dollar_auction():
     reach = StageReachability(dollar_auction(100))
-    assert reach.min_offset("S0") == 0
     assert reach.least_at_least("S0", 0) == 0 and reach.least_at_least("S0", 1) is None
     assert reach.least_at_least("S0", len(reach.layers)) is None
     assert reach.least_at_least("DA", len(reach.layers)) is not None
-    assert reach.min_offset("DA") == 1
+    assert reach.least_at_least("DA", 0) == 1
     assert reach.least_at_least("DB", len(reach.layers)) is not None
-    assert reach.min_offset("DB") == 0
+    assert reach.least_at_least("DB", 0) == 0
     # DA at odd stages, DB at even stages
     assert [k for k in range(8) if reach.least_at_least("DA", k) == k] == [1, 3, 5, 7]
     assert [k for k in range(8) if reach.least_at_least("DB", k) == k] == [0, 2, 4, 6]
