@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from seqgames.core import (
     CapExceededError,
-    FiniteGame,
     GameError,
     PayoffVector,
     ProfileError,
@@ -62,23 +61,6 @@ class StationaryProfile(_FrozenMap):
             return self[sid]
         except KeyError:
             raise ProfileError(f"profile not total: no choice at state {sid!r}") from None
-
-
-def check_stationary_total(graph: GameGraph, profile: StationaryProfile) -> None:
-    internal = set(graph.internal_ids())
-    given = set(profile)
-    missing = sorted(internal - given)
-    extra = sorted(given - internal)
-    if missing:
-        raise ProfileError(f"profile not total: no choice at state {missing[0]!r}")
-    if extra:
-        raise ProfileError(f"profile has a choice at non-decision state {extra[0]!r}")
-    for sid in sorted(internal):
-        labels = {action for action, _, _ in graph.states[sid].edges}
-        if profile[sid] not in labels:
-            raise ProfileError(
-                f"profile chooses unknown action {profile[sid]!r} at state {sid!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -193,7 +175,7 @@ def play_param(
 
 
 class _ProfileChecker:
-    """Checks stationary profiles against one graph the caller has validated.
+    """Checks stationary profiles against one graph, validated on construction.
 
     The graph is compiled once: decision states are numbered in definition
     order, terminals after them, and each edge becomes its target's number.
@@ -211,6 +193,7 @@ class _ProfileChecker:
     """
 
     def __init__(self, graph: GameGraph) -> None:
+        require_valid_graph(graph)
         self.graph = graph
         self.staged = isinstance(graph, ParamGraph)
         states = graph.states
@@ -264,12 +247,18 @@ class _ProfileChecker:
         return StageReachability(self.graph)
 
     def picks(self, profile: StationaryProfile) -> list[int]:
-        """The profile's branch index at each decision state; raises
-        ProfileError unless the profile is total."""
+        """The profile's branch index at each decision state; raises ProfileError
+        at the first missing, else extra, else unknown choice, by state id."""
         choices = dict(profile._entries)
         pairs = list(zip(self.ids, self.labels))
         if len(choices) != len(pairs) or any(choices.get(s) not in labels for s, labels in pairs):
-            check_stationary_total(self.graph, profile)  # raises the first fault
+            internal = set(self.ids[:len(pairs)])
+            if missing := internal - choices.keys():
+                raise ProfileError(f"profile not total: no choice at state {min(missing)!r}")
+            if extra := choices.keys() - internal:
+                raise ProfileError(f"profile has a choice at non-decision state {min(extra)!r}")
+            sid = min(s for s, labels in pairs if choices[s] not in labels)
+            raise ProfileError(f"profile chooses unknown action {choices[sid]!r} at state {sid!r}")
         return [labels.index(choices[sid]) for sid, labels in pairs]
 
     def play(self, picks: Sequence[int]) -> tuple[list[int], list[int]] | NotAdmissible:
@@ -529,7 +518,6 @@ def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
     every state and alternative edge, taking that edge once and following the
     profile from its target must not strictly improve the mover.
     """
-    require_valid_graph(graph)
     return _ProfileChecker(graph).check(profile)
 
 
@@ -578,15 +566,14 @@ def check_spe_param(
     refutation witness is the least reachable violating stage.  Unless
     ``cross_check_depth`` is None, an admissible profile's verdict is
     re-validated against the concrete unfolding of that many rounds; this
-    is the only cross-check the library makes.  That check runs on the shared
-    (state, stage, remaining depth) table extrapolation solves on, at most
+    is the only cross-check the library makes.  ``_unfolding_refutes``
+    decides it on the shared (state, stage, remaining depth) table, at most
     |states|*(depth+1)**2 positions instead of every position of the tree
     (up to 3**depth on 3-edge states); the tree is built only to word a
     ``CrossCheckError``.
     """
     if cross_check_depth is not None and cross_check_depth < 0:
         raise ValueError("depth must be >= 0")
-    require_valid_graph(graph)
     checker = _ProfileChecker(graph)
     verdict = checker.check(profile)
     if (
@@ -606,26 +593,18 @@ def concrete_unfolding_check(
 
     Cut states are closed with the payoff of continuing to follow the profile
     from them, so the finite game agrees with the infinite one along and off
-    the profile's play.  Raises if play diverges anywhere.
+    the profile's play.  Raises if play diverges anywhere.  The table of
+    ``_unfolding_refutes`` decides; only a refutation builds the tree, whose
+    first counterexample ``is_spe_finite`` reports.
     """
-    require_valid_graph(graph)
     checker = _ProfileChecker(graph)
     values = checker.values(checker.picks(profile))
     if isinstance(values, NotAdmissible):
         raise GameError(values.describe())
-    return is_spe_finite(*_concrete_unfolding(graph, profile, values, depth))
-
-
-def _concrete_unfolding(
-    graph: ParamGraph,
-    profile: StationaryProfile,
-    values: dict[str, AffinePayoffs],
-    depth: int,
-) -> tuple[FiniteGame, TreeProfile]:
-    """The depth-``depth`` unfolding, cut states closed with their play
-    values, and the profile's choices copied onto it."""
+    if not _unfolding_refutes(graph, profile, values, depth)[0]:
+        return SpeCheck()
     tree = _unfold_tree(graph, depth, lambda sid, stage: values[sid].at_stage(stage))
-    return tree, _unfolded_choices(graph, profile, depth)
+    return is_spe_finite(tree, _unfolded_choices(graph, profile, depth))
 
 
 def _unfolded_choices(
@@ -649,20 +628,17 @@ def _unfolded_choices(
     return TreeProfile(choices)
 
 
-def _cross_check(
+def _unfolding_refutes(
     graph: ParamGraph,
     profile: StationaryProfile,
     values: dict[str, AffinePayoffs],
-    verdict: SpeVerdict,
     depth: int,
-) -> None:
-    """Re-check a symbolic verdict on the depth-``depth`` concrete unfolding.
-
-    The unfolding is compiled into extrapolation's shared table
-    (``_Tree.from_graph``), one position per (state, stage, remaining depth)
-    key, each cut state closed with its play value at its stage.  It refutes
-    the profile when the one-shot pass of ``is_spe_finite`` finds a
-    deviation there.  The tree itself is built only to word a disagreement.
+) -> tuple[bool, set[tuple[str, int]]]:
+    """Whether the depth-``depth`` concrete unfolding refutes the profile,
+    and the (state, stage) pairs of its decision positions.  It is decided on
+    extrapolation's shared table (``_Tree.from_graph``), one position per
+    (state, stage, remaining depth) key, each cut state closed with its play
+    value at its stage, by the one-shot pass of ``is_spe_finite``.
     """
     tree, _ = _Tree.from_graph(graph, [depth], lambda sid, stage: values[sid].at_stage(stage))
     choices = dict(profile._entries)
@@ -670,13 +646,24 @@ def _cross_check(
     picks = tuple(tree.labels[i].index(choices[key[0]]) for i, key in zip(tree.post, keys))
     reached = list(range(len(tree.addresses)))
     refuted = _first_deviation(tree.checked_nodes(tree.rows()), picks, reached) is not None
+    return refuted, {key[:2] for key in keys}
+
+
+def _cross_check(
+    graph: ParamGraph,
+    profile: StationaryProfile,
+    values: dict[str, AffinePayoffs],
+    verdict: SpeVerdict,
+    depth: int,
+) -> None:
+    """Re-check a symbolic verdict on the depth-``depth`` concrete unfolding;
+    the tree is built only to word a disagreement."""
+    refuted, seen = _unfolding_refutes(graph, profile, values, depth)
     if isinstance(verdict, SpeOk) and refuted:
-        concrete = is_spe_finite(*_concrete_unfolding(graph, profile, values, depth))
         raise CrossCheckError(
             f"symbolic check accepts but depth-{depth} unfolding refutes: "
-            f"{concrete.counterexample}"
+            f"{concrete_unfolding_check(graph, profile, depth).counterexample}"
         )
-    seen = {key[:2] for key in keys}
     if isinstance(verdict, Refuted) and not refuted and (verdict.state, verdict.stage) in seen:
         raise CrossCheckError(
             f"symbolic check refutes at {verdict.state} (stage {verdict.stage}) "
@@ -695,30 +682,23 @@ def stationary_profiles(graph: GameGraph) -> Iterator[StationaryProfile]:
         yield StationaryProfile(zip(internal, combo))
 
 
-def stationary_profile_count(graph: GameGraph) -> int:
-    count = 1
-    for sid in graph.internal_ids():
-        count *= len(graph.states[sid].edges)
-    return count
-
-
 def enumerate_stationary_spe(
     graph: GameGraph, cap: int = DEFAULT_STATIONARY_CAP
 ) -> list[tuple[StationaryProfile, SpeVerdict]]:
     """Verdict for every stationary profile, in deterministic order."""
-    require_valid_graph(graph)
-    total = stationary_profile_count(graph)
+    checker = _ProfileChecker(graph)
+    total = math.prod(map(len, checker.targets))
     if total > cap:
         raise CapExceededError(f"stationary profile space {total} exceeds cap {cap}")
-    return _ProfileChecker(graph).walk()
+    return checker.walk()
 
 
 def stationary_closure(
     graph: GameGraph, profile: StationaryProfile
-) -> dict[str, PayoffVector]:
+) -> dict[str, PayoffVector | AffinePayoffs]:
     """Closure payoffs for truncation: each state's play value under the
-    profile.  Raises when play diverges from any state."""
-    require_valid_graph(graph)
+    profile, affine in its entry stage on a pgraph.  Raises when play
+    diverges from any state."""
     checker = _ProfileChecker(graph)
     values = checker.values(checker.picks(profile))
     if isinstance(values, NotAdmissible):
@@ -732,6 +712,5 @@ def induced_tree_profile(
     graph: GameGraph, profile: StationaryProfile, depth: int
 ) -> TreeProfile:
     """The profile's choices copied onto the depth-limited unfolding."""
-    require_valid_graph(graph)
-    check_stationary_total(graph, profile)
+    _ProfileChecker(graph).picks(profile)
     return _unfolded_choices(graph, profile, depth)

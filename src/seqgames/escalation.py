@@ -61,10 +61,9 @@ def rationalizable_actions(
     Every supplied profile is re-verified; a non-equilibrium input is a
     caller bug and raises.
     """
-    require_valid_graph(graph)
+    checker = _ProfileChecker(graph)
     if not spes:
         raise GameError("rationalizable actions need at least one equilibrium")
-    checker = _ProfileChecker(graph)
     for i, profile in enumerate(spes, start=1):
         verdict = checker.check(profile)
         if not verdict.ok:

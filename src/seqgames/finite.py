@@ -340,7 +340,7 @@ class _Tree:
         a depth-first walk of the tree meets.  Positions are numbered
         children first, so ``post`` is their index order.  A position's
         address is its key.  Returns the table and each depth's root
-        position.  Raises ValueError on a negative depth.
+        position.  Raises ValueError on a negative depth, for every caller.
         """
         if any(depth < 0 for depth in depths):
             raise ValueError("depth must be >= 0")

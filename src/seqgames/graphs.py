@@ -188,26 +188,25 @@ def require_valid_graph(graph: GameGraph) -> None:
         raise GameError(f"invalid graph: {first} ({len(report.violations)} violation(s))")
 
 
-ClosureMap = Mapping[str, PayoffVector] | Callable[[str], PayoffVector]
+ClosureMap = Mapping[str, PayoffVector | AffinePayoffs] | Callable[[str], PayoffVector | AffinePayoffs]
 
 
 def unfold(graph: GameGraph, depth: int, closure: ClosureMap) -> FiniteGame:
     """Tree of all plays of length <= depth from the start state.
 
     Internal states cut at the depth limit become leaves carrying the closure
-    payoff supplied for that state.  A callable closure is called once per
-    distinct cut state, in the order a depth-first walk with branches in
-    order first meets it.  Equal subgames are one shared object.
+    payoff supplied for that state, at the cut's stage if it is affine.  A
+    callable closure is called once per distinct cut (state, stage), in the
+    order a depth-first walk with branches in order first meets it.  Equal
+    subgames are one shared object.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     require_valid_graph(graph)
 
     def closure_for(sid: str, stage: int) -> PayoffVector:
         if callable(closure):
-            return closure(sid)
+            return closure(sid).at_stage(stage)
         try:
-            return closure[sid]  # type: ignore[index]
+            return closure[sid].at_stage(stage)  # type: ignore[index]
         except KeyError:
             raise MissingClosureError(f"no closure payoff for cut state {sid!r}") from None
 
@@ -222,8 +221,6 @@ def unfold_param(
     """Like ``unfold`` but tracks the stage counter; terminals are evaluated
     at their concrete stage and the closure gets (state, stage), once per
     distinct pair."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     require_valid_graph(graph)
     return _unfold_tree(graph, depth, closure)
 

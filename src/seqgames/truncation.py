@@ -202,8 +202,6 @@ def summarize_depth(graph: GameGraph, depth: int, rule: ClosureRule) -> DepthSum
     every node she moves at, free when every such set contains all of her
     actions, absent when the truncation gives her no move at all.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     return _summaries(graph, [depth], rule)[0]
 
 

@@ -31,6 +31,7 @@ from seqgames.escalation import (
     WitnessStep,
     _rational_edges,
 )
+from seqgames.finite import SpeCheck, is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
@@ -216,7 +217,9 @@ def least_reachable_violation(
     return least
 
 
-def _at_stage(payoffs: AffinePayoffs, k: int) -> PayoffVector:
+def _at_stage(payoffs: AffinePayoffs | PayoffVector, k: int) -> PayoffVector:
+    if isinstance(payoffs, PayoffVector):
+        return payoffs
     return PayoffVector({p: expr.intercept + expr.slope * k for p, expr in payoffs.items()})
 
 
@@ -246,9 +249,12 @@ def staged_deviation(
     )
 
 
-def _play_value(graph: ParamGraph, profile: StationaryProfile, sid: str) -> AffinePayoffs | None:
+def _play_value(
+    graph: GameGraph, profile: StationaryProfile, sid: str
+) -> AffinePayoffs | PayoffVector | None:
     """The payoffs play under ``profile`` reaches from ``sid``, affine in the
-    stage ``sid`` is entered with, or None when play revisits a state."""
+    stage ``sid`` is entered with on a pgraph, or None when play revisits a
+    state."""
     seen: set[str] = set()
     delta = 0
     while not isinstance(graph.states[sid], Terminal):
@@ -257,7 +263,8 @@ def _play_value(graph: ParamGraph, profile: StationaryProfile, sid: str) -> Affi
         seen.add(sid)
         edge = next(e for e in graph.states[sid].edges if e[0] == profile[sid])
         sid, delta = edge[1], delta + edge[2]
-    return _shifted(graph.states[sid].payoffs, delta)
+    payoffs = graph.states[sid].payoffs
+    return payoffs if isinstance(payoffs, PayoffVector) else _shifted(payoffs, delta)
 
 
 def staged_deviations(graph: ParamGraph, profile: StationaryProfile) -> list[Refuted | None] | None:
@@ -281,3 +288,54 @@ def staged_deviations(graph: ParamGraph, profile: StationaryProfile) -> list[Ref
                     staged_deviation(reach, sid, state.mover, action, value, _shifted(after, delta))
                 )
     return found
+
+
+def recursive_unfolding(graph: GameGraph, depth: int, cut) -> FiniteGame:
+    """The depth-``depth`` unfolding by one recursive walk that builds every
+    position as its own object, with ``cut(state, stage)`` called at each cut
+    state, in depth-first order with branches in order."""
+
+    def build(sid, stage, d):
+        state = graph.states[sid]
+        if isinstance(state, Terminal):
+            payoffs = state.payoffs
+            return Leaf(payoffs.at_stage(stage) if isinstance(payoffs, AffinePayoffs) else payoffs)
+        if d == depth:
+            return Leaf(cut(sid, stage))
+        return Node(
+            state.mover,
+            tuple((action, build(target, stage + delta, d + 1)) for action, target, delta in state.edges),
+        )
+
+    return build(graph.start, 0, 0)
+
+
+def unfolding_check(graph: GameGraph, profile: StationaryProfile, depth: int) -> SpeCheck:
+    """``concrete_unfolding_check`` on a tree built by direct recursion: the
+    depth-``depth`` unfolding, each cut state closed with the payoffs play
+    under ``profile`` reaches from it (``_play_value``) at its stage, and
+    the profile's choice at every decision node, copied by the same
+    recursion; ``is_spe_finite`` judges the pair.  Raises GameError when
+    play diverges from some decision state."""
+    values = {sid: _play_value(graph, profile, sid) for sid in graph.internal_ids()}
+    diverging = [sid for sid, value in values.items() if value is None]
+    if diverging:
+        raise GameError(f"play from {diverging[0]} diverges")
+    choices: dict[Address, str] = {}
+
+    def build(sid: str, stage: int, address: Address) -> FiniteGame:
+        state = graph.states[sid]
+        if isinstance(state, Terminal):
+            return Leaf(_at_stage(state.payoffs, stage))
+        if len(address) == depth:
+            return Leaf(_at_stage(values[sid], stage))
+        choices[address] = profile[sid]
+        return Node(
+            state.mover,
+            tuple(
+                (action, build(target, stage + delta, address + (action,)))
+                for action, target, delta in state.edges
+            ),
+        )
+
+    return is_spe_finite(build(graph.start, 0, ()), TreeProfile(choices))

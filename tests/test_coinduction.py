@@ -34,7 +34,7 @@ from seqgames.coinduction import (
     stationary_closure,
     stationary_profiles,
 )
-from seqgames.finite import is_spe_finite
+from seqgames.finite import SpeCheck, is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
@@ -268,6 +268,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
         # Play diverges: the depth is refused before the profile is checked.
         "check_spe_param(auction, StationaryProfile(S0='bid', DA='raise', DB='raise'), -1)",
         "induced_tree_profile(auction, alice_raises, -1)",
+        "unfold(auction, -1, {})",
+        "unfold_param(auction, -1, lambda sid, stage: None)",
+        "truncate(auction, -1, parse_closure_spec('quit'))",
+        "summarize_depth(auction, -1, parse_closure_spec('quit'))",
     ],
 )
 def test_negative_depths_are_refused(call):
@@ -278,7 +282,8 @@ def test_negative_depths_are_refused(call):
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
         from seqgames.coinduction import *
-        from seqgames.graphs import dollar_auction
+        from seqgames.graphs import dollar_auction, unfold, unfold_param
+        from seqgames.truncation import parse_closure_spec, summarize_depth, truncate
         auction = dollar_auction(10)
         alice_raises = StationaryProfile(S0="bid", DA="raise", DB="quit")
         try:
@@ -295,6 +300,39 @@ def test_negative_depths_are_refused(call):
         env={"PATH": "", "PYTHONPATH": str(SRC)},
     )
     assert (result.returncode, result.stdout, result.stderr) == (0, "depth must be >= 0\n", "")
+
+
+def totality_graph():
+    """Decision states Z and B, defined in that order, and terminal T."""
+    return GameGraph(
+        name="order",
+        states={
+            "Z": Decision("A", (("a", "T", 0), ("b", "B", 0))),
+            "B": Decision("B", (("a", "T", 0), ("b", "Z", 0))),
+            "T": Terminal(PayoffVector(A=0, B=0)),
+        },
+        start="Z",
+    )
+
+
+@pytest.mark.parametrize(
+    "choices, message",
+    [
+        ({"T": "a", "Q": "a"}, "profile not total: no choice at state 'B'"),
+        ({"B": "x", "T": "a"}, "profile not total: no choice at state 'Z'"),
+        ({"Z": "x", "B": "x", "T": "a", "Q": "a"}, "profile has a choice at non-decision state 'Q'"),
+        ({"Z": "x", "B": "y"}, "profile chooses unknown action 'y' at state 'B'"),
+        ({"Z": "x", "B": "a"}, "profile chooses unknown action 'x' at state 'Z'"),
+    ],
+)
+def test_stationary_totality_faults_are_reported_in_order(choices, message):
+    # A missing state first, then a choice at a non-decision state, then an
+    # unknown action: each the first by state id, not in definition order.
+    graph, profile = totality_graph(), StationaryProfile(choices)
+    for call in (lambda: check_spe_graph(graph, profile), lambda: induced_tree_profile(graph, profile, 3)):
+        with pytest.raises(ProfileError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def test_check_spe_param_agrees_with_concrete_unfolding():
@@ -850,12 +888,13 @@ def decision_pairs(graph, depth):
 
 def test_cross_check_on_distinct_subgames_matches_the_tree_oracle():
     # The cross-check solves (state, stage, remaining) keys; the oracle
-    # builds and solves the whole depth-d tree.  Fed an accepting verdict,
-    # the cross-check must object exactly when the tree refutes, with the
-    # tree's first counterexample; fed a refutation at the start state, it
-    # must object exactly when the tree accepts.  Fed a refutation at a
-    # random decision state and stage, it must object exactly when the tree
-    # accepts and has a decision node with that state and stage.
+    # (reference.unfolding_check) builds and solves the whole depth-d tree
+    # by recursion.  Fed an accepting verdict, the cross-check must object
+    # exactly when the tree refutes, with the tree's first counterexample;
+    # fed a refutation at the start state, it must object exactly when the
+    # tree accepts.  Fed a refutation at a random decision state and stage,
+    # it must object exactly when the tree accepts and has a decision node
+    # with that state and stage.
     rng = random.Random(4242)
     claims = random.Random(99)
     outcomes: Counter = Counter()
@@ -867,7 +906,7 @@ def test_cross_check_on_distinct_subgames_matches_the_tree_oracle():
             if isinstance(values, NotAdmissible):
                 continue
             for depth in range(9):
-                concrete = concrete_unfolding_check(graph, profile, depth)
+                concrete = reference.unfolding_check(graph, profile, depth)
                 accepted = cross_check_outcome(graph, profile, values, SpeOk(), depth)
                 if concrete.ok:
                     assert accepted is None, (graph, profile, depth)
@@ -900,6 +939,33 @@ def test_cross_check_on_distinct_subgames_matches_the_tree_oracle():
         assert outcomes[key] >= 50, outcomes
     for in_tree, ok in itertools.product((True, False), repeat=2):
         assert outcomes["claim", in_tree, ok] >= 50, outcomes
+
+
+def test_concrete_unfolding_check_matches_the_tree_oracle():
+    # The table decides, the tree words a refutation: the whole SpeCheck,
+    # counterexample included, must be what the recursive oracle finds, and
+    # a profile whose play diverges is refused by both.
+    rng = random.Random(2028)
+    graphs = [random_param_graph(rng, max_internal=4) for _ in range(150)]
+    graphs += [random_game_graph(rng, max_internal=4) for _ in range(50)]
+    outcomes: Counter = Counter()
+    for graph in graphs:
+        for profile in stationary_profiles(graph):
+            for depth in range(8):
+                try:
+                    expected = reference.unfolding_check(graph, profile, depth)
+                except GameError:
+                    with pytest.raises(GameError):
+                        concrete_unfolding_check(graph, profile, depth)
+                    outcomes["diverges"] += 1
+                    continue
+                assert concrete_unfolding_check(graph, profile, depth) == expected, (
+                    graph, profile, depth,
+                )
+                outcomes[isinstance(graph, ParamGraph), expected.ok] += 1
+    for key in itertools.product((True, False), repeat=2):
+        assert outcomes[key] >= 50, outcomes
+    assert outcomes["diverges"] >= 50, outcomes
 
 
 def test_cross_check_disagreements_keep_the_tree_wording():
@@ -943,12 +1009,13 @@ def random_three_edge_graph(rng, n_states):
 
 def test_default_depth_cross_check_needs_no_tree(monkeypatch):
     # At depth 20 these unfoldings have up to 3**20 positions; the
-    # cross-check must reach its verdicts without building or solving one.
+    # cross-check, and the concrete check of an accepted profile, must reach
+    # their verdicts without building or solving one.
     def no_tree(*args, **kwargs):
         raise AssertionError("the cross-check built the unfolding tree")
 
     monkeypatch.setattr(coinduction, "is_spe_finite", no_tree)
-    monkeypatch.setattr(coinduction, "_concrete_unfolding", no_tree)
+    monkeypatch.setattr(coinduction, "_unfold_tree", no_tree)
     rng = random.Random(26)
     kinds: Counter = Counter()
     for n_states in (2, 3, 3, 4, 4, 5):
@@ -956,6 +1023,8 @@ def test_default_depth_cross_check_needs_no_tree(monkeypatch):
         for profile in stationary_profiles(graph):
             verdict = check_spe_param(graph, profile)
             assert verdict == check_spe_param(graph, profile, cross_check_depth=None)
+            if verdict.ok:
+                assert concrete_unfolding_check(graph, profile, 20) == SpeCheck()
             kinds[type(verdict).__name__] += 1
     assert kinds["SpeOk"] >= 20 and kinds["Refuted"] >= 100, kinds
 

@@ -95,6 +95,14 @@ def test_brute_force_cap():
         brute_force_spe(game, cap=1)
 
 
+def test_enumeration_cap_counts_equilibria_not_profiles():
+    # Two equilibria among four profiles: the cap bounds the equilibria.
+    game = divergent_tie_game()
+    with pytest.raises(CapExceededError, match="^equilibrium count 2 exceeds cap 1$"):
+        enumerate_spe_profiles(game, cap=1)
+    assert len(enumerate_spe_profiles(game, cap=2)) == 2
+
+
 def _first_maximizer_profile(game):
     """Reference representative: the first maximizer in branch order."""
     choices = {}

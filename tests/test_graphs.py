@@ -3,8 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from seqgames.coinduction import StationaryProfile, check_spe
+from seqgames.coinduction import (
+    StationaryProfile,
+    check_spe,
+    check_spe_graph,
+    check_spe_param,
+    concrete_unfolding_check,
+    enumerate_stationary_spe,
+    induced_tree_profile,
+    stationary_closure,
+)
 from seqgames.core import GameError, Leaf, Node, PayoffVector
+from seqgames.escalation import rationalizable_actions
+from seqgames.finite import backward_induction
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
@@ -22,6 +33,7 @@ from seqgames.graphs import (
 )
 from seqgames.truncation import parse_closure_spec, truncate
 from tests.conftest import random_game_graph, random_param_graph
+from tests.reference import recursive_unfolding
 
 QUIT_CLOSURE = {"SA": PayoffVector(A=0, B=1), "SB": PayoffVector(A=1, B=0)}
 
@@ -49,6 +61,38 @@ def test_validate_reports_dangling_target():
 def test_validate_reports_missing_start():
     g = GameGraph(name="bad", states={"S": Terminal(PayoffVector(A=0))}, start="X")
     assert not validate_graph(g).ok
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        (
+            {
+                "S": Decision("A", (("go", "T", 0), ("stop", "U", 0))),
+                "T": Terminal(PayoffVector(A=1)),
+                "U": Terminal(PayoffVector(A=0, B=0)),
+            },
+            "T: missing payoff for B",
+        ),
+        (
+            {
+                "S": Decision("A", (("go", "T", 0),)),
+                "E": Decision("B", ()),
+                "T": Terminal(PayoffVector(A=1, B=0)),
+            },
+            "E: empty edge list",
+        ),
+        (
+            {"S": Decision("B", (("go", "T", 0), ("go", "S", 0))), "T": Terminal(PayoffVector(B=0))},
+            "S: duplicate action label 'go'",
+        ),
+    ],
+)
+def test_validate_reports_each_structural_fault(states, message):
+    # A terminal must pay every mover; a decision state needs edges, each
+    # with its own label.
+    report = validate_graph(GameGraph(name="bad", states=states, start="S"))
+    assert [str(v) for v in report.violations] == [message]
 
 
 def test_affine_eval():
@@ -185,6 +229,25 @@ def test_unfold_param_evaluates_stages():
     assert sub == Leaf(PayoffVector(A=-1, B=98))
 
 
+def test_unfold_evaluates_an_affine_closure_at_each_cut_stage():
+    # On a pgraph stationary_closure gives play values affine in the stage;
+    # unfold evaluates each at its cut state's stage, so the leaves hold
+    # exact payoffs and the tree solves.
+    g = dollar_auction(5)
+    closure = stationary_closure(g, StationaryProfile(S0="pass", DB="quit", DA="quit"))
+    assert isinstance(closure["DB"], AffinePayoffs)
+    for depth in range(6):
+        tree = unfold(g, depth, closure)
+        assert tree == unfold_param(g, depth, lambda sid, stage: closure[sid].at_stage(stage))
+        assert backward_induction(tree).count >= 1
+    # bid, raise, raise cuts DB at stage 2, where B quitting leaves A the
+    # prize of 5 less her bid of 3, and costs B his 2.
+    sub = unfold(g, 3, closure)
+    for action in ("bid", "raise", "raise"):
+        sub = dict(sub.branches)[action]
+    assert sub == Leaf(PayoffVector(A=2, B=-2))
+
+
 def test_stage_reachability_dollar_auction():
     reach = StageReachability(dollar_auction(100))
     assert reach.least_at_least("S0", 0) == 0 and reach.least_at_least("S0", 1) is None
@@ -218,25 +281,6 @@ def ParamGraphFixture():
         },
         start="GO",
     )
-
-
-def recursive_unfolding(graph, depth, cut):
-    """Reference for the iterative builder: the recursive walk it replaced,
-    with ``cut(state, stage)`` called at cut states in the same order."""
-
-    def build(sid, stage, d):
-        state = graph.states[sid]
-        if isinstance(state, Terminal):
-            payoffs = state.payoffs
-            return Leaf(payoffs.at_stage(stage) if isinstance(payoffs, AffinePayoffs) else payoffs)
-        if d == depth:
-            return Leaf(cut(sid, stage))
-        return Node(
-            state.mover,
-            tuple((action, build(target, stage + delta, d + 1)) for action, target, delta in state.edges),
-        )
-
-    return build(graph.start, 0, 0)
 
 
 def logging_cut(log):
@@ -313,7 +357,42 @@ def test_validate_rejects_payload_of_the_other_graph_kind():
     assert messages == ["S: edge 'go' has stage delta 1, expected 0"]
     assert validate_graph(ParamGraph(name="p", states={"S": staged, "T": affine}, start="S")).ok
 
-    # The checkers refuse such graphs with a typed error, not a traceback.
+    # Every checker entry point refuses such graphs with a typed error, not
+    # a traceback; rationalizable_actions before it looks at its list.
+    go = StationaryProfile(S="go")
+    entry_points = [
+        lambda graph: check_spe(graph, go),
+        lambda graph: check_spe_graph(graph, go),
+        lambda graph: check_spe_param(graph, go),
+        lambda graph: concrete_unfolding_check(graph, go, 2),
+        lambda graph: enumerate_stationary_spe(graph),
+        lambda graph: stationary_closure(graph, go),
+        lambda graph: rationalizable_actions(graph, []),
+        lambda graph: induced_tree_profile(graph, go, 2),
+    ]
     for graph in (plain_with_affine, param_with_constant, plain_with_delta):
-        with pytest.raises(GameError, match="invalid graph"):
-            check_spe(graph, StationaryProfile(S="go"))
+        for call in entry_points:
+            with pytest.raises(GameError, match="^invalid graph: "):
+                call(graph)
+
+
+def test_each_checker_entry_point_validates_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "seqgames.graphs.validate_graph", lambda graph: calls.append(graph) or validate_graph(graph)
+    )
+    auction = dollar_auction(10)
+    alice_raises = StationaryProfile(S0="bid", DA="raise", DB="quit")
+    for call in (
+        lambda: check_spe(auction, alice_raises),
+        lambda: check_spe_graph(auction, alice_raises),
+        lambda: check_spe_param(auction, alice_raises),
+        lambda: concrete_unfolding_check(auction, alice_raises, 4),
+        lambda: enumerate_stationary_spe(auction),
+        lambda: stationary_closure(auction, alice_raises),
+        lambda: rationalizable_actions(auction, [alice_raises]),
+        lambda: induced_tree_profile(auction, alice_raises, 4),
+    ):
+        calls.clear()
+        call()
+        assert calls == [auction]
