@@ -12,9 +12,12 @@ rejected as not admissible rather than compared.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
+import operator
+import weakref
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,7 +197,9 @@ class _ProfileChecker:
 
     def __init__(self, graph: GameGraph) -> None:
         require_valid_graph(graph)
-        self.graph = graph
+        # A copy, which ``_checker`` compares with the graph and which does
+        # not keep the graph alive.
+        self.graph = dataclasses.replace(graph, states=dict(graph.states))
         self.staged = isinstance(graph, ParamGraph)
         states = graph.states
         decisions = graph.internal_ids()
@@ -510,6 +515,31 @@ def _can_cycle(targets: list[list[int]], picks: list[int], end: list[int], free:
     return False
 
 
+_last: tuple = (None, None)  # (weak reference, checker), as in ``finite``
+
+
+def _checker(graph: GameGraph) -> _ProfileChecker:
+    """``_ProfileChecker(graph)``; the last one is kept (``_last``), with its
+    deviation memo, while each entry of the graph's mutable ``states`` is
+    the immutable state object it was built from."""
+    global _last
+    ref, checker = _last
+    if ref is not None and ref() is graph:
+        built, states = checker.graph.states, graph.states
+        if list(built) == list(states) and all(map(operator.is_, built.values(), states.values())):
+            return checker
+    _last = (None, None)  # released before the new compile
+    checker = _ProfileChecker(graph)
+    _last = (weakref.ref(graph, _forget), checker)
+    return checker
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last
+    if _last[0] is ref:
+        _last = (None, None)
+
+
 def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
     """One-shot deviation check over every decision state of a cyclic graph
     of either kind, with no cross-check.
@@ -518,7 +548,7 @@ def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:
     every state and alternative edge, taking that edge once and following the
     profile from its target must not strictly improve the mover.
     """
-    return _ProfileChecker(graph).check(profile)
+    return _checker(graph).check(profile)
 
 
 def _scaled(exprs: Sequence[AffineExpr]) -> list[tuple[int, int]]:
@@ -574,7 +604,7 @@ def check_spe_param(
     """
     if cross_check_depth is not None and cross_check_depth < 0:
         raise ValueError("depth must be >= 0")
-    checker = _ProfileChecker(graph)
+    checker = _checker(graph)
     verdict = checker.check(profile)
     if (
         cross_check_depth is not None
@@ -597,7 +627,7 @@ def concrete_unfolding_check(
     ``_unfolding_refutes`` decides; only a refutation builds the tree, whose
     first counterexample ``is_spe_finite`` reports.
     """
-    checker = _ProfileChecker(graph)
+    checker = _checker(graph)
     values = checker.values(checker.picks(profile))
     if isinstance(values, NotAdmissible):
         raise GameError(values.describe())
@@ -686,7 +716,7 @@ def enumerate_stationary_spe(
     graph: GameGraph, cap: int = DEFAULT_STATIONARY_CAP
 ) -> list[tuple[StationaryProfile, SpeVerdict]]:
     """Verdict for every stationary profile, in deterministic order."""
-    checker = _ProfileChecker(graph)
+    checker = _checker(graph)
     total = math.prod(map(len, checker.targets))
     if total > cap:
         raise CapExceededError(f"stationary profile space {total} exceeds cap {cap}")
@@ -699,7 +729,7 @@ def stationary_closure(
     """Closure payoffs for truncation: each state's play value under the
     profile, affine in its entry stage on a pgraph.  Raises when play
     diverges from any state."""
-    checker = _ProfileChecker(graph)
+    checker = _checker(graph)
     values = checker.values(checker.picks(profile))
     if isinstance(values, NotAdmissible):
         raise GameError(
@@ -712,5 +742,5 @@ def induced_tree_profile(
     graph: GameGraph, profile: StationaryProfile, depth: int
 ) -> TreeProfile:
     """The profile's choices copied onto the depth-limited unfolding."""
-    _ProfileChecker(graph).picks(profile)
+    _checker(graph).picks(profile)
     return _unfolded_choices(graph, profile, depth)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from seqgames.core import GameError
-from seqgames.coinduction import StationaryProfile, _ProfileChecker
-from seqgames.graphs import Decision, GameGraph, require_valid_graph
+from seqgames.coinduction import StationaryProfile, _checker
+from seqgames.graphs import Decision, GameGraph
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def rationalizable_actions(
     Every supplied profile is re-verified; a non-equilibrium input is a
     caller bug and raises.
     """
-    checker = _ProfileChecker(graph)
+    checker = _checker(graph)
     if not spes:
         raise GameError("rationalizable actions need at least one equilibrium")
     for i, profile in enumerate(spes, start=1):
@@ -74,18 +74,16 @@ def rationalizable_actions(
 def _rationalizable_map(
     graph: GameGraph, spes: Sequence[StationaryProfile]
 ) -> RationalizableMap:
-    """``rationalizable_actions`` for profiles the caller has verified."""
-    actions: dict[str, dict[str, tuple[int, ...]]] = {}
-    for sid in graph.internal_ids():
-        per_state: dict[str, tuple[int, ...]] = {}
-        for action, _, _ in graph.states[sid].edges:
-            tags = tuple(
-                i for i, profile in enumerate(spes, start=1) if profile[sid] == action
-            )
-            if tags:
-                per_state[action] = tags
-        actions[sid] = per_state
-    return RationalizableMap(actions)
+    """``rationalizable_actions`` for profiles the caller has verified, by
+    one pass over each profile's entries."""
+    tags: dict[tuple[str, str], list[int]] = {}
+    for i, profile in enumerate(spes, start=1):
+        for entry in profile._entries:
+            tags.setdefault(entry, []).append(i)
+    return RationalizableMap({
+        sid: {a: tuple(tags[sid, a]) for a, _, _ in graph.states[sid].edges if (sid, a) in tags}
+        for sid in graph.internal_ids()
+    })
 
 
 def _rational_edges(graph: GameGraph, rmap: RationalizableMap) -> dict[str, list[tuple[str, str, int]]]:
@@ -141,7 +139,7 @@ def escalation_witness(
     gives its least cycle.  The witness is the first prefix of the shortest
     length whose end has the shortest cycle.
     """
-    require_valid_graph(graph)
+    _checker(graph)  # validates the graph
     edges = _rational_edges(graph, rmap)
     if graph.start not in edges:
         return None

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,8 +88,9 @@ class EquilibriumSummary:
             branch order at every node); always passes ``is_spe_finite``.
         payoff: the payoff vector induced by the representative.
         subgame_values: per node, all payoff vectors achievable by the
-            equilibria of that subgame; computed on first access, by solving
-            again the game the summary keeps (neither compared nor printed).
+            equilibria of that subgame; computed on first access from the
+            game the summary keeps (``_require_valid``; neither compared
+            nor printed).
     """
 
     optimal_actions: Mapping[Address, tuple[str, ...]]
@@ -102,9 +104,8 @@ class EquilibriumSummary:
 
     @functools.cached_property
     def subgame_values(self) -> Mapping[Address, tuple[PayoffVector, ...]]:
-        tree = _Tree(self._game)
-        leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
-        counts = _analyze(tree, leaf, ranks)[0]
+        tree = _require_valid(self._game)
+        _, vectors, _, (counts, *_) = tree.solved()
         return {tree.addresses[i]: tuple(vectors[v] for v in counts[i]) for i in tree.postorder}
 
     @property
@@ -121,12 +122,31 @@ class _InvalidGame(GameError):
         self.first = violations[0]
 
 
+# The last valid game compiled, as (weak reference, _Tree); the reference's
+# callback drops the entry when the game is collected.  One tuple, rebound
+# whole, so it needs no lock: a race can only lose the entry.
+_last: tuple = (None, None)
+
+
 def _require_valid(game: FiniteGame) -> _Tree:
-    """The game compiled; raises _InvalidGame if it has a violation."""
-    tree = _Tree(game)
-    if violations := tree.violations():
-        raise _InvalidGame(violations)
+    """The game compiled; raises _InvalidGame if it has a violation.  Games
+    are immutable, so the last valid one is kept (``_last``) and calls on
+    one game in a row compile and validate it once."""
+    global _last
+    ref, tree = _last
+    if ref is None or ref() is not game:
+        _last = (None, None)  # released before the new compile
+        tree = _Tree(game)
+        if violations := tree.violations():
+            raise _InvalidGame(violations)
+        _last = (weakref.ref(game, _forget), tree)
     return tree
+
+
+def _forget(ref: weakref.ref) -> None:
+    global _last
+    if _last[0] is ref:
+        _last = (None, None)
 
 
 def _payoff_ids(
@@ -225,8 +245,7 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
     not beaten by every alternative continuation of each sibling branch.
     """
     tree = _require_valid(game)
-    leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
-    counts, used, best, picks = _analyze(tree, leaf, ranks)
+    _, vectors, _, (counts, used, best, picks) = tree.solved()
     return EquilibriumSummary(
         # Positions are numbered in preorder.
         optimal_actions={
@@ -256,8 +275,7 @@ def _solve_unfoldings(
     unfolding is a valid game.
     """
     tree, roots = _Tree.from_graph(graph, depths, cut)
-    leaf, vectors, ranks = _payoff_ids(tree.payoffs, tree.players())
-    counts, used, best, _ = _analyze(tree, leaf, ranks)
+    leaf, vectors, _, (counts, used, best, _) = tree.solved()
     # Each position's triples and those of every position below it (none at
     # a leaf), children first: the table numbers children before parents.
     beneath: list[frozenset] = [frozenset()] * len(leaf)
@@ -282,11 +300,12 @@ class _Tree:
     them.  ``from_graph`` compiles a shared table of unfoldings instead,
     addressed by (state, stage, remaining depth) keys.
 
-    Games are validated on these arrays (``violations``); the solvers
-    compile once, and ``subgame_values`` compiles again on first access.
+    Games are validated on these arrays (``violations``), and the solved
+    analysis is computed on first use (``solved``), so the solvers and
+    ``subgame_values`` share one compile of the last game (``_require_valid``).
     """
 
-    __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "postorder", "post")
+    __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "postorder", "post", "_solved")
 
     def __init__(self, game: FiniteGame) -> None:
         self.addresses: list[Address] = []
@@ -468,6 +487,13 @@ class _Tree:
 
     def players(self) -> list[str]:
         return sorted({m for m in self.movers if m is not None})
+
+    def solved(self) -> tuple:
+        """``_payoff_ids``' three tables and ``_analyze``'s four, on first use."""
+        if not hasattr(self, "_solved"):
+            leaf, vectors, ranks = _payoff_ids(self.payoffs, self.players())
+            self._solved = (leaf, vectors, ranks, _analyze(self, leaf, ranks))
+        return self._solved
 
 
 def _first_deviation(
@@ -657,8 +683,8 @@ def enumerate_spe_profiles(
     branch's value is not beaten by any sibling restriction's value.
     """
     tree = _require_valid(game)
-    leaf, _, ranks = _payoff_ids(tree.payoffs, tree.players())
-    total = sum(_analyze(tree, leaf, ranks)[0][0].values())
+    leaf, _, ranks, (counts, *_) = tree.solved()
+    total = sum(counts[0].values())
     if total > cap:
         raise CapExceededError(f"equilibrium count {total} exceeds cap {cap}")
 

@@ -21,6 +21,7 @@ from seqgames.core import PayoffVector, _count_repr
 from seqgames.coinduction import (
     DEFAULT_STATIONARY_CAP,
     StationaryProfile,
+    _checker,
     enumerate_stationary_spe,
 )
 from seqgames.finite import _require_valid, _solve_unfoldings
@@ -29,7 +30,6 @@ from seqgames.graphs import (
     MissingClosureError,
     Terminal,
     graph_players,
-    require_valid_graph,
     unfold_param,
 )
 
@@ -168,7 +168,7 @@ def _summaries(graph: GameGraph, depths: Sequence[int], rule: ClosureRule) -> li
     names the first invalid depth's first violation, as solving depth by
     depth does.
     """
-    require_valid_graph(graph)
+    _checker(graph)  # validates the graph; extrapolation_report's enumeration reuses it
     players = graph_players(graph)
 
     def cut(sid: str, stage: int) -> PayoffVector:

@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests.
+"""Shared generators for randomized tests, and a fixture that empties the compile memos.
 
 All randomness is seeded per test, so the suite is deterministic.
 """
@@ -8,6 +8,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+from seqgames import coinduction, finite
 from seqgames.core import FiniteGame, Leaf, Node, PayoffVector
 from seqgames.finite import profile_space_size
 from seqgames.graphs import (
@@ -21,6 +24,15 @@ from seqgames.graphs import (
 
 PLAYERS = ("A", "B")
 ACTION_NAMES = ("a", "b", "c")
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_compile(monkeypatch):
+    """Start each test with no compiled game or graph kept by the one-entry
+    memos of ``finite._require_valid`` and ``coinduction._checker``, so no
+    test that counts compiles or validations depends on the test before."""
+    monkeypatch.setattr(finite, "_last", (None, None))
+    monkeypatch.setattr(coinduction, "_last", (None, None))
 
 
 def random_payoffs(

@@ -23,7 +23,7 @@ from seqgames.graphs import (
     validate_graph,
     zero_one_graph,
 )
-from tests.conftest import random_game_graph
+from tests.conftest import random_game_graph, random_param_graph, random_ring_graph
 from tests.reference import least_lasso
 
 ALICE_LEAVES = StationaryProfile(SA="l", SB="c")
@@ -56,6 +56,31 @@ def test_rationalizable_requires_nonempty_verified_input():
         rationalizable_actions(g, [])
     with pytest.raises(GameError):
         rationalizable_actions(g, [StationaryProfile(SA="l", SB="l")])
+
+
+def test_rationalizable_map_matches_a_scan_of_every_profile():
+    # The tags, and the order of states, actions and tags, are those of a
+    # lookup of each state in each equilibrium, branch by branch.
+    rng = random.Random(808)
+    tried = 0
+    for n in range(60):
+        g = random_ring_graph(rng, rng.randint(3, 7)) if n % 2 else random_param_graph(rng, ranked=True)
+        spes = [p for p, v in enumerate_stationary_spe(g) if v.ok]
+        if not spes:
+            continue
+        spes = rng.sample(spes, len(spes)) + spes[:1]
+        expected = []
+        for sid in g.internal_ids():
+            per_state = []
+            for action, _, _ in g.states[sid].edges:
+                tags = tuple(i for i, p in enumerate(spes, start=1) if p[sid] == action)
+                if tags:
+                    per_state.append((action, tags))
+            expected.append((sid, per_state))
+        rmap = rationalizable_actions(g, spes)
+        assert [(sid, list(acts.items())) for sid, acts in rmap.actions.items()] == expected
+        tried += len(spes) > 2
+    assert tried >= 10
 
 
 def test_escalation_witness_zero_one():

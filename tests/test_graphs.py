@@ -381,18 +381,25 @@ def test_each_checker_entry_point_validates_once(monkeypatch):
     monkeypatch.setattr(
         "seqgames.graphs.validate_graph", lambda graph: calls.append(graph) or validate_graph(graph)
     )
-    auction = dollar_auction(10)
     alice_raises = StationaryProfile(S0="bid", DA="raise", DB="quit")
-    for call in (
-        lambda: check_spe(auction, alice_raises),
-        lambda: check_spe_graph(auction, alice_raises),
-        lambda: check_spe_param(auction, alice_raises),
-        lambda: concrete_unfolding_check(auction, alice_raises, 4),
-        lambda: enumerate_stationary_spe(auction),
-        lambda: stationary_closure(auction, alice_raises),
-        lambda: rationalizable_actions(auction, [alice_raises]),
-        lambda: induced_tree_profile(auction, alice_raises, 4),
-    ):
+    entry_points = (
+        lambda auction: check_spe(auction, alice_raises),
+        lambda auction: check_spe_graph(auction, alice_raises),
+        lambda auction: check_spe_param(auction, alice_raises),
+        lambda auction: concrete_unfolding_check(auction, alice_raises, 4),
+        lambda auction: enumerate_stationary_spe(auction),
+        lambda auction: stationary_closure(auction, alice_raises),
+        lambda auction: rationalizable_actions(auction, [alice_raises]),
+        lambda auction: induced_tree_profile(auction, alice_raises, 4),
+    )
+    for call in entry_points:
+        auction = dollar_auction(10)
         calls.clear()
-        call()
+        call(auction)
         assert calls == [auction]
+    # The last graph checked is kept, so all eight in a row validate once.
+    auction = dollar_auction(10)
+    calls.clear()
+    for call in entry_points:
+        call(auction)
+    assert len(calls) == 1 and calls[0] is auction

@@ -1,0 +1,278 @@
+"""The one-entry compile memos of ``finite._require_valid`` and
+``coinduction._checker``: what they reuse, what they must compile again,
+and that they keep at most one compile, released with its game."""
+
+import gc
+import itertools
+import random
+import sys
+import threading
+import time
+from collections import Counter
+
+import pytest
+
+from seqgames import coinduction, finite, leaf, node
+from seqgames.coinduction import StationaryProfile, check_spe_graph, enumerate_stationary_spe
+from seqgames.core import GameError, PayoffVector
+from seqgames.dsl import parse, serialize
+from seqgames.escalation import credible_threat_report, escalation_witness, rationalizable_actions
+from seqgames.finite import backward_induction, brute_force_spe, enumerate_spe_profiles
+from seqgames.graphs import Decision, GameGraph, Terminal, dollar_auction, validate_graph, zero_one_graph
+from tests.conftest import random_finite_game, random_param_graph, random_ring_graph
+
+ROUTES = {
+    "backward_induction": backward_induction,
+    "enumerate_spe_profiles": enumerate_spe_profiles,
+    "brute_force_spe": brute_force_spe,
+}
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Counts of ``_Tree`` compiles and ``_analyze`` passes."""
+    counts = Counter()
+    init, analyze = finite._Tree.__init__, finite._analyze
+
+    def counting_init(self, game):
+        counts["compile"] += 1
+        init(self, game)
+
+    def counting_analyze(*args):
+        counts["analyze"] += 1
+        return analyze(*args)
+
+    monkeypatch.setattr(finite._Tree, "__init__", counting_init)
+    monkeypatch.setattr(finite, "_analyze", counting_analyze)
+    return counts
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The graphs ``validate_graph`` is called on, in order."""
+    calls = []
+    monkeypatch.setattr(
+        "seqgames.graphs.validate_graph", lambda graph: calls.append(graph) or validate_graph(graph)
+    )
+    return calls
+
+
+def test_the_finite_routes_compile_and_analyse_a_game_once(compiles):
+    rng = random.Random(29)
+    for order in itertools.permutations(ROUTES):
+        game = random_finite_game(rng)
+        compiles.clear()
+        for name in order:
+            analysed = compiles["analyze"]
+            ROUTES[name](game)
+            if name == "brute_force_spe":
+                assert compiles["analyze"] == analysed, order
+        backward_induction(game).subgame_values
+        assert compiles == {"compile": 1, "analyze": 1}, order
+
+
+def test_equal_games_are_each_compiled(compiles, validations):
+    game = random_finite_game(random.Random(3))
+    twin = parse(serialize(game))
+    assert twin == game and twin is not game
+    for solved in (game, twin, game):
+        backward_induction(solved)
+    assert compiles["compile"] == 3
+    graph = zero_one_graph()
+    twin = zero_one_graph()
+    profile = StationaryProfile(SA="c", SB="l")
+    for checked in (graph, twin, graph):
+        check_spe_graph(checked, profile)
+    assert [id(g) for g in validations] == [id(graph), id(twin), id(graph)]
+
+
+def test_an_invalid_game_raises_on_every_call(validations):
+    # A valid game and graph, kept alive, whose entries the invalid ones
+    # release before they are compiled.
+    valid = node("A", ("a", leaf(A=1, B=0)))
+    backward_induction(valid)
+    bad = node("A", ("a", leaf(A=1)), ("b", leaf(A=0, B=1)))
+    for _ in range(2):
+        for route in ROUTES.values():
+            with pytest.raises(GameError, match=r"^invalid game: a: missing payoff for B \(1"):
+                route(bad)
+    assert finite._last == (None, None)
+    valid = zero_one_graph()
+    enumerate_stationary_spe(valid)
+    broken = GameGraph(
+        name="g", states={"S": Decision("A", (("go", "X", 0),)), "T": Terminal(PayoffVector(A=0))}, start="S"
+    )
+    profile = StationaryProfile(S="go")
+    validations.clear()
+    for _ in range(2):
+        for call in (
+            lambda: check_spe_graph(broken, profile),
+            lambda: enumerate_stationary_spe(broken),
+            lambda: escalation_witness(broken, None),
+        ):
+            with pytest.raises(GameError, match="^invalid graph: S: edge 'go' targets unknown state 'X'"):
+                call()
+    assert len(validations) == 6
+    assert coinduction._last == (None, None)
+
+
+def test_a_collected_game_leaves_its_memo_empty():
+    game = random_finite_game(random.Random(5))
+    backward_induction(game)
+    assert finite._last[0]() is game
+    del game
+    gc.collect()
+    assert finite._last == (None, None)
+    graph = dollar_auction(10)
+    enumerate_stationary_spe(graph)
+    assert coinduction._last[0]() is graph
+    del graph
+    gc.collect()
+    assert coinduction._last == (None, None)
+
+
+def _alive(cls) -> int:
+    gc.collect()
+    return sum(type(o) is cls for o in gc.get_objects())
+
+
+def test_the_memos_keep_at_most_one_compile_alive():
+    before = _alive(finite._Tree), _alive(coinduction._ProfileChecker)
+    rng = random.Random(7)
+    games = [random_finite_game(rng) for _ in range(5)]
+    graphs = [random_ring_graph(rng, 4) for _ in range(5)]
+    for game, graph in zip(games, graphs):
+        brute_force_spe(game)
+        backward_induction(game)
+        enumerate_stationary_spe(graph)
+        assert (_alive(finite._Tree), _alive(coinduction._ProfileChecker)) == (before[0] + 1, before[1] + 1)
+    del games, graphs, game, graph
+    assert (_alive(finite._Tree), _alive(coinduction._ProfileChecker)) == before
+
+
+def test_a_graph_whose_state_is_replaced_is_compiled_again(validations):
+    graph = zero_one_graph()
+    bob_leaves = StationaryProfile(SA="c", SB="l")
+    assert check_spe_graph(graph, bob_leaves).ok
+    # Leaving at SB now costs A, so A leaves at SA instead of continuing.
+    graph.states["TB"] = Terminal(PayoffVector(A=-1, B=0))
+    verdict = check_spe_graph(graph, bob_leaves)
+    assert (verdict.ok, verdict.state, verdict.player) == (False, "SA", "A")
+    assert verdict == check_spe_graph(parse(serialize(graph)), bob_leaves)
+    # So is one with a state added, though every old entry is unchanged.
+    graph.states["TB"] = Terminal(PayoffVector(A=1, B=0))
+    assert check_spe_graph(graph, bob_leaves).ok
+    graph.states["SC"] = Decision("B", (("l", "TB", 0),))
+    with pytest.raises(GameError, match="profile not total: no choice at state 'SC'"):
+        check_spe_graph(graph, bob_leaves)
+    # Four compiles of graph and one of the fresh parse; the last compile
+    # passed validation, so it is kept.
+    assert len(validations) == 5
+    assert check_spe_graph(graph, StationaryProfile(SA="c", SB="l", SC="l")).ok
+    assert len(validations) == 5
+
+
+def test_every_order_of_the_finite_routes_matches_cold_calls():
+    rng = random.Random(2929)
+    for _ in range(30):
+        game, other = random_finite_game(rng, max_profiles=256), random_finite_game(rng, max_profiles=256)
+        text = serialize(game)
+        # Cold: each call on a fresh parse, which no memo holds.
+        cold = {name: route(parse(text)) for name, route in ROUTES.items()}
+        values = backward_induction(parse(text)).subgame_values
+        for order in itertools.permutations(ROUTES):
+            for name in order:
+                if rng.random() < 0.3:
+                    enumerate_spe_profiles(other)  # evicts game
+                assert ROUTES[name](game) == cold[name], (game, order)
+            assert backward_induction(game).subgame_values == values
+
+
+def test_every_order_of_the_escalation_sequence_matches_cold_calls():
+    rng = random.Random(4242)
+    makers = {
+        "plain": lambda: random_ring_graph(rng, rng.randint(3, 6)),
+        "param": lambda: random_param_graph(rng, ranked=True),
+    }
+    tried = Counter()
+    for kind, make in makers.items():
+        for _ in range(30):
+            graph, other = make(), make()
+            text = serialize(graph)
+            spes = [p for p, v in enumerate_stationary_spe(parse(text)) if v.ok]
+            if not spes:
+                continue
+            rmap = rationalizable_actions(parse(text), spes)
+            calls = {
+                "enumerate": lambda g: enumerate_stationary_spe(g),
+                "rationalizable": lambda g: rationalizable_actions(g, spes),
+                "witness": lambda g: escalation_witness(g, rmap),
+                "threats": lambda g: credible_threat_report(g, spes),
+            }
+            cold = {name: call(parse(text)) for name, call in calls.items()}
+            for order in itertools.permutations(calls):
+                for name in order:
+                    if rng.random() < 0.3:
+                        enumerate_stationary_spe(other)  # evicts graph
+                    assert calls[name](graph) == cold[name], (graph, order)
+            tried[kind] += 1
+    assert min(tried.values()) >= 10, tried
+
+
+def _yielding(init):
+    def compile_and_yield(self, *args):
+        time.sleep(0)
+        init(self, *args)
+
+    return compile_and_yield
+
+
+def test_two_threads_solving_two_games_get_cold_results(monkeypatch):
+    # Each compile yields the interpreter lock halfway, so the other thread
+    # runs while an entry is being replaced.
+    for cls in (finite._Tree, coinduction._ProfileChecker):
+        monkeypatch.setattr(cls, "__init__", _yielding(cls.__init__))
+    rng = random.Random(31)
+    games = [random_finite_game(rng, max_profiles=64) for _ in range(2)]
+    graphs = [random_ring_graph(rng, 4) for _ in range(2)]
+
+    def solve(k: int) -> tuple:
+        summary = backward_induction(games[k])
+        enumerated = enumerate_stationary_spe(graphs[k])
+        return (
+            summary,
+            summary.subgame_values,
+            enumerate_spe_profiles(games[k]),
+            brute_force_spe(games[k]),
+            enumerated,
+            [check_spe_graph(graphs[k], profile) for profile, _ in enumerated],
+        )
+
+    cold = [solve(0), solve(1)]
+    assert cold[0] != cold[1]
+    errors = []
+
+    # Both threads solve the games in one random order, 250 solves each, so
+    # they often compile the same game at once and then race to the other.
+    order = random.Random(31).choices((0, 1), k=250)
+
+    def run() -> None:
+        try:
+            for i, k in enumerate(order):
+                if solve(k) != cold[k]:
+                    errors.append(i)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
