@@ -243,7 +243,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    summary = _on_finite(_load(args.file), args.file, backward_induction)
+    doc = _load(args.file)
+    summary = _on_finite(doc, args.file, backward_induction)
     if args.format == "json":
         _emit_json(
             {
@@ -263,8 +264,8 @@ def _cmd_solve(args) -> int:
             }
         )
         return EXIT_OK
-    # optimal_actions lists the decision nodes in preorder, as _movers does.
-    movers = dict(zip(summary.optimal_actions, (m for m in summary._movers if m is not None)))
+    tree = _require_valid(doc)  # the compile backward_induction keeps
+    movers = dict(zip(tree.addresses, tree.movers))
     print(f"equilibria: {_count_text(summary.count)}")
     print(f"payoff: {_payoffs_text(summary.payoff)}")
     print("optimal actions:")

@@ -30,7 +30,8 @@ from seqgames.core import (
     TreeProfile,
     _FrozenMap,
 )
-from seqgames.finite import SpeCheck, _first_deviation, _ranks, _Tree, is_spe_finite
+from seqgames import graphs
+from seqgames.finite import Counterexample, SpeCheck, _ranks, _Tree
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
@@ -38,8 +39,6 @@ from seqgames.graphs import (
     ParamGraph,
     StageReachability,
     Terminal,
-    _unfold_tree,
-    require_valid_graph,
 )
 
 DEFAULT_STATIONARY_CAP = 2**16
@@ -196,7 +195,9 @@ class _ProfileChecker:
     """
 
     def __init__(self, graph: GameGraph) -> None:
-        require_valid_graph(graph)
+        # Looked up on its module, where a rebinding of it is seen.
+        if violations := graphs.validate_graph(graph).violations:
+            raise GameError(f"invalid graph: {violations[0]} ({len(violations)} violation(s))")
         # A copy, which ``_checker`` compares with the graph and which does
         # not keep the graph alive.
         self.graph = dataclasses.replace(graph, states=dict(graph.states))
@@ -597,10 +598,9 @@ def check_spe_param(
     ``cross_check_depth`` is None, an admissible profile's verdict is
     re-validated against the concrete unfolding of that many rounds; this
     is the only cross-check the library makes.  ``_unfolding_refutes``
-    decides it on the shared (state, stage, remaining depth) table, at most
-    |states|*(depth+1)**2 positions instead of every position of the tree
-    (up to 3**depth on 3-edge states); the tree is built only to word a
-    ``CrossCheckError``.
+    decides it, and words a ``CrossCheckError``, on the shared (state,
+    stage, remaining depth) table, at most |states|*(depth+1)**2 positions,
+    and never builds the tree (up to 3**depth positions on 3-edge states).
     """
     if cross_check_depth is not None and cross_check_depth < 0:
         raise ValueError("depth must be >= 0")
@@ -624,38 +624,14 @@ def concrete_unfolding_check(
     Cut states are closed with the payoff of continuing to follow the profile
     from them, so the finite game agrees with the infinite one along and off
     the profile's play.  Raises if play diverges anywhere.  The table of
-    ``_unfolding_refutes`` decides; only a refutation builds the tree, whose
-    first counterexample ``is_spe_finite`` reports.
+    ``_unfolding_refutes`` decides and words the verdict: it is the
+    ``is_spe_finite`` verdict on the unfolded tree, which is never built.
     """
     checker = _checker(graph)
     values = checker.values(checker.picks(profile))
     if isinstance(values, NotAdmissible):
         raise GameError(values.describe())
-    if not _unfolding_refutes(graph, profile, values, depth)[0]:
-        return SpeCheck()
-    tree = _unfold_tree(graph, depth, lambda sid, stage: values[sid].at_stage(stage))
-    return is_spe_finite(tree, _unfolded_choices(graph, profile, depth))
-
-
-def _unfolded_choices(
-    graph: GameGraph, profile: StationaryProfile, depth: int
-) -> TreeProfile:
-    """The profile's choice at every decision position of the depth-``depth``
-    unfolding, by one explicit-stack walk, so depth is not bounded by the
-    recursion limit."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    choices: dict[tuple[str, ...], str] = {}
-    stack: list[tuple[str, int, tuple[str, ...]]] = [(graph.start, 0, ())]
-    while stack:
-        sid, d, address = stack.pop()
-        state = graph.states[sid]
-        if isinstance(state, Terminal) or d == depth:
-            continue
-        choices[address] = profile[sid]
-        for action, target, _ in state.edges:
-            stack.append((target, d + 1, address + (action,)))
-    return TreeProfile(choices)
+    return SpeCheck(_unfolding_refutes(graph, profile, values, depth)[0])
 
 
 def _unfolding_refutes(
@@ -663,20 +639,50 @@ def _unfolding_refutes(
     profile: StationaryProfile,
     values: dict[str, AffinePayoffs],
     depth: int,
-) -> tuple[bool, set[tuple[str, int]]]:
-    """Whether the depth-``depth`` concrete unfolding refutes the profile,
-    and the (state, stage) pairs of its decision positions.  It is decided on
-    extrapolation's shared table (``_Tree.from_graph``), one position per
-    (state, stage, remaining depth) key, each cut state closed with its play
-    value at its stage, by the one-shot pass of ``is_spe_finite``.
+    worded: bool = True,
+) -> tuple[Counterexample | None, set[tuple[str, int]]]:
+    """The first counterexample of the depth-``depth`` concrete unfolding,
+    the one ``is_spe_finite`` finds on its tree, or None; and the (state,
+    stage) pairs of its decision positions.  ``_Tree.first_deviation``
+    finds it on extrapolation's shared table (``_Tree.from_graph``), one
+    position per (state, stage, remaining depth) key, each cut state closed
+    with its play value at its stage.  Equal keys have equal subgames and
+    picks, and the table numbers positions as a depth-first walk of the tree
+    first completes them, so the tree's first deviation is at the first
+    occurrence of the table's (``_first_occurrence``).  Unless ``worded``,
+    its address stays the table key.
     """
-    tree, _ = _Tree.from_graph(graph, [depth], lambda sid, stage: values[sid].at_stage(stage))
+    tree, (root,) = _Tree.from_graph(graph, [depth], lambda sid, stage: values[sid].at_stage(stage))
     choices = dict(profile._entries)
     keys = [tree.addresses[i] for i in tree.post]
-    picks = tuple(tree.labels[i].index(choices[key[0]]) for i, key in zip(tree.post, keys))
-    reached = list(range(len(tree.addresses)))
-    refuted = _first_deviation(tree.checked_nodes(tree.rows()), picks, reached) is not None
-    return refuted, {key[:2] for key in keys}
+    picks = [tree.labels[i].index(choices[key[0]]) for i, key in zip(tree.post, keys)]
+    found = tree.first_deviation(picks)
+    if found is not None and worded:
+        path = _first_occurrence(tree, root, tree.addresses.index(found.address))
+        found = dataclasses.replace(found, address=path)
+    return found, {key[:2] for key in keys}
+
+
+def _first_occurrence(tree: _Tree, root: int, target: int) -> tuple[str, ...]:
+    """The address of the first occurrence of table position ``target`` in
+    the tree the table unfolds from ``root``: one depth-first descent,
+    branches in order, that enters each position once, since a position
+    left behind was searched with all of its subgame."""
+    entered = {root}
+    stack = [(root, enumerate(tree.children[root]))]
+    path: list[str] = []
+    while stack[-1][0] != target:
+        i, branches = stack[-1]
+        for b, kid in branches:
+            if kid not in entered:
+                entered.add(kid)
+                path.append(tree.labels[i][b])
+                stack.append((kid, enumerate(tree.children[kid])))
+                break
+        else:
+            stack.pop()
+            path.pop()
+    return tuple(path)
 
 
 def _cross_check(
@@ -687,14 +693,14 @@ def _cross_check(
     depth: int,
 ) -> None:
     """Re-check a symbolic verdict on the depth-``depth`` concrete unfolding;
-    the tree is built only to word a disagreement."""
-    refuted, seen = _unfolding_refutes(graph, profile, values, depth)
-    if isinstance(verdict, SpeOk) and refuted:
+    a counterexample is worded only to contradict an accepting verdict."""
+    accepted = isinstance(verdict, SpeOk)
+    found, seen = _unfolding_refutes(graph, profile, values, depth, worded=accepted)
+    if accepted and found is not None:
         raise CrossCheckError(
-            f"symbolic check accepts but depth-{depth} unfolding refutes: "
-            f"{concrete_unfolding_check(graph, profile, depth).counterexample}"
+            f"symbolic check accepts but depth-{depth} unfolding refutes: {found}"
         )
-    if isinstance(verdict, Refuted) and not refuted and (verdict.state, verdict.stage) in seen:
+    if isinstance(verdict, Refuted) and found is None and (verdict.state, verdict.stage) in seen:
         raise CrossCheckError(
             f"symbolic check refutes at {verdict.state} (stage {verdict.stage}) "
             f"but the depth-{depth} unfolding accepts"
@@ -741,6 +747,20 @@ def stationary_closure(
 def induced_tree_profile(
     graph: GameGraph, profile: StationaryProfile, depth: int
 ) -> TreeProfile:
-    """The profile's choices copied onto the depth-limited unfolding."""
+    """The profile's choices copied onto the depth-limited unfolding: its
+    choice at every decision position, by one explicit-stack walk, so depth
+    is not bounded by the recursion limit."""
     _checker(graph).picks(profile)
-    return _unfolded_choices(graph, profile, depth)
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    choices: dict[tuple[str, ...], str] = {}
+    stack: list[tuple[str, int, tuple[str, ...]]] = [(graph.start, 0, ())]
+    while stack:
+        sid, d, address = stack.pop()
+        state = graph.states[sid]
+        if isinstance(state, Terminal) or d == depth:
+            continue
+        choices[address] = profile[sid]
+        for action, target, _ in state.edges:
+            stack.append((target, d + 1, address + (action,)))
+    return TreeProfile(choices)

@@ -97,9 +97,8 @@ class EquilibriumSummary:
     count: int
     representative: TreeProfile
     payoff: PayoffVector
-    # The solved game and each position's mover, in preorder (None at a leaf).
+    # The solved game, for ``subgame_values``.
     _game: FiniteGame | None = field(default=None, repr=False, compare=False)
-    _movers: Sequence[str | None] = field(default=(), repr=False, compare=False)
     __repr__ = _count_repr
 
     @functools.cached_property
@@ -257,7 +256,6 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
         ),
         payoff=vectors[best[0]],
         _game=game,
-        _movers=tree.movers,
     )
 
 
@@ -481,9 +479,25 @@ class _Tree:
         # Total: only a node with repeated labels makes the counts differ.
         return tuple(self.labels[i].index(profile[self.addresses[i]]) for i in self.post)
 
-    def checked_nodes(self, rows: Mapping[str, list]) -> list[tuple[int, list[int], list]]:
-        """(position, children, mover's row) for each node of ``post``."""
-        return [(i, self.children[i], rows[self.movers[i]]) for i in self.post]
+    def first_deviation(self, picks: Sequence[int]) -> Counterexample | None:
+        """One post-order pass: the first profitable one-shot deviation when
+        ``picks`` gives the chosen branch at each node of ``post``.  It is
+        at the first node, in post-order, where a branch (the first in
+        branch order) beats the chosen one for the mover, and its address is
+        the node's entry of ``addresses``.  Raises UnknownPlayerError if a
+        leaf lacks a mover's payoff (``rows``)."""
+        rows = self.rows()
+        reached = list(range(len(self.addresses)))  # per position, the leaf its play reaches
+        for i, pick in zip(self.post, picks):
+            kids, row = self.children[i], rows[self.movers[i]]
+            reached[i] = reached[kids[pick]]
+            own = row[reached[i]]
+            for branch, kid in enumerate(kids):
+                if row[reached[kid]] > own:
+                    return Counterexample(
+                        self.addresses[i], self.movers[i], self.labels[i][branch], own, row[reached[kid]]
+                    )
+        return None
 
     def players(self) -> list[str]:
         return sorted({m for m in self.movers if m is not None})
@@ -494,31 +508,6 @@ class _Tree:
             leaf, vectors, ranks = _payoff_ids(self.payoffs, self.players())
             self._solved = (leaf, vectors, ranks, _analyze(self, leaf, ranks))
         return self._solved
-
-
-def _first_deviation(
-    nodes: list[tuple[int, list[int], list]],
-    picks: tuple[int, ...],
-    reached: list[int],
-) -> tuple[int, int] | None:
-    """One post-order pass: the first profitable one-shot deviation.
-
-    ``nodes`` come from ``_Tree.checked_nodes`` and ``picks`` gives the chosen
-    branch at each.  ``reached`` maps every position to a leaf position: at
-    leaves it must map a leaf to itself, and at each node passed here it is
-    set to the leaf the profile reaches from there.  Returns (index into
-    ``nodes``, deviating branch) for the first node, in post-order, where a
-    branch (the first in branch order) beats the chosen one for the mover,
-    or None when there is no such node.
-    """
-    for n, (position, kids, row) in enumerate(nodes):
-        leaf = reached[kids[picks[n]]]
-        own = row[leaf]
-        for branch, kid in enumerate(kids):
-            if row[reached[kid]] > own:
-                return n, branch
-        reached[position] = leaf
-    return None
 
 
 def _best_responses(tree: _Tree, player: str, fixed: Mapping[int, int]) -> dict[int, Fraction]:
@@ -597,24 +586,7 @@ def is_spe_finite(
 def _spe_check(tree: _Tree, profile: TreeProfile, root_only: bool) -> SpeCheck:
     """``is_spe_finite`` on a game already compiled."""
     picks = tree.picks(profile)
-    if root_only:
-        return SpeCheck(_nash_counterexample(tree, picks))
-    nodes = tree.checked_nodes(tree.rows())
-    reached = list(range(len(tree.addresses)))
-    found = _first_deviation(nodes, picks, reached)
-    if found is None:
-        return SpeCheck()
-    n, branch = found
-    i, kids, row = nodes[n]
-    return SpeCheck(
-        Counterexample(
-            tree.addresses[i],
-            tree.movers[i],
-            tree.labels[i][branch],
-            row[reached[kids[picks[n]]]],
-            row[reached[kids[branch]]],
-        )
-    )
+    return SpeCheck(_nash_counterexample(tree, picks) if root_only else tree.first_deviation(picks))
 
 
 def profile_space_size(game: FiniteGame) -> int:
@@ -642,16 +614,17 @@ def brute_force_spe(
 
     It picks a branch at each node of ``_Tree.post``, branches in order.
     The picks below a node fix the leaf each child reaches, so only branches
-    to the mover's highest rank pass ``_first_deviation``'s ``>`` test; only
-    those are tried.  One always does and later picks leave the test alone,
-    so each kept prefix extends to an equilibrium: at most |SPE| of each
-    length, each expanded in O(B), B the most branches: O(N·B·|SPE|) over N
-    nodes, not O(N·B·|profiles|).  ``cap`` still bounds the profile space.
+    to the mover's highest rank pass the ``>`` test of
+    ``_Tree.first_deviation``; only those are tried.  One always does and
+    later picks leave the test alone, so each kept prefix extends to an
+    equilibrium: at most |SPE| of each length, each expanded in O(B), B the
+    most branches: O(N·B·|SPE|) over N nodes, not O(N·B·|profiles|).  ``cap`` still bounds the profile space.
     """
     tree = _require_valid(game)
     if (size := math.prod(len(tree.children[i]) for i in tree.post)) > cap:
         raise CapExceededError(f"profile space {size} exceeds cap {cap}")
-    nodes = tree.checked_nodes({p: _ranks(row) for p, row in tree.rows().items()})
+    ranks = {p: _ranks(row) for p, row in tree.rows().items()}
+    nodes = [(i, tree.children[i], ranks[tree.movers[i]]) for i in tree.post]
     reached = list(range(len(tree.addresses)))
     accepted, picks = [], [""] * len(nodes)
     stack = [(-1, 0)]  # (level, branch): pick branch at nodes[level]; -1 starts

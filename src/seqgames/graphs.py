@@ -16,6 +16,10 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
+# The unfoldings validate through ``seqgames.coinduction``, which imports
+# this module, reached at call time on the package this module was imported
+# with: ``sys.modules`` may hold a fresh import with other classes by then.
+import seqgames
 from seqgames.core import (
     GameError,
     Leaf,
@@ -181,13 +185,6 @@ def validate_graph(graph: GameGraph) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
-def require_valid_graph(graph: GameGraph) -> None:
-    report = validate_graph(graph)
-    if not report.ok:
-        first = report.violations[0]
-        raise GameError(f"invalid graph: {first} ({len(report.violations)} violation(s))")
-
-
 ClosureMap = Mapping[str, PayoffVector | AffinePayoffs] | Callable[[str], PayoffVector | AffinePayoffs]
 
 
@@ -198,9 +195,10 @@ def unfold(graph: GameGraph, depth: int, closure: ClosureMap) -> FiniteGame:
     payoff supplied for that state, at the cut's stage if it is affine.  A
     callable closure is called once per distinct cut (state, stage), in the
     order a depth-first walk with branches in order first meets it.  Equal
-    subgames are one shared object.
+    subgames are one shared object.  The graph is validated as the
+    checkers validate it, on their last compile (``coinduction._checker``).
     """
-    require_valid_graph(graph)
+    seqgames.coinduction._checker(graph)
 
     def closure_for(sid: str, stage: int) -> PayoffVector:
         if callable(closure):
@@ -221,7 +219,7 @@ def unfold_param(
     """Like ``unfold`` but tracks the stage counter; terminals are evaluated
     at their concrete stage and the closure gets (state, stage), once per
     distinct pair."""
-    require_valid_graph(graph)
+    seqgames.coinduction._checker(graph)
     return _unfold_tree(graph, depth, closure)
 
 

@@ -18,12 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from seqgames.core import PayoffVector, _count_repr
-from seqgames.coinduction import (
-    DEFAULT_STATIONARY_CAP,
-    StationaryProfile,
-    _checker,
-    enumerate_stationary_spe,
-)
+from seqgames.coinduction import StationaryProfile, _checker, enumerate_stationary_spe
 from seqgames.finite import _require_valid, _solve_unfoldings
 from seqgames.graphs import (
     GameGraph,
@@ -334,14 +329,14 @@ def extrapolation_report(
     graph: GameGraph,
     depths: Sequence[int],
     rule: ClosureRule,
-    cap: int = DEFAULT_STATIONARY_CAP,
 ) -> ExtrapolationReport:
     """Summarize truncations at each depth and compare against the infinite game.
 
     The comparison is between characterizations (which player is forced to
     what), not equilibrium counts; counts grow with depth while the question
     is who must keep playing.  Odd and even depths stabilizing to different
-    characterizations yields ParityDisagreement.
+    characterizations yields ParityDisagreement.  The infinite game's
+    stationary profiles are enumerated up to ``DEFAULT_STATIONARY_CAP``.
     """
     if not depths:
         raise ValueError("at least one depth is required")
@@ -349,7 +344,7 @@ def extrapolation_report(
     if ordered[0] < 0:
         raise ValueError("depths must be >= 0")
     summaries = tuple(_summaries(graph, ordered, rule))
-    spes = [p for p, v in enumerate_stationary_spe(graph, cap=cap) if v.ok]
+    spes = [p for p, v in enumerate_stationary_spe(graph) if v.ok]
     own_states = _decision_states(graph).items()
     # One profile makes one choice per state, so it leaves nothing free: a
     # player whose one-edge states differ in label is mixed, not free.

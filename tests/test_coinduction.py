@@ -34,7 +34,7 @@ from seqgames.coinduction import (
     stationary_closure,
     stationary_profiles,
 )
-from seqgames.finite import SpeCheck, is_spe_finite
+from seqgames.finite import Counterexample, SpeCheck, _Tree, is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
     AffinePayoffs,
@@ -1007,26 +1007,97 @@ def random_three_edge_graph(rng, n_states):
     return ParamGraph(name="three", states=states, start="S0")
 
 
+class EnteredOnce(list):
+    """A table's children lists, read at most twice per position: once by
+    the one-shot pass and once by the descent that addresses a refutation,
+    which enters each position once.  A read past that budget fails."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.budget = 2 * len(rows)
+
+    def __getitem__(self, i):
+        self.budget -= 1
+        if self.budget < 0:
+            raise AssertionError("a table position was entered twice")
+        return super().__getitem__(i)
+
+
 def test_default_depth_cross_check_needs_no_tree(monkeypatch):
     # At depth 20 these unfoldings have up to 3**20 positions; the
-    # cross-check, and the concrete check of an accepted profile, must reach
-    # their verdicts without building or solving one.
+    # cross-check and the concrete check must reach and word their verdicts
+    # on one (state, stage, remaining depth) table each, without building or
+    # solving the tree.
     def no_tree(*args, **kwargs):
-        raise AssertionError("the cross-check built the unfolding tree")
+        raise AssertionError("the unfolding tree was built")
 
-    monkeypatch.setattr(coinduction, "is_spe_finite", no_tree)
-    monkeypatch.setattr(coinduction, "_unfold_tree", no_tree)
+    tables = []
+    build = _Tree.from_graph
+
+    def one_table(*args):
+        table, roots = build(*args)
+        table.children = EnteredOnce(table.children)
+        tables.append(table)
+        return table, roots
+
+    monkeypatch.setattr("seqgames.graphs._unfold_tree", no_tree)
+    monkeypatch.setattr("seqgames.finite.is_spe_finite", no_tree)
+    monkeypatch.setattr(_Tree, "__init__", no_tree)
+    monkeypatch.setattr(_Tree, "from_graph", staticmethod(one_table))
     rng = random.Random(26)
     kinds: Counter = Counter()
     for n_states in (2, 3, 3, 4, 4, 5):
         graph = random_three_edge_graph(rng, n_states)
         for profile in stationary_profiles(graph):
+            tables.clear()
             verdict = check_spe_param(graph, profile)
             assert verdict == check_spe_param(graph, profile, cross_check_depth=None)
-            if verdict.ok:
-                assert concrete_unfolding_check(graph, profile, 20) == SpeCheck()
             kinds[type(verdict).__name__] += 1
-    assert kinds["SpeOk"] >= 20 and kinds["Refuted"] >= 100, kinds
+            if isinstance(verdict, NotAdmissible):
+                assert tables == []
+                continue
+            check = concrete_unfolding_check(graph, profile, 20)
+            assert len(tables) == 2
+            if verdict.ok:
+                assert check == SpeCheck()
+                continue
+            # A refutation is addressed by a play of the graph, and its
+            # payoffs are the one-shot deviation's in the infinite game:
+            # every cut is closed with its play value.
+            ce = check.counterexample
+            values = stationary_closure(graph, profile)
+            sid, stage = graph.start, 0
+            assert len(ce.address) < 20
+            for action in ce.address:
+                _, sid, delta = next(e for e in graph.states[sid].edges if e[0] == action)
+                stage += delta
+            state = graph.states[sid]
+            _, target, delta = next(e for e in state.edges if e[0] == ce.action)
+            assert ce.player == state.mover
+            assert ce.profile_payoff == values[sid].at_stage(stage)[ce.player]
+            assert ce.deviation_payoff == values[target].at_stage(stage + delta)[ce.player]
+            assert ce.gain > 0
+            kinds["worded"] += 1
+    assert kinds["SpeOk"] >= 20 and kinds["worded"] >= 100, kinds
+    # The first refutation lies past S1, whose two self-loops unfold into
+    # about 2**20 positions on a few hundred keys, and nobody deviates
+    # there: the descent to S2 searches each of those keys once.
+    zero = AffinePayoffs(A=AffineExpr(0), B=AffineExpr(0))
+    graph = ParamGraph(
+        name="shared",
+        states={
+            "S0": Decision("A", (("x", "T0", 0), ("a", "S1", 0), ("b", "S2", 0))),
+            "S1": Decision("A", (("x", "T0", 0), ("m0", "S1", 0), ("m1", "S1", 1))),
+            "S2": Decision("B", (("x", "T0", 0), ("y", "T1", 0))),
+            "T0": Terminal(zero),
+            "T1": Terminal(AffinePayoffs(A=AffineExpr(0), B=AffineExpr(1))),
+        },
+        start="S0",
+    )
+    profile = StationaryProfile(S0="x", S1="x", S2="x")
+    assert isinstance(check_spe_param(graph, profile), Refuted)
+    check = concrete_unfolding_check(graph, profile, 20)
+    assert check == SpeCheck(Counterexample(("b",), "B", "y", Fraction(0), Fraction(1)))
 
 
 def test_check_spe_param_is_the_only_cross_check_site(monkeypatch, capsys):

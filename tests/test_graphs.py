@@ -1,5 +1,9 @@
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -358,7 +362,8 @@ def test_validate_rejects_payload_of_the_other_graph_kind():
     assert validate_graph(ParamGraph(name="p", states={"S": staged, "T": affine}, start="S")).ok
 
     # Every checker entry point refuses such graphs with a typed error, not
-    # a traceback; rationalizable_actions before it looks at its list.
+    # a traceback; rationalizable_actions before it looks at its list, and
+    # the unfoldings before they look at the depth.
     go = StationaryProfile(S="go")
     entry_points = [
         lambda graph: check_spe(graph, go),
@@ -369,6 +374,8 @@ def test_validate_rejects_payload_of_the_other_graph_kind():
         lambda graph: stationary_closure(graph, go),
         lambda graph: rationalizable_actions(graph, []),
         lambda graph: induced_tree_profile(graph, go, 2),
+        lambda graph: unfold(graph, -1, {}),
+        lambda graph: unfold_param(graph, -1, lambda sid, stage: None),
     ]
     for graph in (plain_with_affine, param_with_constant, plain_with_delta):
         for call in entry_points:
@@ -391,15 +398,43 @@ def test_each_checker_entry_point_validates_once(monkeypatch):
         lambda auction: stationary_closure(auction, alice_raises),
         lambda auction: rationalizable_actions(auction, [alice_raises]),
         lambda auction: induced_tree_profile(auction, alice_raises, 4),
+        lambda auction: unfold_param(auction, 4, lambda sid, stage: PayoffVector(A=0, B=0)),
+        lambda auction: unfold(auction, 2, stationary_closure(auction, alice_raises)),
     )
     for call in entry_points:
         auction = dollar_auction(10)
         calls.clear()
         call(auction)
         assert calls == [auction]
-    # The last graph checked is kept, so all eight in a row validate once.
+    # The last graph checked is kept, so all ten in a row validate once.
     auction = dollar_auction(10)
     calls.clear()
     for call in entry_points:
         call(auction)
     assert len(calls) == 1 and calls[0] is auction
+
+
+def test_unfold_keeps_to_the_package_it_was_imported_with():
+    # The benchmark imports the package afresh for every pass and checks
+    # the first pass's results at the end, with its modules: their graphs
+    # must not reach the checker of a later import.
+    script = textwrap.dedent(
+        """
+        import sys
+        from seqgames import graphs as first
+        for name in [n for n in sys.modules if n.split(".")[0] == "seqgames"]:
+            del sys.modules[name]
+        import seqgames
+        quit = {"SA": first.PayoffVector(A=0, B=1), "SB": first.PayoffVector(A=1, B=0)}
+        print(first.unfold(first.zero_one_graph(), 1, quit))
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PATH": "", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert "Node" in result.stdout

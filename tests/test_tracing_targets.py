@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from seqgames import coinduction, graphs
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -25,3 +28,13 @@ def test_every_tracer_target_resolves():
         assert callable(getattr(module, attr, None)), f"{name}: seqgames.{home}.{attr} is missing"
         for other in scope or ():
             importlib.import_module(f"seqgames.{other}")
+
+
+def test_counter_hooks_read_the_arguments_they_name():
+    # ``_count_cross_check`` reads a call's graph and depth as args[0] and
+    # args[4], and ``_count_unfold`` as args[0] and args[1]; a reordered
+    # signature would miscount without any error.
+    cross_check = list(inspect.signature(coinduction._cross_check).parameters)
+    assert (cross_check[0], cross_check[4]) == ("graph", "depth")
+    for unfold in (graphs.unfold, graphs.unfold_param):
+        assert list(inspect.signature(unfold).parameters)[:2] == ["graph", "depth"]
