@@ -16,6 +16,10 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
+# ``validate_game`` reaches ``finite`` (which imports this module) on the
+# package it was imported with, as ``graphs.unfold`` reaches ``coinduction``.
+import seqgames
+
 
 class GameError(Exception):
     """Base class for game construction and evaluation errors."""
@@ -337,9 +341,7 @@ def validate_game(game: FiniteGame, players: Iterable[str] | None = None) -> Val
     compile and solve (``finite._Tree.violations``); their summaries'
     ``subgame_values`` are computed on first access.
     """
-    from seqgames.finite import _Tree  # finite imports this module
-
-    return ValidationReport(_Tree(game).violations(players))
+    return ValidationReport(seqgames.finite._Tree(game).violations(players))
 
 
 class TreeProfile(_FrozenMap):

@@ -168,7 +168,7 @@ def _payoff_ids(
 
 
 def _analyze(
-    tree: _Tree, leaf: list[int | None], ranks: Mapping[str, list[int]]
+    tree: _Tree, leaf: list[int | None], ranks: Mapping[str, list[int]], step: int = 0
 ) -> tuple[list[dict[int, int]], list[int], list[int], list[int]]:
     """Bottom-up pass: everything the solver needs from each subgame, in one
     loop over ``post``.
@@ -182,14 +182,30 @@ def _analyze(
     them too.  ``best[i]``: the payoff id the representative (first
     maximizer in branch order at every node) reaches from i.  ``picks``: the
     representative's branch at each node of ``post``.
+
+    On a framed table (``_Tree.from_graph``) a child an edge of ``shifts``
+    steps to is translated by the slope: its ids and ``best`` are moved
+    (``step`` added) before they are compared.  Translation keeps each
+    player's order, so counts, used branches and picks are unchanged.
     """
     counts: list[dict[int, int] | None] = [None if v is None else {v: 1} for v in leaf]
     used = [0] * len(leaf)
     best = list(leaf)
     picks = []
+    shifts, later = tree.shifts, {}
+
+    def moved(k: int) -> int:
+        if k not in later:
+            later[k] = len(counts)
+            counts.append({v + step: n for v, n in counts[k].items()})
+            best.append(best[k] + step)
+        return later[k]
+
     for i in tree.post:
         row = ranks[tree.movers[i]]
         kids = tree.children[i]
+        if i in shifts:
+            kids = [moved(k) if shift else k for k, shift in zip(kids, shifts[i])]
         children = [counts[k] for k in kids]
         floors = _floors([min(row[w] for w in child) for child in children])
         found: dict[int, int] = {}
@@ -260,7 +276,7 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
 
 
 def _solve_unfoldings(
-    graph, depths: Sequence[int], cut: Callable[[str, int], PayoffVector]
+    graph, depths: Sequence[int], cut: Callable[[str, int], PayoffVector], slope: Mapping | None = None
 ) -> list[tuple[int, PayoffVector, frozenset[tuple[str, tuple[str, ...], int]]]]:
     """Solve a validated graph's unfoldings at each of ``depths`` on one
     shared table (``_Tree.from_graph``), each subgame once.
@@ -271,9 +287,23 @@ def _solve_unfoldings(
     count) triples over the decision nodes, where the used actions are the
     node's optimal actions in branch order.  The caller vouches that each
     unfolding is a valid game.
+
+    With ``slope`` the caller also vouches that every payoff met at a stage
+    k >= 1, terminal or cut, is affine in k with that slope (one per
+    player).  Then the subgame at (state, k, remaining) is the one at
+    (state, 1, remaining) translated by (k - 1) slopes, so a framed table
+    keys both as the latter and depths 1..D take O(D) positions, not
+    O(D^2).  A translation keeps each player's order of payoffs, so counts,
+    used actions and picks are unchanged (``_analyze``); every root is at
+    stage 0, where the frame is the real stage, so its payoff is exact.
     """
-    tree, roots = _Tree.from_graph(graph, depths, cut)
-    leaf, vectors, _, (counts, used, best, _) = tree.solved()
+    tree, roots = _Tree.from_graph(graph, depths, cut, slope is not None)
+    if slope is None:
+        leaf, vectors, _, (counts, used, best, _) = tree.solved()
+        vector = vectors.__getitem__
+    else:
+        leaf, step, ranks, vector = _moving_ids(tree.payoffs, slope, max(depths, default=0))
+        counts, used, best, _ = _analyze(tree, leaf, ranks, step)
     # Each position's triples and those of every position below it (none at
     # a leaf), children first: the table numbers children before parents.
     beneath: list[frozenset] = [frozenset()] * len(leaf)
@@ -281,7 +311,30 @@ def _solve_unfoldings(
         kids = tree.children[i]
         own = (tree.movers[i], _actions(tree.labels[i], used[i]), len(kids))
         beneath[i] = frozenset((own,)).union(*(beneath[k] for k in kids))
-    return [(sum(counts[r].values()), vectors[best[r]], beneath[r]) for r in roots]
+    return [(sum(counts[r].values()), vector(best[r]), beneath[r]) for r in roots]
+
+
+def _moving_ids(
+    payoffs: list[PayoffVector | None], slope: Mapping[str, Fraction], span: int
+) -> tuple[list[int | None], int, dict[str, list[int]], Callable[[int], PayoffVector]]:
+    """Each position's id, n, each player's rank of every id and an id's
+    payoffs, for a framed table: with n distinct leaf payoffs, id b + t*n is
+    payoff b moved by t <= ``span`` slopes.  A rank is the payoff as an
+    exact scaled int, less the least of any id, so none is negative.
+    """
+    leaf, vectors, _ = _payoff_ids(payoffs, [])
+    ranks, lows = {}, []
+    for player in sorted(slope):
+        scale = math.lcm(slope[player].denominator, *(v[player].denominator for v in vectors))
+        base, step = [int(v[player] * scale) for v in vectors], int(slope[player] * scale)
+        low = min(base) + min(step, 0) * span
+        ranks[player] = [rank + t * step - low for t in range(span + 1) for rank in base]
+        lows.append((player, low, scale))
+
+    def vector(v: int) -> PayoffVector:
+        return PayoffVector._from_sorted(tuple((p, Fraction(ranks[p][v] + low, scale)) for p, low, scale in lows))
+
+    return leaf, len(vectors), ranks, vector
 
 
 class _Tree:
@@ -303,7 +356,7 @@ class _Tree:
     ``subgame_values`` share one compile of the last game (``_require_valid``).
     """
 
-    __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "postorder", "post", "_solved")
+    __slots__ = ("addresses", "movers", "children", "labels", "payoffs", "postorder", "post", "shifts", "_solved")
 
     def __init__(self, game: FiniteGame) -> None:
         self.addresses: list[Address] = []
@@ -311,6 +364,7 @@ class _Tree:
         self.children: list[list[int]] = []
         self.labels: list[tuple[str, ...]] = []
         self.payoffs: list[PayoffVector | None] = []
+        self.shifts: dict[int, tuple[int, ...]] = {}
         stack: list[tuple[int, Address, FiniteGame]] = [(-1, (), game)]
         while stack:
             parent, address, sub = stack.pop()
@@ -342,7 +396,7 @@ class _Tree:
 
     @classmethod
     def from_graph(
-        cls, graph, depths: Sequence[int], cut: Callable[[str, int], PayoffVector]
+        cls, graph, depths: Sequence[int], cut: Callable[[str, int], PayoffVector], framed: bool = False
     ) -> tuple[_Tree, list[int]]:
         """A validated graph's unfoldings at each of ``depths``, compiled into
         one table with one position per (state, stage, remaining depth) key,
@@ -358,6 +412,11 @@ class _Tree:
         children first, so ``post`` is their index order.  A position's
         address is its key.  Returns the table and each depth's root
         position.  Raises ValueError on a negative depth, for every caller.
+
+        A ``framed`` table keys stage k >= 1 as stage 1, whose subgame it
+        is translated by k - 1 slopes (``_solve_unfoldings``); ``shifts``
+        gives each edge's stage step, 0 or 1, at stage-1 positions that have
+        a step, whose child is then translated by one slope.
         """
         if any(depth < 0 for depth in depths):
             raise ValueError("depth must be >= 0")
@@ -368,6 +427,8 @@ class _Tree:
         children: list[list[int]] = []
         labels: list[tuple[str, ...]] = []
         payoffs: list[PayoffVector | None] = []
+        shifts = tree.shifts = {}
+        top = 1 if framed else math.inf
 
         def add(key, mover, kids, actions, payoff) -> int:
             index[key] = len(movers)
@@ -398,15 +459,18 @@ class _Tree:
                 edges = states[sid].edges
                 if len(kids) < len(edges):
                     _, target, delta = edges[len(kids)]
-                    kid = known(target, stage + delta, remaining - 1)
+                    step = stage + delta if stage < top else top
+                    kid = known(target, step, remaining - 1)
                     if kid is None:
-                        stack.append((target, stage + delta, remaining - 1, []))
+                        stack.append((target, step, remaining - 1, []))
                     else:
                         kids.append(kid)
                     continue
                 stack.pop()
                 actions = tuple(action for action, _, _ in edges)
                 built = add((sid, stage, remaining), states[sid].mover, kids, actions, None)
+                if stage == top and any(delta for _, _, delta in edges):
+                    shifts[built] = tuple(delta for _, _, delta in edges)
                 if stack:
                     stack[-1][3].append(built)
                 else:

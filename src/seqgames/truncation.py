@@ -173,7 +173,7 @@ def _summaries(graph: GameGraph, depths: Sequence[int], rule: ClosureRule) -> li
         return payoff
 
     try:
-        solved = _solve_unfoldings(graph, depths, cut)
+        solved = _solve_unfoldings(graph, depths, cut, _stage_slope(graph, rule))
     except _OffPlayers:
         for depth in depths:
             _require_valid(truncate(graph, depth, rule))
@@ -188,6 +188,30 @@ def _summaries(graph: GameGraph, depths: Sequence[int], rule: ClosureRule) -> li
         characterization = {player: _characterize(nodes.get(player, [])) for player in sorted(players)}
         summaries.append(DepthSummary(depth, rule.describe(), count, characterization, payoff))
     return summaries
+
+
+def _stage_slope(graph: GameGraph, rule: ClosureRule) -> dict[str, Fraction] | None:
+    """The one slope vector of every payoff met at a stage k >= 1, if any
+    (``finite._solve_unfoldings``).  Those are the terminals and cut states
+    of the zone: the states reachable from the target of an edge that steps
+    the stage.  A quit cut pays a zone terminal, so it has its slope; a
+    const or map cut ignores the stage: slope 0.  Other rules get None.
+    """
+    if type(rule) not in (DeciderQuitsClosure, ConstantClosure, StateClosure):
+        return None
+    players = sorted(graph_players(graph))
+    zone: set[str] = set()
+    pending = [target for state in graph.states.values() for _, target, delta in state.edges if delta]
+    while pending:
+        if (sid := pending.pop()) not in zone:
+            zone.add(sid)
+            pending += [target for _, target, _ in graph.states[sid].edges]
+    slopes = {
+        tuple(state.payoffs[p].slope for p in players) if isinstance(state, Terminal) else (0,) * len(players)
+        for state in map(graph.states.__getitem__, zone)
+        if isinstance(state, Terminal) or type(rule) is not DeciderQuitsClosure
+    }
+    return dict(zip(players, slopes.pop())) if len(slopes) == 1 else None
 
 
 def summarize_depth(graph: GameGraph, depth: int, rule: ClosureRule) -> DepthSummary:

@@ -166,6 +166,43 @@ def random_param_graph(
     return ParamGraph(name="random", states=dict(states), start=rng.choice(internal_ids))
 
 
+def random_sloped_graph(
+    rng: random.Random, max_internal: int = 4, max_terminals: int = 3, low: int = -3, high: int = 3
+) -> ParamGraph:
+    """A random small stage-parametrized graph whose terminals share one
+    slope vector, each player's slope drawn from -1, -1/2, 0, 1/2 and 1.
+
+    Edges carry stage delta 0 or 1 and may target any state.  Most decision
+    states also get an edge straight to a terminal, so the quit closure is
+    often defined.  Half the graphs give the start an exit of its own, as
+    the dollar auction's T0: a terminal with slopes of its own, reached by a
+    delta-0 edge from the start, which no edge enters.  So it is met at
+    stage 0 only.
+    """
+    slopes = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2), Fraction(1))
+    sigma = {p: rng.choice(slopes) for p in PLAYERS}
+    internal_ids = [f"S{i}" for i in range(rng.randint(1, max_internal))]
+    terminal_ids = [f"T{i}" for i in range(rng.randint(1, max_terminals))]
+    private = len(internal_ids) > 1 and rng.random() < 0.5
+    targets = (internal_ids[1:] if private else internal_ids) + terminal_ids
+
+    def payoffs(slope: dict) -> AffinePayoffs:
+        return AffinePayoffs({p: AffineExpr(rng.randint(low, high), slope[p]) for p in PLAYERS})
+
+    states: dict[str, object] = {}
+    for sid in internal_ids:
+        edges = [(ACTION_NAMES[j], rng.choice(targets), rng.randint(0, 1)) for j in range(rng.randint(1, 2))]
+        if rng.random() < 0.75:
+            edges.insert(rng.randint(0, len(edges)), ("q", rng.choice(terminal_ids), rng.randint(0, 1)))
+        if private and sid == internal_ids[0]:
+            edges.insert(rng.randint(0, len(edges)), ("x", "X", 0))
+            states["X"] = Terminal(payoffs({p: rng.choice(slopes) for p in PLAYERS}))
+        states[sid] = Decision(rng.choice(PLAYERS), tuple(edges))
+    for tid in terminal_ids:
+        states[tid] = Terminal(payoffs(sigma))
+    return ParamGraph(name="sloped", states=states, start=internal_ids[0])
+
+
 def random_ring_graph(rng: random.Random, n_internal: int, high: int = 2) -> GameGraph:
     """A random plain ring of ``n_internal`` decision states, at the scale of
     the stationary-enum benchmark.

@@ -438,3 +438,27 @@ def test_unfold_keeps_to_the_package_it_was_imported_with():
     )
     assert result.returncode == 0, result.stderr
     assert "Node" in result.stdout
+
+
+def test_validate_game_keeps_to_the_package_it_was_imported_with():
+    # validate_game compiles with finite's _Tree, whose isinstance tests
+    # must be against the Leaf of the same import as the game's.
+    script = textwrap.dedent(
+        """
+        import sys
+        from seqgames import core as first
+        for name in [n for n in sys.modules if n.split(".")[0] == "seqgames"]:
+            del sys.modules[name]
+        import seqgames
+        print(first.validate_game(first.node("A", x=first.leaf(A=1), y=first.leaf(A=2))))
+        """
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={"PATH": "", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ValidationReport(")

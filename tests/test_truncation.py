@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
@@ -17,17 +18,20 @@ from seqgames.graphs import (
 from seqgames.truncation import (
     CharKind,
     Characterization,
+    ClosureRule,
     ConstantClosure,
     DeciderQuitsClosure,
     DepthSummary,
     ExtrapolationVerdict,
     StateClosure,
+    _stage_slope,
+    _summaries,
     extrapolation_report,
     parse_closure_spec,
     summarize_depth,
     truncate,
 )
-from tests.conftest import random_game_graph, random_param_graph, random_payoffs
+from tests.conftest import random_game_graph, random_param_graph, random_payoffs, random_sloped_graph
 
 
 def char_map(summary):
@@ -210,11 +214,37 @@ def random_closures(rng, graph):
     )
 
 
-def test_shared_table_matches_per_depth_solving():
+@dataclass(frozen=True)
+class Unframed(ClosureRule):
+    """A rule that cuts as ``rule`` does but is of no type ``_stage_slope``
+    knows, so its truncations are solved on the table keyed by stage."""
+
+    rule: ClosureRule
+
+    def describe(self) -> str:
+        return self.rule.describe()
+
+    def payoff(self, graph, sid, stage):
+        return self.rule.payoff(graph, sid, stage)
+
+
+def test_shared_table_matches_per_depth_solving(monkeypatch):
     # One table for all depths against cutting and solving each depth on
     # its own, errors included.  Where brute force is cheap, the counts and
     # the optimal actions of every node are checked against the profiles it
     # finds, so _analyze's used masks answer to an oracle that never calls it.
+    # Graphs whose payoffs past stage 0 share one slope are solved on a
+    # framed table; they are also held to the table keyed by stage at
+    # depths 0..40.
+    tables = []
+    build = _Tree.from_graph
+
+    def spy(graph, depths, cut, framed=False):
+        table, roots = build(graph, depths, cut, framed)
+        tables.append((framed, len(table.shifts)))
+        return table, roots
+
+    monkeypatch.setattr(_Tree, "from_graph", staticmethod(spy))
     rng = random.Random(1010)
     cases = [(g, (DeciderQuitsClosure(),)) for g in (zero_one_graph(), dollar_auction(3), dollar_auction(10), dollar_auction(100))]
     graphs = [random_game_graph(rng, max_internal=4) for _ in range(150)]
@@ -224,6 +254,7 @@ def test_shared_table_matches_per_depth_solving():
     # terminal that a sibling branch also reaches and one its parent's mover
     # likes less; _analyze's used mask must keep both.
     cases += [(g, random_closures(rng, g)) for g in (random_game_graph(rng, max_internal=4, high=1) for _ in range(100))]
+    cases += [(g, random_closures(rng, g)) for g in (random_sloped_graph(rng) for _ in range(150))]
     seen = Counter()
     depths = range(9)
     for graph, rules in cases:
@@ -246,8 +277,24 @@ def test_shared_table_matches_per_depth_solving():
                             assert solved.optimal_actions[address] == actions, (graph, depth, rule, address)
                             seen["tied nodes"] += len(actions) > 1
                     seen["brute"] += 1
+            tables.clear()
             shared = outcome(lambda: list(extrapolation_report(graph, depths, rule).summaries))
             assert shared == expected, (graph, rule)
+            if any(framed for framed, _ in tables):
+                seen["framed"] += 1
+                seen[f"framed {type(rule).__name__}"] += 1
+                seen["framed with a stage-0 exit"] += "X" in graph.states
+                # Some stage-1 position steps a stage, by a non-zero slope.
+                seen["moved"] += tables[0][1] > 0 and any(_stage_slope(graph, rule).values())
+            # Ties can make counts grow doubly exponentially with depth, so
+            # only graphs whose counts stay small to depth 8 go deeper.
+            small = not isinstance(expected, list) or max(s.count for s in expected) < 256
+            if _stage_slope(graph, rule) is not None and small:
+                deep = range(41)
+                assert _stage_slope(graph, Unframed(rule)) is None
+                framed = outcome(lambda: _summaries(graph, deep, rule))
+                assert framed == outcome(lambda: _summaries(graph, deep, Unframed(rule))), (graph, rule)
+                seen["deep"] += 1
             if isinstance(expected, list):
                 seen["solved"] += 1
                 # Valid truncations whose cut payoffs name only A.
@@ -263,6 +310,31 @@ def test_shared_table_matches_per_depth_solving():
     assert seen["solved"] >= 300 and seen["brute"] >= 5000 and seen["tied nodes"] >= 3000, seen
     assert seen["MissingClosureError"] >= 50 and seen["_InvalidGame"] >= 20, seen
     assert seen["off-players"] >= 1, seen
+    # Framed tables: with each closure, past a stage-0 exit, and with values
+    # moved by a non-zero slope.
+    assert seen["framed"] >= 300 and seen["moved"] >= 40 and seen["framed with a stage-0 exit"] >= 50, seen
+    assert min(seen[f"framed {kind.__name__}"] for kind in (DeciderQuitsClosure, ConstantClosure, StateClosure)) >= 50, seen
+    assert seen["deep"] >= 350, seen
+
+
+def test_the_auction_table_grows_linearly_in_depth(monkeypatch):
+    # Past stage 0 both bidders' payoffs fall by 1 per stage, so every later
+    # stage is keyed as stage 1: doubling the depths about doubles the
+    # table, where keys by stage would make it four times as large.
+    # Positions are counted, not timed.
+    sizes = []
+    build = _Tree.from_graph
+
+    def counted(*args):
+        table, roots = build(*args)
+        sizes.append(len(table.movers))
+        return table, roots
+
+    monkeypatch.setattr(_Tree, "from_graph", staticmethod(counted))
+    graph = dollar_auction(100)
+    for top in (1000, 2000):
+        extrapolation_report(graph, range(1, top + 1), DeciderQuitsClosure())
+    assert len(sizes) == 2 and sizes[1] <= 2.1 * sizes[0], sizes
 
 
 def test_shared_table_holds_one_position_per_key():
