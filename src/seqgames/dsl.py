@@ -7,8 +7,9 @@ starts a comment running to the end of the line, rationals are written
 profiles they are action paths joined by dots, with ``.`` alone naming the
 root.  ``serialize`` emits a canonical form (two-space indentation, branch
 order preserved, rationals in lowest terms) that parses back to a
-structurally equal value.  ``parse`` reads a canonical finite game or profile
-in one pass, and any other document token by token, which words every error.
+structurally equal value.  ``parse`` reads a canonical finite game or profile,
+and a graph or pgraph written one construct per line, in one pass, and any
+other document token by token, which words every error.
 """
 
 from __future__ import annotations
@@ -184,6 +185,41 @@ class ProfileDoc:
 Document = FiniteGame | GameGraph | ProfileDoc
 
 
+def _assemble_graph(
+    text: str, name: str, declared: dict[str, object], start: tuple[str, int], parametrized: bool
+) -> GameGraph:
+    """The graph both readers build.  ``declared`` maps each state id to its
+    payoffs, or to its mover and ``_Parser.edge``'s tuples, whose target is a
+    state id or an inline leaf's payoffs; ``start`` is the start id and its
+    offset."""
+    used = set(declared)
+    states: dict[str, object] = {}
+    for sid, body in declared.items():
+        if not isinstance(body, tuple):
+            states[sid] = Terminal(body)  # type: ignore[arg-type]
+            continue
+        mover, raw_edges = body
+        edges = []
+        for label, target, delta, _, offset in raw_edges:
+            if not isinstance(target, str):  # an inline leaf, named afresh
+                resolved = f"{sid}_{label}"
+                while resolved in used:
+                    resolved += "_"
+                used.add(resolved)
+                states[resolved] = Terminal(target)  # type: ignore[arg-type]
+            elif target in declared:
+                resolved = target
+            else:
+                raise ParseError(f"edge targets undefined state {target!r}", _span(text, offset))
+            edges.append((label, resolved, delta))
+        states[sid] = Decision(mover, tuple(edges))
+    start_id, offset = start
+    if start_id not in declared:
+        raise ParseError(f"start names undefined state {start_id!r}", _span(text, offset))
+    graph_type = ParamGraph if parametrized else GameGraph
+    return graph_type(name=name, states=states, start=start_id)  # type: ignore[arg-type]
+
+
 class _Parser:
     """Parser over ``tokenize``'s tuples, read by index, for every document
     ``_canonical`` gives up on; so every error comes from here.  Positions
@@ -269,8 +305,8 @@ class _Parser:
             return AffineExpr(intercept, sign * magnitude)
         return AffineExpr(intercept)
 
-    def payoffs(self, affine: bool) -> list[tuple[str, object, int]]:
-        """Payoff entries as (player, value, offset of the player id)."""
+    def payoffs(self, affine: bool) -> PayoffVector | AffinePayoffs:
+        """Payoffs, affine in the stage counter or constant."""
         entries: list[tuple[str, object, int]] = []
         while self.peek()[0] == "LPAREN":
             self.take()
@@ -286,7 +322,7 @@ class _Parser:
             if player in seen:
                 raise self.fail(f"duplicate payoff entry for {player!r}", offset)
             seen.add(player)
-        return entries
+        return (AffinePayoffs if affine else PayoffVector)({p: v for p, v, _ in entries})
 
     # --- finite games ---------------------------------------------------
 
@@ -307,9 +343,8 @@ class _Parser:
             if not self.at("KEYWORD", "leaf"):
                 raise self.error(("leaf", "node"))
             self.take()
-            entries = self.payoffs(affine=False)
+            done: FiniteGame = Leaf(self.payoffs(affine=False))  # type: ignore[arg-type]
             self.expect("RPAREN", what="')'")
-            done: FiniteGame = Leaf(PayoffVector({p: v for p, v, _ in entries}))  # type: ignore[misc]
             # Close the branch the leaf ends, and each node it completes.
             while True:
                 if not stack:
@@ -338,7 +373,7 @@ class _Parser:
         self.take()  # 'graph' or 'pgraph'
         name = self.ident("graph name")[1]
         self.expect("LBRACE", what="'{'")
-        declared: dict[str, object] = {}  # state id -> raw definition
+        declared: dict[str, object] = {}  # state id -> definition, as _assemble_graph takes it
         while self.at("KEYWORD", "state"):
             self.take()
             _, sid, offset = self.ident("state id")
@@ -349,15 +384,15 @@ class _Parser:
         if not declared:
             raise self.error(("state",))
         self.expect("KEYWORD", "start", what="'start'")
-        start = self.ident("state id")
+        _, start, offset = self.ident("state id")
         self.expect("RBRACE", what="'}'")
         self.expect("EOF", what="end of input")
-        return self.assemble_graph(name, declared, start, parametrized)
+        return _assemble_graph(self.text, name, declared, (start, offset), parametrized)
 
     def state_body(self, parametrized: bool) -> object:
         if self.at("KEYWORD", "leaf"):
             self.take()
-            return ("leaf", self.payoffs(affine=parametrized))
+            return self.payoffs(affine=parametrized)
         if self.at("KEYWORD", "node"):
             self.take()
             mover = self.ident("player id")[1]
@@ -372,7 +407,7 @@ class _Parser:
                 if label in labels:
                     raise self.fail(f"duplicate action label {label!r}", label_offset)
                 labels.add(label)
-            return ("node", mover, edges)
+            return (mover, edges)
         raise self.error(("leaf", "node"))
 
     def edge(self, parametrized: bool) -> tuple[str, object, int, int, int]:
@@ -382,10 +417,9 @@ class _Parser:
         target: object
         if self.at("KEYWORD", "leaf"):
             target_offset = self.take()[2]
-            target = ("inline", self.payoffs(affine=parametrized))
+            target = self.payoffs(affine=parametrized)
         else:
-            _, ident, target_offset = self.ident("target state or leaf")
-            target = ("ref", ident)
+            _, target, target_offset = self.ident("target state or leaf")
         delta = 0
         if self.peek()[0] == "AT":
             at = self.take()[2]
@@ -400,49 +434,6 @@ class _Parser:
                 raise self.fail("stage increments are fixed at k+1", offset)
             delta = 1
         return (label, target, delta, label_offset, target_offset)
-
-    def assemble_graph(
-        self,
-        name: str,
-        declared: dict[str, object],
-        start: tuple[str, str, int],
-        parametrized: bool,
-    ) -> GameGraph:
-        used = set(declared)
-        states: dict[str, object] = {}
-        payoff_type = AffinePayoffs if parametrized else PayoffVector
-
-        def fresh(base: str) -> str:
-            candidate = base
-            while candidate in used:
-                candidate = candidate + "_"
-            used.add(candidate)
-            return candidate
-
-        def terminal(entries: list) -> Terminal:
-            return Terminal(payoff_type({p: v for p, v, _ in entries}))
-
-        for sid, body in declared.items():
-            if body[0] == "leaf":
-                states[sid] = terminal(body[1])
-                continue
-            _, mover, raw_edges = body
-            edges = []
-            for label, target, delta, _, offset in raw_edges:
-                if target[0] == "inline":
-                    resolved = fresh(f"{sid}_{label}")
-                    states[resolved] = terminal(target[1])
-                else:
-                    resolved = target[1]
-                    if resolved not in declared:
-                        raise self.fail(f"edge targets undefined state {resolved!r}", offset)
-                edges.append((label, resolved, delta))
-            states[sid] = Decision(mover, tuple(edges))
-        _, start_id, offset = start
-        if start_id not in declared:
-            raise self.fail(f"start names undefined state {start_id!r}", offset)
-        graph_type = ParamGraph if parametrized else GameGraph
-        return graph_type(name=name, states=states, start=start_id)  # type: ignore[arg-type]
 
     # --- profiles ---------------------------------------------------------
 
@@ -461,7 +452,7 @@ class _Parser:
             self.expect("COLON", what="':'")
             entries.append((key, self.ident("action label")[1]))
             offsets.append(offset)
-        if not entries:
+        if not entries and self.peek()[0] != "RBRACE":
             raise self.error(("profile entry",))
         self.expect("RBRACE", what="'}'")
         self.expect("EOF", what="end of input")
@@ -495,12 +486,33 @@ class _Parser:
 # is a node head with its first branch, ``(node A\n  (c ``, or a whole leaf,
 # ``(leaf (A:1) (B:-1/2))``; each subtree is followed by the next branch,
 # ``)\n  (l ``, or by the close of its branch and node, ``))``.  A profile
-# is ``profile {\n``, one ``  c.c.l: c\n`` line per entry, and ``}``.
+# is ``profile {\n``, one ``  c.c.l: c\n`` line per entry, and ``}``.  A
+# graph is ``graph g {\n`` or ``pgraph g {\n``, one line per state,
+# ``  state S = leaf (A:1)\n`` or ``  state S = node A { c -> T, l -> leaf
+# (A:0) }\n``, then ``  start S\n}``; a pgraph's payoffs may be affine,
+# ``(A:99 - 1*k)``, and its edges may end in `` @ k+1``.
 _CHILD = re.compile(r"\(node (\w+)\n *\((\w+) |\(leaf(?: \(\w+:-?\d+(?:/\d+)?\))+\)")
 _AFTER = re.compile(r"\)(?:\n *\((\w+) |\))")
-_ENTRY = re.compile(r"\((\w+):(-?\d+)(?:/(\d+))?\)")
+_ENTRY = re.compile(r"\((\w+):(-?\d+)(?:/(\d+))?(?: ([-+]) (\d+)(?:/(\d+))?\*k)?\)")
 _LINE = re.compile(r"  (\.|\w+(?:\.\w+)*): (\w+)\n")
 _TAIL = re.compile(r"[ \t\r\n]*\Z")
+_HEAD = re.compile(r"(p?graph) (\w+) \{\n")
+_START = re.compile(r"  start (\w+)\n\}")
+
+
+def _graph_forms(payoff: str, stage: str) -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """The state line and edge patterns of a graph kind.  Each construct has
+    one way to match, so a failing line backtracks in linear time."""
+    payoffs = rf"(?: \(\w+:-?\d+(?:/\d+)?{payoff}\))+"
+    edge, bare = (rf"({g}\w+) -> (?:leaf({g}{payoffs})|({g}\w+))({g}{stage})" for g in ("", "?:"))
+    line = rf"  state (\w+) = (?:leaf({payoffs})|node (\w+) \{{ ({bare}(?:, {bare})*) \}})\n"
+    return re.compile(line), re.compile(edge)
+
+
+_GRAPH_FORMS = {
+    "graph": _graph_forms("", ""),
+    "pgraph": _graph_forms(r"(?: [-+] \d+(?:/\d+)?\*k)?", r"(?: @ k\+1)?"),
+}
 
 
 def _identifiers(names: Iterable[str]) -> bool:
@@ -508,21 +520,72 @@ def _identifiers(names: Iterable[str]) -> bool:
     return not any(name in KEYWORDS or not (name[0].isalpha() or name[0] == "_") for name in names)
 
 
-def _leaf(text: str, names: set[str]) -> Leaf | None:
-    """The leaf a canonical leaf text spells, its players added to ``names``;
-    None on a repeated player, a zero denominator or an overlong number."""
+def _payoffs(text: str, names: set[str], affine: bool = False) -> PayoffVector | AffinePayoffs | None:
+    """The payoffs a canonical payoff text spells, its players added to
+    ``names``; None on a repeated player, a zero denominator or an overlong
+    number."""
+    found = _ENTRY.findall(text)
     try:
-        entries = sorted((p, Fraction(int(n), int(d or 1))) for p, n, d in _ENTRY.findall(text))
+        values = {
+            p: AffineExpr(Fraction(int(n), int(d or 1)), Fraction(int(s + m or 0), int(q or 1)))
+            if affine
+            else Fraction(int(n), int(d or 1))
+            for p, n, d, s, m, q in found
+        }
     except (ValueError, ZeroDivisionError):
         return None
-    players = {player for player, _ in entries}
-    names.update(players)
-    return Leaf(PayoffVector._from_sorted(tuple(entries))) if len(players) == len(entries) else None
+    names.update(values)
+    payoff_type = AffinePayoffs if affine else PayoffVector
+    return payoff_type._from_sorted(tuple(sorted(values.items()))) if len(values) == len(found) else None
+
+
+def _graph(text: str, keyword: str, name: str, pos: int) -> GameGraph | None:
+    """The graph or pgraph whose state lines start at ``pos``, read in one
+    anchored match per line and assembled as the token parser assembles it;
+    None if it is not canonical or has an error."""
+    line_form, edge_form = _GRAPH_FORMS[keyword]
+    affine = keyword == "pgraph"
+    names = {name}
+    decoded: dict[str, object] = {}  # payoff text -> payoffs, or None
+
+    def payoffs(spelled: str) -> object:
+        if spelled not in decoded:
+            decoded[spelled] = _payoffs(spelled, names, affine)
+        return decoded[spelled]
+
+    declared: dict[str, object] = {}
+    while line := line_form.match(text, pos):
+        pos = line.end()
+        sid, leaf, mover, _ = line.groups()
+        if sid in declared:
+            return None
+        if leaf is not None:
+            declared[sid] = payoffs(leaf)
+            continue
+        parts = edge_form.findall(text, *line.span(4))
+        labels = {label for label, _, _, _ in parts}
+        if len(labels) < len(parts):
+            return None
+        names.update(labels, (mover,))
+        edges = [  # offsets 0: the token parser words every error
+            (label, payoffs(inline) if inline else target, 1 if stage else 0, 0, 0)
+            for label, inline, target, stage in parts
+        ]
+        declared[sid] = (mover, edges)
+    start = _START.match(text, pos)
+    canonical = start and _TAIL.match(text, start.end()) and _identifiers(names.union(declared))
+    if not canonical or None in decoded.values():
+        return None
+    try:
+        return _assemble_graph(text, name, declared, (start[1], 0), affine)
+    except ParseError:  # an undefined target or start
+        return None
 
 
 def _canonical(text: str) -> Document | None:
-    """``text`` read in one pass if it is a finite game or a profile in
-    canonical form, else None.  Equal leaf texts share one ``Leaf``."""
+    """``text`` read in one pass if it is a finite game, graph, pgraph or
+    profile in canonical form, else None.  Equal leaf texts share one
+    ``Leaf``, equal graph payoff texts one payoffs object."""
     if text.startswith("profile {\n"):
         lines, pos = [], 10
         while line := _LINE.match(text, pos):
@@ -530,12 +593,14 @@ def _canonical(text: str) -> Document | None:
             pos = line.end()
         keys, actions = [line[1] for line in lines], [line[2] for line in lines]
         paths = [() if key == "." else tuple(key.split(".")) for key in keys]
-        if not (lines and text.startswith("}", pos) and _TAIL.match(text, pos + 1)):
+        if not (text.startswith("}", pos) and _TAIL.match(text, pos + 1)):
             return None
         if len(set(keys)) < len(keys) or not _identifiers(set(actions).union(*paths)):
             return None
         spans = (SourceSpan(i, 3, line.start() + 2) for i, line in enumerate(lines, 2))
         return ProfileDoc(tuple(zip(paths, actions)), tuple(spans))
+    if head := _HEAD.match(text):
+        return _graph(text, head[1], head[2], head.end())
     names: set[str] = set()
     leaves: dict[str, Leaf] = {}
     stack: list[tuple[str, dict[str, FiniteGame | None]]] = []  # as in ``_Parser.finite``
@@ -547,10 +612,12 @@ def _canonical(text: str) -> Document | None:
             names.update((mover, label))
             stack.append((mover, {label: None}))
             continue
-        done = leaves.get(match[0]) or _leaf(match[0], names)
+        done = leaves.get(match[0])
         if done is None:
-            return None
-        leaves[match[0]] = done
+            payoffs = _payoffs(match[0], names)
+            if payoffs is None:
+                return None
+            done = leaves[match[0]] = Leaf(payoffs)
         # Close the branch the leaf ends, and each node it completes.
         while stack and (match := _AFTER.match(text, pos)):
             pos = match.end()
@@ -574,7 +641,11 @@ def parse(text: str) -> Document:
     """Parse one document: a finite game, graph, pgraph, or profile.
 
     A finite game or profile in ``serialize``'s canonical form is read in one
-    pass; any other text, and any error, is left to the token parser.
+    pass, and so is a graph or pgraph written one construct per line: its
+    header, ``  state S = leaf <payoffs>`` or ``  state S = node A { <edges>
+    }`` with edges ``c -> T`` or ``c -> leaf <payoffs>`` (in a pgraph either
+    may end in `` @ k+1``), then ``  start S`` and ``}``.  Any other text,
+    and any error, is left to the token parser.
     """
     return _canonical(text) or _Parser(text, tokenize(text)).document()
 

@@ -111,6 +111,19 @@ def test_check_tree_profile_on_finite_game():
     assert result.returncode == 0
 
 
+def test_check_takes_the_empty_profile(tmp_path, capsys):
+    # The only profile of a game with no decision point has no entries.
+    profile = tmp_path / "none.profile"
+    profile.write_text("profile {\n}\n", encoding="utf-8")
+    for name, text in (
+        ("leaf.game", "(leaf (A:1) (B:2))\n"),
+        ("end.ggraph", "graph g {\n  state T = leaf (A:1) (B:2)\n  start T\n}\n"),
+    ):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["check", str(tmp_path / name), "--profile", str(profile)]) == 0
+        assert "SPE" in capsys.readouterr().out
+
+
 def test_check_json_payload():
     result = run_cli(
         "check",

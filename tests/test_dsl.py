@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,12 @@ from seqgames.graphs import (
     zero_one_graph,
 )
 from seqgames.truncation import ConstantClosure, DeciderQuitsClosure, truncate
-from tests.conftest import random_finite_game, random_game_graph, random_param_graph
+from tests.conftest import (
+    random_finite_game,
+    random_game_graph,
+    random_param_graph,
+    random_sloped_graph,
+)
 from tests.test_cli import WIDE
 
 
@@ -183,6 +189,18 @@ def test_pgraph_affine_forms():
     assert payoffs["A"] == AffineExpr(Fraction(1, 2), 2)
     assert payoffs["B"] == AffineExpr(3, 0)
     assert parse(serialize(graph)) == graph
+
+
+def test_empty_profiles_round_trip():
+    for profile in (TreeProfile({}), StationaryProfile({})):
+        assert serialize(profile) == "profile {\n}\n"
+    assert parse(serialize(TreeProfile({}))).as_tree() == TreeProfile({})
+    assert parse(serialize(StationaryProfile({}))).as_stationary() == StationaryProfile({})
+    assert parse("profile { }") == _Parser("profile {}", tokenize("profile {}")).document()
+    # A profile that is neither empty nor an entry keeps its message.
+    with pytest.raises(ParseError) as info:
+        parse("profile { 5 }")
+    assert str(info.value) == "line 1, column 11: unexpected input; expected profile entry; found '5'"
 
 
 def test_profile_documents():
@@ -494,7 +512,23 @@ def _parse_agrees_with_token_parser(text: str) -> bool:
     if canonical is None:
         return False
     assert type(canonical) is type(expected) and canonical == expected
+    assert _exact(canonical) == _exact(expected)
     return True
+
+
+def _exact(value) -> object:
+    """What equality leaves out of a graph: the order of its states and the
+    types of its stage deltas and payoff values."""
+    if not isinstance(value, GameGraph):
+        return None
+    shape = []
+    for sid, state in value.states.items():
+        if isinstance(state, Terminal):
+            values = state.payoffs.values()
+            shape.append((sid, [(type(v), type(getattr(v, "slope", v))) for v in values]))
+        else:
+            shape.append((sid, [type(delta) for _, _, delta in state.edges]))
+    return shape
 
 
 # Leaves in canonical form that serialize would not write, and ones that
@@ -572,6 +606,108 @@ _EDGE_CASES = (
 )
 
 
+def _graph_text(**fields) -> str:
+    """A small graph in the one-construct-per-line form, with ``fields``
+    replacing its names, stage suffix or keyword."""
+    values = dict(kind="graph", name="g", s="S", t="T", mover="A", label="c", stage="", p="A", q="B")
+    values.update(fields)
+    return (
+        "{kind} {name} {{\n"
+        "  state {s} = node {mover} {{ {label} -> {s}{stage}, l -> {t}, x -> leaf ({p}:1) (B:2) }}\n"
+        "  state {t} = leaf (A:0) ({q}:1)\n"
+        "  start {s}\n"
+        "}}\n"
+    ).format(**values)
+
+
+# Graph documents the one-pass reader must leave to the token parser: bad
+# names in each name position, and each error or non-canonical spelling.
+_GRAPH_REFUSALS = (
+    *(
+        _graph_text(**{field: name})
+        for field in ("name", "s", "t", "mover", "label", "p", "q")
+        for name in _BAD_NAMES
+    ),
+    _graph_text(stage=" @ k+1"),
+    _graph_text(kind="pgraph", stage=" @ k+2"),
+    _graph_text(t="S"),
+    _graph_text(label="l"),
+    _graph_text(q="A"),
+    _graph_text(p="B"),
+    _graph_text().replace("l -> T", "l -> U"),
+    _graph_text().replace("start S", "start U"),
+    _graph_text().replace("(A:1)", "(A:1/0)"),
+    _graph_text(kind="pgraph").replace("(A:1)", "(A:1 - 1/0*k)"),
+    _graph_text().replace("(A:1)", "(A:" + "7" * 5000 + ")"),
+    _graph_text(kind="pgraph").replace("(A:1)", "(A:1 + " + "7" * 5000 + "*k)"),
+    _graph_text().replace("(A:1)", "(A:1 - 1*k)"),
+    _graph_text().replace("\n", "\r\n"),
+    _graph_text().replace("  ", "\t"),
+    _graph_text().replace("\n  start", " # c\n  start"),
+    _graph_text().replace("{ c", "{c"),
+    _graph_text().replace("  start S\n", ""),
+    _graph_text().replace("  state T = leaf (A:0) (B:1)\n", ""),
+    _graph_text().rstrip("\n") + " x",
+)
+# And ones it must read, though serialize would not write them.
+_GRAPH_ACCEPTANCES = (
+    _graph_text(s="S²", name="_g", mover="É٣"),
+    _graph_text(t="S_x"),
+    _graph_text().replace("(A:1)", "(A:٣/١)"),
+    _graph_text(kind="pgraph", stage=" @ k+1").replace("(A:1)", "(A:-٣ - ١/٢*k)"),
+    _graph_text(kind="pgraph").replace("(B:2)", "(B:2/4 + 0*k) @ k+1") + " \t\r\n\n",
+)
+
+
+def _rational_text(rng: random.Random) -> str:
+    numerator = rng.randint(-6, 9)
+    return str(numerator) if rng.random() < 0.6 else f"{numerator}/{rng.randint(1, 6)}"
+
+
+def _inline_leaf_doc(rng: random.Random, parametrized: bool) -> str:
+    """A random graph or pgraph written one construct per line with inline
+    leaves, as serialize never writes it: payoffs out of player order and
+    not in lowest terms, in a pgraph affine, and stage suffixes on edges to
+    states and to leaves alike.  A declared state may take the name an
+    inline leaf would get, which then gets a ``_`` suffix."""
+
+    def leaf() -> str:
+        entries = []
+        for player in rng.sample("AB", 2):
+            value = _rational_text(rng)
+            if parametrized and rng.random() < 0.6:
+                slope = rng.choice(("0", "1", "3", "1/2", "4/6"))
+                value += f" {rng.choice('+-')} {slope}*k"
+            entries.append(f"({player}:{value})")
+        return "leaf " + " ".join(entries)
+
+    ids = [f"S{i}" for i in range(rng.randint(1, 5))]
+    lines = []
+    for sid in ids:
+        edges = []
+        for j in range(rng.randint(1, 3)):
+            target = leaf() if rng.random() < 0.5 else rng.choice(ids + ["T"])
+            stage = " @ k+1" if parametrized and rng.random() < 0.4 else ""
+            edges.append(f"a{j} -> {target}{stage}")
+        lines.append(f"  state {sid} = node {rng.choice('AB')} {{ {', '.join(edges)} }}")
+    lines.append(f"  state T = {leaf()}")
+    if rng.random() < 0.3:
+        lines.append(f"  state S0_a0 = {leaf()}")
+    rng.shuffle(lines)
+    head = f"{'pgraph' if parametrized else 'graph'} g {{"
+    return "\n".join([head, *lines, f"  start {rng.choice(ids)}", "}"]) + "\n"
+
+
+def _graph_corpus(seed: int) -> list[str]:
+    """Random graphs and pgraphs in serialize's form and the inline-leaf
+    form, and seeded mutants of them."""
+    rng = random.Random(seed)
+    makers = (random_game_graph, random_param_graph, random_sloped_graph)
+    texts = [serialize(rng.choice(makers)(rng)) for _ in range(90)]
+    texts += [_inline_leaf_doc(rng, rng.random() < 0.5) for _ in range(90)]
+    return texts + [_mutate(rng, rng.choice(texts)) for _ in range(600)]
+
+
 def _random_tree_profile(rng: random.Random, game) -> TreeProfile:
     return TreeProfile(
         (address, rng.choice(sub.branches)[0])
@@ -605,15 +741,24 @@ def test_scanner_matches_character_loop_reference():
 
 
 def test_canonical_reader_agrees_with_token_parser():
-    canonical = 0
-    for text in _mutation_corpus(seed=12, count=2000) + _differential_corpus():
-        canonical += _parse_agrees_with_token_parser(text)
+    canonical = graphs = 0
+    for text in _mutation_corpus(seed=12, count=2000) + _differential_corpus() + _graph_corpus(14):
+        read = _parse_agrees_with_token_parser(text)
+        canonical += read
+        graphs += read and text.startswith(("graph ", "pgraph "))
     for leaf in _ODD_LEAVES:
         assert _canonical(leaf) is not None and _canonical(_node(leaf=leaf)) is not None
-    # 417 documents take the canonical path: the 200 random trees, the 60
-    # truncations, the 100-odd profiles, and the mutants and hand-made
-    # cases that stay canonical.
+    for text in _GRAPH_REFUSALS:
+        _parse_agrees_with_token_parser(text)
+        assert _canonical(text) is None
+    for text in _GRAPH_ACCEPTANCES:
+        assert _parse_agrees_with_token_parser(text)
+    # 609 documents take the canonical path: the 200 random trees, the 60
+    # truncations, the 100-odd profiles, the 180 random graphs and pgraphs,
+    # and the mutants and hand-made cases that stay canonical.  190 of them
+    # are graphs or pgraphs.
     assert canonical >= 400
+    assert graphs >= 185
 
 
 def test_parse_never_reads_tokens_for_canonical_documents(monkeypatch):
@@ -626,6 +771,14 @@ def test_parse_never_reads_tokens_for_canonical_documents(monkeypatch):
     values += [random_finite_game(rng, max_depth=4) for _ in range(50)]
     values += [_random_tree_profile(rng, values[1]), TreeProfile({(): "c"})]
     values.append(StationaryProfile(S0="c", S1="l", _x="x2"))
+    values += [zero_one_graph(), dollar_auction(100), TreeProfile({}), StationaryProfile({})]
+    makers = (random_game_graph, random_param_graph, random_sloped_graph)
+    values += [maker(rng) for maker in makers for _ in range(20)]
+    games = Path(__file__).resolve().parent.parent / "games"
+    texts = [path.read_text(encoding="utf-8") for path in sorted(games.glob("*.[gp]graph"))]
+    texts += [_inline_leaf_doc(rng, parametrized) for parametrized in (False, True) for _ in range(20)]
+    texts += [_graph_text(), _graph_text(kind="pgraph", stage=" @ k+1")]
+    expected = [parse(text) for text in texts]
     monkeypatch.setattr(dsl, "tokenize", refuse)
     monkeypatch.setattr(dsl, "_Parser", refuse)
     for value in values:
@@ -635,6 +788,7 @@ def test_parse_never_reads_tokens_for_canonical_documents(monkeypatch):
         elif isinstance(value, StationaryProfile):
             parsed = parsed.as_stationary()
         assert parsed == value
+    assert len(texts) == 44 and [parse(text) for text in texts] == expected
 
 
 def test_deep_spine_round_trips_with_equality_and_hash():
