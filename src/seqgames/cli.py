@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (a checked profile is an equilibrium), 1 a checked
 profile is refuted or not admissible, 2 parse or validation errors in the
-inputs, 3 an enumeration cap was exceeded, 4 usage errors.  Structured
+inputs, 3 an enumeration cap was exceeded or memory ran out, 4 usage
+errors.  Structured
 output (``--format json``) is byte-deterministic for fixed inputs and
 renders every number as an exact rational string.
 """
@@ -550,6 +551,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
     except CapExceededError as error:
         print(f"cap exceeded: {error}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        # Not exit 1, which would read as a refuted profile.
+        print("out of memory", file=sys.stderr)
         return EXIT_CAP
     except (ProfileError, GameError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)

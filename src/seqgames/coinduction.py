@@ -12,14 +12,12 @@ rejected as not admissible rather than compared.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 import operator
 import weakref
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 
 from seqgames.core import (
@@ -29,6 +27,8 @@ from seqgames.core import (
     ProfileError,
     TreeProfile,
     _FrozenMap,
+    _record,
+    _setattr,
 )
 from seqgames import graphs
 from seqgames.finite import Counterexample, SpeCheck, _ranks, _Tree
@@ -65,7 +65,7 @@ class StationaryProfile(_FrozenMap):
             raise ProfileError(f"profile not total: no choice at state {sid!r}") from None
 
 
-@dataclass(frozen=True)
+@_record
 class Converges:
     """Play reached a terminal; payoffs are exact (or affine in the stage
     offset of the origin state, for parametrized graphs)."""
@@ -74,7 +74,7 @@ class Converges:
     steps: int
 
 
-@dataclass(frozen=True)
+@_record
 class Diverges:
     """Play revisited a state before any terminal; the repeating cycle."""
 
@@ -84,7 +84,7 @@ class Diverges:
 PlayResult = Converges | Diverges
 
 
-@dataclass(frozen=True)
+@_record
 class SpeOk:
     """No admissibility failure and no profitable one-shot deviation."""
 
@@ -94,7 +94,7 @@ class SpeOk:
         return "SPE"
 
 
-@dataclass(frozen=True)
+@_record
 class NotAdmissible:
     """Play under the profile never terminates from this state."""
 
@@ -108,7 +108,7 @@ class NotAdmissible:
         return f"not admissible: play from {self.state} cycles through {loop}"
 
 
-@dataclass(frozen=True)
+@_record
 class Refuted:
     """A profitable one-shot deviation, with the stage it occurs at (None on
     plain graphs, where payoffs are stage-independent)."""
@@ -121,6 +121,23 @@ class Refuted:
     deviation_payoffs: PayoffVector
 
     ok = False
+
+    # Enumeration builds one per refuted profile: a direct ``__init__``.
+    def __init__(
+        self,
+        state: str,
+        stage: int | None,
+        player: str,
+        action: str,
+        profile_payoffs: PayoffVector,
+        deviation_payoffs: PayoffVector,
+    ) -> None:
+        _setattr(self, "state", state)
+        _setattr(self, "stage", stage)
+        _setattr(self, "player", player)
+        _setattr(self, "action", action)
+        _setattr(self, "profile_payoffs", profile_payoffs)
+        _setattr(self, "deviation_payoffs", deviation_payoffs)
 
     @property
     def gain(self) -> Fraction:
@@ -200,7 +217,7 @@ class _ProfileChecker:
             raise GameError(f"invalid graph: {violations[0]} ({len(violations)} violation(s))")
         # A copy, which ``_checker`` compares with the graph and which does
         # not keep the graph alive.
-        self.graph = dataclasses.replace(graph, states=dict(graph.states))
+        self.graph = graph.__class__(graph.name, dict(graph.states), graph.start)
         self.staged = isinstance(graph, ParamGraph)
         states = graph.states
         decisions = graph.internal_ids()
@@ -659,7 +676,9 @@ def _unfolding_refutes(
     found = tree.first_deviation(picks)
     if found is not None and worded:
         path = _first_occurrence(tree, root, tree.addresses.index(found.address))
-        found = dataclasses.replace(found, address=path)
+        found = Counterexample(
+            path, found.player, found.action, found.profile_payoff, found.deviation_payoff
+        )
     return found, {key[:2] for key in keys}
 
 

@@ -11,8 +11,8 @@ any thread that writes it writes the same value.
 from __future__ import annotations
 
 import decimal
+import operator
 from collections.abc import Collection, ItemsView, Iterable, Iterator, Mapping
-from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -50,6 +50,105 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+class _FrozenRecordError(AttributeError):
+    """A record's attribute was assigned or deleted."""
+
+
+# Stores an attribute past a record's ``__setattr__``.  Unlike a write into
+# ``__dict__``, it keeps the values in the object, as a class's own
+# ``__init__`` would, so a record allocates no dict.
+_setattr = object.__setattr__
+
+
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise _FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise _FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def _bind(qualname: str, names: tuple, defaults: dict, args: tuple, named: dict) -> tuple:
+    """The field values of a record built from ``args`` and ``named``, in
+    field order, or the TypeError the call deserves."""
+    if len(args) > len(names):
+        raise TypeError(f"{qualname}() takes {len(names)} positional arguments, not {len(args)}")
+    values = list(args)
+    for name in names[len(args):]:
+        if name in named:
+            values.append(named.pop(name))
+        elif name in defaults:
+            values.append(defaults[name])
+        else:
+            raise TypeError(f"{qualname}() missing required argument: {name!r}")
+    for name in named:
+        kind = "multiple values for" if name in names else "an unexpected keyword"
+        raise TypeError(f"{qualname}() got {kind} argument {name!r}")
+    return tuple(values)
+
+
+def _record(cls: type) -> type:
+    """Make ``cls`` a frozen record of the fields its body annotates, in order.
+
+    A class-level value is the field's default.  A field whose name starts
+    with ``_`` is left out of ``==``, ``hash`` and ``repr``.  The class gets
+    an ``__init__`` that takes the fields positionally, then by keyword,
+    stores them with ``_setattr`` and calls ``__post_init__`` if the class
+    has one; an ``__eq__`` that compares the other fields with a record of
+    the same class only; a ``__hash__`` of their tuple; a
+    ``Name(field=value, ...)`` ``__repr__``; and a ``__setattr__`` and
+    ``__delattr__`` that raise ``_FrozenRecordError``.  A method the class
+    body defines wins.  These behave as ``@dataclass(frozen=True)``'s, made
+    without compiling source.  The field names are kept as ``_fields``.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    shown = tuple(name for name in names if not name.startswith("_"))
+    post_init = hasattr(cls, "__post_init__")
+    # The compared values as a tuple; ``attrgetter`` makes one of two or more.
+    if len(shown) > 1:
+        key = operator.attrgetter(*shown)
+    elif shown:
+        get = operator.attrgetter(*shown)
+        key = lambda self: (get(self),)
+    else:
+        key = lambda self: ()
+
+    def __init__(self, *args, **named) -> None:
+        if named or len(args) != len(names):
+            args = _bind(self.__class__.__qualname__, names, defaults, args, named)
+        for name, value in zip(names, args):
+            _setattr(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(key(self))
+
+    def __repr__(self) -> str:
+        shown_fields = ", ".join(f"{name}={value!r}" for name, value in zip(shown, key(self)))
+        return f"{self.__class__.__qualname__}({shown_fields})"
+
+    cls._fields = names
+    methods = {
+        "__init__": __init__,
+        "__eq__": __eq__,
+        "__hash__": __hash__,
+        "__repr__": __repr__,
+        "__setattr__": _refuse_assignment,
+        "__delattr__": _refuse_deletion,
+    }
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
 
 
 class _FrozenMap(Mapping):
@@ -178,18 +277,23 @@ def prefers(p: PayoffVector, q: PayoffVector, who: str) -> Comparison:
     return Comparison.EQUAL
 
 
-@dataclass(frozen=True)
+@_record
 class Leaf:
     """Terminal position distributing the payoffs."""
 
     payoffs: PayoffVector
 
+    # The parser and ``unfold`` build one leaf and one node per position, so
+    # both skip the generic record ``__init__``.
+    def __init__(self, payoffs: PayoffVector) -> None:
+        _setattr(self, "payoffs", payoffs)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@_record
 class Node:
     """Decision position: ``mover`` picks one of the labelled branches.
 
-    Equality, hashing and ``repr`` give what a frozen dataclass generates,
+    Equality, hashing and ``repr`` give what ``_record`` makes of the fields,
     but walk the tree with explicit stacks, so they work on trees deeper
     than the recursion limit.  Shared subtrees are visited once per call.
     Each node keeps its hash once computed, so hashing it again, or any tree
@@ -198,6 +302,10 @@ class Node:
 
     mover: str
     branches: tuple[tuple[str, "FiniteGame"], ...]
+
+    def __init__(self, mover: str, branches: tuple[tuple[str, FiniteGame], ...]) -> None:
+        _setattr(self, "mover", mover)
+        _setattr(self, "branches", branches)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -295,7 +403,7 @@ def depth(game: FiniteGame) -> int:
     return max(len(address) for address, _ in walk(game))
 
 
-@dataclass(frozen=True)
+@_record
 class Violation:
     where: str
     message: str
@@ -304,7 +412,7 @@ class Violation:
         return f"{self.where}: {self.message}"
 
 
-@dataclass(frozen=True)
+@_record
 class ValidationReport:
     violations: tuple[Violation, ...]
 
@@ -319,10 +427,10 @@ def _count_text(count: int) -> str:
 
 
 def _count_repr(self) -> str:
-    """The dataclass repr, with the ``count`` field printed by ``_count_text``."""
+    """The record repr, with the ``count`` field printed by ``_count_text``."""
     shown = (
-        f"{f.name}={_count_text(self.count) if f.name == 'count' else repr(getattr(self, f.name))}"
-        for f in fields(self) if f.repr
+        f"{name}={_count_text(self.count) if name == 'count' else repr(getattr(self, name))}"
+        for name in self._fields if not name.startswith("_")
     )
     return f"{type(self).__qualname__}({', '.join(shown)})"
 

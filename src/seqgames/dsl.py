@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 
 from seqgames.core import (
@@ -25,6 +24,7 @@ from seqgames.core import (
     Node,
     PayoffVector,
     TreeProfile,
+    _record,
     format_address,
 )
 from seqgames.coinduction import StationaryProfile
@@ -56,7 +56,7 @@ _PUNCT = {
 }
 
 
-@dataclass(frozen=True)
+@_record
 class SourceSpan:
     """Position in the input: 1-based line and column, 0-based character
     offset into the text."""
@@ -163,7 +163,7 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-@dataclass(frozen=True)
+@_record
 class ProfileDoc:
     """A parsed profile: ordered (key path, action) pairs with their spans."""
 

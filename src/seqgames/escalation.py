@@ -13,15 +13,14 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import chain
 
-from seqgames.core import GameError
+from seqgames.core import GameError, _record
 from seqgames.coinduction import StationaryProfile, _checker
 from seqgames.graphs import Decision, GameGraph
 
 
-@dataclass(frozen=True)
+@_record
 class RationalizableMap:
     """Per state, the actions chosen by at least one verified equilibrium.
 
@@ -35,14 +34,14 @@ class RationalizableMap:
         return self.actions.get(state, {}).get(action, ())
 
 
-@dataclass(frozen=True)
+@_record
 class WitnessStep:
     state: str
     action: str
     spe_id: int  # index of one equilibrium prescribing the action
 
 
-@dataclass(frozen=True)
+@_record
 class EscalationWitness:
     """A lasso of rationalizable steps: finite prefix, then a repeating cycle."""
 
@@ -155,7 +154,7 @@ def escalation_witness(
     return best
 
 
-@dataclass(frozen=True)
+@_record
 class ThreatRow:
     """One rationalizable action with its equilibrium backing."""
 
@@ -168,7 +167,7 @@ class ThreatRow:
     response: str | None  # what the target's mover does, per the first backer
 
 
-@dataclass(frozen=True)
+@_record
 class ThreatReport:
     """Credible-threat table plus the mutually non-credible states.
 

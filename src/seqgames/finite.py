@@ -19,7 +19,6 @@ import itertools
 import math
 import weakref
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from seqgames.core import (
@@ -33,6 +32,7 @@ from seqgames.core import (
     TreeProfile,
     Violation,
     _count_repr,
+    _record,
     _require_total,
     format_address,
     walk,
@@ -41,7 +41,7 @@ from seqgames.core import (
 DEFAULT_PROFILE_CAP = 2**20
 
 
-@dataclass(frozen=True)
+@_record
 class Counterexample:
     """A profitable deviation refuting an equilibrium claim."""
 
@@ -62,7 +62,7 @@ class Counterexample:
         )
 
 
-@dataclass(frozen=True)
+@_record
 class SpeCheck:
     """Outcome of an equilibrium check: OK, or the first counterexample."""
 
@@ -73,7 +73,7 @@ class SpeCheck:
         return self.counterexample is None
 
 
-@dataclass(frozen=True)
+@_record
 class EquilibriumSummary:
     """Result of backward induction over a finite game.
 
@@ -97,8 +97,9 @@ class EquilibriumSummary:
     count: int
     representative: TreeProfile
     payoff: PayoffVector
-    # The solved game, for ``subgame_values``.
-    _game: FiniteGame | None = field(default=None, repr=False, compare=False)
+    # The solved game, for ``subgame_values``; private, so neither compared
+    # nor printed.
+    _game: FiniteGame | None = None
     __repr__ = _count_repr
 
     @functools.cached_property
@@ -261,17 +262,15 @@ def backward_induction(game: FiniteGame) -> EquilibriumSummary:
     """
     tree = _require_valid(game)
     _, vectors, _, (counts, used, best, picks) = tree.solved()
+    # Positional, which skips the record's keyword binding: optimal actions
+    # (positions are numbered in preorder), count, representative, payoff
+    # and the game.
     return EquilibriumSummary(
-        # Positions are numbered in preorder.
-        optimal_actions={
-            tree.addresses[i]: _actions(tree.labels[i], used[i]) for i in sorted(tree.post)
-        },
-        count=sum(counts[0].values()),
-        representative=TreeProfile(
-            (tree.addresses[i], tree.labels[i][b]) for i, b in zip(tree.post, picks)
-        ),
-        payoff=vectors[best[0]],
-        _game=game,
+        {tree.addresses[i]: _actions(tree.labels[i], used[i]) for i in sorted(tree.post)},
+        sum(counts[0].values()),
+        TreeProfile((tree.addresses[i], tree.labels[i][b]) for i, b in zip(tree.post, picks)),
+        vectors[best[0]],
+        game,
     )
 
 

@@ -8,9 +8,8 @@ yields a structurally equal value.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 
-from seqgames.core import FiniteGame, Leaf, Node, PayoffVector
+from seqgames.core import FiniteGame, Leaf, Node, PayoffVector, _record
 from seqgames.graphs import GameGraph, ParamGraph, dollar_auction, zero_one_graph
 
 __all__ = [
@@ -73,7 +72,7 @@ def zero_one_finite(turns: int) -> FiniteGame:
     return tail
 
 
-@dataclass(frozen=True)
+@_record
 class Preset:
     """A constructible example game plus its documented expected results.
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 # The unfoldings validate through ``seqgames.coinduction``, which imports
@@ -31,6 +30,7 @@ from seqgames.core import (
     as_fraction,
     FiniteGame,
     _FrozenMap,
+    _record,
 )
 from seqgames.finite import _Tree
 
@@ -39,7 +39,7 @@ class MissingClosureError(GameError):
     """Truncation reached an internal state with no closure payoff."""
 
 
-@dataclass(frozen=True)
+@_record
 class AffineExpr:
     """``intercept + slope * k`` for a stage counter k ranging over 0, 1, ...
 
@@ -93,7 +93,7 @@ class AffinePayoffs(_FrozenMap):
         return AffinePayoffs({pid: expr.shifted(delta) for pid, expr in self._entries})
 
 
-@dataclass(frozen=True)
+@_record
 class Terminal:
     """A terminal state: constant payoffs in a plain graph, affine in the
     stage counter in a ``ParamGraph``."""
@@ -102,7 +102,7 @@ class Terminal:
     edges = ()  # terminals have no moves; every state has ``.edges``
 
 
-@dataclass(frozen=True)
+@_record
 class Decision:
     mover: str
     edges: tuple[tuple[str, str, int], ...]  # (action, target state, stage delta)
@@ -111,7 +111,7 @@ class Decision:
 GraphState = Terminal | Decision
 
 
-@dataclass(frozen=True, eq=True)
+@_record
 class GameGraph:
     """Named states with labelled edges; denotes its infinite unfolding.
 

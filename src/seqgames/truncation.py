@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from seqgames.core import PayoffVector, _count_repr
+from seqgames.core import PayoffVector, _count_repr, _record, _setattr
 from seqgames.coinduction import StationaryProfile, _checker, enumerate_stationary_spe
 from seqgames.finite import _require_valid, _solve_unfoldings
 from seqgames.graphs import (
@@ -39,7 +38,7 @@ class ClosureRule:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@_record
 class ConstantClosure(ClosureRule):
     payoffs: PayoffVector
 
@@ -51,7 +50,7 @@ class ConstantClosure(ClosureRule):
         return self.payoffs
 
 
-@dataclass(frozen=True)
+@_record
 class StateClosure(ClosureRule):
     mapping: Mapping[str, PayoffVector]
 
@@ -69,7 +68,7 @@ class StateClosure(ClosureRule):
             raise MissingClosureError(f"no closure payoff for cut state {sid!r}") from None
 
 
-@dataclass(frozen=True)
+@_record
 class DeciderQuitsClosure(ClosureRule):
     """Close each cut state as if its mover immediately took her exit:
     the first edge, in branch order, that leads straight to a terminal."""
@@ -100,12 +99,17 @@ class CharKind(Enum):
     ABSENT = "absent"
 
 
-@dataclass(frozen=True)
+@_record
 class Characterization:
     """How a truncation constrains one player across all her nodes."""
 
     kind: CharKind
     action: str | None = None
+
+    # Built once per player and depth: a direct ``__init__``.
+    def __init__(self, kind: CharKind, action: str | None = None) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "action", action)
 
     def describe(self) -> str:
         if self.kind is CharKind.FORCED:
@@ -113,7 +117,7 @@ class Characterization:
         return self.kind.value
 
 
-@dataclass(frozen=True)
+@_record
 class DepthSummary:
     depth: int
     closure: str
@@ -278,7 +282,7 @@ class ExtrapolationVerdict(Enum):
     NO_PATTERN = "NoPattern"
 
 
-@dataclass(frozen=True)
+@_record
 class ExtrapolationReport:
     """Finite-depth summaries against the infinite game's stationary equilibria."""
 

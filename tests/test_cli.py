@@ -579,6 +579,22 @@ def test_depths_that_do_not_parse_are_a_usage_error(capsys):
         )
 
 
+def test_running_out_of_memory_exits_three_without_a_traceback():
+    # 10^12 depths do not fit in the 1 GiB of address space the child gets;
+    # exit 1 would read as a refuted profile.
+    argv = ["extrapolate", game("zero_one.ggraph"), "--depths", "1..1000000000000", "--closure", "quit"]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "from seqgames.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert "Traceback" not in result.stderr
+    assert (result.returncode, result.stderr) == (3, "out of memory\n")
+
+
 def test_validate_rejects_non_decimal_digits_with_a_position(tmp_path):
     bad = tmp_path / "bad.game"
     bad.write_text("(leaf (A:²))", encoding="utf-8")

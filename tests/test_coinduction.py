@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import subprocess
@@ -1182,7 +1181,14 @@ def test_graph_kind_changes_only_the_stage_of_refutations():
         for (_, verdict), (_, staged_verdict) in zip(plain, staged):
             if isinstance(verdict, Refuted):
                 assert verdict.stage is None
-                assert staged_verdict == dataclasses.replace(verdict, stage=0)
+                assert staged_verdict == Refuted(
+                    verdict.state,
+                    0,
+                    verdict.player,
+                    verdict.action,
+                    verdict.profile_payoffs,
+                    verdict.deviation_payoffs,
+                )
             else:
                 assert staged_verdict == verdict
             kinds[type(verdict).__name__] += 1

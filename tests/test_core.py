@@ -1,3 +1,7 @@
+import dataclasses
+import importlib
+import pickle
+import pkgutil
 import random
 import subprocess
 from collections import Counter
@@ -10,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import seqgames
 from seqgames.core import (
     Comparison,
     Leaf,
@@ -18,6 +23,7 @@ from seqgames.core import (
     ProfileError,
     TreeProfile,
     UnknownPlayerError,
+    _refuse_assignment,
     depth,
     leaf,
     node,
@@ -26,6 +32,8 @@ from seqgames.core import (
     validate_game,
 )
 from seqgames.dsl import ParseError, parse
+from seqgames.finite import EquilibriumSummary
+from seqgames.graphs import AffineExpr, GameGraph, ParamGraph
 from seqgames.truncation import ConstantClosure, MissingClosureError, StateClosure, truncate
 from tests.conftest import random_finite_game, random_game_graph, random_param_graph, random_payoffs
 from tests.reference import all_profiles, validate_game_by_walk
@@ -375,3 +383,163 @@ def _copy(game):
     if isinstance(game, Leaf):
         return Leaf(game.payoffs)
     return Node(game.mover, tuple((a, _copy(c)) for a, c in game.branches))
+
+
+def _record_classes() -> list[type]:
+    """Every record class of the package and every plain subclass of one
+    (``ParamGraph``), each after its bases."""
+    found = set()
+    for module in pkgutil.iter_modules(seqgames.__path__):
+        for value in vars(importlib.import_module(f"seqgames.{module.name}")).values():
+            if isinstance(value, type) and getattr(value, "__setattr__", None) is _refuse_assignment:
+                found.add(value)
+    return sorted(found, key=lambda cls: (len(cls.__mro__), cls.__module__, cls.__qualname__))
+
+
+_RECORD_METHODS = ("__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__")
+
+
+def _dataclass_twins(classes: list[type]) -> dict[type, type]:
+    """For each record, ``@dataclass(frozen=True)`` applied to its class body
+    without the methods a record has, so that the dataclass makes them all,
+    also those a class body writes itself (``Leaf``, ``Node``, ``Refuted``,
+    ``Characterization``, ``DepthSummary`` and ``EquilibriumSummary``).  A
+    field named ``_...`` is neither compared nor printed."""
+    twins: dict[type, type] = {}
+    for cls in classes:
+        bases = tuple(twins.get(base, base) for base in cls.__bases__)
+        if "_fields" not in vars(cls):
+            twins[cls] = type(cls.__name__, bases, {"__module__": cls.__module__})
+        else:
+            namespace = {
+                name: value
+                for name, value in vars(cls).items()
+                if name not in ("__dict__", "__weakref__", "_fields", *_RECORD_METHODS)
+            }
+            namespace["__annotations__"] = dict(cls.__annotations__)
+            for name in cls._fields:
+                if name.startswith("_"):
+                    default = vars(cls).get(name, dataclasses.MISSING)
+                    namespace[name] = dataclasses.field(default=default, repr=False, compare=False)
+            twins[cls] = dataclasses.dataclass(frozen=True)(type(cls.__name__, bases, namespace))
+        twins[cls].__qualname__ = cls.__qualname__
+    return twins
+
+
+# Field values: equal values of distinct types, an unhashable one, strings
+# as_fraction reads or refuses.  ``count`` is printed through Decimal, so it
+# takes ints only, and ``Node.branches`` takes branches, which its own
+# methods walk.
+_VALUES = (0, 1, Fraction(1), -3, Fraction(1, 2), "a", "b", "3/4", None, (), ("x", 1), {"S": 1})
+_SPECIAL_VALUES = {
+    "count": (0, 1, 7, -2, 10**30),
+    "branches": (
+        (),
+        (("x", leaf(A=1)),),
+        (("x", leaf(A=1)), ("y", node("B", ("z", leaf(A=1))))),
+        (("x", Leaf(PayoffVector(A=Fraction(1)))), ("y", node("B", ("z", leaf(A=1))))),
+    ),
+}
+
+
+def _value(rng: random.Random, name: str) -> object:
+    return rng.choice(_SPECIAL_VALUES.get(name, _VALUES))
+
+
+def _outcome(call) -> tuple:
+    try:
+        return "returned", call()
+    except Exception as error:
+        return "raised", type(error)
+
+
+def _built(cls: type, twin: type, args: list, named: dict) -> tuple | None:
+    """The record and its twin from the same call, or None if both refuse it
+    alike."""
+    record, copy = _outcome(lambda: cls(*args, **named)), _outcome(lambda: twin(*args, **named))
+    assert record[0] == copy[0], (cls, args, named, record, copy)
+    if record[0] == "raised":
+        assert record[1] is copy[1], (cls, args, named)
+        return None
+    assert vars(record[1]) == vars(copy[1]), (cls, args, named)
+    return record[1], copy[1]
+
+
+def test_records_behave_as_frozen_dataclasses():
+    rng = random.Random(33)
+    classes = _record_classes()
+    assert len([cls for cls in classes if "_fields" in vars(cls)]) >= 30
+    assert ParamGraph in classes and Node in classes and EquilibriumSummary in classes
+    twins = _dataclass_twins(classes)
+    groups: dict[tuple, list[type]] = {}
+    for cls in classes:
+        groups.setdefault(cls._fields, []).append(cls)
+    compared = equal = 0
+    for names, group in groups.items():
+        for _ in range(20):
+            values = [_value(rng, name) for name in names]
+            # The values, and for each field the values with only it changed.
+            rows = [values] + [
+                values[:i] + [_value(rng, name)] + values[i + 1 :] for i, name in enumerate(names)
+            ]
+            pairs = []
+            for cls in group:
+                twin = twins[cls]
+                required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(twin))
+                k = rng.randint(0, len(names))
+                calls = [(row, {}) for row in rows] + [
+                    ([], dict(zip(names, values))),
+                    (values[:k], dict(zip(names[k:], values[k:]))),
+                    (values[:required], {}),
+                    (values + [0], {}),
+                    (values, {"unknown": 0}),
+                    (values[: max(required - 1, 0)], {}),
+                    (values, dict(zip(names[-1:], [0]))),
+                ]
+                pairs += filter(None, (_built(cls, twin, args, named) for args, named in calls))
+            for record, copy in pairs:
+                assert _outcome(lambda: repr(record)) == _outcome(lambda: repr(copy))
+                assert _outcome(lambda: hash(record)) == _outcome(lambda: hash(copy))
+                restored = pickle.loads(pickle.dumps(record))
+                assert type(restored) is type(record) and vars(restored) == vars(record)
+                for name in names:
+                    for change in (lambda o: setattr(o, name, 0), lambda o: delattr(o, name)):
+                        for target in (record, copy):
+                            with pytest.raises(AttributeError):
+                                change(target)
+                    assert vars(restored) == vars(record)
+                for other, other_copy in pairs:
+                    assert _outcome(lambda: record == other) == _outcome(lambda: copy == other_copy)
+                    assert _outcome(lambda: record != other) == _outcome(lambda: copy != other_copy)
+                    compared += 1
+                    equal += _outcome(lambda: copy == other_copy) == ("returned", True)
+    assert compared > 30_000 and equal > 5_000, (compared, equal)
+    # The cases named in the records' contract, spelled out.
+    graph, staged = GameGraph("g", {}, "S"), ParamGraph("g", {}, "S")
+    assert graph != staged and graph == GameGraph("g", {}, "S")
+    assert repr(staged) == "ParamGraph(name='g', states={}, start='S')"
+    with pytest.raises(TypeError):
+        hash(graph)
+    assert AffineExpr(Fraction(1, 2), Fraction(1, 3))._ints == (3, 2, 6)
+    assert AffineExpr(slope=2, intercept="1/4").__dict__ == {
+        "intercept": Fraction(1, 4), "slope": Fraction(2), "_ints": (1, 8, 4)
+    }
+    summary = EquilibriumSummary({}, 1, TreeProfile(), PayoffVector(A=1), leaf(A=1))
+    other = EquilibriumSummary({}, 1, TreeProfile(), PayoffVector(A=1), leaf(A=2))
+    assert summary == other
+    assert "_game" not in repr(summary) and summary._game == leaf(A=1)
+    with pytest.raises(AttributeError):
+        summary.count = 2
+    assert summary.count == 1
+
+
+def test_importing_the_cli_imports_no_dataclasses():
+    # Generated record methods once cost most of an import with bytecode.
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import seqgames.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"
