@@ -23,7 +23,6 @@ from seqgames.core import (
     node,
     play_finite,
     prefers,
-    validate_game,
 )
 from seqgames.finite import (
     EquilibriumSummary,
@@ -31,6 +30,7 @@ from seqgames.finite import (
     brute_force_spe,
     enumerate_spe_profiles,
     is_spe_finite,
+    validate_game,
 )
 from seqgames.graphs import (
     AffineExpr,

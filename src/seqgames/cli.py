@@ -28,7 +28,6 @@ from seqgames.core import (
     CapExceededError,
     _count_text,
     format_address,
-    validate_game,
 )
 from seqgames.coinduction import (
     DEFAULT_STATIONARY_CAP,
@@ -41,7 +40,7 @@ from seqgames.coinduction import (
 )
 from seqgames.dsl import ParseError, ProfileDoc, parse, serialize
 from seqgames.escalation import _rationalizable_map, _threat_report, escalation_witness
-from seqgames.finite import _InvalidGame, _require_valid, _spe_check, backward_induction
+from seqgames.finite import _InvalidGame, _require_valid, _spe_check, backward_induction, validate_game
 from seqgames.gallery import PRESETS, build_preset
 from seqgames.graphs import GameGraph, ParamGraph, validate_graph
 from seqgames.truncation import (

@@ -15,8 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
-import weakref
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
@@ -27,10 +25,10 @@ from seqgames.core import (
     ProfileError,
     TreeProfile,
     _FrozenMap,
+    _Kept,
     _record,
     _setattr,
 )
-from seqgames import graphs
 from seqgames.finite import Counterexample, SpeCheck, _ranks, _Tree
 from seqgames.graphs import (
     AffineExpr,
@@ -39,6 +37,7 @@ from seqgames.graphs import (
     ParamGraph,
     StageReachability,
     Terminal,
+    _require_valid_graph,
 )
 
 DEFAULT_STATIONARY_CAP = 2**16
@@ -212,14 +211,11 @@ class _ProfileChecker:
     """
 
     def __init__(self, graph: GameGraph) -> None:
-        # Looked up on its module, where a rebinding of it is seen.
-        if violations := graphs.validate_graph(graph).violations:
-            raise GameError(f"invalid graph: {violations[0]} ({len(violations)} violation(s))")
-        # A copy, which ``_checker`` compares with the graph and which does
-        # not keep the graph alive.
-        self.graph = graph.__class__(graph.name, dict(graph.states), graph.start)
+        _require_valid_graph(graph)
+        # All that ``StageReachability`` reads of the graph, which is not kept.
+        self.states = states = graph.states
+        self.start = graph.start
         self.staged = isinstance(graph, ParamGraph)
-        states = graph.states
         decisions = graph.internal_ids()
         n = len(decisions)
         self.ids = decisions + [sid for sid in states if isinstance(states[sid], Terminal)]
@@ -267,7 +263,7 @@ class _ProfileChecker:
 
     @functools.cached_property
     def reach(self) -> StageReachability:
-        return StageReachability(self.graph)
+        return StageReachability(self)
 
     def picks(self, profile: StationaryProfile) -> list[int]:
         """The profile's branch index at each decision state; raises ProfileError
@@ -337,7 +333,7 @@ class _ProfileChecker:
             sid: self.payoffs[e].shifted(s) if s else self.payoffs[e]
             for sid, e, s in zip(self.ids, *played)
         }
-        return {sid: values[sid] for sid in self.graph.states}
+        return {sid: values[sid] for sid in self.states}
 
     def check(self, profile: StationaryProfile) -> SpeVerdict:
         """Admissibility, then every one-shot deviation."""
@@ -533,29 +529,8 @@ def _can_cycle(targets: list[list[int]], picks: list[int], end: list[int], free:
     return False
 
 
-_last: tuple = (None, None)  # (weak reference, checker), as in ``finite``
-
-
-def _checker(graph: GameGraph) -> _ProfileChecker:
-    """``_ProfileChecker(graph)``; the last one is kept (``_last``), with its
-    deviation memo, while each entry of the graph's mutable ``states`` is
-    the immutable state object it was built from."""
-    global _last
-    ref, checker = _last
-    if ref is not None and ref() is graph:
-        built, states = checker.graph.states, graph.states
-        if list(built) == list(states) and all(map(operator.is_, built.values(), states.values())):
-            return checker
-    _last = (None, None)  # released before the new compile
-    checker = _ProfileChecker(graph)
-    _last = (weakref.ref(graph, _forget), checker)
-    return checker
-
-
-def _forget(ref: weakref.ref) -> None:
-    global _last
-    if _last[0] is ref:
-        _last = (None, None)
+# ``_ProfileChecker(graph)``; the last one is kept with its deviation memo.
+_checker = _Kept(_ProfileChecker)
 
 
 def check_spe_graph(graph: GameGraph, profile: StationaryProfile) -> SpeVerdict:

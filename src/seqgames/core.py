@@ -5,20 +5,17 @@ compare them, never add them, so every result is invariant under strictly
 monotone re-encodings of the payoff scale.  All values in this module are
 immutable after construction and safe to share between threads.  The hash
 cached on a payoff map or a game node is written once, on first use, and
-any thread that writes it writes the same value.
+any thread that writes it writes the same value; no pickle carries it.
 """
 
 from __future__ import annotations
 
 import decimal
 import operator
-from collections.abc import Collection, ItemsView, Iterable, Iterator, Mapping
+import weakref
+from collections.abc import Callable, Collection, ItemsView, Iterable, Iterator, Mapping
 from enum import Enum
 from fractions import Fraction
-
-# ``validate_game`` reaches ``finite`` (which imports this module) on the
-# package it was imported with, as ``graphs.unfold`` reaches ``coinduction``.
-import seqgames
 
 
 class GameError(Exception):
@@ -151,6 +148,29 @@ def _record(cls: type) -> type:
     return cls
 
 
+class _Kept:
+    """``compile(obj)``, the last result kept while ``obj`` lives, so calls
+    on one immutable object in a row compile it once.  The entry (weak
+    reference, result) is rebound whole, so a race can only lose it; it is
+    released before another object is compiled, is never a compile that
+    raised, and is dropped by the reference's callback with its object."""
+
+    def __init__(self, compile: Callable) -> None:
+        self.compile, self.entry = compile, (None, None)
+
+    def __call__(self, obj):
+        ref, result = self.entry
+        if ref is None or ref() is not obj:
+            self.entry = (None, None)
+            result = self.compile(obj)
+            self.entry = (weakref.ref(obj, self._forget), result)
+        return result
+
+    def _forget(self, ref: weakref.ref) -> None:
+        if self.entry[0] is ref:
+            self.entry = (None, None)
+
+
 class _FrozenMap(Mapping):
     """Immutable mapping stored as a tuple of entries sorted by key.
 
@@ -204,6 +224,9 @@ class _FrozenMap(Mapping):
         except AttributeError:
             self._hash: int = hash(self._entries)
             return self._hash
+
+    def __reduce__(self):  # without the hash: string hashes differ between processes
+        return self.__class__, (self._entries,)
 
     def _format_key(self, key) -> str:
         return str(key)
@@ -351,6 +374,9 @@ class Node:
                 node.__dict__["_hash"] = hash((node.mover, node.branches))
         return self._hash
 
+    def __reduce__(self):
+        return Node, (self.mover, self.branches)  # without the hash, as ``_FrozenMap``
+
     def __repr__(self) -> str:
         parts: list[str] = []
         stack: list[object] = [self]
@@ -438,18 +464,6 @@ def _count_repr(self) -> str:
 def format_address(address: Address) -> str:
     """Render an address for display: ``.`` for the root, else ``c.l``."""
     return ".".join(address) if address else "."
-
-
-def validate_game(game: FiniteGame, players: Iterable[str] | None = None) -> ValidationReport:
-    """Check structural invariants; returns violations instead of raising.
-
-    With ``players`` given, every leaf must carry exactly that player set
-    and every mover must be in it; otherwise the set is inferred as the
-    union over all leaves and movers.  Checked on the tree the solvers
-    compile and solve (``finite._Tree.violations``); their summaries'
-    ``subgame_values`` are computed on first access.
-    """
-    return ValidationReport(seqgames.finite._Tree(game).violations(players))
 
 
 class TreeProfile(_FrozenMap):

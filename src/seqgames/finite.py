@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -30,7 +29,9 @@ from seqgames.core import (
     Node,
     PayoffVector,
     TreeProfile,
+    ValidationReport,
     Violation,
+    _Kept,
     _count_repr,
     _record,
     _require_total,
@@ -97,8 +98,6 @@ class EquilibriumSummary:
     count: int
     representative: TreeProfile
     payoff: PayoffVector
-    # The solved game, for ``subgame_values``; private, so neither compared
-    # nor printed.
     _game: FiniteGame | None = None
     __repr__ = _count_repr
 
@@ -122,31 +121,28 @@ class _InvalidGame(GameError):
         self.first = violations[0]
 
 
-# The last valid game compiled, as (weak reference, _Tree); the reference's
-# callback drops the entry when the game is collected.  One tuple, rebound
-# whole, so it needs no lock: a race can only lose the entry.
-_last: tuple = (None, None)
-
-
-def _require_valid(game: FiniteGame) -> _Tree:
-    """The game compiled; raises _InvalidGame if it has a violation.  Games
-    are immutable, so the last valid one is kept (``_last``) and calls on
-    one game in a row compile and validate it once."""
-    global _last
-    ref, tree = _last
-    if ref is None or ref() is not game:
-        _last = (None, None)  # released before the new compile
-        tree = _Tree(game)
-        if violations := tree.violations():
-            raise _InvalidGame(violations)
-        _last = (weakref.ref(game, _forget), tree)
+def _valid_tree(game: FiniteGame) -> _Tree:
+    """The game compiled; raises _InvalidGame if it has a violation."""
+    tree = _Tree(game)
+    if violations := tree.violations():
+        raise _InvalidGame(violations)
     return tree
 
 
-def _forget(ref: weakref.ref) -> None:
-    global _last
-    if _last[0] is ref:
-        _last = (None, None)
+# Calls on one game in a row compile and validate it once.
+_require_valid = _Kept(_valid_tree)
+
+
+def validate_game(game: FiniteGame, players: Iterable[str] | None = None) -> ValidationReport:
+    """Check structural invariants; returns violations instead of raising.
+
+    With ``players`` given, every leaf must carry exactly that player set
+    and every mover must be in it; otherwise the set is inferred as the
+    union over all leaves and movers.  Checked on the tree the solvers
+    compile and solve (``_Tree.violations``); their summaries'
+    ``subgame_values`` are computed on first access.
+    """
+    return ValidationReport(_Tree(game).violations(players))
 
 
 def _payoff_ids(
@@ -483,7 +479,7 @@ class _Tree:
         return tree, roots
 
     def violations(self, players: Iterable[str] | None = None) -> tuple[Violation, ...]:
-        """What ``core.validate_game`` reports, in preorder: at a leaf its
+        """What ``validate_game`` reports, in preorder: at a leaf its
         missing, then its extra players (each sorted); at a node an empty
         branch list, duplicate labels, then an undeclared mover.  Each
         distinct payoff object is checked once, and only a violation's

@@ -14,11 +14,8 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
-# The unfoldings validate through ``seqgames.coinduction``, which imports
-# this module, reached at call time on the package this module was imported
-# with: ``sys.modules`` may hold a fresh import with other classes by then.
-import seqgames
 from seqgames.core import (
     GameError,
     Leaf,
@@ -30,7 +27,9 @@ from seqgames.core import (
     as_fraction,
     FiniteGame,
     _FrozenMap,
+    _Kept,
     _record,
+    _setattr,
 )
 from seqgames.finite import _Tree
 
@@ -116,12 +115,19 @@ class GameGraph:
     """Named states with labelled edges; denotes its infinite unfolding.
 
     In a plain graph every edge has stage delta 0 and every terminal has
-    constant (``PayoffVector``) payoffs.
+    constant (``PayoffVector``) payoffs.  ``states`` is a read-only view of
+    a copy of the mapping given, so the graph's compiles are kept by identity.
     """
 
     name: str
-    states: dict[str, GraphState]
+    states: Mapping[str, GraphState]
     start: str
+
+    def __post_init__(self) -> None:
+        _setattr(self, "states", MappingProxyType(dict(self.states)))
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return self.__class__, (self.name, dict(self.states), self.start)
 
     def state(self, sid: str) -> GraphState:
         try:
@@ -185,6 +191,16 @@ def validate_graph(graph: GameGraph) -> ValidationReport:
     return ValidationReport(tuple(found))
 
 
+def _validated(graph: GameGraph) -> None:
+    """Raise GameError naming the first violation ``validate_graph`` finds."""
+    if violations := validate_graph(graph).violations:
+        raise GameError(f"invalid graph: {violations[0]} ({len(violations)} violation(s))")
+
+
+# The checkers and unfoldings of one graph in a row validate it once.
+_require_valid_graph = _Kept(_validated)
+
+
 ClosureMap = Mapping[str, PayoffVector | AffinePayoffs] | Callable[[str], PayoffVector | AffinePayoffs]
 
 
@@ -196,9 +212,8 @@ def unfold(graph: GameGraph, depth: int, closure: ClosureMap) -> FiniteGame:
     callable closure is called once per distinct cut (state, stage), in the
     order a depth-first walk with branches in order first meets it.  Equal
     subgames are one shared object.  The graph is validated as the
-    checkers validate it, on their last compile (``coinduction._checker``).
+    checkers validate it (``_require_valid_graph``).
     """
-    seqgames.coinduction._checker(graph)
 
     def closure_for(sid: str, stage: int) -> PayoffVector:
         if callable(closure):
@@ -219,18 +234,18 @@ def unfold_param(
     """Like ``unfold`` but tracks the stage counter; terminals are evaluated
     at their concrete stage and the closure gets (state, stage), once per
     distinct pair."""
-    seqgames.coinduction._checker(graph)
     return _unfold_tree(graph, depth, closure)
 
 
 def _unfold_tree(
     graph: GameGraph, depth: int, cut: Callable[[str, int], PayoffVector]
 ) -> FiniteGame:
-    """The depth-``depth`` unfolding of a graph the caller has validated:
-    one ``Leaf`` or ``Node`` per position of the (state, stage, remaining
+    """The depth-``depth`` unfolding of a graph, validated first: one
+    ``Leaf`` or ``Node`` per position of the (state, stage, remaining
     depth) table of ``_Tree.from_graph``, whose positions are numbered
     children first.  ``cut`` is called as that table calls it.
     """
+    _require_valid_graph(graph)
     table, (root,) = _Tree.from_graph(graph, [depth], cut)
     built: list[FiniteGame] = []
     for mover, kids, labels, payoffs in zip(
@@ -302,7 +317,7 @@ class StageReachability:
     """
 
     def __init__(self, graph: ParamGraph) -> None:
-        self._graph = graph
+        self._states = graph.states  # not the graph, which it would keep alive
         layers: list[frozenset[str]] = []
         seen: dict[frozenset[str], int] = {}
         current = self._saturate(frozenset({graph.start}))
@@ -326,7 +341,7 @@ class StageReachability:
         queue = list(states)
         while queue:
             sid = queue.pop()
-            for _, target, delta in self._graph.states[sid].edges:
+            for _, target, delta in self._states[sid].edges:
                 if delta == 0 and target not in result:
                     result.add(target)
                     queue.append(target)
@@ -337,7 +352,7 @@ class StageReachability:
         return frozenset(
             target
             for sid in states
-            for _, target, delta in self._graph.states[sid].edges
+            for _, target, delta in self._states[sid].edges
             if delta == 1
         )
 

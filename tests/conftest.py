@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from seqgames import coinduction, finite
+from seqgames import coinduction, finite, graphs
 from seqgames.core import FiniteGame, Leaf, Node, PayoffVector
 from seqgames.finite import profile_space_size
 from seqgames.graphs import (
@@ -29,10 +29,11 @@ ACTION_NAMES = ("a", "b", "c")
 @pytest.fixture(autouse=True)
 def _no_kept_compile(monkeypatch):
     """Start each test with no compiled game or graph kept by the one-entry
-    memos of ``finite._require_valid`` and ``coinduction._checker``, so no
-    test that counts compiles or validations depends on the test before."""
-    monkeypatch.setattr(finite, "_last", (None, None))
-    monkeypatch.setattr(coinduction, "_last", (None, None))
+    helpers of ``finite._require_valid``, ``graphs._require_valid_graph``
+    and ``coinduction._checker``, so no test that counts compiles or
+    validations depends on the test before."""
+    for kept in (finite._require_valid, graphs._require_valid_graph, coinduction._checker):
+        monkeypatch.setattr(kept, "entry", (None, None))
 
 
 def random_payoffs(

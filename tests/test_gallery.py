@@ -1,8 +1,8 @@
 import pytest
 
-from seqgames.core import PayoffVector, TreeProfile, play_finite, validate_game
+from seqgames.core import PayoffVector, TreeProfile, play_finite
 from seqgames.coinduction import enumerate_stationary_spe, StationaryProfile
-from seqgames.finite import backward_induction, brute_force_spe, profile_space_size
+from seqgames.finite import backward_induction, brute_force_spe, profile_space_size, validate_game
 from seqgames.gallery import (
     PRESETS,
     build_preset,

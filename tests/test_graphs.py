@@ -446,11 +446,11 @@ def test_validate_game_keeps_to_the_package_it_was_imported_with():
     script = textwrap.dedent(
         """
         import sys
-        from seqgames import core as first
+        from seqgames import core, finite as first
         for name in [n for n in sys.modules if n.split(".")[0] == "seqgames"]:
             del sys.modules[name]
         import seqgames
-        print(first.validate_game(first.node("A", x=first.leaf(A=1), y=first.leaf(A=2))))
+        print(first.validate_game(core.node("A", x=core.leaf(A=1), y=core.leaf(A=2))))
         """
     )
     result = subprocess.run(

@@ -1,24 +1,38 @@
-"""The one-entry compile memos of ``finite._require_valid`` and
-``coinduction._checker``: what they reuse, what they must compile again,
-and that they keep at most one compile, released with its game."""
+"""The one-entry ``core._Kept`` helpers of ``finite._require_valid``,
+``graphs._require_valid_graph`` and ``coinduction._checker``: what they
+reuse, what they must compile again, and that they keep at most one compile
+of each kind, released with its game; and the read-only graph states that
+make keeping a graph's compile by identity sound."""
 
+import copy
 import gc
 import itertools
+import pickle
 import random
 import sys
 import threading
 import time
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
-from seqgames import coinduction, finite, leaf, node
+from seqgames import coinduction, finite, graphs, leaf, node
 from seqgames.coinduction import StationaryProfile, check_spe_graph, enumerate_stationary_spe
 from seqgames.core import GameError, PayoffVector
 from seqgames.dsl import parse, serialize
 from seqgames.escalation import credible_threat_report, escalation_witness, rationalizable_actions
 from seqgames.finite import backward_induction, brute_force_spe, enumerate_spe_profiles
-from seqgames.graphs import Decision, GameGraph, Terminal, dollar_auction, validate_graph, zero_one_graph
+from seqgames.graphs import (
+    Decision,
+    GameGraph,
+    ParamGraph,
+    StageReachability,
+    Terminal,
+    dollar_auction,
+    validate_graph,
+    zero_one_graph,
+)
 from tests.conftest import random_finite_game, random_param_graph, random_ring_graph
 
 ROUTES = {
@@ -96,7 +110,7 @@ def test_an_invalid_game_raises_on_every_call(validations):
         for route in ROUTES.values():
             with pytest.raises(GameError, match=r"^invalid game: a: missing payoff for B \(1"):
                 route(bad)
-    assert finite._last == (None, None)
+    assert finite._require_valid.entry == (None, None)
     valid = zero_one_graph()
     enumerate_stationary_spe(valid)
     broken = GameGraph(
@@ -113,22 +127,23 @@ def test_an_invalid_game_raises_on_every_call(validations):
             with pytest.raises(GameError, match="^invalid graph: S: edge 'go' targets unknown state 'X'"):
                 call()
     assert len(validations) == 6
-    assert coinduction._last == (None, None)
+    assert coinduction._checker.entry == graphs._require_valid_graph.entry == (None, None)
 
 
 def test_a_collected_game_leaves_its_memo_empty():
     game = random_finite_game(random.Random(5))
     backward_induction(game)
-    assert finite._last[0]() is game
+    assert finite._require_valid.entry[0]() is game
     del game
     gc.collect()
-    assert finite._last == (None, None)
+    assert finite._require_valid.entry == (None, None)
     graph = dollar_auction(10)
     enumerate_stationary_spe(graph)
-    assert coinduction._last[0]() is graph
+    assert coinduction._checker.entry[0]() is graph
+    assert graphs._require_valid_graph.entry[0]() is graph
     del graph
     gc.collect()
-    assert coinduction._last == (None, None)
+    assert coinduction._checker.entry == graphs._require_valid_graph.entry == (None, None)
 
 
 def _alive(cls) -> int:
@@ -150,26 +165,50 @@ def test_the_memos_keep_at_most_one_compile_alive():
     assert (_alive(finite._Tree), _alive(coinduction._ProfileChecker)) == before
 
 
-def test_a_graph_whose_state_is_replaced_is_compiled_again(validations):
-    graph = zero_one_graph()
+def test_a_released_compile_is_freed_without_the_collector():
+    # No compile is part of a reference cycle, so one released with its
+    # game is freed at once, not by the next collection.
+    kinds = (finite._Tree, coinduction._ProfileChecker, StageReachability)
+    gc.collect()
+    gc.disable()
+    try:
+        before = [sum(type(o) is cls for o in gc.get_objects()) for cls in kinds]
+        game, graph = random_finite_game(random.Random(8)), dollar_auction(10)
+        backward_induction(game)
+        enumerate_stationary_spe(graph)
+        assert "reach" in vars(coinduction._checker.entry[1])
+        del game, graph
+        assert [sum(type(o) is cls for o in gc.get_objects()) for cls in kinds] == before
+    finally:
+        gc.enable()
+
+
+def test_a_graphs_states_are_read_only():
+    states = dict(zero_one_graph().states)
+    graph = GameGraph("zero_one", states, "SA")
     bob_leaves = StationaryProfile(SA="c", SB="l")
     assert check_spe_graph(graph, bob_leaves).ok
-    # Leaving at SB now costs A, so A leaves at SA instead of continuing.
-    graph.states["TB"] = Terminal(PayoffVector(A=-1, B=0))
-    verdict = check_spe_graph(graph, bob_leaves)
-    assert (verdict.ok, verdict.state, verdict.player) == (False, "SA", "A")
-    assert verdict == check_spe_graph(parse(serialize(graph)), bob_leaves)
-    # So is one with a state added, though every old entry is unchanged.
-    graph.states["TB"] = Terminal(PayoffVector(A=1, B=0))
-    assert check_spe_graph(graph, bob_leaves).ok
-    graph.states["SC"] = Decision("B", (("l", "TB", 0),))
-    with pytest.raises(GameError, match="profile not total: no choice at state 'SC'"):
-        check_spe_graph(graph, bob_leaves)
-    # Four compiles of graph and one of the fresh parse; the last compile
-    # passed validation, so it is kept.
-    assert len(validations) == 5
-    assert check_spe_graph(graph, StationaryProfile(SA="c", SB="l", SC="l")).ok
-    assert len(validations) == 5
+    with pytest.raises(TypeError):
+        graph.states["TB"] = Terminal(PayoffVector(A=-1, B=0))
+    with pytest.raises(TypeError):
+        del graph.states["TB"]
+    # The dict it was built from does not reach it: were it to, leaving at
+    # SB would cost A, and a state SC would need a choice.
+    states["TB"] = Terminal(PayoffVector(A=-1, B=0))
+    states["SC"] = Decision("B", (("l", "TB", 0),))
+    del states["TA"]
+    assert graph == zero_one_graph() and list(graph.states) == ["SA", "TA", "SB", "TB"]
+    cold = parse(serialize(graph))
+    assert check_spe_graph(cold, bob_leaves).ok
+    assert enumerate_stationary_spe(graph) == enumerate_stationary_spe(cold)
+    for original in (graph, dollar_auction(10)):
+        for restored in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert type(restored) is type(original) and restored == original
+            assert type(restored.states) is MappingProxyType
+            assert enumerate_stationary_spe(restored) == enumerate_stationary_spe(original)
+            with pytest.raises(TypeError):
+                hash(restored)
+    assert type(restored) is ParamGraph
 
 
 def test_every_order_of_the_finite_routes_matches_cold_calls():
