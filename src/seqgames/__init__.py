@@ -9,7 +9,6 @@ which contrasts finite approximants with the infinite-game equilibria.
 """
 
 from seqgames.core import (
-    Comparison,
     FiniteGame,
     GameError,
     Leaf,
@@ -22,7 +21,6 @@ from seqgames.core import (
     leaf,
     node,
     play_finite,
-    prefers,
 )
 from seqgames.finite import (
     EquilibriumSummary,
@@ -53,7 +51,6 @@ from seqgames.dsl import ParseError, parse, serialize
 
 __all__ = [
     "AffineExpr",
-    "Comparison",
     "EquilibriumSummary",
     "FiniteGame",
     "GameError",
@@ -82,7 +79,6 @@ __all__ = [
     "play_finite",
     "play_graph",
     "play_param",
-    "prefers",
     "serialize",
     "unfold",
     "validate_game",

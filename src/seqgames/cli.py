@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (a checked profile is an equilibrium), 1 a checked
 profile is refuted or not admissible, 2 parse or validation errors in the
-inputs, 3 an enumeration cap was exceeded or memory ran out, 4 usage
-errors.  Structured
+inputs, 3 an enumeration cap or the stage reachability layer limit was
+exceeded or memory ran out, 4 usage errors.  Every command reports an
+invalid game or graph in the library's words: ``invalid game: <first
+violation> (<n> violation(s))``, or ``invalid graph: ...``.  Structured
 output (``--format json``) is byte-deterministic for fixed inputs and
 renders every number as an exact rational string.
 """
@@ -19,7 +21,6 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 
 from seqgames.core import (
-    FiniteGame,
     GameError,
     Leaf,
     Node,
@@ -40,9 +41,9 @@ from seqgames.coinduction import (
 )
 from seqgames.dsl import ParseError, ProfileDoc, parse, serialize
 from seqgames.escalation import _rationalizable_map, _threat_report, escalation_witness
-from seqgames.finite import _InvalidGame, _require_valid, _spe_check, backward_induction, validate_game
+from seqgames.finite import _require_valid, backward_induction, is_spe_finite, validate_game
 from seqgames.gallery import PRESETS, build_preset
-from seqgames.graphs import GameGraph, ParamGraph, validate_graph
+from seqgames.graphs import GameGraph, ParamGraph, _require_valid_graph, validate_graph
 from seqgames.truncation import (
     ClosureRule,
     DeciderQuitsClosure,
@@ -115,7 +116,10 @@ def _depths_arg(text: str) -> list[int]:
             part = part.strip()
             if ".." in part:
                 low, _, high = part.partition("..")
-                depths.extend(range(int(low), int(high) + 1))
+                span = range(int(low), int(high) + 1)
+                if not span:  # a reversed range
+                    raise ValueError(part)
+                depths.extend(span)
             elif part:
                 depths.append(int(part))
     except ValueError:
@@ -207,22 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require_graph(doc, path: str) -> GameGraph:
+    """The graph in ``doc``, validated through the gate the library keeps."""
     if not isinstance(doc, GameGraph):
         raise _UsageError(f"{path} does not hold a graph document")
-    report = validate_graph(doc)
-    if not report.ok:
-        raise GameError(f"invalid graph: {report.violations[0]}")
+    _require_valid_graph(doc)
     return doc
-
-
-def _on_finite(doc, path: str, run: Callable[[FiniteGame], object]):
-    """``run`` on the finite game in ``doc``; it validates the game first."""
-    if not isinstance(doc, (Leaf, Node)):
-        raise _UsageError(f"{path} does not hold a finite game document")
-    try:
-        return run(doc)
-    except _InvalidGame as error:
-        raise GameError(f"invalid game: {error.first}") from None
 
 
 def _cmd_validate(args) -> int:
@@ -244,7 +237,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     doc = _load(args.file)
-    summary = _on_finite(doc, args.file, backward_induction)
+    if not isinstance(doc, (Leaf, Node)):
+        raise _UsageError(f"{args.file} does not hold a finite game document")
+    summary = backward_induction(doc)
     if args.format == "json":
         _emit_json(
             {
@@ -307,8 +302,8 @@ def _cmd_check(args) -> int:
         raise _UsageError(f"{args.profile} does not hold a profile document")
     payload = {"command": "check", "input": args.file, "profile": args.profile}
     if isinstance(doc, (Leaf, Node)):
-        tree = _on_finite(doc, args.file, _require_valid)
-        result = _spe_check(tree, profile_doc.as_tree(), args.root_only)
+        _require_valid(doc)  # is_spe_finite does not validate; it reuses this compile
+        result = is_spe_finite(doc, profile_doc.as_tree(), args.root_only)
         payload["solver"] = "one_shot_deviations" if not args.root_only else "root_best_response"
         ok, ce = result.ok, result.counterexample
         if ok:

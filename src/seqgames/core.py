@@ -14,7 +14,6 @@ import decimal
 import operator
 import weakref
 from collections.abc import Callable, Collection, ItemsView, Iterable, Iterator, Mapping
-from enum import Enum
 from fractions import Fraction
 
 
@@ -279,27 +278,6 @@ class PayoffVector(_FrozenMap):
         return self
 
 
-class Comparison(Enum):
-    """Outcome of comparing two payoffs from one player's point of view."""
-
-    BETTER = "better"
-    EQUAL = "equal"
-    WORSE = "worse"
-
-
-def prefers(p: PayoffVector, q: PayoffVector, who: str) -> Comparison:
-    """Compare ``p`` against ``q`` for player ``who``; comparison only.
-
-    Raises UnknownPlayerError if either vector lacks an entry for ``who``.
-    """
-    mine, theirs = p[who], q[who]
-    if mine > theirs:
-        return Comparison.BETTER
-    if mine < theirs:
-        return Comparison.WORSE
-    return Comparison.EQUAL
-
-
 @_record
 class Leaf:
     """Terminal position distributing the payoffs."""
@@ -423,10 +401,6 @@ def walk(game: FiniteGame) -> Iterator[tuple[Address, FiniteGame]]:
         if isinstance(sub, Node):
             for action, child in reversed(sub.branches):
                 stack.append((address + (action,), child))
-
-
-def depth(game: FiniteGame) -> int:
-    return max(len(address) for address, _ in walk(game))
 
 
 @_record

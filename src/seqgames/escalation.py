@@ -48,9 +48,6 @@ class EscalationWitness:
     prefix: tuple[WitnessStep, ...]
     cycle: tuple[WitnessStep, ...]
 
-    def states(self) -> tuple[str, ...]:
-        return tuple(step.state for step in self.prefix + self.cycle)
-
 
 def rationalizable_actions(
     graph: GameGraph, spes: Sequence[StationaryProfile]

@@ -107,18 +107,12 @@ class EquilibriumSummary:
         _, vectors, _, (counts, *_) = tree.solved()
         return {tree.addresses[i]: tuple(vectors[v] for v in counts[i]) for i in tree.postorder}
 
-    @property
-    def choice_product(self) -> int:
-        """Product of per-node optimal action counts; an upper bound on count."""
-        return math.prod(len(acts) for acts in self.optimal_actions.values())
-
 
 class _InvalidGame(GameError):
-    """A game that failed validation; ``first`` is its first violation."""
+    """A game that failed validation, named by its first violation."""
 
     def __init__(self, violations: tuple[Violation, ...]) -> None:
         super().__init__(f"invalid game: {violations[0]} ({len(violations)} violation(s))")
-        self.first = violations[0]
 
 
 def _valid_tree(game: FiniteGame) -> _Tree:
@@ -625,25 +619,24 @@ def is_spe_finite(
 ) -> SpeCheck:
     """One-shot deviation check for subgame perfection.
 
-    The game is compiled once into preorder arrays and checked in one
-    iterative post-order pass (deepest subgames first, branches in order),
-    so the returned counterexample is the first one in depth-first order and
-    the depth of the tree is not limited by the recursion limit.  With
-    ``root_only`` the profile is instead checked as a plain equilibrium of
-    the whole game: each player may re-plan all her choices but only the
-    payoff at the root counts, so non-credible threats off the play path are
-    not questioned.
+    The game is not validated.  It is compiled into preorder arrays (or,
+    when it is the game ``_require_valid`` keeps, that compile is reused)
+    and checked in one iterative post-order pass (deepest subgames first,
+    branches in order), so the returned counterexample is the first one in
+    depth-first order and the depth of the tree is not limited by the
+    recursion limit.  With ``root_only`` the profile is instead checked as a
+    plain equilibrium of the whole game: each player may re-plan all her
+    choices but only the payoff at the root counts, so non-credible threats
+    off the play path are not questioned.
 
     Raises ProfileError if the profile is not total (``_Tree.picks``, on
     the compiled arrays) and UnknownPlayerError if a leaf lacks a mover's
     payoff; with ``root_only``, only a leaf that some player's best
     response pass reaches is read.
     """
-    return _spe_check(_Tree(game), profile, root_only)
-
-
-def _spe_check(tree: _Tree, profile: TreeProfile, root_only: bool) -> SpeCheck:
-    """``is_spe_finite`` on a game already compiled."""
+    ref, tree = _require_valid.entry
+    if ref is None or ref() is not game:
+        tree = _Tree(game)
     picks = tree.picks(profile)
     return SpeCheck(_nash_counterexample(tree, picks) if root_only else tree.first_deviation(picks))
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from seqgames.core import (
+    CapExceededError,
     GameError,
     Leaf,
     Node,
@@ -197,7 +198,7 @@ def _validated(graph: GameGraph) -> None:
         raise GameError(f"invalid graph: {violations[0]} ({len(violations)} violation(s))")
 
 
-# The checkers and unfoldings of one graph in a row validate it once.
+# The CLI, the checkers and the unfoldings of one graph in a row validate it once.
 _require_valid_graph = _Kept(_validated)
 
 
@@ -310,7 +311,8 @@ class StageReachability:
 
     The per-stage state sets are eventually periodic (there are finitely many
     subsets of states), so the whole structure is computed exactly: a finite
-    prefix of layers plus an optional repeating cycle of layers.
+    prefix of layers plus an optional repeating cycle of layers.  More than
+    ``_LAYER_LIMIT`` layers raise CapExceededError, a budget, not bad input.
 
     The graph must already be valid: the class is private to the library
     (not exported from ``seqgames``) and every caller validates first.
@@ -327,7 +329,7 @@ class StageReachability:
                 loop_start = seen[current]
                 break
             if len(layers) >= _LAYER_LIMIT:
-                raise GameError("stage reachability layer limit exceeded")
+                raise CapExceededError(f"stage reachability exceeds {_LAYER_LIMIT} layers")
             seen[current] = len(layers)
             layers.append(current)
             current = self._saturate(self._step(current))

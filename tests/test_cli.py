@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from seqgames import coinduction, core
+from seqgames import cli, coinduction, core, graphs
 from seqgames.cli import main
 from seqgames.dsl import parse, serialize
 from seqgames.finite import _Tree, backward_induction
@@ -486,7 +486,7 @@ def test_each_command_compiles_the_game_once(tmp_path, capsys, monkeypatch):
         if code == 2 and argv[0] == "validate":
             assert out == "violation: c: missing payoff for B\n"
         elif code == 2:
-            assert err == "error: invalid game: c: missing payoff for B\n", argv
+            assert err == "error: invalid game: c: missing payoff for B (1 violation(s))\n", argv
 
 
 @pytest.mark.parametrize(
@@ -571,8 +571,67 @@ def test_escalate_does_not_check_enumerated_equilibria_again(monkeypatch, capsys
     assert checked == []
 
 
+def test_each_graph_command_validates_its_graph_once(tmp_path, capsys, monkeypatch):
+    # The CLI validates through the library's kept gate, whose entry the
+    # library's own call then finds; an invalid graph gets the library's
+    # message, with its count, on every command.
+    calls = []
+    validate = graphs.validate_graph
+
+    def counting(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(graphs, "validate_graph", counting)
+    monkeypatch.setattr(cli, "validate_graph", counting)
+    bad = tmp_path / "bad.ggraph"
+    bad.write_text("graph g { state S = node A { x -> T, y -> U } state T = leaf (A:1) state U = leaf (B:1) start S }")
+    profile = tmp_path / "x.profile"
+    profile.write_text("profile {\n  S: x\n}\n")
+    expected = "error: invalid graph: T: missing payoff for B (2 violation(s))\n"
+    for path, code, profile_path in [
+        (game("zero_one.ggraph"), 0, game("alice_leaves.profile")),
+        (str(bad), 2, str(profile)),
+    ]:
+        for argv in (
+            ["truncate", path, "--depth", "4", "--closure", "quit"],
+            ["extrapolate", path, "--depths", "1..4", "--closure", "quit"],
+            ["enumerate", path],
+            ["escalate", path],
+            ["check", path, "--profile", profile_path],
+        ):
+            calls.clear()
+            assert main(argv) == code, argv
+            assert len(calls) == 1, argv
+            err = capsys.readouterr().err
+            assert err == ("" if code == 0 else expected), argv
+
+
+def test_a_stage_chain_past_the_layer_limit_exceeds_a_cap(tmp_path):
+    # A valid pgraph of 5,000 states, each entered one stage after the last,
+    # has more stage reachability layers than the limit: a budget, exit 3,
+    # not bad input.
+    n = 5000
+    lines = ["pgraph chain {"]
+    for i in range(n):
+        onward = f"S{i + 1} @ k+1" if i + 1 < n else "leaf (A:0) (B:0)"
+        lines.append(f"  state S{i} = node {'AB'[i % 2]} {{ c -> {onward}, l -> leaf (A:{i % 3}) (B:{i % 2}) }}")
+    lines += ["  start S0", "}"]
+    chain = tmp_path / "chain.pgraph"
+    chain.write_text("\n".join(lines) + "\n")
+    profile = tmp_path / "chain.profile"
+    profile.write_text("profile {\n" + "".join(f"  S{i}: l\n" for i in range(n)) + "}\n")
+    validated = run_cli("validate", str(chain))
+    assert (validated.returncode, validated.stdout, validated.stderr) == (0, "OK\n", "")
+    # All of stderr is one line: no traceback.
+    checked = run_cli("check", str(chain), "--profile", str(profile))
+    assert (checked.returncode, checked.stdout, checked.stderr) == (
+        3, "", "cap exceeded: stage reachability exceeds 4096 layers\n"
+    )
+
+
 def test_depths_that_do_not_parse_are_a_usage_error(capsys):
-    for text in ("a..b", "1,,x", "1..2..3"):
+    for text in ("a..b", "1,,x", "1..2..3", "5..3"):
         assert main(["extrapolate", game("zero_one.ggraph"), "--depths", text, "--closure", "quit"]) == 4
         assert capsys.readouterr().err == (
             f"usage error: argument --depths: invalid depths value: {text!r}\n"

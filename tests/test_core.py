@@ -16,7 +16,6 @@ import pytest
 
 import seqgames
 from seqgames.core import (
-    Comparison,
     Leaf,
     Node,
     PayoffVector,
@@ -24,11 +23,10 @@ from seqgames.core import (
     TreeProfile,
     UnknownPlayerError,
     _refuse_assignment,
-    depth,
     leaf,
     node,
     play_finite,
-    prefers,
+    walk,
 )
 from seqgames.dsl import ParseError, parse
 from seqgames.finite import EquilibriumSummary, validate_game
@@ -128,56 +126,6 @@ def test_validation_matches_walking_reference():
     ), seen
 
 
-def test_prefers_basic():
-    p = PayoffVector(A=1, B=0)
-    q = PayoffVector(A=0, B=1)
-    assert prefers(p, q, "A") is Comparison.BETTER
-    assert prefers(p, p, "A") is Comparison.EQUAL
-    assert prefers(q, p, "A") is Comparison.WORSE
-
-
-def test_prefers_unknown_player():
-    with pytest.raises(UnknownPlayerError):
-        prefers(PayoffVector(A=1), PayoffVector(A=1), "B")
-
-
-def test_prefers_total_order_properties():
-    rng = random.Random(7)
-    vectors = [
-        PayoffVector(A=Fraction(rng.randint(-50, 50), rng.randint(1, 9)))
-        for _ in range(40)
-    ]
-    for p in vectors:
-        for q in vectors:
-            c = prefers(p, q, "A")
-            back = prefers(q, p, "A")
-            # trichotomy and antisymmetry
-            assert (c, back) in {
-                (Comparison.BETTER, Comparison.WORSE),
-                (Comparison.WORSE, Comparison.BETTER),
-                (Comparison.EQUAL, Comparison.EQUAL),
-            }
-    for p in vectors[:12]:
-        for q in vectors[:12]:
-            for r in vectors[:12]:
-                if (
-                    prefers(p, q, "A") is Comparison.BETTER
-                    and prefers(q, r, "A") is Comparison.BETTER
-                ):
-                    assert prefers(p, r, "A") is Comparison.BETTER
-
-
-def test_prefers_is_ordinal_under_positive_scaling():
-    rng = random.Random(21)
-    scale = Fraction(3, 7)
-    for _ in range(100):
-        p = PayoffVector(A=Fraction(rng.randint(-20, 20), rng.randint(1, 5)))
-        q = PayoffVector(A=Fraction(rng.randint(-20, 20), rng.randint(1, 5)))
-        scaled_p = PayoffVector(A=p["A"] * scale)
-        scaled_q = PayoffVector(A=q["A"] * scale)
-        assert prefers(p, q, "A") is prefers(scaled_p, scaled_q, "A")
-
-
 def test_play_finite_leaf_game():
     assert play_finite(leaf(A=5, B=5), TreeProfile()) == PayoffVector(A=5, B=5)
 
@@ -214,7 +162,7 @@ def test_play_finite_reaches_leaf_within_depth():
     rng = random.Random(3)
     for _ in range(25):
         game = random_finite_game(rng, max_profiles=128)
-        bound = depth(game)
+        bound = max(len(address) for address, _ in walk(game))
         for profile in all_profiles(game):
             assert _realized_path_length(game, profile) <= bound
             assert play_finite(game, profile) == play_finite(game, profile)

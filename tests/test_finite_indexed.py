@@ -17,7 +17,6 @@ from seqgames.core import (
     PayoffVector,
     Node,
     TreeProfile,
-    depth,
     leaf,
     node,
     walk,
@@ -269,7 +268,7 @@ def test_solver_on_a_deep_spine():
     levels = 1500
     game = _alternating_spine(levels)
     quit_everywhere = TreeProfile((("c",) * k, "l") for k in range(levels))
-    assert depth(game) == levels
+    assert max(len(address) for address, _ in walk(game)) == levels
     summary = backward_induction(game)
     assert summary.count == 1
     assert summary.representative == quit_everywhere

@@ -19,10 +19,11 @@ import pytest
 
 from seqgames import coinduction, finite, graphs, leaf, node
 from seqgames.coinduction import StationaryProfile, check_spe_graph, enumerate_stationary_spe
-from seqgames.core import GameError, PayoffVector
+from seqgames.core import GameError, PayoffVector, TreeProfile
 from seqgames.dsl import parse, serialize
 from seqgames.escalation import credible_threat_report, escalation_witness, rationalizable_actions
-from seqgames.finite import backward_induction, brute_force_spe, enumerate_spe_profiles
+from seqgames.finite import backward_induction, brute_force_spe, enumerate_spe_profiles, is_spe_finite
+from seqgames.gallery import zero_one_finite
 from seqgames.graphs import (
     Decision,
     GameGraph,
@@ -83,6 +84,23 @@ def test_the_finite_routes_compile_and_analyse_a_game_once(compiles):
                 assert compiles["analyze"] == analysed, order
         backward_induction(game).subgame_values
         assert compiles == {"compile": 1, "analyze": 1}, order
+
+
+def test_is_spe_finite_checks_the_compile_the_solvers_keep(compiles):
+    game = zero_one_finite(7)
+    summary = backward_induction(game)
+    for root_only in (False, True):
+        assert is_spe_finite(game, summary.representative, root_only).ok
+    assert compiles["compile"] == 1
+    # Another game with the same addresses is compiled, not judged on the
+    # kept one: quitting at once is the kept game's equilibrium, not its.
+    quit_first = TreeProfile({(): "l"})
+    kept = node("A", ("c", leaf(A=0)), ("l", leaf(A=1)))
+    other = node("A", ("c", leaf(A=1)), ("l", leaf(A=0)))
+    backward_induction(kept)
+    assert is_spe_finite(kept, quit_first).ok
+    assert is_spe_finite(other, quit_first).counterexample.action == "c"
+    assert compiles["compile"] == 3
 
 
 def test_equal_games_are_each_compiled(compiles, validations):
