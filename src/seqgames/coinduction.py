@@ -26,6 +26,7 @@ from seqgames.core import (
     TreeProfile,
     _FrozenMap,
     _Kept,
+    _count_brief,
     _record,
     _setattr,
 )
@@ -719,7 +720,7 @@ def enumerate_stationary_spe(
     checker = _checker(graph)
     total = math.prod(map(len, checker.targets))
     if total > cap:
-        raise CapExceededError(f"stationary profile space {total} exceeds cap {cap}")
+        raise CapExceededError(f"stationary profile space {_count_brief(total)} exceeds cap {_count_brief(cap)}")
     return checker.walk()
 
 

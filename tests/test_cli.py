@@ -9,8 +9,9 @@ import pytest
 
 from seqgames import cli, coinduction, core, graphs
 from seqgames.cli import main
+from seqgames.core import CapExceededError
 from seqgames.dsl import parse, serialize
-from seqgames.finite import _Tree, backward_induction
+from seqgames.finite import _Tree, backward_induction, brute_force_spe, enumerate_spe_profiles
 from seqgames.truncation import DeciderQuitsClosure, extrapolation_report, summarize_depth, truncate
 
 GAMES = Path(__file__).resolve().parent.parent / "games"
@@ -431,6 +432,23 @@ def test_wide_truncation_is_one_object_per_table_position():
     assert parse(text) == tree
 
 
+def test_caps_exceeded_by_counts_beyond_the_digit_limit_name_their_digits():
+    # The wide truncation's profile space and equilibrium count have more
+    # digits than str(int) converts; a cap message gives their length.
+    tree = truncate(parse(WIDE), 14, DeciderQuitsClosure())
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(CapExceededError, match="^profile space of 7,817 digits exceeds cap 1048576$"):
+            brute_force_spe(tree)
+        with pytest.raises(CapExceededError, match="^equilibrium count of 4,932 digits exceeds cap 1048576$"):
+            enumerate_spe_profiles(tree)
+        with pytest.raises(CapExceededError, match="^equilibrium count of 4,932 digits exceeds cap of 31 digits$"):
+            enumerate_spe_profiles(tree, cap=10**30)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_extrapolation_report_json_prints_counts_beyond_the_digit_limit():
     count = summarize_depth(parse(WIDE), 14, DeciderQuitsClosure()).count
     limit = sys.get_int_max_str_digits()
@@ -628,6 +646,27 @@ def test_a_stage_chain_past_the_layer_limit_exceeds_a_cap(tmp_path):
     assert (checked.returncode, checked.stdout, checked.stderr) == (
         3, "", "cap exceeded: stage reachability exceeds 4096 layers\n"
     )
+
+
+def test_a_profile_space_beyond_the_digit_limit_exceeds_the_cap_in_one_line(tmp_path):
+    # A valid 15,000-state chain of binary choices has 2**15000 stationary
+    # profiles, 4,516 digits, more than str(int) converts: a budget, exit 3,
+    # on one short line, not a conversion error.
+    n = 15000
+    lines = ["graph chain {"]
+    for i in range(n):
+        onward = f"S{i + 1}" if i + 1 < n else "leaf (A:0) (B:0)"
+        lines.append(f"  state S{i} = node {'AB'[i % 2]} {{ c -> {onward}, l -> leaf (A:{i % 3}) (B:{i % 2}) }}")
+    lines += ["  start S0", "}"]
+    chain = tmp_path / "chain.ggraph"
+    chain.write_text("\n".join(lines) + "\n")
+    validated = run_cli("validate", str(chain))
+    assert (validated.returncode, validated.stdout, validated.stderr) == (0, "OK\n", "")
+    for command in ("enumerate", "escalate"):
+        result = run_cli(command, str(chain))
+        assert (result.returncode, result.stdout) == (3, ""), command
+        assert result.stderr == "cap exceeded: stationary profile space of 4,516 digits exceeds cap 65536\n"
+        assert len(result.stderr) < 120
 
 
 def test_depths_that_do_not_parse_are_a_usage_error(capsys):

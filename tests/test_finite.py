@@ -17,6 +17,7 @@ from seqgames.core import (
     play_finite,
     walk,
 )
+from seqgames.dsl import parse, serialize
 from seqgames.finite import (
     CapExceededError,
     backward_induction,
@@ -153,6 +154,33 @@ def test_oracle_equivalence_on_random_games():
                 # game: at each node the whole game's equilibria take exactly
                 # the actions the subgame's own take at its root.
                 assert {p[()] for p in local} == used[address], (game, address)
+
+
+def _payoff_objects(game) -> int:
+    return len({id(sub.payoffs) for _, sub in walk(game) if isinstance(sub, Leaf)})
+
+
+def test_equal_payoffs_held_by_distinct_objects_get_one_id():
+    # Two leaves built apart: equal payoffs in two objects, one value.
+    game = node("A", ("a", leaf(A=1, B=1)), ("b", leaf(A=1, B=1)))
+    summary = backward_induction(game)
+    assert summary.subgame_values[()] == (PayoffVector(A=1, B=1),)
+    assert summary.count == len(brute_force_spe(game)) == 2
+    # Games built leaf by leaf solve as their parsed copies do, whose reader
+    # shares one leaf per leaf text.
+    rng = random.Random(36)
+    fewer = 0
+    for _ in range(60):
+        game = random_finite_game(rng, high=1)
+        shared = parse(serialize(game))
+        fewer += _payoff_objects(shared) < _payoff_objects(game)
+        solved = []
+        for built in (game, shared):
+            summary = backward_induction(built)
+            solved.append((summary.count, summary.optimal_actions, summary.subgame_values))
+        assert solved[0] == solved[1], game
+        assert summary.count == len(brute_force_spe(game))
+    assert fewer >= 40, fewer
 
 
 def test_subgame_values_are_computed_on_first_access():

@@ -45,9 +45,10 @@ ROUTES = {
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Counts of ``_Tree`` compiles and ``_analyze`` passes."""
+    """Counts of ``_Tree`` compiles, ``_analyze`` passes and payoff tables
+    (``_payoff_ids``)."""
     counts = Counter()
-    init, analyze = finite._Tree.__init__, finite._analyze
+    init, analyze, rank = finite._Tree.__init__, finite._analyze, finite._payoff_ids
 
     def counting_init(self, game):
         counts["compile"] += 1
@@ -57,8 +58,13 @@ def compiles(monkeypatch):
         counts["analyze"] += 1
         return analyze(*args)
 
+    def counting_rank(*args):
+        counts["rank"] += 1
+        return rank(*args)
+
     monkeypatch.setattr(finite._Tree, "__init__", counting_init)
     monkeypatch.setattr(finite, "_analyze", counting_analyze)
+    monkeypatch.setattr(finite, "_payoff_ids", counting_rank)
     return counts
 
 
@@ -83,7 +89,14 @@ def test_the_finite_routes_compile_and_analyse_a_game_once(compiles):
             if name == "brute_force_spe":
                 assert compiles["analyze"] == analysed, order
         backward_induction(game).subgame_values
-        assert compiles == {"compile": 1, "analyze": 1}, order
+        assert compiles == {"compile": 1, "analyze": 1, "rank": 1}, order
+    # The oracle alone ranks the game's payoffs once, on the compile's
+    # table, and another game's again.
+    for game in (random_finite_game(rng), random_finite_game(rng)):
+        compiles.clear()
+        brute_force_spe(game)
+        brute_force_spe(game)
+        assert compiles == {"compile": 1, "rank": 1}
 
 
 def test_is_spe_finite_checks_the_compile_the_solvers_keep(compiles):
