@@ -11,7 +11,6 @@ any thread that writes it writes the same value; no pickle carries it.
 from __future__ import annotations
 
 import decimal
-import math
 import operator
 import weakref
 from collections.abc import Callable, Collection, ItemsView, Iterable, Iterator, Mapping
@@ -429,10 +428,9 @@ def _count_text(count: int) -> str:
 
 def _count_brief(count: int) -> str:
     """A count in full up to 30 digits, else by its number of digits (``of
-    4,516 digits``), found from its bit length: printing it is quadratic."""
-    low = int((count.bit_length() - 1) * math.log10(2) - 1e-6)  # the digits, less 1 or 2
-    digits = low + 1 + (count >= 10 ** (low + 1))
-    return str(count) if digits <= 30 else f"of {digits:,} digits"
+    4,516 digits``)."""
+    text = _count_text(count)
+    return text if len(text) <= 30 else f"of {len(text):,} digits"
 
 
 def _count_repr(self) -> str:

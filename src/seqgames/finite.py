@@ -176,8 +176,8 @@ def _analyze(
     maximizer in branch order at every node) reaches from i.  ``picks``: the
     representative's branch at each node of ``post``.
 
-    A sibling's equilibria are filtered by rank only when one of its values
-    ranks above the candidate's, which a single-valued child never does.
+    A single-valued sibling's value never ranks above the floor, so its
+    whole total stands in for the rank-filtered sum.
 
     On a framed table (``_Tree.from_graph``) a child an edge of ``shifts``
     steps to is translated by the slope: its ids and ``best`` are moved
@@ -199,24 +199,22 @@ def _analyze(
 
     for i in tree.post:
         row = ranks[tree.movers[i]]
-        rank_of = row.__getitem__
         kids = tree.children[i]
         if i in shifts:
             kids = [moved(k) if shift else k for k, shift in zip(kids, shifts[i])]
         children = [counts[k] for k in kids]
-        floors = _floors([min(map(rank_of, child)) for child in children])
+        floors = _floors([min(map(row.__getitem__, child)) for child in children])
         found: dict[int, int] = {}
         for b, child in enumerate(children):
             for v, n in child.items():
                 # Branch b can carry an equilibrium of value v as long as
-                # every other branch offers some continuation it beats (all
-                # its continuations, when none ranks above v).
+                # every other branch offers some continuation it beats.
                 rank = row[v]
                 if rank < floors[b]:
                     continue
                 for j, other in enumerate(children):
                     if j != b:
-                        whole = len(other) == 1 or max(map(rank_of, other)) <= rank
+                        whole = len(other) == 1  # its one value ranks at most the floor
                         n *= sum(other.values()) if whole else sum(m for w, m in other.items() if row[w] <= rank)
                 found[v] = found.get(v, 0) + n
                 used[i] |= 1 << b
