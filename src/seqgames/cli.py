@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (a checked profile is an equilibrium), 1 a checked
 profile is refuted or not admissible, 2 parse or validation errors in the
-inputs, 3 an enumeration cap or the stage reachability layer limit was
+inputs, 3 an enumeration cap or the stage reachability entry budget was
 exceeded or memory ran out, 4 usage errors.  Every command reports an
 invalid game or graph in the library's words: ``invalid game: <first
 violation> (<n> violation(s))``, or ``invalid graph: ...``.  Structured

@@ -207,8 +207,9 @@ class _ProfileChecker:
     test is memoized per edge and per (payoffs, stage shift) at both of its
     ends, the payoffs named by the first terminal that pays them
     (``canon``), and each distinct verdict is built once and shared.  The
-    rank and pair tables, the flat edge list and the stage reachability are
-    built on first use, so callers that only value profiles do not pay.
+    rank and pair tables, the flat edge list, the stage reachability and
+    the walk of every profile (``walked``) are built on first use, so
+    callers that only value profiles do not pay.
     """
 
     def __init__(self, graph: GameGraph) -> None:
@@ -265,6 +266,12 @@ class _ProfileChecker:
     @functools.cached_property
     def reach(self) -> StageReachability:
         return StageReachability(self)
+
+    @functools.cached_property
+    def walked(self) -> list[tuple[StationaryProfile, SpeVerdict]]:
+        """``walk()``, kept for the next enumeration of this graph; a walk
+        that raised is not kept.  Callers get copies: the list is shared."""
+        return self.walk()
 
     def picks(self, profile: StationaryProfile) -> list[int]:
         """The profile's branch index at each decision state; raises ProfileError
@@ -530,7 +537,9 @@ def _can_cycle(targets: list[list[int]], picks: list[int], end: list[int], free:
     return False
 
 
-# ``_ProfileChecker(graph)``; the last one is kept with its deviation memo.
+# ``_ProfileChecker(graph)``; the last one is kept with its deviation memo
+# and, once enumerated, its walk: at most ``cap`` profiles, released with
+# the graph or before the next graph's checker is built.
 _checker = _Kept(_ProfileChecker)
 
 
@@ -716,12 +725,17 @@ def stationary_profiles(graph: GameGraph) -> Iterator[StationaryProfile]:
 def enumerate_stationary_spe(
     graph: GameGraph, cap: int = DEFAULT_STATIONARY_CAP
 ) -> list[tuple[StationaryProfile, SpeVerdict]]:
-    """Verdict for every stationary profile, in deterministic order."""
+    """Verdict for every stationary profile, in deterministic order.
+
+    The checker kept for the last graph keeps its walk, so a second
+    enumeration of that graph is a list copy; the cap is tested on every
+    call.
+    """
     checker = _checker(graph)
     total = math.prod(map(len, checker.targets))
     if total > cap:
         raise CapExceededError(f"stationary profile space {_count_brief(total)} exceeds cap {_count_brief(cap)}")
-    return checker.walk()
+    return list(checker.walked)
 
 
 def stationary_closure(

@@ -302,7 +302,12 @@ def dollar_auction(stake: RationalLike = 100) -> ParamGraph:
     )
 
 
-_LAYER_LIMIT = 4096
+# The most (state, stage) entries the layers of one StageReachability may
+# hold, terminals included, about 14 MiB of sets at the full budget.  A
+# chain of 5,000 states (5,000 layers, 10,001 entries) and cycles of 3, 5,
+# 7, 11 and 13 states off one start (15,016 layers, 150,161 entries) fit;
+# cycles of every prime length 3..19 (period 4,849,845) do not.
+_ENTRY_BUDGET = 2**18
 
 
 class StageReachability:
@@ -311,8 +316,9 @@ class StageReachability:
 
     The per-stage state sets are eventually periodic (there are finitely many
     subsets of states), so the whole structure is computed exactly: a finite
-    prefix of layers plus an optional repeating cycle of layers.  More than
-    ``_LAYER_LIMIT`` layers raise CapExceededError, a budget, not bad input.
+    prefix of layers plus an optional repeating cycle of layers.  Layers
+    holding more than ``_ENTRY_BUDGET`` states in all raise
+    CapExceededError, a budget, not bad input.
 
     The graph must already be valid: the class is private to the library
     (not exported from ``seqgames``) and every caller validates first.
@@ -324,12 +330,14 @@ class StageReachability:
         seen: dict[frozenset[str], int] = {}
         current = self._saturate(frozenset({graph.start}))
         loop_start: int | None = None
+        entries = 0
         while current:
             if current in seen:
                 loop_start = seen[current]
                 break
-            if len(layers) >= _LAYER_LIMIT:
-                raise CapExceededError(f"stage reachability exceeds {_LAYER_LIMIT} layers")
+            entries += len(current)
+            if entries > _ENTRY_BUDGET:
+                raise CapExceededError(f"stage reachability exceeds {_ENTRY_BUDGET} layer entries")
             seen[current] = len(layers)
             layers.append(current)
             current = self._saturate(self._step(current))

@@ -7,6 +7,7 @@ what some faster library code must agree with.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
@@ -199,6 +200,28 @@ def violation_interval(a: AffineExpr, b: AffineExpr) -> tuple[int, int | None] |
     bound = intercept / -slope  # diff(k) < 0 iff k > bound
     first = int(bound) + 1 if bound >= 0 else 0
     return (first, None)
+
+
+def reachable_stages(graph: ParamGraph, bound: int) -> dict[str, set[int]]:
+    """Per state, the stages up to ``bound`` it can be entered with, play
+    starting at the start state at stage 0: a breadth-first search over
+    (state, stage) pairs, each edge adding its delta to the stage."""
+    seen = {(graph.start, 0)}
+    queue = deque(seen)
+    while queue:
+        sid, stage = queue.popleft()
+        state = graph.states[sid]
+        if isinstance(state, Terminal):
+            continue
+        for _, target, delta in state.edges:
+            pair = (target, stage + delta)
+            if pair[1] <= bound and pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    stages: dict[str, set[int]] = {sid: set() for sid in graph.states}
+    for sid, stage in seen:
+        stages[sid].add(stage)
+    return stages
 
 
 def least_reachable_violation(

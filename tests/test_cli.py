@@ -625,10 +625,11 @@ def test_each_graph_command_validates_its_graph_once(tmp_path, capsys, monkeypat
             assert err == ("" if code == 0 else expected), argv
 
 
-def test_a_stage_chain_past_the_layer_limit_exceeds_a_cap(tmp_path):
+def test_a_stage_chain_decides_and_prime_cycles_exceed_the_reachability_budget(tmp_path):
     # A valid pgraph of 5,000 states, each entered one stage after the last,
-    # has more stage reachability layers than the limit: a budget, exit 3,
-    # not bad input.
+    # has 5,000 stage reachability layers of one state each, well inside the
+    # entry budget: check decides it.  Leaving at once is refuted, since A
+    # gains by continuing at S0.
     n = 5000
     lines = ["pgraph chain {"]
     for i in range(n):
@@ -641,10 +642,30 @@ def test_a_stage_chain_past_the_layer_limit_exceeds_a_cap(tmp_path):
     profile.write_text("profile {\n" + "".join(f"  S{i}: l\n" for i in range(n)) + "}\n")
     validated = run_cli("validate", str(chain))
     assert (validated.returncode, validated.stdout, validated.stderr) == (0, "OK\n", "")
-    # All of stderr is one line: no traceback.
     checked = run_cli("check", str(chain), "--profile", str(profile))
     assert (checked.returncode, checked.stdout, checked.stderr) == (
-        3, "", "cap exceeded: stage reachability exceeds 4096 layers\n"
+        1, "refuted: A gains 1 at S0 at stage k=0 by deviating to 'c' (1 over 0)\n", ""
+    )
+    # Cycles of every prime length 3..19 off one start state: 76 decision
+    # states, whose layers repeat with period 4,849,845, the lcm of the
+    # lengths.  They pass the entry budget long before that: a budget, exit
+    # 3, with all of stderr on one line, not bad input.
+    primes = (3, 5, 7, 11, 13, 17, 19)
+    entry = ", ".join(f"e{p} -> C{p}_0" for p in primes)
+    lines = ["pgraph cycles {", f"  state S = node A {{ {entry} }}"]
+    for p in primes:
+        for i in range(p):
+            lines.append(f"  state C{p}_{i} = node B {{ c -> C{p}_{(i + 1) % p} @ k+1, l -> leaf (A:1 - 1*k) (B:2) }}")
+    lines += ["  start S", "}"]
+    cycles = tmp_path / "cycles.pgraph"
+    cycles.write_text("\n".join(lines) + "\n")
+    profile = tmp_path / "cycles.profile"
+    profile.write_text("profile {\n  S: e3\n" + "".join(f"  C{p}_{i}: l\n" for p in primes for i in range(p)) + "}\n")
+    validated = run_cli("validate", str(cycles))
+    assert (validated.returncode, validated.stdout, validated.stderr) == (0, "OK\n", "")
+    checked = run_cli("check", str(cycles), "--profile", str(profile))
+    assert (checked.returncode, checked.stdout, checked.stderr) == (
+        3, "", "cap exceeded: stage reachability exceeds 262144 layer entries\n"
     )
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from seqgames.coinduction import (
+    SpeOk,
     StationaryProfile,
     check_spe,
     check_spe_graph,
@@ -34,10 +35,11 @@ from seqgames.graphs import (
     unfold_param,
     validate_graph,
     zero_one_graph,
+    _ENTRY_BUDGET,
 )
 from seqgames.truncation import parse_closure_spec, truncate
 from tests.conftest import random_game_graph, random_param_graph
-from tests.reference import recursive_unfolding
+from tests.reference import reachable_stages, recursive_unfolding
 
 QUIT_CLOSURE = {"SA": PayoffVector(A=0, B=1), "SB": PayoffVector(A=1, B=0)}
 
@@ -266,6 +268,64 @@ def test_stage_reachability_dollar_auction():
     assert reach.least_at_least("DA", 4) == 5
     assert reach.least_at_least("DB", 4) == 4
     assert reach.least_at_least("S0", 1) is None
+
+
+def _stage_path(rng: random.Random, n: int, ring: bool) -> ParamGraph:
+    """A pgraph path of ``n`` decision states, each continuing to the next
+    (on a ring, the last to the first) with a random stage delta and
+    leaving to a terminal of its own with another."""
+    states = {}
+    for i in range(n):
+        onward = f"S{(i + 1) % n}" if ring or i + 1 < n else "END"
+        edges = (("c", onward, rng.randint(0, 1)), ("l", f"T{i}", rng.randint(0, 1)))
+        states[f"S{i}"] = Decision("AB"[i % 2], edges)
+        states[f"T{i}"] = Terminal(AffinePayoffs(A=AffineExpr(i % 3, -1), B=AffineExpr(1)))
+    states["END"] = Terminal(AffinePayoffs(A=AffineExpr(0), B=AffineExpr(0)))
+    return ParamGraph(name="ring" if ring else "chain", states=states, start="S0")
+
+
+def test_least_at_least_matches_a_search_over_states_and_stages():
+    # Every state, at every stage k0 past the prefix plus two periods,
+    # against a breadth-first search bounded one period further, which
+    # holds the least reachable stage >= k0 whenever there is one.  The
+    # layers themselves are the stage sets of the search.
+    rng = random.Random(17)
+    cases = [random_param_graph(rng, max_internal=6, ranked=rng.random() < 0.5) for _ in range(240)]
+    cases += [_stage_path(rng, n, ring) for n in range(1, 13) for ring in (False, True) for _ in range(3)]
+    periods = set()
+    for graph in cases:
+        reach = StageReachability(graph)
+        period = reach.period or 0
+        last = len(reach.layers) + 2 * period + 2
+        stages = reachable_stages(graph, last + period)
+        for k, layer in enumerate(reach.layers):
+            assert layer == {sid for sid in graph.states if k in stages[sid]}, (graph, k)
+        for sid in graph.states:
+            for k0 in range(last + 1):
+                expected = min((k for k in stages[sid] if k >= k0), default=None)
+                assert reach.least_at_least(sid, k0) == expected, (graph, sid, k0)
+        periods.add(period)
+    assert len(cases) >= 200 and {0, 1, 2, 3} <= periods
+
+
+def test_stage_reachability_decides_coprime_cycles_within_its_budget():
+    # Cycles of 3, 5, 7, 11 and 13 states off one start state: 15,016
+    # layers, the last 15,015 repeating, 150,161 entries in all, inside the
+    # budget; each cycle state is entered at the stages of its residue.
+    lengths = (3, 5, 7, 11, 13)
+    leave = Terminal(AffinePayoffs(A=AffineExpr(1, -1), B=AffineExpr(2)))
+    states = {"S": Decision("A", tuple((f"e{n}", f"C{n}_0", 0) for n in lengths))}
+    for n in lengths:
+        for i in range(n):
+            states[f"C{n}_{i}"] = Decision("B", (("c", f"C{n}_{(i + 1) % n}", 1), ("l", f"L{n}_{i}", 0)))
+            states[f"L{n}_{i}"] = leave
+    graph = ParamGraph(name="cycles", states=states, start="S")
+    reach = StageReachability(graph)
+    assert (len(reach.layers), reach.loop_start, reach.period) == (15016, 1, 15015)
+    assert sum(map(len, reach.layers)) == 150161 <= _ENTRY_BUDGET
+    assert [reach.least_at_least("C11_4", k) for k in (0, 4, 5, 16, 10**9)] == [4, 4, 15, 26, 10**9 + 5]
+    quit = StationaryProfile({sid: "l" if sid != "S" else "e3" for sid in graph.internal_ids()})
+    assert check_spe_graph(graph, quit) == SpeOk()
 
 
 def test_stage_reachability_acyclic():

@@ -1,8 +1,9 @@
 """The one-entry ``core._Kept`` helpers of ``finite._require_valid``,
 ``graphs._require_valid_graph`` and ``coinduction._checker``: what they
 reuse, what they must compile again, and that they keep at most one compile
-of each kind, released with its game; and the read-only graph states that
-make keeping a graph's compile by identity sound."""
+of each kind, released with its game; the walk the kept checker keeps; and
+the read-only graph states that make keeping a graph's compile by identity
+sound."""
 
 import copy
 import gc
@@ -19,7 +20,7 @@ import pytest
 
 from seqgames import coinduction, finite, graphs, leaf, node
 from seqgames.coinduction import StationaryProfile, check_spe_graph, enumerate_stationary_spe
-from seqgames.core import GameError, PayoffVector, TreeProfile
+from seqgames.core import CapExceededError, GameError, PayoffVector, TreeProfile
 from seqgames.dsl import parse, serialize
 from seqgames.escalation import credible_threat_report, escalation_witness, rationalizable_actions
 from seqgames.finite import backward_induction, brute_force_spe, enumerate_spe_profiles, is_spe_finite
@@ -69,6 +70,20 @@ def compiles(monkeypatch):
 
 
 @pytest.fixture
+def walks(monkeypatch):
+    """The checkers ``_ProfileChecker.walk`` is called on, in order."""
+    calls = []
+    walk = coinduction._ProfileChecker.walk
+
+    def counting_walk(self):
+        calls.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(coinduction._ProfileChecker, "walk", counting_walk)
+    return calls
+
+
+@pytest.fixture
 def validations(monkeypatch):
     """The graphs ``validate_graph`` is called on, in order."""
     calls = []
@@ -97,6 +112,81 @@ def test_the_finite_routes_compile_and_analyse_a_game_once(compiles):
         brute_force_spe(game)
         brute_force_spe(game)
         assert compiles == {"compile": 1, "rank": 1}
+
+
+def _escalate(graph) -> tuple:
+    """The escalation sequence on one graph: its equilibria, the actions
+    they support, the least lasso of those and the threat report."""
+    spes = [profile for profile, verdict in enumerate_stationary_spe(graph) if verdict.ok]
+    rmap = rationalizable_actions(graph, spes)
+    return rmap, escalation_witness(graph, rmap), credible_threat_report(graph, spes)
+
+
+def test_the_escalation_sequence_walks_a_graph_once(walks):
+    rng = random.Random(37)
+    other = random_ring_graph(rng, 4)
+    for graph in (zero_one_graph(), dollar_auction(10), random_ring_graph(rng, 5), random_ring_graph(rng, 6)):
+        cold = _escalate(parse(serialize(graph)))
+        walks.clear()
+        enumerated = enumerate_stationary_spe(graph)
+        assert enumerate_stationary_spe(graph) == enumerated
+        assert _escalate(graph) == cold
+        assert len(walks) == 1
+        # Another graph's checker evicts the walk, so the graph walks again.
+        enumerate_stationary_spe(other)
+        assert enumerate_stationary_spe(graph) == enumerated
+        assert len(walks) == 3
+        # An equal graph built apart is a graph of its own, with its own walk.
+        twin = parse(serialize(graph))
+        assert twin == graph and twin is not graph
+        assert enumerate_stationary_spe(twin) == enumerated
+        assert enumerate_stationary_spe(twin) == enumerated
+        assert len(walks) == 4 and walks[-1] is not walks[-2]
+
+
+def test_a_caller_cannot_change_the_kept_walk(walks):
+    rng = random.Random(38)
+    for graph in (random_ring_graph(rng, 5), random_param_graph(rng, ranked=True), zero_one_graph()):
+        cold = enumerate_stationary_spe(parse(serialize(graph)))
+        for change in (list.clear, lambda results: results.append(results[0]), list.reverse):
+            results = enumerate_stationary_spe(graph)
+            assert results == cold
+            change(results)
+            assert enumerate_stationary_spe(graph) == cold
+        assert walks.count(walks[-1]) == 1
+
+
+def test_the_cap_is_tested_when_a_walk_is_kept(walks):
+    rng = random.Random(39)
+    for graph in (random_ring_graph(rng, 5), dollar_auction(10)):
+        total = len(enumerate_stationary_spe(parse(serialize(graph))))
+        with pytest.raises(CapExceededError) as cold:
+            enumerate_stationary_spe(parse(serialize(graph)), cap=total - 1)
+        assert str(cold.value) == f"stationary profile space {total} exceeds cap {total - 1}"
+        assert len(enumerate_stationary_spe(graph)) == total
+        for cap in (total - 1, 1):
+            with pytest.raises(CapExceededError) as kept:
+                enumerate_stationary_spe(graph, cap=cap)
+            assert str(kept.value) == f"stationary profile space {total} exceeds cap {cap}"
+        assert len(enumerate_stationary_spe(graph, cap=total)) == total
+        assert walks[-1] is coinduction._checker.entry[1] and walks.count(walks[-1]) == 1
+
+
+def test_a_walk_that_raised_is_walked_again(walks, monkeypatch):
+    # The auction's stage reachability holds 8 entries; under a budget of 4
+    # its walk raises, on every call, and none is kept.
+    graph = dollar_auction(10)
+    cold = enumerate_stationary_spe(parse(serialize(graph)))
+    budget = graphs._ENTRY_BUDGET
+    monkeypatch.setattr(graphs, "_ENTRY_BUDGET", 4)
+    walks.clear()
+    for tries in (1, 2):
+        with pytest.raises(CapExceededError, match="^stage reachability exceeds 4 layer entries$"):
+            enumerate_stationary_spe(graph)
+        assert len(walks) == tries and "walked" not in vars(coinduction._checker.entry[1])
+    monkeypatch.setattr(graphs, "_ENTRY_BUDGET", budget)
+    assert enumerate_stationary_spe(graph) == enumerate_stationary_spe(graph) == cold
+    assert walks.count(walks[0]) == 3
 
 
 def test_is_spe_finite_checks_the_compile_the_solvers_keep(compiles):
@@ -199,7 +289,8 @@ def test_the_memos_keep_at_most_one_compile_alive():
 def test_a_released_compile_is_freed_without_the_collector():
     # No compile is part of a reference cycle, so one released with its
     # game is freed at once, not by the next collection.
-    kinds = (finite._Tree, coinduction._ProfileChecker, StageReachability)
+    # The walk the checker keeps goes with it, every profile included.
+    kinds = (finite._Tree, coinduction._ProfileChecker, StageReachability, StationaryProfile)
     gc.collect()
     gc.disable()
     try:
@@ -207,8 +298,10 @@ def test_a_released_compile_is_freed_without_the_collector():
         game, graph = random_finite_game(random.Random(8)), dollar_auction(10)
         backward_induction(game)
         enumerate_stationary_spe(graph)
-        assert "reach" in vars(coinduction._checker.entry[1])
-        del game, graph
+        kept = vars(coinduction._checker.entry[1])
+        assert "reach" in kept and len(kept["walked"]) == 8
+        assert sum(type(o) is StationaryProfile for o in gc.get_objects()) == before[-1] + 8
+        del game, graph, kept
         assert [sum(type(o) is cls for o in gc.get_objects()) for cls in kinds] == before
     finally:
         gc.enable()
