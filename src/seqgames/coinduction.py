@@ -254,12 +254,14 @@ class _ProfileChecker:
         """The edges deviations are tested on, in state and branch order:
         (state, branch, target, its mover's rank row).  On a pgraph only
         those of states some play enters, with None in the row slot: their
-        test is the stage test of ``_deviation``."""
+        test is the stage test of ``_deviation``.  The states entered are
+        the union of the reachability layers, built once."""
         rows, staged = self.rows, self.staged
+        entered = set().union(*self.reach.layers) if staged else ()
         return [
             (i, j, target, None if staged else rows[self.movers[i]])
             for i, targets in enumerate(self.targets)
-            if not staged or self.reach.least_at_least(self.ids[i], 0) is not None
+            if not staged or self.ids[i] in entered
             for j, target in enumerate(targets)
         ]
 

@@ -24,19 +24,25 @@ CHILD_CRASH_MARKERS = (
 )
 
 
-def run_cli(*argv, cwd=None, hash_seed=None):
-    # The child runs the CLI of this tree's src/, whether or not a copy of
-    # seqgames is installed and whatever directory pytest runs from.
+def run_cli(*argv, cwd=None, hash_seed=None, timeout=None):
+    return run_python("-m", "seqgames.cli", *argv, cwd=cwd, hash_seed=hash_seed, timeout=timeout)
+
+
+def run_python(*args, cwd=None, hash_seed=None, timeout=None):
+    # The child imports seqgames from this tree's src/, whether or not a copy
+    # is installed and whatever directory pytest runs from.  A child still
+    # running after ``timeout`` seconds is killed and fails the test.
     env = {"PATH": "", "NO_COLOR": "1", "PYTHONPATH": str(SRC)}
     if hash_seed is not None:
         env["PYTHONHASHSEED"] = str(hash_seed)
-    result = subprocess.run(
-        [sys.executable, "-m", "seqgames.cli", *argv],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env=env,
-    )
+    try:
+        result = subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env, timeout=timeout
+        )
+    except subprocess.TimeoutExpired:
+        result = None
+    if result is None:
+        pytest.fail(f"python {' '.join(args)} ran past its bound of {timeout} s", pytrace=False)
     if any(marker in result.stderr for marker in CHILD_CRASH_MARKERS):
         pytest.fail(result.stderr, pytrace=False)
     return result
@@ -625,24 +631,29 @@ def test_each_graph_command_validates_its_graph_once(tmp_path, capsys, monkeypat
             assert err == ("" if code == 0 else expected), argv
 
 
-def test_a_stage_chain_decides_and_prime_cycles_exceed_the_reachability_budget(tmp_path):
-    # A valid pgraph of 5,000 states, each entered one stage after the last,
-    # has 5,000 stage reachability layers of one state each, well inside the
-    # entry budget: check decides it.  Leaving at once is refuted, since A
-    # gains by continuing at S0.
-    n = 5000
+def stage_chain(n: int) -> str:
+    """A valid pgraph of ``n`` states, each entered one stage after the last;
+    leaving at once is refuted, since A gains by continuing at S0."""
     lines = ["pgraph chain {"]
     for i in range(n):
         onward = f"S{i + 1} @ k+1" if i + 1 < n else "leaf (A:0) (B:0)"
         lines.append(f"  state S{i} = node {'AB'[i % 2]} {{ c -> {onward}, l -> leaf (A:{i % 3}) (B:{i % 2}) }}")
     lines += ["  start S0", "}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_stage_chain_decides_and_prime_cycles_exceed_the_reachability_budget(tmp_path):
+    # The chain's 5,000 stage reachability layers of one state each are well
+    # inside the entry budget: check decides it, under the 10 s bound of
+    # every command here, as it does the prime cycles.
+    n = 5000
     chain = tmp_path / "chain.pgraph"
-    chain.write_text("\n".join(lines) + "\n")
+    chain.write_text(stage_chain(n))
     profile = tmp_path / "chain.profile"
     profile.write_text("profile {\n" + "".join(f"  S{i}: l\n" for i in range(n)) + "}\n")
-    validated = run_cli("validate", str(chain))
+    validated = run_cli("validate", str(chain), timeout=10)
     assert (validated.returncode, validated.stdout, validated.stderr) == (0, "OK\n", "")
-    checked = run_cli("check", str(chain), "--profile", str(profile))
+    checked = run_cli("check", str(chain), "--profile", str(profile), timeout=10)
     assert (checked.returncode, checked.stdout, checked.stderr) == (
         1, "refuted: A gains 1 at S0 at stage k=0 by deviating to 'c' (1 over 0)\n", ""
     )
@@ -661,9 +672,9 @@ def test_a_stage_chain_decides_and_prime_cycles_exceed_the_reachability_budget(t
     cycles.write_text("\n".join(lines) + "\n")
     profile = tmp_path / "cycles.profile"
     profile.write_text("profile {\n  S: e3\n" + "".join(f"  C{p}_{i}: l\n" for p in primes for i in range(p)) + "}\n")
-    validated = run_cli("validate", str(cycles))
+    validated = run_cli("validate", str(cycles), timeout=10)
     assert (validated.returncode, validated.stdout, validated.stderr) == (0, "OK\n", "")
-    checked = run_cli("check", str(cycles), "--profile", str(profile))
+    checked = run_cli("check", str(cycles), "--profile", str(profile), timeout=10)
     assert (checked.returncode, checked.stdout, checked.stderr) == (
         3, "", "cap exceeded: stage reachability exceeds 262144 layer entries\n"
     )

@@ -33,6 +33,7 @@ from seqgames.coinduction import (
     stationary_closure,
     stationary_profiles,
 )
+from seqgames.dsl import parse
 from seqgames.finite import Counterexample, SpeCheck, _Tree, is_spe_finite
 from seqgames.graphs import (
     AffineExpr,
@@ -49,6 +50,7 @@ from seqgames.graphs import (
 )
 from tests import reference
 from tests.conftest import random_game_graph, random_param_graph, random_ring_graph
+from tests.test_cli import stage_chain
 
 ALICE_LEAVES = StationaryProfile(SA="l", SB="c")
 BOB_LEAVES = StationaryProfile(SA="c", SB="l")
@@ -790,6 +792,19 @@ def test_equal_verdicts_are_one_object():
         assert len({id(v) for v in verdicts}) == len(set(verdicts)), graph
     assert len(set(verdicts)) == 41
     assert len(set(v for _, v in enumerate_stationary_spe(ring_graph(12)))) == 32
+
+
+def test_the_states_some_play_enters_are_found_once(monkeypatch):
+    # A pgraph's deviations are tested at the states of some reachability
+    # layer, found in one union of the layers, so a long stage prefix costs
+    # states plus layers, not their product.  On the 5,000-state chain the
+    # one call left is the refutation's own.
+    calls = []
+    least_at_least = StageReachability.least_at_least
+    monkeypatch.setattr(StageReachability, "least_at_least", lambda *a: calls.append(a) or least_at_least(*a))
+    n = 5000
+    verdict = check_spe_graph(parse(stage_chain(n)), StationaryProfile((f"S{i}", "l") for i in range(n)))
+    assert (verdict.state, verdict.stage, verdict.action, len(calls)) == ("S0", 0, "c", 1)
 
 
 def param_graph_features(graph):
