@@ -40,7 +40,7 @@ from seqgames.coinduction import (
     enumerate_stationary_spe,
 )
 from seqgames.dsl import ParseError, ProfileDoc, parse, serialize
-from seqgames.escalation import _rationalizable_map, _threat_report, escalation_witness
+from seqgames.escalation import credible_threat_report, escalation_witness, rationalizable_actions
 from seqgames.finite import _require_valid, backward_induction, is_spe_finite, validate_game
 from seqgames.gallery import PRESETS, build_preset
 from seqgames.graphs import GameGraph, ParamGraph, _require_valid_graph, validate_graph
@@ -444,15 +444,15 @@ def _cmd_escalate(args) -> int:
         else:
             print("no stationary equilibria; no escalation")
         return EXIT_OK
-    # The profiles come verified from the enumeration, so the map and the
-    # threat report are built without checking them again.
-    rmap = _rationalizable_map(graph, spes)
+    # The profiles come from the enumeration, whose kept walk verifies them
+    # by lookup, so the map and the threat report check none of them again.
+    rmap = rationalizable_actions(graph, spes)
     payload["rationalizable"] = {
         sid: {action: list(tags) for action, tags in actions.items()}
         for sid, actions in rmap.actions.items()
     }
     witness = escalation_witness(graph, rmap)
-    threat = _threat_report(graph, spes, rmap)
+    threat = credible_threat_report(graph, spes)
     payload["mutually_non_credible"] = list(threat.mutually_non_credible)
     if witness is None:
         payload["witness"] = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Sequence, Set
 from fractions import Fraction
 
 from seqgames.core import (
@@ -269,11 +269,16 @@ class _ProfileChecker:
     def reach(self) -> StageReachability:
         return StageReachability(self)
 
+    # The profiles the kept walk accepts; empty until ``walked`` is kept.
+    accepted: Set[StationaryProfile] = frozenset()
+
     @functools.cached_property
     def walked(self) -> list[tuple[StationaryProfile, SpeVerdict]]:
-        """``walk()``, kept for the next enumeration of this graph; a walk
-        that raised is not kept.  Callers get copies: the list is shared."""
-        return self.walk()
+        """``walk()``'s profiles, kept for the next enumeration of this
+        graph, with the ones it accepts in ``accepted``; a walk that raised
+        is not kept.  Callers get copies: the list is shared."""
+        results, self.accepted = self.walk()
+        return results
 
     def picks(self, profile: StationaryProfile) -> list[int]:
         """The profile's branch index at each decision state; raises ProfileError
@@ -398,8 +403,9 @@ class _ProfileChecker:
         verdicts[key] = found
         return found
 
-    def walk(self) -> list[tuple[StationaryProfile, SpeVerdict]]:
-        """Every profile with its verdict, in ``stationary_profiles`` order.
+    def walk(self) -> tuple[list[tuple[StationaryProfile, SpeVerdict]], set[StationaryProfile]]:
+        """Every profile with its verdict, in ``stationary_profiles`` order,
+        and the set of the accepted ones, collected as they are emitted.
 
         One depth-first walk assigns the decision states in sorted-id order,
         one level each, so each leaf is one profile and consecutive leaves
@@ -420,7 +426,8 @@ class _ProfileChecker:
         ids, targets, deltas, edges = self.ids, self.targets, self.deltas, self.edges
         n = len(targets)
         if not n:  # one empty profile, with no edge to deviate by
-            return [(StationaryProfile._from_sorted(()), _SPE_OK)]
+            empty = StationaryProfile._from_sorted(())
+            return [(empty, _SPE_OK)], {empty}
         order = sorted(range(n), key=ids.__getitem__)
         entries = [[(ids[i], label) for label in self.labels[i]] for i in order]
         end = [-1] * n + list(range(n, len(ids)))
@@ -442,6 +449,7 @@ class _ProfileChecker:
         found: list[SpeVerdict] = [_SPE_OK] * (n + 1)
         unresolved, last = n, n - 1
         results = []
+        accepted = set()
         level = 0
         while level >= 0:
             s, b = order[level], tried[level]
@@ -497,6 +505,9 @@ class _ProfileChecker:
                     rests = itertools.product(*entries[level + 1:])
                     profiles = map(tuple(chosen[:level + 1]).__add__, rests)
                     profiles = map(StationaryProfile._from_sorted, profiles)
+                    if found[level + 1].ok:
+                        profiles = list(profiles)
+                        accepted.update(profiles)
                     results.extend(zip(profiles, itertools.repeat(found[level + 1])))
                     continue
             if level < last:
@@ -504,8 +515,11 @@ class _ProfileChecker:
                 continue
             # A leaf: the walk stays at this level for its next branch.
             verdict = self._diverging(end.index(-1), picks) if unresolved else found[n]
-            results.append((StationaryProfile._from_sorted(tuple(chosen)), verdict))
-        return results
+            profile = StationaryProfile._from_sorted(tuple(chosen))
+            results.append((profile, verdict))
+            if verdict.ok:
+                accepted.add(profile)
+        return results, accepted
 
 
 def _can_cycle(targets: list[list[int]], picks: list[int], end: list[int], free: set[int]) -> bool:
@@ -540,8 +554,9 @@ def _can_cycle(targets: list[list[int]], picks: list[int], end: list[int], free:
 
 
 # ``_ProfileChecker(graph)``; the last one is kept with its deviation memo
-# and, once enumerated, its walk: at most ``cap`` profiles, released with
-# the graph or before the next graph's checker is built.
+# and, once enumerated, its walk and the walk's accepted profiles: at most
+# ``cap`` profiles, released with the graph or before the next graph's
+# checker is built.
 _checker = _Kept(_ProfileChecker)
 
 

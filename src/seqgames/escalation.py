@@ -12,7 +12,7 @@ such a cycle.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain
 
 from seqgames.core import GameError, _record
@@ -50,30 +50,28 @@ class EscalationWitness:
 
 
 def rationalizable_actions(
-    graph: GameGraph, spes: Sequence[StationaryProfile]
+    graph: GameGraph, spes: Iterable[StationaryProfile]
 ) -> RationalizableMap:
     """Union of the equilibria's chosen actions, per state.
 
-    Every supplied profile is re-verified; a non-equilibrium input is a
-    caller bug and raises.
+    Every supplied profile is verified; a non-equilibrium input is a caller
+    bug and raises.  A profile that the kept enumeration of this graph
+    accepted is verified by lookup in its walk; any other is checked, and
+    no enumeration is started here.
     """
     checker = _checker(graph)
+    spes = tuple(spes)
     if not spes:
         raise GameError("rationalizable actions need at least one equilibrium")
-    for i, profile in enumerate(spes, start=1):
-        verdict = checker.check(profile)
-        if not verdict.ok:
-            raise GameError(f"profile #{i} is not an equilibrium: {verdict.describe()}")
-    return _rationalizable_map(graph, spes)
-
-
-def _rationalizable_map(
-    graph: GameGraph, spes: Sequence[StationaryProfile]
-) -> RationalizableMap:
-    """``rationalizable_actions`` for profiles the caller has verified, by
-    one pass over each profile's entries."""
+    accepted = checker.accepted
     tags: dict[tuple[str, str], list[int]] = {}
     for i, profile in enumerate(spes, start=1):
+        try:
+            known = profile in accepted
+        except TypeError:  # unhashable, so no walk emitted it: the check words the fault
+            known = False
+        if not known and not (verdict := checker.check(profile)).ok:
+            raise GameError(f"profile #{i} is not an equilibrium: {verdict.describe()}")
         for entry in profile._entries:
             tags.setdefault(entry, []).append(i)
     return RationalizableMap({
@@ -179,22 +177,17 @@ class ThreatReport:
 
 
 def credible_threat_report(
-    graph: GameGraph, spes: Sequence[StationaryProfile]
+    graph: GameGraph, spes: Iterable[StationaryProfile]
 ) -> ThreatReport:
     """Every equilibrium-backed action with its backers and the target's
     response, plus the mutually non-credible states (see ``ThreatReport``).
 
-    The profiles are re-verified through ``rationalizable_actions``, so an
-    empty list or a non-equilibrium profile raises ``GameError``.
+    The profiles are verified through ``rationalizable_actions``, by lookup
+    when the kept enumeration of this graph accepted them, so an empty list
+    or a non-equilibrium profile raises ``GameError``.
     """
-    return _threat_report(graph, spes, rationalizable_actions(graph, spes))
-
-
-def _threat_report(
-    graph: GameGraph, spes: Sequence[StationaryProfile], rmap: RationalizableMap
-) -> ThreatReport:
-    """``credible_threat_report`` for profiles the caller has verified, with
-    their rationalizable map."""
+    spes = tuple(spes)
+    rmap = rationalizable_actions(graph, spes)
     rows: list[ThreatRow] = []
     continuing_out: dict[str, set[str]] = {}
     continuing_in: dict[str, set[str]] = {}

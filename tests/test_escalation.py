@@ -58,6 +58,19 @@ def test_rationalizable_requires_nonempty_verified_input():
         rationalizable_actions(g, [StationaryProfile(SA="l", SB="l")])
 
 
+def test_a_one_shot_iterable_of_equilibria_is_read_once():
+    g = zero_one_graph()
+    spes = zero_one_spes()
+    assert rationalizable_actions(g, iter(spes)) == rationalizable_actions(g, spes)
+    assert rationalizable_actions(g, iter(spes)).supported("SA", "l") != ()
+    assert credible_threat_report(g, iter(spes)) == credible_threat_report(g, spes)
+    assert credible_threat_report(g, iter(spes)).rows != ()
+    with pytest.raises(GameError, match="^rationalizable actions need at least one equilibrium$"):
+        rationalizable_actions(g, iter([]))
+    with pytest.raises(GameError, match="^rationalizable actions need at least one equilibrium$"):
+        credible_threat_report(g, (p for p in ()))
+
+
 def test_rationalizable_map_matches_a_scan_of_every_profile():
     # The tags, and the order of states, actions and tags, are those of a
     # lookup of each state in each equilibrium, branch by branch.

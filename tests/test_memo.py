@@ -1,7 +1,8 @@
 """The one-entry ``core._Kept`` helpers of ``finite._require_valid``,
 ``graphs._require_valid_graph`` and ``coinduction._checker``: what they
 reuse, what they must compile again, and that they keep at most one compile
-of each kind, released with its game; the walk the kept checker keeps; and
+of each kind, released with its game; the walk the kept checker keeps, and
+the equilibria it spares the escalation functions from checking again; and
 the read-only graph states that make keeping a graph's compile by identity
 sound."""
 
@@ -84,6 +85,20 @@ def walks(monkeypatch):
 
 
 @pytest.fixture
+def checks(monkeypatch):
+    """The profiles ``_ProfileChecker.check`` is called on, in order."""
+    calls = []
+    check = coinduction._ProfileChecker.check
+
+    def counting_check(self, profile):
+        calls.append(profile)
+        return check(self, profile)
+
+    monkeypatch.setattr(coinduction._ProfileChecker, "check", counting_check)
+    return calls
+
+
+@pytest.fixture
 def validations(monkeypatch):
     """The graphs ``validate_graph`` is called on, in order."""
     calls = []
@@ -117,9 +132,34 @@ def test_the_finite_routes_compile_and_analyse_a_game_once(compiles):
 def _escalate(graph) -> tuple:
     """The escalation sequence on one graph: its equilibria, the actions
     they support, the least lasso of those and the threat report."""
-    spes = [profile for profile, verdict in enumerate_stationary_spe(graph) if verdict.ok]
+    return _escalation(graph, [profile for profile, verdict in enumerate_stationary_spe(graph) if verdict.ok])
+
+
+def _escalation(graph, spes) -> tuple:
+    """The escalation sequence on equilibria the caller supplies."""
     rmap = rationalizable_actions(graph, spes)
     return rmap, escalation_witness(graph, rmap), credible_threat_report(graph, spes)
+
+
+# Play never enters Z1-Z3, so the walk decides all 8 completions of each
+# choice at A0 at once: the accepted ones are collected in bulk.
+UNENTERED = """pgraph unentered {
+  state A0 = node A { stay -> T0, go -> T1 @ k+1 }
+  state T0 = leaf (A:1) (B:0)
+  state T1 = leaf (A:0) (B:1)
+  state Z1 = node B { x -> T0, y -> A0 }
+  state Z2 = node A { x -> T1, y -> Z1 }
+  state Z3 = node B { x -> T0, y -> Z2 @ k+1 }
+  start A0
+}"""
+
+
+def _escalation_graphs(rng) -> list:
+    """Graphs of both kinds with at least one stationary equilibrium."""
+    graphs = [zero_one_graph(), dollar_auction(10), parse(UNENTERED)]
+    graphs += [random_ring_graph(rng, rng.randint(3, 6)) for _ in range(8)]
+    graphs += [random_param_graph(rng, ranked=True) for _ in range(8)]
+    return [g for g in graphs if any(v.ok for _, v in enumerate_stationary_spe(parse(serialize(g))))]
 
 
 def test_the_escalation_sequence_walks_a_graph_once(walks):
@@ -187,6 +227,90 @@ def test_a_walk_that_raised_is_walked_again(walks, monkeypatch):
     monkeypatch.setattr(graphs, "_ENTRY_BUDGET", budget)
     assert enumerate_stationary_spe(graph) == enumerate_stationary_spe(graph) == cold
     assert walks.count(walks[0]) == 3
+
+
+def test_the_escalation_sequence_checks_no_equilibrium_its_walk_accepted(checks, walks):
+    graphs = _escalation_graphs(random.Random(40))
+    assert len(graphs) >= 10
+    for graph in graphs:
+        cold = _escalate(parse(serialize(graph)))
+        checks.clear()
+        walks.clear()
+        assert _escalate(graph) == cold
+        assert checks == [] and len(walks) == 1
+        # Equilibria passed again, as one-shot iterables too, are looked up.
+        spes = [p for p, v in enumerate_stationary_spe(graph) if v.ok]
+        assert rationalizable_actions(graph, iter(spes)) == cold[0]
+        assert credible_threat_report(graph, iter(spes)) == cold[2]
+        # So are equal profiles built apart from the walk's.
+        assert _escalation(graph, [StationaryProfile(dict(p)) for p in spes]) == cold
+        assert checks == [] and len(walks) == 1
+
+
+def test_equilibria_from_elsewhere_are_each_checked_without_a_walk(checks, walks):
+    rng = random.Random(41)
+    other = random_ring_graph(rng, 4)
+    for graph in _escalation_graphs(rng):
+        text = serialize(graph)
+        spes = [p for p, v in enumerate_stationary_spe(parse(text)) if v.ok]
+        cold = _escalation(parse(text), spes)
+        # A checker that never walked: one check per profile per call
+        # (``credible_threat_report`` calls ``rationalizable_actions``).
+        checks.clear()
+        walks.clear()
+        assert _escalation(graph, spes) == cold
+        assert checks == spes + spes and walks == []
+        assert "walked" not in vars(coinduction._checker.entry[1])
+        # A walk of an equal graph built apart vouches for none of them.
+        enumerate_stationary_spe(parse(text))
+        checks.clear()
+        assert _escalation(graph, spes) == cold
+        assert checks == spes + spes
+        # Nor does the walk of this graph once another graph evicted it.
+        enumerate_stationary_spe(graph)
+        enumerate_stationary_spe(other)
+        checks.clear()
+        walks.clear()
+        assert _escalation(graph, spes) == cold
+        assert checks == spes + spes and walks == []
+
+
+def _bad_profiles(walked) -> list[tuple[str, StationaryProfile]]:
+    """A refuted and a not-admissible profile of the walk, where it has
+    them, and malformed profiles, each with its kind."""
+    bad = [(type(v).__name__, p) for p, v in walked if not v.ok]
+    bad = list(dict(reversed(bad)).items())  # the first of each kind
+    first = walked[0][0]
+    sid = next(iter(first))
+    bad.append(("missing state", StationaryProfile({s: a for s, a in first.items() if s != sid})))
+    bad.append(("extra state", StationaryProfile(dict(first, Z9="x"))))
+    bad.append(("unknown action", StationaryProfile(dict(first, **{sid: "no such action"}))))
+    bad.append(("unhashable action", StationaryProfile(dict(first, **{sid: ["x"]}))))
+    return bad
+
+
+def test_a_bad_profile_after_the_walk_raises_what_a_cold_call_raises(checks):
+    kinds = Counter()
+    for graph in _escalation_graphs(random.Random(42)):
+        walked = enumerate_stationary_spe(parse(serialize(graph)))
+        spes = [p for p, v in walked if v.ok]
+        cases = []
+        for kind, bad in _bad_profiles(walked):
+            kinds[kind] += 1
+            for call in (rationalizable_actions, credible_threat_report):
+                # Cold: on a fresh parse, whose checker never walked.
+                with pytest.raises(GameError) as cold:
+                    call(parse(serialize(graph)), spes + [bad])
+                cases.append((call, bad, cold.value))
+        assert enumerate_stationary_spe(graph) == walked
+        for call, bad, error in cases:
+            checks.clear()
+            with pytest.raises(type(error)) as kept:
+                call(graph, spes + [bad])
+            assert type(kept.value) is type(error) and str(kept.value) == str(error), (graph, bad)
+            # Only the profile the walk did not accept is checked.
+            assert checks == [bad]
+    assert len(kinds) == 6 and min(kinds.values()) >= 10, kinds
 
 
 def test_is_spe_finite_checks_the_compile_the_solvers_keep(compiles):
