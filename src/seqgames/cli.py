@@ -28,6 +28,7 @@ from seqgames.core import (
     ProfileError,
     CapExceededError,
     _count_text,
+    _refuse_invalid,
     format_address,
 )
 from seqgames.coinduction import (
@@ -393,7 +394,7 @@ def _cmd_truncate(args) -> int:
     if not isinstance(args.closure, DeciderQuitsClosure):
         # Cut payoffs from outside the graph may miss or add players; the
         # graph's own terminals, which quit reuses, are already validated.
-        _require_valid(tree)
+        _refuse_invalid("game", validate_game(tree).violations)
     _write_output(serialize(tree), args.output)
     return EXIT_OK
 
@@ -494,19 +495,10 @@ def _cmd_escalate(args) -> int:
     return EXIT_OK
 
 
-# The parameters each preset takes, with the values used when omitted.
-_PRESET_DEFAULTS = {"zero_one_finite": {"turns": 7}, "dollar_auction": {"stake": Fraction(100)}}
-
-
 def _cmd_preset(args) -> int:
-    params = dict(_PRESET_DEFAULTS.get(args.name, {}))
-    for option in ("stake", "turns"):
-        given = getattr(args, option)
-        if given is None:
-            continue
-        if option not in params:
-            raise _UsageError(f"preset {args.name} does not take --{option}")
-        params[option] = given
+    params = {option: getattr(args, option) for option in ("stake", "turns") if getattr(args, option) is not None}
+    if unknown := sorted(params.keys() - PRESETS[args.name].defaults.keys()):
+        raise _UsageError(f"preset {args.name} does not take --{unknown[0]}")
     try:
         value = build_preset(args.name, **params)
     except ValueError as error:  # a parameter out of the preset's range

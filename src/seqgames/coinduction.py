@@ -28,7 +28,6 @@ from seqgames.core import (
     _Kept,
     _count_brief,
     _record,
-    _setattr,
 )
 from seqgames.finite import Counterexample, SpeCheck, _ranks, _Tree
 from seqgames.graphs import (
@@ -121,23 +120,6 @@ class Refuted:
     deviation_payoffs: PayoffVector
 
     ok = False
-
-    # Enumeration builds one per refuted profile: a direct ``__init__``.
-    def __init__(
-        self,
-        state: str,
-        stage: int | None,
-        player: str,
-        action: str,
-        profile_payoffs: PayoffVector,
-        deviation_payoffs: PayoffVector,
-    ) -> None:
-        _setattr(self, "state", state)
-        _setattr(self, "stage", stage)
-        _setattr(self, "player", player)
-        _setattr(self, "action", action)
-        _setattr(self, "profile_payoffs", profile_payoffs)
-        _setattr(self, "deviation_payoffs", deviation_payoffs)
 
     @property
     def gain(self) -> Fraction:

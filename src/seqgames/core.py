@@ -421,6 +421,13 @@ class ValidationReport:
         return not self.violations
 
 
+def _refuse_invalid(kind: str, violations: tuple[Violation, ...]) -> None:
+    """Raise GameError ``invalid <kind>: <first> (<n> violation(s))`` on a
+    violation: the words of every invalid game or graph, on every command."""
+    if violations:
+        raise GameError(f"invalid {kind}: {violations[0]} ({len(violations)} violation(s))")
+
+
 def _count_text(count: int) -> str:
     """``str(count)`` past ``sys.get_int_max_str_digits()``: Decimal has no limit."""
     return str(decimal.Decimal(count))

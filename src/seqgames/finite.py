@@ -24,7 +24,6 @@ from seqgames.core import (
     Address,
     CapExceededError,
     FiniteGame,
-    GameError,
     Leaf,
     Node,
     PayoffVector,
@@ -35,6 +34,7 @@ from seqgames.core import (
     _count_brief,
     _count_repr,
     _record,
+    _refuse_invalid,
     _require_total,
     format_address,
     walk,
@@ -109,18 +109,10 @@ class EquilibriumSummary:
         return {tree.addresses[i]: tuple(vectors[v] for v in counts[i]) for i in tree.postorder}
 
 
-class _InvalidGame(GameError):
-    """A game that failed validation, named by its first violation."""
-
-    def __init__(self, violations: tuple[Violation, ...]) -> None:
-        super().__init__(f"invalid game: {violations[0]} ({len(violations)} violation(s))")
-
-
 def _valid_tree(game: FiniteGame) -> _Tree:
-    """The game compiled; raises _InvalidGame if it has a violation."""
+    """The game compiled; raises ``core._refuse_invalid``'s GameError on a violation."""
     tree = _Tree(game)
-    if violations := tree.violations():
-        raise _InvalidGame(violations)
+    _refuse_invalid("game", tree.violations())
     return tree
 
 
@@ -534,13 +526,7 @@ class _Tree:
         the profile chooses one of the actions at exactly the decision nodes,
         checked on the compiled arrays.
         """
-        try:
-            if len(profile) == len(self.post):
-                return tuple(self.labels[i].index(profile[self.addresses[i]]) for i in self.post)
-        except (KeyError, ValueError):
-            pass
         _require_total({self.addresses[i]: self.labels[i] for i in self.post}, profile)
-        # Total: only a node with repeated labels makes the counts differ.
         return tuple(self.labels[i].index(profile[self.addresses[i]]) for i in self.post)
 
     def first_deviation(self, picks: Sequence[int]) -> Counterexample | None:

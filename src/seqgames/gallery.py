@@ -78,7 +78,8 @@ class Preset:
 
     ``expected`` maps result names to values; every entry is reproduced by
     the corresponding solver in the test suite.  ``verified_by`` names the
-    independent route used to confirm them.
+    independent route used to confirm them.  ``defaults`` maps each
+    parameter ``build`` takes to its value when not given.
     """
 
     name: str
@@ -87,6 +88,7 @@ class Preset:
     build: Callable[..., object]
     expected: Mapping[str, object]
     verified_by: str
+    defaults: Mapping[str, object]
 
 
 def _zero_one_expected(turns: int) -> dict[str, object]:
@@ -115,6 +117,7 @@ PRESETS: dict[str, Preset] = {
             "tied_addresses": ((),),
         },
         verified_by="exhaustive enumeration of all 128 profiles",
+        defaults={},
     ),
     "zero_one_finite": Preset(
         name="zero_one_finite",
@@ -123,6 +126,7 @@ PRESETS: dict[str, Preset] = {
         build=zero_one_finite,
         expected={"by_turns": _zero_one_expected},
         verified_by="exhaustive enumeration for small turn counts",
+        defaults={"turns": 7},
     ),
     "zero_one_graph": Preset(
         name="zero_one_graph",
@@ -138,6 +142,7 @@ PRESETS: dict[str, Preset] = {
             "refuted": ({"SA": "l", "SB": "l"},),
         },
         verified_by="exhaustive check of all 4 stationary profiles",
+        defaults={},
     ),
     "dollar_auction": Preset(
         name="dollar_auction",
@@ -153,6 +158,7 @@ PRESETS: dict[str, Preset] = {
             "never_bid_gain_at_stake_100": 99,
         },
         verified_by="symbolic stage check cross-validated by depth-20 unfoldings",
+        defaults={"stake": 100},
     ),
 }
 
@@ -166,7 +172,7 @@ def preset(name: str) -> Preset:
 
 
 def build_preset(name: str, **params) -> FiniteGame | GameGraph | ParamGraph:
-    """Construct a preset; ``zero_one_finite`` takes ``turns``,
-    ``dollar_auction`` takes ``stake``."""
+    """Construct a preset from its ``defaults``, overridden by ``params``;
+    ``zero_one_finite`` takes ``turns``, ``dollar_auction`` takes ``stake``."""
     entry = preset(name)
-    return entry.build(**params)
+    return entry.build(**{**entry.defaults, **params})

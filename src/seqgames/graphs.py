@@ -30,6 +30,7 @@ from seqgames.core import (
     _FrozenMap,
     _Kept,
     _record,
+    _refuse_invalid,
     _setattr,
 )
 from seqgames.finite import _Tree
@@ -193,9 +194,8 @@ def validate_graph(graph: GameGraph) -> ValidationReport:
 
 
 def _validated(graph: GameGraph) -> None:
-    """Raise GameError naming the first violation ``validate_graph`` finds."""
-    if violations := validate_graph(graph).violations:
-        raise GameError(f"invalid graph: {violations[0]} ({len(violations)} violation(s))")
+    """Raise ``core._refuse_invalid``'s GameError if ``validate_graph`` finds a violation."""
+    _refuse_invalid("graph", validate_graph(graph).violations)
 
 
 # The CLI, the checkers and the unfoldings of one graph in a row validate it once.
@@ -302,17 +302,18 @@ def dollar_auction(stake: RationalLike = 100) -> ParamGraph:
     )
 
 
-# The most (state, stage) entries the layers of one StageReachability may
-# hold, terminals included, about 14 MiB of sets at the full budget.  A
-# chain of 5,000 states (5,000 layers, 10,001 entries) and cycles of 3, 5,
-# 7, 11 and 13 states off one start (15,016 layers, 150,161 entries) fit;
+# The most (decision state, stage) entries the layers of one
+# StageReachability may hold, about 14 MiB of sets at the full budget.  A
+# chain of 5,000 states (5,000 layers, 5,000 entries) and cycles of 3, 5,
+# 7, 11 and 13 states off one start (15,016 layers, 75,081 entries) fit;
 # cycles of every prime length 3..19 (period 4,849,845) do not.
 _ENTRY_BUDGET = 2**18
 
 
 class StageReachability:
-    """Which stage-counter values each state of a ParamGraph can be entered
-    with, starting from the start state at stage 0.
+    """Which stage-counter values each decision state of a ParamGraph can be
+    entered with, starting from the start state at stage 0.  Terminals are
+    left out: no check asks about them, and they move the play no further.
 
     The per-stage state sets are eventually periodic (there are finitely many
     subsets of states), so the whole structure is computed exactly: a finite
@@ -346,13 +347,13 @@ class StageReachability:
         self.period = None if loop_start is None else len(layers) - loop_start
 
     def _saturate(self, states: frozenset[str]) -> frozenset[str]:
-        # Close under zero-delta edges: same stage.
-        result = set(states)
-        queue = list(states)
+        # Close under zero-delta edges (same stage), keeping the states with edges.
+        result = {sid for sid in states if self._states[sid].edges}
+        queue = list(result)
         while queue:
             sid = queue.pop()
             for _, target, delta in self._states[sid].edges:
-                if delta == 0 and target not in result:
+                if delta == 0 and target not in result and self._states[target].edges:
                     result.add(target)
                     queue.append(target)
         return frozenset(result)

@@ -16,9 +16,9 @@ from collections.abc import Collection, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
 
-from seqgames.core import PayoffVector, _count_repr, _record, _setattr
+from seqgames.core import PayoffVector, _count_repr, _record, _refuse_invalid, _setattr
 from seqgames.coinduction import StationaryProfile, _checker, enumerate_stationary_spe
-from seqgames.finite import _require_valid, _solve_unfoldings
+from seqgames.finite import _solve_unfoldings, validate_game
 from seqgames.graphs import (
     GameGraph,
     MissingClosureError,
@@ -180,7 +180,7 @@ def _summaries(graph: GameGraph, depths: Sequence[int], rule: ClosureRule) -> li
         solved = _solve_unfoldings(graph, depths, cut, _stage_slope(graph, rule))
     except _OffPlayers:
         for depth in depths:
-            _require_valid(truncate(graph, depth, rule))
+            _refuse_invalid("game", validate_game(truncate(graph, depth, rule)).violations)
         solved = _solve_unfoldings(
             graph, depths, lambda sid, stage: rule.payoff(graph, sid, stage)
         )

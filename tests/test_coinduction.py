@@ -496,9 +496,10 @@ def replay_verdict(graph, profile):
                     return Refuted(sid, None, mover, action, current, deviation)
                 continue
             deviation = deviation.shifted(delta)
-            # Past every stage layer and every crossing of the generator's
-            # payoffs (intercepts within 3 + 5 of zero, slopes at least 1/2 apart).
-            for k in range(len(reach.layers) + 64):
+            # Past every stage layer, one period further, and every crossing
+            # of the generator's payoffs (intercepts within 3 + 5 of zero,
+            # slopes at least 1/2 apart).
+            for k in range(len(reach.layers) + (reach.period or 0) + 64):
                 if reach.least_at_least(sid, k) == k and deviation[mover].at(k) > current[mover].at(k):
                     return Refuted(
                         sid, k, mover, action, current.at_stage(k), deviation.at_stage(k)
@@ -829,7 +830,7 @@ def param_graph_features(graph):
         "negative slope": any(s < 0 for s in slopes),
         "positive slope": any(s > 0 for s in slopes),
         "terminal before decision": terminal_first,
-        "unreachable state": any(reach.least_at_least(sid, 0) is None for sid in order),
+        "unreachable state": any(reach.least_at_least(sid, 0) is None for sid in graph.internal_ids()),
         "unbounded stages": reach.loop_start is not None,
     }
 

@@ -9,7 +9,7 @@ from seqgames.gallery import (
     matching_pennies_sequential,
     zero_one_finite,
 )
-from seqgames.graphs import unfold, zero_one_graph
+from seqgames.graphs import dollar_auction, unfold, zero_one_graph
 from seqgames.truncation import DeciderQuitsClosure
 
 
@@ -127,3 +127,17 @@ def test_build_preset_forwards_parameters():
     assert backward_induction(game).payoff == PayoffVector(A=1, B=0)
     with pytest.raises(KeyError):
         build_preset("no_such_preset")
+
+
+def test_build_preset_applies_the_defaults_each_preset_declares():
+    assert {name: dict(entry.defaults) for name, entry in PRESETS.items()} == {
+        "matching_pennies": {},
+        "zero_one_finite": {"turns": 7},
+        "zero_one_graph": {},
+        "dollar_auction": {"stake": 100},
+    }
+    assert build_preset("zero_one_finite") == zero_one_finite(7)
+    assert build_preset("dollar_auction") == dollar_auction(100)
+    assert build_preset("dollar_auction", stake=7) == dollar_auction(7)
+    with pytest.raises(TypeError):
+        build_preset("zero_one_graph", stake=100)

@@ -285,10 +285,11 @@ def _stage_path(rng: random.Random, n: int, ring: bool) -> ParamGraph:
 
 
 def test_least_at_least_matches_a_search_over_states_and_stages():
-    # Every state, at every stage k0 past the prefix plus two periods,
-    # against a breadth-first search bounded one period further, which
-    # holds the least reachable stage >= k0 whenever there is one.  The
-    # layers themselves are the stage sets of the search.
+    # Every decision state, at every stage k0 past the prefix plus two
+    # periods, against a breadth-first search bounded one period further,
+    # which holds the least reachable stage >= k0 whenever there is one.
+    # The layers themselves are the stage sets of the search, without its
+    # terminals.
     rng = random.Random(17)
     cases = [random_param_graph(rng, max_internal=6, ranked=rng.random() < 0.5) for _ in range(240)]
     cases += [_stage_path(rng, n, ring) for n in range(1, 13) for ring in (False, True) for _ in range(3)]
@@ -298,9 +299,10 @@ def test_least_at_least_matches_a_search_over_states_and_stages():
         period = reach.period or 0
         last = len(reach.layers) + 2 * period + 2
         stages = reachable_stages(graph, last + period)
+        decisions = graph.internal_ids()
         for k, layer in enumerate(reach.layers):
-            assert layer == {sid for sid in graph.states if k in stages[sid]}, (graph, k)
-        for sid in graph.states:
+            assert layer == {sid for sid in decisions if k in stages[sid]}, (graph, k)
+        for sid in decisions:
             for k0 in range(last + 1):
                 expected = min((k for k in stages[sid] if k >= k0), default=None)
                 assert reach.least_at_least(sid, k0) == expected, (graph, sid, k0)
@@ -310,8 +312,9 @@ def test_least_at_least_matches_a_search_over_states_and_stages():
 
 def test_stage_reachability_decides_coprime_cycles_within_its_budget():
     # Cycles of 3, 5, 7, 11 and 13 states off one start state: 15,016
-    # layers, the last 15,015 repeating, 150,161 entries in all, inside the
-    # budget; each cycle state is entered at the stages of its residue.
+    # layers, the last 15,015 repeating, 75,081 decision-state entries in
+    # all, inside the budget; each cycle state is entered at the stages of
+    # its residue.
     lengths = (3, 5, 7, 11, 13)
     leave = Terminal(AffinePayoffs(A=AffineExpr(1, -1), B=AffineExpr(2)))
     states = {"S": Decision("A", tuple((f"e{n}", f"C{n}_0", 0) for n in lengths))}
@@ -322,7 +325,7 @@ def test_stage_reachability_decides_coprime_cycles_within_its_budget():
     graph = ParamGraph(name="cycles", states=states, start="S")
     reach = StageReachability(graph)
     assert (len(reach.layers), reach.loop_start, reach.period) == (15016, 1, 15015)
-    assert sum(map(len, reach.layers)) == 150161 <= _ENTRY_BUDGET
+    assert sum(map(len, reach.layers)) == 6 + 15015 * 5 == 75081 <= _ENTRY_BUDGET
     assert [reach.least_at_least("C11_4", k) for k in (0, 4, 5, 16, 10**9)] == [4, 4, 15, 26, 10**9 + 5]
     quit = StationaryProfile({sid: "l" if sid != "S" else "e3" for sid in graph.internal_ids()})
     assert check_spe_graph(graph, quit) == SpeOk()
@@ -331,9 +334,10 @@ def test_stage_reachability_decides_coprime_cycles_within_its_budget():
 def test_stage_reachability_acyclic():
     g = ParamGraphFixture()
     reach = StageReachability(g)
-    assert reach.loop_start is None
-    assert reach.least_at_least("END", 1) == 1
-    assert reach.least_at_least("END", 2) is None
+    # The terminal END, entered at stage 1, is left out of the layers.
+    assert reach.layers == [{"GO"}] and reach.loop_start is None
+    assert reach.least_at_least("GO", 0) == 0
+    assert reach.least_at_least("GO", 1) is None
 
 
 def ParamGraphFixture():

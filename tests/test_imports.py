@@ -56,3 +56,38 @@ def test_modules_import_each_other_at_the_top_by_name_without_a_cycle():
 
     for name in sorted(edges):
         visit(name, [])
+
+
+# Per module, the private names it imports from a module other than
+# ``core``, whose private helpers serve the whole package.  Each is a
+# coupling to another module's internals; the list changes only on purpose.
+PRIVATE_IMPORTS = {
+    "seqgames.cli": {
+        ("seqgames.finite", "_require_valid"),
+        ("seqgames.graphs", "_require_valid_graph"),
+        ("seqgames.truncation", "_describe_char"),
+        ("seqgames.truncation", "_json_text"),
+    },
+    "seqgames.coinduction": {
+        ("seqgames.finite", "_Tree"),
+        ("seqgames.finite", "_ranks"),
+        ("seqgames.graphs", "_require_valid_graph"),
+    },
+    "seqgames.escalation": {("seqgames.coinduction", "_checker")},
+    "seqgames.graphs": {("seqgames.finite", "_Tree")},
+    "seqgames.truncation": {
+        ("seqgames.coinduction", "_checker"),
+        ("seqgames.finite", "_solve_unfoldings"),
+    },
+}
+
+
+def test_private_names_cross_modules_only_as_listed():
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        for stmt in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(stmt, ast.ImportFrom) and stmt.module.startswith("seqgames") and stmt.module != "seqgames.core":
+                private = {(stmt.module, alias.name) for alias in stmt.names if alias.name.startswith("_")}
+                if private:
+                    found.setdefault(_module_name(path), set()).update(private)
+    assert found == PRIVATE_IMPORTS

@@ -213,15 +213,15 @@ def test_the_cap_is_tested_when_a_walk_is_kept(walks):
 
 
 def test_a_walk_that_raised_is_walked_again(walks, monkeypatch):
-    # The auction's stage reachability holds 8 entries; under a budget of 4
+    # The auction's stage reachability holds 4 entries; under a budget of 3
     # its walk raises, on every call, and none is kept.
     graph = dollar_auction(10)
     cold = enumerate_stationary_spe(parse(serialize(graph)))
     budget = graphs._ENTRY_BUDGET
-    monkeypatch.setattr(graphs, "_ENTRY_BUDGET", 4)
+    monkeypatch.setattr(graphs, "_ENTRY_BUDGET", 3)
     walks.clear()
     for tries in (1, 2):
-        with pytest.raises(CapExceededError, match="^stage reachability exceeds 4 layer entries$"):
+        with pytest.raises(CapExceededError, match="^stage reachability exceeds 3 layer entries$"):
             enumerate_stationary_spe(graph)
         assert len(walks) == tries and "walked" not in vars(coinduction._checker.entry[1])
     monkeypatch.setattr(graphs, "_ENTRY_BUDGET", budget)

@@ -302,13 +302,14 @@ def test_shared_table_matches_per_depth_solving(monkeypatch):
                 last = depths[-1]
                 assert summarize_depth(graph, last, rule) == expected[last]
             else:
-                seen[expected[0].__name__] += 1
+                kind, message = expected
+                seen["invalid game" if message.startswith("invalid game: ") else kind.__name__] += 1
     # Every route was taken: solved reports, both kinds of error, and
     # valid truncations whose cut payoffs name fewer players than the graph.
     # Most small truncations get the brute-force check, and thousands of
     # their nodes keep more than one action.
     assert seen["solved"] >= 300 and seen["brute"] >= 5000 and seen["tied nodes"] >= 3000, seen
-    assert seen["MissingClosureError"] >= 50 and seen["_InvalidGame"] >= 20, seen
+    assert seen["MissingClosureError"] >= 50 and seen["invalid game"] >= 20, seen
     assert seen["off-players"] >= 1, seen
     # Framed tables: with each closure, past a stage-0 exit, and with values
     # moved by a non-zero slope.
